@@ -4,14 +4,15 @@ Subcommands: ``estimate``, ``simulate``, ``sweep``, ``regularity``,
 ``locality``, ``smml``.  Tables are CSV and reports are versioned
 structured text; ``--json`` switches both to JSON.  ``NSMML_SEED`` and
 ``NSMML_OUTDIR`` provide environment defaults for the seed and the output
-directory; explicit flags take precedence.  Exit codes: 0 on success, 1
-when a requested check fails (with a diagnostic line on stderr), 2 on
-malformed input.
+directory; explicit flags take precedence, and so does the seed of a
+``sweep`` config file.  Exit codes: 0 on success, 1 when a requested
+check fails (with a diagnostic line on stderr), 2 on malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -40,7 +41,6 @@ from .estimators import (
 from . import codebook as cbk
 from . import regularity as reg
 from .harness import (
-    SweepSpec,
     parse_sweep_config,
     resolve_prior,
     rows_to_csv,
@@ -172,18 +172,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = parse_sweep_config(Path(args.config).read_text())
+    # Seed precedence: --seed, then the config's seed, then NSMML_SEED.  The
+    # last value of a config key wins, so the environment default goes first.
+    text = Path(args.config).read_text()
+    spec = parse_sweep_config(f"seed = {_default_seed()}\n{text}")
     if args.seed is not None:
-        spec = SweepSpec(
-            J=spec.J,
-            N_list=spec.N_list,
-            trials=spec.trials,
-            sigma2_true=spec.sigma2_true,
-            mu_law=spec.mu_law,
-            estimators=spec.estimators,
-            priors=spec.priors,
-            seed=args.seed,
-        )
+        spec = dataclasses.replace(spec, seed=args.seed)
     rows = run_sweep(spec)
     if args.json:
         payload = [
@@ -436,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+    # sweep resolves its own default: a config file may set the seed.
+    if getattr(args, "seed", None) is None and hasattr(args, "seed") and args.command != "sweep":
         args.seed = _default_seed()
     try:
         return args.func(args)

@@ -22,6 +22,7 @@ scaling a codebook leaves its cost unchanged.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -436,12 +437,15 @@ def smml_exhaustive(
 ) -> list[Codebook]:
     """All globally optimal codebooks, exact by enumeration.
 
-    Routes: vectorized brute force when ``candidates ** cells`` fits under
+    Routes: brute force when ``candidates ** cells`` fits under
     ``brute_limit`` (the documented small-instance regime, cells <= 12 and
-    candidates <= 8); otherwise, for uniform-mass instances (scale-free
+    candidates <= 8), scoring every assignment from precomputed tables of
+    two cell blocks; otherwise, for uniform-mass instances (scale-free
     discretizations and torus instances), an exact dynamic program over
     per-candidate count vectors, valid because the entropy term depends on
-    the assignment only through region masses.  Returns every assignment
+    the assignment only through region masses.  Each DP layer is a sorted
+    integer array of count vectors in mixed-radix form, so the DP also
+    needs ``(cells + 1) ** candidates < 2**63``.  Returns every assignment
     whose cost is within ``tol`` of the global minimum, sorted
     lexicographically.
     """
@@ -460,51 +464,57 @@ def smml_exhaustive(
     return [make_codebook(problem, a) for a in assigns]
 
 
+def _block_tables(problem: DiscreteProblem, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mass-weighted penalty ``(b^k,)`` and region masses ``(b, b^k)`` of
+    every assignment of ``k`` cells, in lexicographic order (first cell most
+    significant)."""
+    b = problem.n_candidates
+    k = cells.shape[0]
+    l_p = np.zeros((b,) * k)
+    q = np.zeros((b,) + (b,) * k)
+    eye = np.eye(b)
+    for pos, i in enumerate(cells):
+        axis = (1,) * pos + (b,) + (1,) * (k - pos - 1)
+        l_p = l_p + (problem.mass[i] * problem.penalty[i]).reshape(axis)
+        q = q + problem.mass[i] * eye.reshape((b,) + axis)
+    return l_p.ravel(), q.reshape(b, -1)
+
+
 def _exhaustive_brute(problem: DiscreteProblem, tol: float) -> list[np.ndarray]:
+    # Split the cells into a high and a low block: assignment h * b^c_low + l
+    # costs lp_h[h] + lp_l[l] + H(q_h[:, h] + q_l[:, l]).
     c = problem.n_cells
     b = problem.n_candidates
-    total = b**c
-    mass = problem.mass
-    pen = problem.penalty
+    c_low = 0
+    while c_low < c and b ** (c_low + 1) <= 1 << 16:
+        c_low += 1
+    lp_h, q_h = _block_tables(problem, np.arange(c - c_low))
+    lp_l, q_l = _block_tables(problem, np.arange(c - c_low, c))
+    n_low = lp_l.shape[0]
     best = math.inf
     survivors: list[tuple[float, int]] = []
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((idx.shape[0], c), dtype=np.int64)
-        rem = idx
-        for pos in range(c - 1, -1, -1):
-            digits[:, pos] = rem % b
-            rem = rem // b
-        l_p = np.zeros(idx.shape[0])
-        for i in range(c):
-            l_p += mass[i] * pen[i, digits[:, i]]
-        l_e = np.zeros(idx.shape[0])
-        for r in range(b):
-            q_r = (digits == r).astype(float) @ mass
-            l_e += _neg_xlogx(q_r)
-        cost = l_p + l_e
+    for h in range(lp_h.shape[0]):
+        cost = lp_h[h] + lp_l + _neg_xlogx(q_h[:, h, None] + q_l).sum(axis=0)
         chunk_best = float(cost.min())
         if chunk_best < best:
             best = chunk_best
             survivors = [(co, ix) for co, ix in survivors if co <= best + tol]
         keep = np.flatnonzero(cost <= best + tol)
-        survivors.extend((float(cost[k]), int(idx[k])) for k in keep)
-    out = []
-    for co, ix in survivors:
-        if co <= best + tol:
-            digits = np.empty(c, dtype=np.int64)
-            rem = ix
-            for pos in range(c - 1, -1, -1):
-                digits[pos] = rem % b
-                rem //= b
-            out.append(digits)
-    return out
+        survivors.extend((float(cost[k]), h * n_low + int(k)) for k in keep)
+    return [
+        np.array(np.unravel_index(ix, (b,) * c), dtype=np.int64)
+        for co, ix in survivors
+        if co <= best + tol
+    ]
 
 
 def _exhaustive_dp(problem: DiscreteProblem, tol: float, state_limit: int) -> list[np.ndarray]:
     c = problem.n_cells
     b = problem.n_candidates
+    base = c + 1  # a count vector n is stored as the code sum_j n_j * base**j
+    if base**b >= 2**63:
+        raise SizeLimitError(f"count-vector codes overflow int64: ({c} + 1)^{b} >= 2^63")
+    radix = base ** np.arange(b, dtype=np.int64)
     m0 = float(problem.mass[0])
     w = problem.mass[:, None] * problem.penalty  # per-cell assignment costs
     suffix_min = np.zeros(c + 1)
@@ -514,60 +524,59 @@ def _exhaustive_dp(problem: DiscreteProblem, tol: float, state_limit: int) -> li
 
     ub = smml_local_search(problem, restarts=2, seed=0).cost.L
 
-    layers: list[dict[tuple[int, ...], float]] = [{(0,) * b: 0.0}]
+    # Layer i: sorted codes of the count vectors reachable from the first i
+    # cells, and the least partial L_P of reaching each.
+    codes = np.zeros(1, dtype=np.int64)
+    vals = np.zeros(1)
+    layers = [(codes, vals)]
     for i in range(c):
-        prev = layers[i]
-        nxt: dict[tuple[int, ...], float] = {}
-        costs_i = w[i]
-        bound = ub + tol - suffix_min[i + 1]
-        for state, val in prev.items():
-            for j in range(b):
-                nval = val + costs_i[j]
-                if nval > bound:
-                    continue
-                nstate = state[:j] + (state[j] + 1,) + state[j + 1 :]
-                old = nxt.get(nstate)
-                if old is None or nval < old:
-                    nxt[nstate] = nval
-        if len(nxt) > state_limit:
+        # One sorted run per candidate, so the stable (merge) sort is cheap.
+        codes = (radix[:, None] + codes[None, :]).ravel()
+        vals = (w[i][:, None] + vals[None, :]).ravel()
+        keep = vals <= ub + tol - suffix_min[i + 1]
+        codes, vals = codes[keep], vals[keep]
+        order = np.argsort(codes, kind="stable")
+        codes, vals = codes[order], vals[order]
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        codes, vals = codes[starts], np.minimum.reduceat(vals, starts)
+        if codes.shape[0] > state_limit:
             raise SizeLimitError(f"count-vector DP exceeded {state_limit} states at layer {i + 1}")
-        if not nxt:
+        if not codes.shape[0]:
             raise SizeLimitError("count-vector DP pruned every state; upper bound inconsistent")
-        layers.append(nxt)
+        layers.append((codes, vals))
 
-    def entropy_of(state: tuple[int, ...]) -> float:
-        q = m0 * np.asarray(state, dtype=float)
-        return _entropy(q)
+    # Region masses are m0 * n_j, so H = -m0 * sum_j n_j log n_j - log m0.
+    k = np.arange(base)
+    nlogn = k * np.log(np.maximum(k, 1))
+    entropy = -m0 * nlogn[codes[:, None] // radix % base].sum(axis=1) - math.log(m0)
+    best = float((vals + entropy).min())
+    target = best + tol - entropy
+    final = vals <= target
 
-    best = math.inf
-    for state, val in layers[c].items():
-        best = min(best, val + entropy_of(state))
-
-    out: list[np.ndarray] = []
+    # Walk back from every optimal final state, one layer at a time, keeping
+    # the steps whose prefix can still complete within the target.
     emit_cap = 100_000
-    for state, val in layers[c].items():
-        target = best + tol - entropy_of(state)
-        if val > target:
-            continue
-        # Enumerate every assignment with these counts and L_P <= target.
-        stack = [(c, state, 0.0, [])]
-        while stack:
-            i, st, used, picked = stack.pop()
-            if i == 0:
-                out.append(np.array(picked[::-1], dtype=np.int64))
-                if len(out) > emit_cap:
-                    raise SizeLimitError("too many optimal codebooks to enumerate")
-                continue
-            for j in range(b):
-                if st[j] == 0:
-                    continue
-                nused = used + w[i - 1, j]
-                pst = st[:j] + (st[j] - 1,) + st[j + 1 :]
-                fval = layers[i - 1].get(pst)
-                if fval is None or fval + nused > target + 1e-15:
-                    continue
-                stack.append((i - 1, pst, nused, picked + [j]))
-    return out
+    front = codes[final]
+    target = target[final]
+    used = np.zeros(front.shape[0])
+    picks = np.empty((front.shape[0], c), dtype=np.int64)
+    for i in range(c, 0, -1):
+        prev_codes, prev_vals = layers[i - 1]
+        step = front[:, None] - radix[None, :]
+        pos = np.minimum(np.searchsorted(prev_codes, step), prev_codes.shape[0] - 1)
+        nused = used[:, None] + w[i - 1][None, :]
+        ok = (
+            (front[:, None] // radix % base > 0)
+            & (prev_codes[pos] == step)
+            & (prev_vals[pos] + nused <= target[:, None] + 1e-15)
+        )
+        rows, js = np.nonzero(ok)
+        if rows.shape[0] > emit_cap:
+            raise SizeLimitError("too many optimal codebooks to enumerate")
+        picks = picks[rows]
+        picks[:, i - 1] = js
+        front, used, target = step[rows, js], nused[rows, js], target[rows]
+    return list(picks)
 
 
 def _descend(
@@ -888,57 +897,78 @@ def problem_to_text(problem: DiscreteProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def problem_from_text(text: str) -> DiscreteProblem:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0] != _PROBLEM_HEADER:
-        raise InvalidConfigError(f"unrecognized problem header {lines[0]!r}")
-    pos = 1
+class _Lines:
+    """Cursor over the nonblank lines of a serialized text."""
 
-    def take(key: str) -> list[str]:
-        nonlocal pos
-        parts = lines[pos].split()
+    def __init__(self, text: str, header: str) -> None:
+        self.lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not self.lines or self.lines[0] != header:
+            first = self.lines[0] if self.lines else ""
+            raise InvalidConfigError(f"unrecognized header {first!r}, expected {header!r}")
+        self.pos = 1
+
+    def row(self) -> list[str]:
+        if self.pos >= len(self.lines):
+            raise InvalidConfigError("text ends before its end marker")
+        self.pos += 1
+        return self.lines[self.pos - 1].split()
+
+    def take(self, key: str) -> list[str]:
+        parts = self.row()
         if parts[0] != key:
-            raise InvalidConfigError(f"expected {key!r} at line {pos + 1}, got {lines[pos]!r}")
-        pos += 1
+            raise InvalidConfigError(f"expected {key!r} at line {self.pos}, got {' '.join(parts)!r}")
         return parts[1:]
 
-    cfg = ProblemConfig(N=int(take("N")[0]), J=int(take("J")[0]))
-    prior = PriorSpec(float(take("prior_p")[0]))
-    topology = take("topology")[0]
+    def table(self, key: str, width: int) -> np.ndarray:
+        """The ``key n`` line and its ``n`` rows, each a row index followed
+        by ``width`` floats."""
+        n = int(self.take(key)[0])
+        rows = [[float(v) for v in self.row()[1 : 1 + width]] for _ in range(n)]
+        return np.array(rows, dtype=float).reshape(n, width)
+
+
+@contextmanager
+def _parsing(kind: str):
+    """Report a missing or unconvertible field of a serialized ``kind`` as
+    malformed input; usable as a decorator."""
+    try:
+        yield
+    except InvalidConfigError:
+        raise
+    except (IndexError, ValueError) as exc:
+        raise InvalidConfigError(f"malformed {kind} text: {exc}") from exc
+
+
+@_parsing("problem")
+def problem_from_text(text: str) -> DiscreteProblem:
+    rd = _Lines(text, _PROBLEM_HEADER)
+    cfg = ProblemConfig(N=int(rd.take("N")[0]), J=int(rd.take("J")[0]))
+    prior = PriorSpec(float(rd.take("prior_p")[0]))
+    topology = rd.take("topology")[0]
     lattice = None
-    if int(take("lattice")[0]):
-        lo = np.array([float(v) for v in take("lo")])
-        hi = np.array([float(v) for v in take("hi")])
-        shape = tuple(int(v) for v in take("shape"))
+    if int(rd.take("lattice")[0]):
+        lo = np.array([float(v) for v in rd.take("lo")])
+        hi = np.array([float(v) for v in rd.take("hi")])
+        shape = tuple(int(v) for v in rd.take("shape"))
         cand_shape = None
         cand_origin = None
         stride = 1
-        if int(take("cand_lattice")[0]):
-            cand_shape = tuple(int(v) for v in take("cand_shape"))
-            cand_origin = tuple(int(v) for v in take("cand_origin"))
-            stride = int(take("stride")[0])
+        if int(rd.take("cand_lattice")[0]):
+            cand_shape = tuple(int(v) for v in rd.take("cand_shape"))
+            cand_origin = tuple(int(v) for v in rd.take("cand_origin"))
+            stride = int(rd.take("stride")[0])
         lattice = LatticeInfo(lo, hi, shape, cand_shape, cand_origin, stride)
+    elif topology == "torus":
+        raise InvalidConfigError("torus problems need their lattice")
 
-    n_cells = int(take("cells")[0])
-    mass = np.empty(n_cells)
-    cell_s2 = np.empty(n_cells)
-    cell_m = np.empty((n_cells, cfg.N))
-    for i in range(n_cells):
-        parts = lines[pos].split()
-        pos += 1
-        mass[i] = float(parts[1])
-        cell_s2[i] = float(parts[2])
-        cell_m[i] = [float(v) for v in parts[3 : 3 + cfg.N]]
-    n_cand = int(take("candidates")[0])
-    cand_sigma2 = np.empty(n_cand)
-    cand_mu = np.empty((n_cand, cfg.N))
-    for j in range(n_cand):
-        parts = lines[pos].split()
-        pos += 1
-        cand_sigma2[j] = float(parts[1])
-        cand_mu[j] = [float(v) for v in parts[2 : 2 + cfg.N]]
-    if lines[pos] != "end":
-        raise InvalidConfigError("missing end marker")
+    cells = rd.table("cells", 2 + cfg.N)
+    cands = rd.table("candidates", 1 + cfg.N)
+    rd.take("end")
+    # Contiguous copies: reductions over strided views round differently.
+    mass, cell_s2, cell_m, cand_sigma2, cand_mu = (
+        np.ascontiguousarray(a)
+        for a in (cells[:, 0], cells[:, 1], cells[:, 2:], cands[:, 0], cands[:, 1:])
+    )
 
     s = np.sqrt(cell_s2)
     cell_coords = np.concatenate([np.log(s)[:, None], cell_m / s[:, None]], axis=1)
@@ -983,18 +1013,19 @@ def codebook_to_text(codebook: Codebook) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_parsing("codebook")
 def codebook_from_text(text: str, problem: DiscreteProblem) -> Codebook:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0] != _CODEBOOK_HEADER:
-        raise InvalidConfigError(f"unrecognized codebook header {lines[0]!r}")
-    n = int(lines[1].split()[1])
-    stored_l = float(lines[4].split()[1])
-    assign = np.array([int(v) for v in lines[5].split()[1:]], dtype=np.int64)
-    if assign.shape[0] != n or lines[6] != "end":
+    rd = _Lines(text, _CODEBOOK_HEADER)
+    n = int(rd.take("cells")[0])
+    stored = {key: float(rd.take(key)[0]) for key in ("L_E", "L_P", "L")}
+    assign = np.array([int(v) for v in rd.take("assign")], dtype=np.int64)
+    rd.take("end")
+    if assign.shape[0] != n:
         raise InvalidConfigError("malformed codebook body")
     cb = make_codebook(problem, assign)
-    if abs(cb.cost.L - stored_l) > 1e-9:
-        raise InvalidConfigError(
-            f"stored cost {stored_l} does not match recomputed cost {cb.cost.L}"
-        )
+    for key, value in stored.items():
+        if not abs(getattr(cb.cost, key) - value) <= 1e-9:  # rejects nan too
+            raise InvalidConfigError(
+                f"stored {key} {value} does not match recomputed {getattr(cb.cost, key)}"
+            )
     return cb

@@ -245,7 +245,8 @@ def parse_sweep_config(text: str) -> SweepSpec:
     Recognized keys: ``J``, ``N_list`` (comma-separated), ``trials``,
     ``sigma2_true``, ``mu_law``, ``estimators`` (comma-separated),
     ``priors`` (comma-separated names or exponents), ``seed``.  ``#``
-    starts a comment.  Example::
+    starts a comment, and a key given twice takes its last value.
+    Example::
 
         # consistency dichotomy at J = 2
         J = 2

@@ -2,13 +2,15 @@
 
 These deliberately avoid the package's closed forms: the marginal oracle
 integrates prior times likelihood by adaptive quadrature, the Hessian
-oracle uses central finite differences, and the raw-sample builder lets
+oracle uses central finite differences, the raw-sample builder lets
 likelihood values be cross-checked against a literal product of normal
-densities.
+densities, and the codebook oracle enumerates every assignment in pure
+Python.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -86,3 +88,19 @@ def log_normal_pdf_product(data: np.ndarray, sigma2: float, mu: np.ndarray) -> f
             z = (data[n, j] - mu[n]) ** 2 / (2.0 * sigma2)
             total += -0.5 * math.log(2.0 * math.pi * sigma2) - z
     return total
+
+
+def oracle_smml_optima(mass, penalty, tol: float = 1e-12) -> list[tuple[int, ...]]:
+    """Every assignment of cells to candidates whose ``L = L_E + L_P`` is
+    within ``tol`` of the least, by literal enumeration, sorted."""
+    c, b = len(penalty), len(penalty[0])
+    costs = {}
+    for assign in itertools.product(range(b), repeat=c):
+        q = [0.0] * b
+        l_p = 0.0
+        for i, j in enumerate(assign):
+            q[j] += mass[i]
+            l_p += mass[i] * penalty[i][j]
+        costs[assign] = l_p - sum(x * math.log(x) for x in q if x > 0.0)
+    best = min(costs.values())
+    return sorted(a for a, cost in costs.items() if cost <= best + tol)

@@ -39,6 +39,8 @@ from nsmml.codebook import (
     transport_cost_bound,
 )
 
+from oracles import oracle_smml_optima
+
 CFG = ProblemConfig(N=1, J=2)
 SCALE_FREE = PriorSpec.scale_free(CFG)
 WALLACE = PriorSpec.wallace()
@@ -64,6 +66,17 @@ def synthetic_problem(mass, penalty):
         cand_coords=np.concatenate([np.zeros((b, 1)), np.linspace(-1, 1, b)[:, None]], axis=1),
         penalty=penalty,
     )
+
+
+def malformed_variants(text):
+    """Every truncation of a serialized text, and each of its lines with
+    the last field made non-numeric."""
+    lines = text.splitlines()
+    out = ["\n".join(lines[:k]) for k in range(len(lines))]
+    for k, line in enumerate(lines):
+        mangled = " ".join(line.split()[:-1] + ["x"])
+        out.append("\n".join(lines[:k] + [mangled] + lines[k + 1:]))
+    return out
 
 
 class TestDiscretize:
@@ -184,17 +197,55 @@ class TestExhaustive:
 
     def test_brute_and_dp_routes_agree(self):
         params = tuple(Parameter(s2, [mu]) for s2 in (0.5, 1.5) for mu in (-0.5, 0.5))
-        prob = discretize(CFG, SCALE_FREE, [[-0.8, 0.8], [-0.8, 0.8]], [3, 2],
-                          CandidateSpec(parameters=params))
-        brute = sorted(tuple(a) for a in _exhaustive_brute(prob, 1e-12))
-        dp = sorted(tuple(a) for a in _exhaustive_dp(prob, 1e-12, 4_000_000))
-        assert brute == dp and brute
+        problems = [
+            discretize(CFG, SCALE_FREE, [[-0.8, 0.8], [-0.8, 0.8]], [3, 2],
+                       CandidateSpec(parameters=params)),
+            torus_problem(CFG, SCALE_FREE, 8, candidate_stride=2),
+            torus_problem(CFG, SCALE_FREE, 10, candidate_stride=2),
+        ]
+        rng = np.random.default_rng(13)
+        for k in range(8):
+            c = int(rng.integers(3, 9))
+            penalty = rng.uniform(0, 3, (c, int(rng.integers(2, 5))))
+            if k % 2:  # a duplicated candidate makes tied optima
+                penalty = np.concatenate([penalty, penalty[:, :1]], axis=1)
+            problems.append(synthetic_problem(np.full(c, 1.0 / c), penalty))
+        for prob in problems:
+            brute = sorted(tuple(a) for a in _exhaustive_brute(prob, 1e-12))
+            dp = sorted(tuple(a) for a in _exhaustive_dp(prob, 1e-12, 4_000_000))
+            assert brute == dp and brute
+
+    def test_brute_force_matches_enumeration_oracle(self):
+        # Every candidate is duplicated, so each optimum ties with the
+        # codebooks that swap its regions onto the twin columns; the brute
+        # force must return all of them.
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            c = int(rng.integers(2, 6))
+            mass = rng.dirichlet(np.ones(c))
+            penalty = np.repeat(rng.uniform(0, 3, (c, int(rng.integers(2, 4)))), 2, axis=1)
+            optima = [tuple(int(v) for v in o.assign)
+                      for o in smml_exhaustive(synthetic_problem(mass, penalty))]
+            assert optima == oracle_smml_optima(mass, penalty)
+            assert len(optima) >= 2
 
     def test_size_limits_raise(self):
         rng = np.random.default_rng(7)
         mass = rng.dirichlet(np.ones(15))
         prob = synthetic_problem(mass, rng.uniform(0, 1, (15, 8)))
         with pytest.raises(SizeLimitError):
+            smml_exhaustive(prob)
+
+    def test_dp_code_overflow_raises_before_search(self, monkeypatch):
+        # 12 candidates on 40 uniform cells: (40 + 1)^12 >= 2^63, so count
+        # vectors do not fit an int64 code.  The check precedes all search.
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started before the precondition check")
+
+        monkeypatch.setattr("nsmml.codebook.smml_local_search", no_search)
+        rng = np.random.default_rng(14)
+        prob = synthetic_problem(np.full(40, 1.0 / 40), rng.uniform(0, 1, (40, 12)))
+        with pytest.raises(SizeLimitError, match="int64"):
             smml_exhaustive(prob)
 
 
@@ -335,6 +386,12 @@ class TestSerialization:
         back = problem_from_text(problem_to_text(prob))
         np.testing.assert_array_equal(back.mass, prob.mass)
         np.testing.assert_array_equal(back.penalty, prob.penalty)
+        # Costs on a reloaded problem are bit-identical, not merely close.
+        for prior in (WALLACE, SCALE_FREE):
+            prob = discretize(CFG, prior, BOX, 12)
+            back = problem_from_text(problem_to_text(prob))
+            assign = pointwise_assignment(prob)
+            assert codebook_cost(back, assign) == codebook_cost(prob, assign)
         assert back.lattice.shape == prob.lattice.shape
         assert back.topology == prob.topology
 
@@ -360,6 +417,27 @@ class TestSerialization:
         assert back.cost.L == pytest.approx(book.cost.L, abs=1e-12)
         with pytest.raises(InvalidConfigError):
             codebook_from_text(text.replace("assign ", "assign 0 ", 1), prob)
+
+    def test_malformed_problem_text_rejected(self):
+        text = problem_to_text(torus_problem(CFG, SCALE_FREE, 4, candidate_stride=2))
+        lines = text.splitlines()
+        no_lattice = [ln for ln in lines if ln.split()[0] not in
+                      ("lo", "hi", "shape", "cand_lattice", "cand_shape", "cand_origin", "stride")]
+        bad = malformed_variants(text) + [
+            "\n\n",
+            "nsmml/codebook 1\n",
+            "\n".join(no_lattice).replace("lattice 1", "lattice 0"),
+        ]
+        for t in bad:
+            with pytest.raises(InvalidConfigError):
+                problem_from_text(t)
+
+    def test_malformed_codebook_text_rejected(self):
+        prob = discretize(CFG, SCALE_FREE, BOX, 3)
+        text = codebook_to_text(make_codebook(prob, pointwise_assignment(prob)))
+        for t in malformed_variants(text) + ["nsmml/discrete-problem 1\n"]:
+            with pytest.raises(InvalidConfigError):
+                codebook_from_text(t, prob)
 
     def test_cost_identity_invariant(self):
         rng = np.random.default_rng(31)

@@ -170,6 +170,25 @@ class TestCli:
         assert out.splitlines()[0] == "N,estimator,prior_p,mean_ratio,sd_ratio,trials"
         assert len(out.splitlines()) == 7
 
+    def test_sweep_seed_precedence(self, tmp_path, capsys, monkeypatch):
+        # --seed, then the config's seed, then NSMML_SEED.
+        body = "J = 2\nN_list = 10\ntrials = 5\n"
+        cfgfile = tmp_path / "sweep.cfg"
+
+        def cli_csv(config, *flags):
+            cfgfile.write_text(config)
+            assert main(["sweep", "--config", str(cfgfile), *flags]) == 0
+            return capsys.readouterr().out
+
+        def direct_csv(seed):
+            return rows_to_csv(run_sweep(parse_sweep_config(f"{body}seed = {seed}\n")))
+
+        monkeypatch.setenv("NSMML_SEED", "7")
+        assert cli_csv(f"{body}seed = 12345\n") == direct_csv(12345)
+        assert cli_csv(f"{body}seed = 12345\n", "--seed", "3") == direct_csv(3)
+        assert cli_csv(body) == direct_csv(7)
+        assert direct_csv(12345) != direct_csv(7)
+
     def test_regularity_exit_codes(self, capsys):
         assert main(["regularity", "--prior", "scale-free", "--N", "2", "--J", "2"]) == 0
         capsys.readouterr()
@@ -221,6 +240,11 @@ class TestCli:
         bad.write_text("nonsense without equals\n")
         assert main(["sweep", "--config", str(bad)]) == 2
         assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        capsys.readouterr()
+        assert main(["smml", "--load-problem", str(empty)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_csv_rows_byte_stable(self):
         spec = parse_sweep_config(SWEEP_CONFIG)
