@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from pathlib import Path
@@ -206,19 +205,13 @@ def _cmd_regularity(args) -> int:
     failed = []
 
     if "homogeneity" in checks:
-        thetas = [
-            Parameter(math.exp(rng.normal(0.0, 1.0)), rng.normal(0.0, 2.0, cfg.N))
-            for _ in range(args.samples)
-        ]
+        thetas = [reg._random_param(rng, cfg) for _ in range(args.samples)]
         res = reg.homogeneity_check(prior, cfg, thetas, tol=args.tol)
         report["homogeneity"] = res.to_dict()
         if not res.is_homogeneous:
             failed.append("homogeneity")
     if "comprehensiveness" in checks:
-        stats = [
-            SufficientStat(rng.normal(0.0, 2.0, cfg.N), math.exp(rng.normal(0.0, 1.0)))
-            for _ in range(args.samples)
-        ]
+        stats = [reg._random_stat(rng, cfg) for _ in range(args.samples)]
         res = reg.comprehensiveness_check(prior, cfg, stats, tol=args.tol)
         report["comprehensiveness"] = res.to_dict()
         if not res.is_comprehensive:
@@ -435,12 +428,6 @@ def main(argv=None) -> int:
         args.seed = _default_seed()
     try:
         return args.func(args)
-    except reg.CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except reg.LocalityConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (InvalidConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

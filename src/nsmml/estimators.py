@@ -245,15 +245,12 @@ def wf_estimate(stat: SufficientStat, prior: PriorSpec, cfg: ProblemConfig) -> E
 
         sigma2_hat = N*J*s2 / (N*J + p - N - 1).
 
-    The objective is parameterization invariant, so the same estimate
-    results from working in ``(sigma, mu)``; for ``p = N + 1`` (the
+    The denominator is ``N*(J-1) + p - 1``, so this is the Ideal Point
+    estimate, computed by :func:`ip_estimate` and relabelled.  The
+    objective is parameterization invariant; for ``p = N + 1`` (the
     Jeffreys prior) the estimate equals maximum likelihood exactly.
     """
-    _check_stat(stat, cfg)
-    denom = cfg.nj + prior.p - cfg.N - 1.0
-    if denom <= 0.0:
-        raise DegenerateInputError(f"Wallace-Freeman objective unbounded for p={prior.p}")
-    return Estimate(Parameter(cfg.nj * stat.s2 / denom, stat.m.copy()), METHOD_WF, prior)
+    return Estimate(ip_estimate(stat, prior, cfg).theta, METHOD_WF, prior)
 
 
 def marginalized_sigma2_ml(stat: SufficientStat, cfg: ProblemConfig) -> float:

@@ -223,6 +223,24 @@ def sufficient_stats(data: np.ndarray, cfg: ProblemConfig) -> SufficientStat:
     return SufficientStat(m=m, s2=s2)
 
 
+def log_likelihood_kernel(s2, sq_dev, sigma2, cfg: ProblemConfig):
+    """Broadcasting :func:`log_likelihood`; ``sq_dev`` is ``sum_n (m_n - mu_n)^2``."""
+    # One expression, so numpy reuses the temporaries of large operands.
+    return -0.5 * cfg.nj * (LOG_2PI + np.log(sigma2)) - (cfg.nj * s2 + cfg.J * sq_dev) / (2.0 * sigma2)
+
+
+def log_marginal_kernel(s2, prior: PriorSpec, cfg: ProblemConfig):
+    """Broadcasting :func:`log_marginal`, without its checks."""
+    q = cfg.dof + prior.p
+    return (
+        -0.5 * cfg.dof * LOG_2PI
+        - 0.5 * cfg.N * math.log(cfg.J)
+        - math.log(2.0)
+        + 0.5 * (1.0 - q) * np.log(0.5 * cfg.nj * s2)
+        + gammaln(0.5 * (q - 1.0))
+    )
+
+
 def log_likelihood(stat: SufficientStat, theta: Parameter, cfg: ProblemConfig) -> float:
     """Log-density of the raw ``N x J`` sample, via its sufficient statistic.
 
@@ -232,8 +250,8 @@ def log_likelihood(stat: SufficientStat, theta: Parameter, cfg: ProblemConfig) -
     """
     _check_stat(stat, cfg)
     _check_param(theta, cfg)
-    quad = cfg.nj * stat.s2 + cfg.J * float(((stat.m - theta.mu) ** 2).sum())
-    return -0.5 * cfg.nj * (LOG_2PI + math.log(theta.sigma2)) - quad / (2.0 * theta.sigma2)
+    sq_dev = float(((stat.m - theta.mu) ** 2).sum())
+    return float(log_likelihood_kernel(stat.s2, sq_dev, theta.sigma2, cfg))
 
 
 def log_marginal(stat: SufficientStat, prior: PriorSpec, cfg: ProblemConfig) -> float:
@@ -250,17 +268,9 @@ def log_marginal(stat: SufficientStat, prior: PriorSpec, cfg: ProblemConfig) -> 
     suite.  Depends on the statistic only through ``s2``.
     """
     _check_stat(stat, cfg)
-    q = cfg.dof + prior.p
-    if q <= 1.0:
+    if cfg.dof + prior.p <= 1.0:
         raise DegenerateInputError(f"marginal undefined: gamma argument (q-1)/2 <= 0 for p={prior.p}")
-    half_quad = 0.5 * cfg.nj * stat.s2
-    return (
-        -0.5 * cfg.dof * LOG_2PI
-        - 0.5 * cfg.N * math.log(cfg.J)
-        - math.log(2.0)
-        + 0.5 * (1.0 - q) * math.log(half_quad)
-        + gammaln(0.5 * (q - 1.0))
-    )
+    return float(log_marginal_kernel(stat.s2, prior, cfg))
 
 
 def code_penalty_R(theta: Parameter, stat: SufficientStat, prior: PriorSpec, cfg: ProblemConfig) -> float:

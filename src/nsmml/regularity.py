@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    LOG_2PI,
     DegenerateInputError,
     InvalidConfigError,
     NeymanScottError,
@@ -39,7 +38,7 @@ from .model import (
     _check_param,
     _check_stat,
     code_penalty_R,
-    log_likelihood,
+    log_likelihood_kernel,
     stat_log_likelihood,
     stat_log_marginal,
 )
@@ -434,15 +433,6 @@ class LocalityCertificate:
     exempt_box: np.ndarray = field(repr=False)
     v0_bound: float = 0.0
 
-    def is_exempt(self, stat: SufficientStat) -> bool:
-        """Exact membership in the exempt region (not just its covering box)."""
-        sigma = self.theta.sigma
-        ratio = stat.s / sigma
-        if not (self.delta_prime <= ratio <= self.delta):
-            return False
-        bound = sigma * math.sqrt(2.0 * self.T_margin)
-        return bool(np.all(np.abs(stat.m - self.theta.mu) <= bound))
-
     def materialize_grid(self, limit: int = 200_000) -> list[Parameter]:
         count = self.c**self.cfg.N
         if count > limit:
@@ -456,27 +446,9 @@ class LocalityCertificate:
         return self.explicit_thetas + self.materialize_grid(limit)
 
     def best_log_likelihood_gap(self, stat: SufficientStat) -> float:
-        """``max_i log f(x | theta_i) - log f(x | theta)`` over all k
-        competitors.  The grid maximum is attained at the per-coordinate
-        nearest segment center, so the grid never has to be enumerated.
-        """
-        cfg = self.cfg
-        base = log_likelihood(stat, self.theta, cfg)
-        sigma = self.theta.sigma
-        shift = sigma * math.sqrt(2.0 * self.T_margin)
-        best = -math.inf
-        for n in range(cfg.N):
-            for sign in (1.0, -1.0):
-                mu = self.theta.mu.copy()
-                mu[n] += sign * shift
-                best = max(best, log_likelihood(stat, Parameter(self.theta.sigma2, mu), cfg))
-        inflated = Parameter((math.e * sigma) ** 2, self.theta.mu)
-        best = max(best, log_likelihood(stat, inflated, cfg))
-        idx = np.rint((stat.m - self.grid_start) / self.grid_step).astype(int)
-        idx = np.clip(idx, 0, self.c - 1)
-        nearest = self.grid_start + self.grid_step * idx
-        best = max(best, log_likelihood(stat, Parameter(self.grid_sigma**2, nearest), cfg))
-        return best - base
+        """``max_i log f(x | theta_i) - log f(x | theta)`` over all k competitors."""
+        _check_stat(stat, self.cfg)
+        return float(_best_gaps(self, np.array([stat.s]), stat.m[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -595,8 +567,9 @@ def locality_certificate(
     _check_param(theta, cfg)
     if c is None:
         c = find_valid_c(cfg)
-    if c < 2:
-        raise InvalidConfigError("c must be >= 2")
+    if c < 2 or c * c <= 2 * cfg.nj:
+        # delta_prime needs c^2 > 2NJ; every c from find_valid_c has it.
+        raise InvalidConfigError(f"c must be >= 2 with c^2 > 2NJ = {2 * cfg.nj}, got {c}")
     cert = _build_certificate(theta, cfg, c)
     rng = np.random.default_rng(seed)
     sigma = theta.sigma
@@ -628,7 +601,7 @@ def locality_certificate(
         & np.all(np.abs(rel_m) <= sqrt2T, axis=1)
     )
 
-    margins = _margins_vectorized(cert, s, m)
+    margins = _best_gaps(cert, s, m) - cert.T_margin
     exterior = ~exempt
     n_ext = int(exterior.sum())
     ext_margins = margins[exterior]
@@ -661,35 +634,32 @@ def locality_certificate(
     return cert, report
 
 
-def _margins_vectorized(cert: LocalityCertificate, s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``max_i log f - log f(theta) - T`` for arrays of observations."""
+def _best_gaps(cert: LocalityCertificate, s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``max_i log f(x | theta_i) - log f(x | theta)`` at each observation
+    ``(s[k], m[k])``.  The best mean shift moves the coordinate farthest
+    from ``mu`` and the best grid point is the nearest segment center, so
+    neither family is enumerated.
+    """
     cfg = cert.cfg
     theta = cert.theta
-    sigma2 = theta.sigma2
-    sigma = theta.sigma
-    nj = cfg.nj
-    J = cfg.J
-
+    s2 = s**2
     d = m - theta.mu[None, :]
-    quad = nj * s**2 + J * (d**2).sum(axis=1)
-    base = -0.5 * nj * (LOG_2PI + math.log(sigma2)) - quad / (2.0 * sigma2)
+    sq = (d**2).sum(axis=1)
+    base = log_likelihood_kernel(s2, sq, theta.sigma2, cfg)
 
     # Mean-shifted competitors: best over coordinate and sign.
-    shift = sigma * math.sqrt(2.0 * cert.T_margin)
-    best_shift = (J * shift / sigma2) * np.abs(d).max(axis=1) - 0.5 * J * shift**2 / sigma2 + base
+    shift = theta.sigma * math.sqrt(2.0 * cert.T_margin)
+    best = (cfg.J * shift / theta.sigma2) * np.abs(d).max(axis=1) - 0.5 * cfg.J * shift**2 / theta.sigma2
+    best += base
+    del d
 
     # Inflated-scale competitor.
-    e2 = math.e**2
-    inflated = -0.5 * nj * (LOG_2PI + math.log(e2 * sigma2)) - quad / (2.0 * e2 * sigma2)
+    np.maximum(best, log_likelihood_kernel(s2, sq, cert.explicit_thetas[-1].sigma2, cfg), out=best)
+    del sq
 
     # Contracted grid: nearest segment center per coordinate.
-    idx = np.rint((m - cert.grid_start[None, :]) / cert.grid_step[None, :]).astype(int)
-    idx = np.clip(idx, 0, cert.c - 1)
-    nearest = cert.grid_start[None, :] + cert.grid_step[None, :] * idx
-    gquad = nj * s**2 + J * ((m - nearest) ** 2).sum(axis=1)
-    gsigma2 = cert.grid_sigma**2
-    gridded = -0.5 * nj * (LOG_2PI + math.log(gsigma2)) - gquad / (2.0 * gsigma2)
-
-    best = np.maximum(np.maximum(best_shift, inflated), gridded)
-    return best - base - cert.T_margin
-
+    idx = np.clip(np.rint((m - cert.grid_start) / cert.grid_step).astype(int), 0, cert.c - 1)
+    grid_sq = ((m - (cert.grid_start + cert.grid_step * idx)) ** 2).sum(axis=1)
+    np.maximum(best, log_likelihood_kernel(s2, grid_sq, cert.grid_sigma**2, cfg), out=best)
+    best -= base
+    return best

@@ -22,6 +22,7 @@ from nsmml.codebook import (
     _descend,
     _exhaustive_brute,
     _exhaustive_dp,
+    _penalty_matrix,
     codebook_cost,
     codebook_from_text,
     codebook_to_text,
@@ -114,6 +115,46 @@ class TestDiscretize:
             j = int(rng.integers(prob.n_candidates))
             scalar = code_penalty_R(prob.candidate_parameter(j), prob.cell_stat(i), SCALE_FREE, CFG)
             assert prob.penalty[i, j] == pytest.approx(scalar, abs=1e-11)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="_penalty_matrix expands |m-mu|^2 as |m|^2+|mu|^2-2m.mu, which cancels at "
+        "large means; the direct difference moves the pinned perfbench/golden.json value "
+        "codebook-local sf8x3.local_L, so the fix waits for a re-recorded golden",
+    )
+    def test_penalty_matches_scalar_route_at_large_means(self):
+        cfg = ProblemConfig(N=2, J=2)
+        rng = np.random.default_rng(7)
+        cell_m = 1e4 + rng.uniform(-1.0, 1.0, (12, 2))
+        cell_s2 = rng.uniform(0.5, 2.0, 12)
+        cand_mu = 1e4 + rng.uniform(-1.0, 1.0, (9, 2))
+        cand_sigma2 = rng.uniform(0.5, 2.0, 9)
+        prior = PriorSpec.scale_free(cfg)
+        penalty = _penalty_matrix(cell_s2, cell_m, cand_sigma2, cand_mu, prior, cfg)
+        for i in range(cell_s2.shape[0]):
+            for j in range(cand_sigma2.shape[0]):
+                scalar = code_penalty_R(
+                    Parameter(cand_sigma2[j], cand_mu[j]), SufficientStat(cell_m[i], cell_s2[i]), prior, cfg
+                )
+                assert penalty[i, j] == pytest.approx(scalar, rel=1e-11)
+
+    def test_torus_penalty_matches_scalar_route(self):
+        # Entry (i, j) is R of the representative pair at the wrapped offset
+        # delta: stat (s = e^delta, m = u0 * s) against theta (sigma = 1, mu = u0).
+        cfg = ProblemConfig(N=2, J=2)
+        prior = PriorSpec.scale_free(cfg)
+        tor = torus_problem(cfg, prior, 12, candidate_stride=2, mean_coord=0.7)
+        period = tor.lattice.hi[0] - tor.lattice.lo[0]
+        u0 = np.full(cfg.N, 0.7)
+        theta = Parameter(1.0, u0)
+        for i in range(tor.n_cells):
+            for j in range(tor.n_candidates):
+                delta = tor.cell_coords[i, 0] - tor.cand_coords[j, 0]
+                delta = (delta + 0.5 * period) % period - 0.5 * period
+                s = math.exp(delta)
+                scalar = code_penalty_R(theta, SufficientStat(u0 * s, s * s), prior, cfg)
+                assert tor.penalty[i, j] == pytest.approx(scalar, rel=1e-12, abs=1e-12)
 
     def test_candidate_lattice_alignment_and_extension(self):
         prob = discretize(CFG, SCALE_FREE, BOX, 8, CandidateSpec(extension=1.0))

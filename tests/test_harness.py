@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from nsmml import (
 )
 from nsmml.harness import SweepSpec, parse_sweep_config, rows_to_csv, run_sweep, trial_ratios
 from nsmml.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 SWEEP_CONFIG = """\
 # consistency dichotomy at J = 2
@@ -205,6 +208,29 @@ class TestCli:
         assert "all_pass true" in out
         assert main(["locality", "--N", "1", "--J", "2"]) == 1
         assert "requires N >= 2" in capsys.readouterr().err
+
+    def test_locality_small_c_rejected(self, capsys):
+        # c^2 <= 2NJ leaves no contracted-scale band: malformed input, exit 2.
+        for n, j, c in ((2, 2, 2), (2, 3, 3), (3, 2, 3), (2, 4, 4)):
+            assert main(["locality", "--N", str(n), "--J", str(j), "--c", str(c)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        # c = 3 at N = J = 2 builds, but its certificate fails: exit 1.
+        assert main(["locality", "--N", "2", "--J", "2", "--c", "3"]) == 1
+        assert "locality verification failed" in capsys.readouterr().err
+
+    def test_sweep_csv_pinned(self, tmp_path):
+        # The README sweep configuration, byte for byte.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(DATA / "readme_sweep.cfg"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "readme_sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("prior, code", [("scale-free", 0), ("wallace", 1)])
+    def test_regularity_report_pinned(self, tmp_path, prior, code):
+        out = tmp_path / "report.txt"
+        argv = ["regularity", "--prior", prior, "--N", "2", "--J", "2", "--seed", "0"]
+        assert main([*argv, "--out", str(out)]) == code
+        assert out.read_bytes() == (DATA / f"regularity_{prior}.txt").read_bytes()
 
     def test_smml_cli_roundtrip(self, tmp_path, capsys):
         problem_file = tmp_path / "prob.txt"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nsmml import (
+    InvalidConfigError,
     Parameter,
     PriorSpec,
     ProblemConfig,
@@ -288,6 +289,14 @@ class TestLocalityCertificate:
                 log_likelihood(stat, th, cfg) for th in cert.theta_list()
             ) - log_likelihood(stat, theta, cfg)
             assert cert.best_log_likelihood_gap(stat) == pytest.approx(explicit, abs=1e-12)
+
+    def test_small_c_rejected(self):
+        # delta_prime needs c^2 > 2NJ: equality divides by zero, below it the
+        # square root of a negative number.
+        for n, j, c in ((2, 2, 2), (2, 3, 3), (3, 2, 3), (2, 4, 4)):
+            cfg = ProblemConfig(N=n, J=j)
+            with pytest.raises(InvalidConfigError, match="2NJ"):
+                locality_certificate(Parameter(1.0, np.zeros(n)), cfg, c=c)
 
     def test_verification_passes_and_v0_theta_free(self):
         cfg = ProblemConfig(N=2, J=2)
