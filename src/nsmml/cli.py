@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -20,23 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
+    DegenerateInputError,
     InvalidConfigError,
     NeymanScottError,
     Parameter,
     ProblemConfig,
     SufficientStat,
+    _check_stat,
     sufficient_stats,
 )
-from .estimators import (
-    METHOD_IP,
-    METHOD_MARGINALIZED,
-    METHOD_ML,
-    METHOD_WF,
-    ip_estimate,
-    marginalized_sigma2_ml,
-    ml_estimate,
-    wf_estimate,
-)
+from .estimators import METHOD_MARGINALIZED, PRIOR_FREE_METHODS, SIGMA2_HAT, method_from_name
 from . import codebook as cbk
 from . import regularity as reg
 from .harness import (
@@ -47,14 +41,6 @@ from .harness import (
     simulate,
 )
 from .reporting import render_json, render_report, table_to_csv
-
-_METHOD_ALIASES = {
-    "ml": METHOD_ML,
-    "ip": METHOD_IP,
-    "wf": METHOD_WF,
-    "marginalized": METHOD_MARGINALIZED,
-    "marginalized_sigma2": METHOD_MARGINALIZED,
-}
 
 
 def _default_seed() -> int:
@@ -81,28 +67,28 @@ def _emit(text: str, args) -> None:
 
 
 def _parse_floats(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+    try:
+        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+    except ValueError:
+        raise InvalidConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _parse_methods(text: str) -> list[str]:
     if text.strip().lower() == "all":
-        return [METHOD_ML, METHOD_IP, METHOD_WF, METHOD_MARGINALIZED]
-    out = []
-    for name in text.split(","):
-        key = name.strip().lower()
-        if key not in _METHOD_ALIASES:
-            raise InvalidConfigError(f"unknown method {name!r}")
-        out.append(_METHOD_ALIASES[key])
-    return out
+        return list(SIGMA2_HAT)
+    return [method_from_name(name) for name in text.split(",")]
 
 
 def _read_raw_matrix(source: str) -> np.ndarray:
     text = sys.stdin.read() if source == "-" else Path(source).read_text()
-    rows = [
-        [float(v) for v in line.replace(",", " ").split()]
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    try:
+        rows = [
+            [float(v) for v in line.replace(",", " ").split()]
+            for line in text.splitlines()
+            if line.strip()
+        ]
+    except ValueError as exc:
+        raise InvalidConfigError(f"raw data must be numeric: {exc}") from None
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise InvalidConfigError("raw data must be a rectangular numeric matrix")
     return np.array(rows)
@@ -122,19 +108,17 @@ def _cmd_estimate(args) -> int:
 
     methods = _parse_methods(args.method)
     prior_names = [p.strip() for p in args.prior.split(",") if p.strip()]
+    _check_stat(stat, cfg)
     rows = []
     for method in methods:
-        if method == METHOD_ML:
-            est = ml_estimate(stat, cfg)
-            rows.append([method, None, est.theta.sigma2, est.theta.mu])
-        elif method == METHOD_MARGINALIZED:
-            # variance-only estimator: no mean estimate to report
-            rows.append([method, None, marginalized_sigma2_ml(stat, cfg), None])
-        else:
-            for name in prior_names:
-                prior = resolve_prior(name, cfg)
-                est = ip_estimate(stat, prior, cfg) if method == METHOD_IP else wf_estimate(stat, prior, cfg)
-                rows.append([method, prior.p, est.theta.sigma2, est.theta.mu])
+        priors = [None] if method in PRIOR_FREE_METHODS else [resolve_prior(n, cfg) for n in prior_names]
+        # the marginalized estimator is variance-only: no mean estimate to report
+        mu = None if method == METHOD_MARGINALIZED else stat.m
+        for prior in priors:
+            sigma2 = SIGMA2_HAT[method](stat.s2, prior, cfg)
+            if not math.isfinite(sigma2):
+                raise DegenerateInputError(f"{method} estimate overflows at s2 = {stat.s2!r}")
+            rows.append([method, None if prior is None else prior.p, sigma2, mu])
 
     if args.json:
         payload = [
@@ -158,7 +142,9 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = ProblemConfig(N=args.N, J=args.J)
-    mu = _parse_floats(args.mu) if "," in args.mu else np.full(cfg.N, float(args.mu))
+    mu = _parse_floats(args.mu)
+    if mu.shape[0] == 1:
+        mu = np.full(cfg.N, mu[0])
     if mu.shape[0] != cfg.N:
         raise InvalidConfigError(f"--mu must broadcast to N={cfg.N} groups")
     data = simulate(cfg, args.sigma2, mu, args.seed)
@@ -179,18 +165,7 @@ def _cmd_sweep(args) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     rows = run_sweep(spec)
     if args.json:
-        payload = [
-            {
-                "N": r.N,
-                "estimator": r.estimator,
-                "prior_p": r.prior_p,
-                "mean_ratio": r.mean_ratio,
-                "sd_ratio": r.sd_ratio,
-                "trials": r.trials,
-            }
-            for r in rows
-        ]
-        _emit(render_json("sweep", {"rows": payload}), args)
+        _emit(render_json("sweep", {"rows": [dataclasses.asdict(r) for r in rows]}), args)
     else:
         _emit(rows_to_csv(rows), args)
     return 0
@@ -310,7 +285,10 @@ def _cmd_smml(args) -> int:
         except InvalidConfigError as exc:
             report["overlap"] = {"skipped": str(exc)}
     if args.shift:
-        shift = [int(v) for v in args.shift.split(",")]
+        try:
+            shift = [int(v) for v in args.shift.split(",")]
+        except ValueError:
+            raise InvalidConfigError(f"--shift must be comma-separated integers, got {args.shift!r}") from None
         shift_arg = shift[0] if len(shift) == 1 else shift
         moved = cbk.codebook_transport(problem, book, shift_arg)
         report["transport"] = {

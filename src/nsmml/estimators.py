@@ -4,7 +4,8 @@ Implements maximum likelihood, the Ideal Point map in both directions,
 Ideal Group sublevel regions, the Wallace-Freeman estimator, and the
 variance estimator obtained after integrating the group means out.  All
 of them reduce to closed forms of the shared shape ``sigma2_hat =
-constant * s2``, ``mu_hat = m``; the constants are:
+constant * s2``, ``mu_hat = m``.  :data:`SIGMA2_HAT` holds the one
+implementation of each closed form, in method order; the constants are:
 
 =====================  =====================================
 estimator              sigma2_hat / s2
@@ -46,6 +47,9 @@ __all__ = [
     "METHOD_IP",
     "METHOD_WF",
     "METHOD_MARGINALIZED",
+    "SIGMA2_HAT",
+    "PRIOR_FREE_METHODS",
+    "method_from_name",
     "Estimate",
     "IdealGroupRegion",
     "ml_estimate",
@@ -66,7 +70,35 @@ METHOD_IP = "IP"
 METHOD_WF = "WF"
 METHOD_MARGINALIZED = "MARGINALIZED_SIGMA2"
 
-_METHODS = frozenset({METHOD_ML, METHOD_IP, METHOD_WF, METHOD_MARGINALIZED})
+
+def _ip_shrinkage(prior: PriorSpec, cfg: ProblemConfig) -> float:
+    # s2 = shrinkage * sigma2 at the penalty-minimizing observation.
+    return (cfg.dof + prior.p - 1.0) / cfg.nj
+
+
+def _ip_sigma2(s2, prior: PriorSpec, cfg: ProblemConfig):
+    return s2 / _ip_shrinkage(prior, cfg)
+
+
+# Every estimator, in output order: method -> sigma2_hat(s2, prior, cfg).
+# The forms broadcast over arrays of s2; prior-free forms ignore ``prior``.
+SIGMA2_HAT = {
+    METHOD_ML: lambda s2, prior, cfg: s2,
+    METHOD_IP: _ip_sigma2,
+    METHOD_WF: _ip_sigma2,
+    METHOD_MARGINALIZED: lambda s2, prior, cfg: cfg.J * s2 / (cfg.J - 1.0),
+}
+PRIOR_FREE_METHODS = frozenset({METHOD_ML, METHOD_MARGINALIZED})
+
+
+def method_from_name(name: str) -> str:
+    """Method constant for a case-insensitive name; ``MARGINALIZED`` is
+    accepted for :data:`METHOD_MARGINALIZED`."""
+    method = name.strip().upper()
+    method = METHOD_MARGINALIZED if method == "MARGINALIZED" else method
+    if method not in SIGMA2_HAT:
+        raise InvalidConfigError(f"unknown method {name!r}")
+    return method
 
 
 @dataclass(frozen=True)
@@ -78,19 +110,19 @@ class Estimate:
     prior: PriorSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
+        if self.method not in SIGMA2_HAT:
             raise InvalidConfigError(f"unknown estimator method {self.method!r}")
 
 
-def _ip_shrinkage(prior: PriorSpec, cfg: ProblemConfig) -> float:
-    # s2 = shrinkage * sigma2 at the penalty-minimizing observation.
-    return (cfg.dof + prior.p - 1.0) / cfg.nj
+def _estimate(method: str, stat: SufficientStat, prior: PriorSpec | None, cfg: ProblemConfig) -> Estimate:
+    _check_stat(stat, cfg)
+    sigma2 = SIGMA2_HAT[method](stat.s2, prior, cfg)
+    return Estimate(Parameter(sigma2, stat.m.copy()), method, prior)
 
 
 def ml_estimate(stat: SufficientStat, cfg: ProblemConfig) -> Estimate:
     """Maximum likelihood: ``sigma2_hat = s2``, ``mu_hat = m``."""
-    _check_stat(stat, cfg)
-    return Estimate(Parameter(stat.s2, stat.m.copy()), METHOD_ML)
+    return _estimate(METHOD_ML, stat, None, cfg)
 
 
 def ip_estimate(stat: SufficientStat, prior: PriorSpec, cfg: ProblemConfig) -> Estimate:
@@ -102,9 +134,7 @@ def ip_estimate(stat: SufficientStat, prior: PriorSpec, cfg: ProblemConfig) -> E
     the whole parameter space for every admissible ``p``, so it is a true
     (single-valued) estimator here.
     """
-    _check_stat(stat, cfg)
-    sigma2 = stat.s2 / _ip_shrinkage(prior, cfg)
-    return Estimate(Parameter(sigma2, stat.m.copy()), METHOD_IP, prior)
+    return _estimate(METHOD_IP, stat, prior, cfg)
 
 
 def ip_reverse(theta: Parameter, prior: PriorSpec, cfg: ProblemConfig) -> SufficientStat:
@@ -246,11 +276,11 @@ def wf_estimate(stat: SufficientStat, prior: PriorSpec, cfg: ProblemConfig) -> E
         sigma2_hat = N*J*s2 / (N*J + p - N - 1).
 
     The denominator is ``N*(J-1) + p - 1``, so this is the Ideal Point
-    estimate, computed by :func:`ip_estimate` and relabelled.  The
+    estimate, and :data:`SIGMA2_HAT` computes both with one form.  The
     objective is parameterization invariant; for ``p = N + 1`` (the
     Jeffreys prior) the estimate equals maximum likelihood exactly.
     """
-    return Estimate(ip_estimate(stat, prior, cfg).theta, METHOD_WF, prior)
+    return _estimate(METHOD_WF, stat, prior, cfg)
 
 
 def marginalized_sigma2_ml(stat: SufficientStat, cfg: ProblemConfig) -> float:
@@ -259,4 +289,4 @@ def marginalized_sigma2_ml(stat: SufficientStat, cfg: ProblemConfig) -> float:
     giving ``J * s2 / (J - 1)`` for every ``N``.
     """
     _check_stat(stat, cfg)
-    return cfg.J * stat.s2 / (cfg.J - 1.0)
+    return SIGMA2_HAT[METHOD_MARGINALIZED](stat.s2, None, cfg)

@@ -12,28 +12,20 @@ parallel) without changing the aggregate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
 from scipy.special import ndtri
 
 from .model import (
+    DegenerateInputError,
     InvalidConfigError,
     PriorSpec,
     ProblemConfig,
-    SufficientStat,
     sufficient_stats,
 )
-from .estimators import (
-    METHOD_IP,
-    METHOD_MARGINALIZED,
-    METHOD_ML,
-    METHOD_WF,
-    ip_estimate,
-    marginalized_sigma2_ml,
-    ml_estimate,
-    wf_estimate,
-)
+from .estimators import PRIOR_FREE_METHODS, SIGMA2_HAT, method_from_name
+from .reporting import table_to_csv
 
 __all__ = [
     "standard_normal",
@@ -47,8 +39,6 @@ __all__ = [
     "SWEEP_CSV_HEADER",
     "rows_to_csv",
 ]
-
-PRIOR_FREE_METHODS = (METHOD_ML, METHOD_MARGINALIZED)
 
 
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -84,9 +74,11 @@ class SweepSpec:
     ``mu_law`` fixes how true means are drawn each trial: ``"normal"``
     (standard normal scaled by the true sigma; the default, immaterial for
     these translation-equivariant estimators), ``"zero"``, or
-    ``"fixed:<value>"`` (a constant mean for every group).  ``priors``
-    entries are ``"wallace"``, ``"scale-free"`` or a numeric exponent;
-    ``"scale-free"`` resolves to ``p = N + 1`` per row.
+    ``"fixed:<value>"`` (a constant, finite mean for every group).
+    ``estimators`` are method constants, keys of
+    :data:`~nsmml.estimators.SIGMA2_HAT`.  ``priors`` entries are
+    ``"wallace"``, ``"scale-free"`` or a numeric exponent; ``"scale-free"``
+    resolves to ``p = N + 1`` per row.
     """
 
     J: int
@@ -94,7 +86,7 @@ class SweepSpec:
     trials: int
     sigma2_true: float = 1.0
     mu_law: str = "normal"
-    estimators: tuple[str, ...] = (METHOD_ML, METHOD_IP, METHOD_WF, METHOD_MARGINALIZED)
+    estimators: tuple[str, ...] = tuple(SIGMA2_HAT)
     priors: tuple = ("wallace", "scale-free")
     seed: int = 0
 
@@ -106,10 +98,16 @@ class SweepSpec:
             raise InvalidConfigError("trials must be >= 1")
         if not self.sigma2_true > 0.0:
             raise InvalidConfigError("sigma2_true must be > 0")
-        known = {METHOD_ML, METHOD_IP, METHOD_WF, METHOD_MARGINALIZED}
-        if not self.estimators or any(e not in known for e in self.estimators):
-            raise InvalidConfigError(f"estimators must be a nonempty subset of {sorted(known)}")
-        if not (self.mu_law in ("normal", "zero") or self.mu_law.startswith("fixed:")):
+        if not self.estimators or any(e not in SIGMA2_HAT for e in self.estimators):
+            raise InvalidConfigError(f"estimators must be a nonempty subset of {sorted(SIGMA2_HAT)}")
+        if self.mu_law.startswith("fixed:"):
+            try:
+                finite = math.isfinite(float(self.mu_law[len("fixed:"):]))
+            except ValueError:
+                finite = False
+            if not finite:
+                raise InvalidConfigError(f"mu_law {self.mu_law!r} needs a finite number after 'fixed:'")
+        elif self.mu_law not in ("normal", "zero"):
             raise InvalidConfigError(f"unknown mu_law {self.mu_law!r}")
         object.__setattr__(self, "N_list", n_list)
         object.__setattr__(self, "estimators", tuple(self.estimators))
@@ -154,18 +152,6 @@ def _true_means(spec: SweepSpec, cfg: ProblemConfig, rng: np.random.Generator) -
     return np.full(cfg.N, float(spec.mu_law.split(":", 1)[1]))
 
 
-def _estimate_sigma2(method: str, stat: SufficientStat, prior: PriorSpec | None, cfg: ProblemConfig) -> float:
-    if method == METHOD_ML:
-        return ml_estimate(stat, cfg).theta.sigma2
-    if method == METHOD_IP:
-        return ip_estimate(stat, prior, cfg).theta.sigma2
-    if method == METHOD_WF:
-        return wf_estimate(stat, prior, cfg).theta.sigma2
-    if method == METHOD_MARGINALIZED:
-        return marginalized_sigma2_ml(stat, cfg)
-    raise InvalidConfigError(f"unknown estimator {method!r}")
-
-
 def _row_combos(spec: SweepSpec) -> list[tuple[str, object]]:
     combos: list[tuple[str, object]] = []
     for method in spec.estimators:
@@ -183,18 +169,21 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
     trial's simulated data.
     """
     cfg = ProblemConfig(N=n_groups, J=spec.J)
-    combos = _row_combos(spec)
-    out = {combo: np.empty(spec.trials) for combo in combos}
+    s2 = np.empty(spec.trials)
     for t in range(spec.trials):
         ss = np.random.SeedSequence((spec.seed, n_groups, t))
         rng = np.random.Generator(np.random.PCG64(ss))
         mu = _true_means(spec, cfg, rng)
         data = mu[:, None] + math.sqrt(spec.sigma2_true) * standard_normal(rng, (cfg.N, cfg.J))
-        stat = sufficient_stats(data, cfg)
-        for method, choice in combos:
-            prior = None if choice is None else resolve_prior(choice, cfg)
-            out[(method, choice)][t] = _estimate_sigma2(method, stat, prior, cfg) / spec.sigma2_true
-    return out
+        s2[t] = sufficient_stats(data, cfg).s2
+    if np.any(s2 <= 0.0):
+        raise DegenerateInputError("s2 must be > 0 in every trial (the marginal diverges at s2 = 0)")
+    return {
+        (method, choice): SIGMA2_HAT[method](
+            s2, None if choice is None else resolve_prior(choice, cfg), cfg
+        ) / spec.sigma2_true
+        for method, choice in _row_combos(spec)
+    }
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -230,22 +219,35 @@ SWEEP_CSV_HEADER = "N,estimator,prior_p,mean_ratio,sd_ratio,trials"
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        prior = "" if r.prior_p is None else repr(float(r.prior_p))
-        lines.append(
-            f"{r.N},{r.estimator},{prior},{repr(r.mean_ratio)},{repr(r.sd_ratio)},{r.trials}"
-        )
-    return "\n".join(lines) + "\n"
+    return table_to_csv(SWEEP_CSV_HEADER.split(","), [astuple(r) for r in rows])
+
+
+def _split_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+# One converter per SweepSpec field; the defaults come from SweepSpec.
+_CONFIG_CONVERTERS = {
+    "J": int,
+    "N_list": lambda text: tuple(int(n) for n in _split_list(text)),
+    "trials": int,
+    "sigma2_true": float,
+    "mu_law": str,
+    "estimators": lambda text: tuple(method_from_name(name) for name in _split_list(text)),
+    "priors": lambda text: tuple(_split_list(text)),
+    "seed": int,
+}
 
 
 def parse_sweep_config(text: str) -> SweepSpec:
     """Parse the plain-text ``key = value`` sweep configuration.
 
     Recognized keys: ``J``, ``N_list`` (comma-separated), ``trials``,
-    ``sigma2_true``, ``mu_law``, ``estimators`` (comma-separated),
+    ``sigma2_true``, ``mu_law``, ``estimators`` (comma-separated,
+    case-insensitive, ``MARGINALIZED`` short for ``MARGINALIZED_SIGMA2``),
     ``priors`` (comma-separated names or exponents), ``seed``.  ``#``
-    starts a comment, and a key given twice takes its last value.
+    starts a comment, and a key given twice takes its last value.  Unknown
+    keys and values that do not convert raise :class:`InvalidConfigError`.
     Example::
 
         # consistency dichotomy at J = 2
@@ -267,28 +269,16 @@ def parse_sweep_config(text: str) -> SweepSpec:
             raise InvalidConfigError(f"malformed config line {raw!r} (expected key = value)")
         key, _, val = line.partition("=")
         values[key.strip()] = val.strip()
-    required = {"J", "N_list", "trials"}
-    missing = required - values.keys()
+    unknown = values.keys() - _CONFIG_CONVERTERS.keys()
+    if unknown:
+        raise InvalidConfigError(f"config has unknown keys: {sorted(unknown)}")
+    missing = {f.name for f in fields(SweepSpec) if f.default is MISSING} - values.keys()
     if missing:
         raise InvalidConfigError(f"config is missing required keys: {sorted(missing)}")
-
-    def split_list(s: str) -> list[str]:
-        return [part.strip() for part in s.split(",") if part.strip()]
-
-    estimators = values.get("estimators", "ML, IP, WF, MARGINALIZED_SIGMA2")
-    # Accept the short MARGINALIZED alias used on the command line.
-    methods = tuple(
-        METHOD_MARGINALIZED if e.upper() in ("MARGINALIZED", METHOD_MARGINALIZED) else e.upper()
-        for e in split_list(estimators)
-    )
-    priors = tuple(split_list(values.get("priors", "wallace, scale-free")))
-    return SweepSpec(
-        J=int(values["J"]),
-        N_list=tuple(int(v) for v in split_list(values["N_list"])),
-        trials=int(values["trials"]),
-        sigma2_true=float(values.get("sigma2_true", "1.0")),
-        mu_law=values.get("mu_law", "normal"),
-        estimators=methods,
-        priors=priors,
-        seed=int(values.get("seed", "0")),
-    )
+    kwargs = {}
+    for key, val in values.items():
+        try:
+            kwargs[key] = _CONFIG_CONVERTERS[key](val)
+        except ValueError as exc:
+            raise InvalidConfigError(f"config key {key} = {val!r}: {exc}") from None
+    return SweepSpec(**kwargs)

@@ -463,6 +463,12 @@ class GridSpec:
     expand_scale: float = 1.5
     expand_mean: float = 2.0
 
+    def __post_init__(self) -> None:
+        if self.points_scale < 1 or self.points_mean < 1:
+            raise InvalidConfigError(
+                f"grid point counts must be >= 1, got {self.points_scale} x {self.points_mean}"
+            )
+
 
 @dataclass(frozen=True)
 class LocalityReport:
@@ -601,9 +607,11 @@ def locality_certificate(
         & np.all(np.abs(rel_m) <= sqrt2T, axis=1)
     )
 
-    margins = _best_gaps(cert, s, m) - cert.T_margin
     exterior = ~exempt
     n_ext = int(exterior.sum())
+    if n_ext == 0:
+        raise InvalidConfigError(f"none of the {n_points} grid points lies outside the exempt region")
+    margins = _best_gaps(cert, s, m) - cert.T_margin
     ext_margins = margins[exterior]
     worst_idx_local = int(np.argmin(ext_margins))
     worst_margin = float(ext_margins[worst_idx_local])

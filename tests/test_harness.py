@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nsmml import (
+    DegenerateInputError,
     InvalidConfigError,
     ProblemConfig,
     ip_estimate,
@@ -121,14 +122,40 @@ class TestRunSweep:
             SweepSpec(J=2, N_list=(10, 10), trials=5)
         with pytest.raises(InvalidConfigError):
             SweepSpec(J=2, N_list=(10,), trials=0)
-        with pytest.raises(InvalidConfigError):
-            SweepSpec(J=2, N_list=(10,), trials=1, mu_law="bogus")
+        for law in ("bogus", "fixed:abc", "fixed:nan", "fixed:inf", "fixed:"):
+            with pytest.raises(InvalidConfigError):
+                SweepSpec(J=2, N_list=(10,), trials=1, mu_law=law)
+        # Names are mapped by the text front ends; the spec takes constants only.
+        for methods in ((), ("ml",), ("MARGINALIZED",)):
+            with pytest.raises(InvalidConfigError):
+                SweepSpec(J=2, N_list=(10,), trials=1, estimators=methods)
+
+    def test_trial_ratios_reject_zero_s2(self, monkeypatch):
+        # Constant data within every group gives s2 = 0 in every trial.
+        monkeypatch.setattr("nsmml.harness.standard_normal", lambda rng, shape: np.zeros(shape))
+        with pytest.raises(DegenerateInputError):
+            trial_ratios(SweepSpec(J=2, N_list=(3,), trials=4), 3)
 
     def test_config_parse_errors(self):
-        with pytest.raises(InvalidConfigError):
-            parse_sweep_config("J = 2\nN_list 10\ntrials = 2\n")
-        with pytest.raises(InvalidConfigError):
-            parse_sweep_config("J = 2\n")
+        base = "J = 2\nN_list = 10\ntrials = 2\n"
+        for text in (
+            "J = 2\nN_list 10\ntrials = 2\n",
+            "J = 2\n",
+            "J = x\nN_list = 10\ntrials = 2\n",
+            "J = 2\nN_list = 10, a\ntrials = 2\n",
+            "J = 2\nN_list = 10\ntrials = 2.5\n",
+            base + "mu_law = fixed:abc\n",
+            base + "sigma2true = 4\n",
+            base + "estimators = ML, foo\n",
+        ):
+            with pytest.raises(InvalidConfigError):
+                parse_sweep_config(text)
+
+    def test_config_defaults_and_method_names(self):
+        base = "J = 2\nN_list = 10\ntrials = 2\n"
+        assert parse_sweep_config(base) == SweepSpec(J=2, N_list=(10,), trials=2)
+        spec = parse_sweep_config(base + "estimators = wf, Marginalized, mL, marginalized_sigma2\n")
+        assert spec.estimators == ("WF", "MARGINALIZED_SIGMA2", "ML", "MARGINALIZED_SIGMA2")
 
 
 class TestCli:
@@ -138,6 +165,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "method,prior_p,sigma2_hat,mu_hat"
         assert out.splitlines()[1] == "IP,1.0,2.0,1.0"
+
+    def test_estimate_method_names_case_insensitive(self, capsys):
+        argv = ["estimate", "--J", "3", "--m", "1.0,-2.0", "--s2", "0.5"]
+        assert main([*argv, "--method", "ml,ip,wf,marginalized"]) == 0
+        lower = capsys.readouterr().out
+        assert main([*argv, "--method", "mL,IP,Wf,MARGINALIZED_SIGMA2"]) == 0
+        assert capsys.readouterr().out == lower
+        assert main([*argv, "--method", "all"]) == 0
+        assert capsys.readouterr().out == lower
+        assert [line.split(",")[0] for line in lower.splitlines()[1:]] == [
+            "ML", "IP", "IP", "WF", "WF", "MARGINALIZED_SIGMA2",
+        ]
+        assert main([*argv, "--method", "ml,bogus"]) == 2
+        assert "unknown method 'bogus'" in capsys.readouterr().err
+
+    def test_estimate_degenerate_s2_fails(self, capsys):
+        for method in ("all", "marginalized", "ip"):
+            assert main(["estimate", "--J", "2", "--m", "1.0", "--s2", "0", "--method", method]) == 1
+            assert "s2 must be > 0" in capsys.readouterr().err
+            # J/(J-1) * 1e308 is not a finite float.
+            assert main(["estimate", "--J", "2", "--m", "1.0", "--s2", "1e308", "--method", method,
+                         "--prior", "wallace"]) == 1
+            assert "overflows" in capsys.readouterr().err
 
     def test_estimate_from_raw_matches_stat_route(self, tmp_path, capsys):
         raw = tmp_path / "data.csv"
@@ -219,6 +269,14 @@ class TestCli:
         assert main(["locality", "--N", "2", "--J", "2", "--c", "3"]) == 1
         assert "locality verification failed" in capsys.readouterr().err
 
+    def test_locality_grid_without_exterior_rejected(self, capsys):
+        # An empty grid, or one that is all exempt, verifies nothing: exit 2.
+        for flags in (["--points-scale", "0"], ["--points-mean", "-1"],
+                      ["--points-scale", "1", "--points-mean", "1"]):
+            assert main(["locality", "--N", "2", "--J", "2", *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+
     def test_sweep_csv_pinned(self, tmp_path):
         # The README sweep configuration, byte for byte.
         out = tmp_path / "sweep.csv"
@@ -271,6 +329,24 @@ class TestCli:
         capsys.readouterr()
         assert main(["smml", "--load-problem", str(empty)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        body = "J = 2\nN_list = 10\ntrials = 2\n"
+        for config in ("J = x\nN_list = 10\ntrials = 2\n", "J = 2\nN_list = 10, a\ntrials = 2\n",
+                       body + "mu_law = fixed:abc\n", body + "sigma2true = 4\n"):
+            bad.write_text(config)
+            assert main(["sweep", "--config", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        raw = tmp_path / "raw.csv"
+        raw.write_text("1.0,2.0\n3.0,x\n")
+        for argv in (
+            ["estimate", "--J", "2", "--m", "a", "--s2", "1.0"],
+            ["estimate", "--raw", str(raw)],
+            ["simulate", "--N", "2", "--J", "2", "--mu", "1,a"],
+            ["simulate", "--N", "2", "--J", "2", "--mu", "a"],
+            ["locality", "--mu", "a,1"],
+            ["smml", "--resolution", "4", "--shift", "a"],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_csv_rows_byte_stable(self):
         spec = parse_sweep_config(SWEEP_CONFIG)

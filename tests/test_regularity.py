@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nsmml import (
+    GridSpec,
     InvalidConfigError,
     Parameter,
     PriorSpec,
@@ -297,6 +298,15 @@ class TestLocalityCertificate:
             cfg = ProblemConfig(N=n, J=j)
             with pytest.raises(InvalidConfigError, match="2NJ"):
                 locality_certificate(Parameter(1.0, np.zeros(n)), cfg, c=c)
+
+    def test_grid_without_exterior_points_rejected(self):
+        # Nothing may be claimed verified on an empty exterior sample.
+        for scale, mean in ((0, 24), (48, 0), (48, -1)):
+            with pytest.raises(InvalidConfigError, match=">= 1"):
+                GridSpec(points_scale=scale, points_mean=mean)
+        cfg = ProblemConfig(N=2, J=2)
+        with pytest.raises(InvalidConfigError, match="exempt"):
+            locality_certificate(Parameter(1.0, np.zeros(2)), cfg, grid=GridSpec(1, 1))
 
     def test_verification_passes_and_v0_theta_free(self):
         cfg = ProblemConfig(N=2, J=2)
