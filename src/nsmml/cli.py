@@ -44,7 +44,11 @@ from .reporting import render_json, render_report, table_to_csv
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("NSMML_SEED", "0"))
+    text = os.environ.get("NSMML_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidConfigError(f"NSMML_SEED must be an integer, got {text!r}") from None
 
 
 def _resolve_out(path: str | None, outdir: str | None) -> Path | None:
@@ -401,10 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # sweep resolves its own default: a config file may set the seed.
-    if getattr(args, "seed", None) is None and hasattr(args, "seed") and args.command != "sweep":
-        args.seed = _default_seed()
     try:
+        # sweep resolves its own default (a config file may set the seed),
+        # and SweepSpec checks it.
+        if hasattr(args, "seed") and args.command != "sweep":
+            if args.seed is None:
+                args.seed = _default_seed()
+            if args.seed < 0:
+                raise InvalidConfigError(f"seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (InvalidConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

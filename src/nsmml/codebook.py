@@ -21,6 +21,8 @@ scaling a codebook leaves its cost unchanged.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -38,6 +40,7 @@ from .model import (
     log_likelihood_kernel,
     log_marginal_kernel,
 )
+from .reporting import render_json
 
 __all__ = [
     "SizeLimitError",
@@ -151,6 +154,39 @@ class DiscreteProblem:
             raise InvalidConfigError("penalty shape does not match cells x candidates")
         if self.topology not in ("truncated", "torus"):
             raise InvalidConfigError(f"unknown topology {self.topology!r}")
+        c, b, dim = self.n_cells, self.n_candidates, self.cfg.N + 1
+        for name, shape in (
+            ("cell_s2", (c,)),
+            ("cell_m", (c, dim - 1)),
+            ("cell_coords", (c, dim)),
+            ("cand_sigma2", (b,)),
+            ("cand_mu", (b, dim - 1)),
+            ("cand_coords", (b, dim)),
+        ):
+            table = getattr(self, name)
+            if table.shape != shape:
+                raise InvalidConfigError(f"{name} has shape {table.shape}, expected {shape}")
+            if not np.all(np.isfinite(table)):
+                raise InvalidConfigError(f"{name} must be finite")
+        if self.lattice is not None:
+            self._check_lattice(self.lattice, dim)
+
+    def _check_lattice(self, lat: LatticeInfo, dim: int) -> None:
+        if not (np.shape(lat.lo) == np.shape(lat.hi) == (dim,) and len(lat.shape) == dim):
+            raise InvalidConfigError(f"lattice lo, hi and shape need N+1 = {dim} entries")
+        if not (np.all(np.isfinite(lat.lo)) and np.all(np.isfinite(lat.hi))):
+            raise InvalidConfigError("lattice bounds must be finite")
+        if min(lat.shape) < 1 or math.prod(lat.shape) != self.n_cells:
+            raise InvalidConfigError(f"lattice shape {lat.shape} does not hold {self.n_cells} cells")
+        if lat.cand_shape is not None:
+            if len(lat.cand_shape) != dim or lat.cand_origin is None or len(lat.cand_origin) != dim:
+                raise InvalidConfigError(f"cand_shape and cand_origin need N+1 = {dim} entries")
+            if min(lat.cand_shape) < 1 or math.prod(lat.cand_shape) != self.n_candidates:
+                raise InvalidConfigError(
+                    f"cand_shape {lat.cand_shape} does not hold {self.n_candidates} candidates"
+                )
+        if lat.stride < 1:
+            raise InvalidConfigError("candidate stride must be >= 1")
 
     @property
     def n_cells(self) -> int:
@@ -272,7 +308,6 @@ def discretize(
     csigma = np.sqrt(cand_sigma2)
     cand_coords = np.concatenate([np.log(csigma)[:, None], cand_mu / csigma[:, None]], axis=1)
 
-    penalty = _penalty_matrix(cell_s2, cell_m, cand_sigma2, cand_mu, prior, cfg)
     lattice = LatticeInfo(
         lo=box[:, 0].copy(),
         hi=box[:, 1].copy(),
@@ -280,30 +315,47 @@ def discretize(
         cand_shape=cand_shape,
         cand_origin=cand_origin,
     )
-    return DiscreteProblem(
-        cfg=cfg,
-        prior=prior,
-        mass=mass,
-        cell_s2=cell_s2,
-        cell_m=cell_m,
-        cell_coords=cell_coords,
-        cand_sigma2=cand_sigma2,
-        cand_mu=cand_mu,
-        cand_coords=cand_coords,
-        penalty=penalty,
-        topology="truncated",
-        lattice=lattice,
+    return _problem(
+        cfg, prior, "truncated", lattice,
+        mass=mass, cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
+        cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=cand_coords,
     )
 
 
 def _torus_penalty(
-    delta: np.ndarray, mean_coord: np.ndarray, prior: PriorSpec, cfg: ProblemConfig
+    cell_coords: np.ndarray,
+    cand_coords: np.ndarray,
+    period: float,
+    prior: PriorSpec,
+    cfg: ProblemConfig,
 ) -> np.ndarray:
-    # R of the representative pair at wrapped log-scale offset delta:
-    # stat (s = e^delta, m = u0 * s) against theta (sigma = 1, mu = u0).
+    # R of the representative pair at the wrapped log-scale offset delta:
+    # stat (s = e^delta, m = u0 * s) against theta (sigma = 1, mu = u0), where
+    # u0 is the mean coordinate shared by every cell.
+    delta = cell_coords[:, 0][:, None] - cand_coords[:, 0][None, :]
+    delta = (delta + 0.5 * period) % period - 0.5 * period
     s2 = np.exp(2.0 * delta)
-    sq_dev = float((mean_coord**2).sum()) * (np.exp(delta) - 1.0) ** 2
+    sq_dev = float((cell_coords[0, 1:] ** 2).sum()) * (np.exp(delta) - 1.0) ** 2
     return log_marginal_kernel(s2, prior, cfg) - log_likelihood_kernel(s2, sq_dev, 1.0, cfg)
+
+
+def _problem(
+    cfg: ProblemConfig, prior: PriorSpec, topology: str, lattice: LatticeInfo | None, **tables
+) -> DiscreteProblem:
+    """The problem on the given cell and candidate tables; the penalty
+    matrix is the one field derived from them."""
+    if topology == "torus":
+        if lattice is None:
+            raise InvalidConfigError("torus problems need their lattice")
+        period = lattice.hi[0] - lattice.lo[0]
+        penalty = _torus_penalty(tables["cell_coords"], tables["cand_coords"], period, prior, cfg)
+    else:
+        penalty = _penalty_matrix(
+            tables["cell_s2"], tables["cell_m"], tables["cand_sigma2"], tables["cand_mu"], prior, cfg
+        )
+    return DiscreteProblem(
+        cfg=cfg, prior=prior, **tables, penalty=penalty, topology=topology, lattice=lattice
+    )
 
 
 def torus_problem(
@@ -352,10 +404,6 @@ def torus_problem(
     cand_mu = np.tile(u0, (lsig.shape[0], 1)) * csigma[:, None]
     cand_coords = np.concatenate([lsig[:, None], np.tile(u0, (lsig.shape[0], 1))], axis=1)
 
-    delta = ls[:, None] - lsig[None, :]
-    delta = (delta + 0.5 * period) % period - 0.5 * period
-    penalty = _torus_penalty(delta, u0, prior, cfg)
-
     lattice = LatticeInfo(
         lo=np.concatenate([[log_s_lo], u0 - 0.5]),
         hi=np.concatenate([[log_s_hi], u0 + 0.5]),
@@ -364,19 +412,10 @@ def torus_problem(
         cand_origin=(0,) * dim,
         stride=candidate_stride,
     )
-    return DiscreteProblem(
-        cfg=cfg,
-        prior=prior,
-        mass=mass,
-        cell_s2=cell_s2,
-        cell_m=cell_m,
-        cell_coords=cell_coords,
-        cand_sigma2=cand_sigma2,
-        cand_mu=cand_mu,
-        cand_coords=cand_coords,
-        penalty=penalty,
-        topology="torus",
-        lattice=lattice,
+    return _problem(
+        cfg, prior, "torus", lattice,
+        mass=mass, cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
+        cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=cand_coords,
     )
 
 
@@ -838,181 +877,92 @@ def transport_cost_bound(problem: DiscreteProblem, lattice_shift) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Structured text serialization (versioned; floats use repr for exact
-# round-tripping; penalties are recomputed from the tables on load).
+# Serialization: problems and codebooks are ``reporting.render_json`` reports.
+# Floats are written with ``repr``, so every stored table reloads bit for bit;
+# the penalty matrix is recomputed from the tables on load.
 
-_PROBLEM_HEADER = "nsmml/discrete-problem 1"
-_CODEBOOK_HEADER = "nsmml/codebook 1"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_TABLES = ("mass", "cell_s2", "cell_m", "cell_coords", "cand_sigma2", "cand_mu", "cand_coords")
 
 
 def problem_to_text(problem: DiscreteProblem) -> str:
-    lines = [_PROBLEM_HEADER]
-    lines.append(f"N {problem.cfg.N}")
-    lines.append(f"J {problem.cfg.J}")
-    lines.append(f"prior_p {_fmt(problem.prior.p)}")
-    lines.append(f"topology {problem.topology}")
     lat = problem.lattice
-    if lat is None:
-        lines.append("lattice 0")
-    else:
-        lines.append("lattice 1")
-        lines.append("lo " + " ".join(_fmt(v) for v in lat.lo))
-        lines.append("hi " + " ".join(_fmt(v) for v in lat.hi))
-        lines.append("shape " + " ".join(str(v) for v in lat.shape))
-        if lat.cand_shape is None:
-            lines.append("cand_lattice 0")
-        else:
-            lines.append("cand_lattice 1")
-            lines.append("cand_shape " + " ".join(str(v) for v in lat.cand_shape))
-            lines.append("cand_origin " + " ".join(str(v) for v in lat.cand_origin))
-            lines.append(f"stride {lat.stride}")
-    lines.append(f"cells {problem.n_cells}")
-    for i in range(problem.n_cells):
-        row = [str(i), _fmt(problem.mass[i]), _fmt(problem.cell_s2[i])]
-        row += [_fmt(v) for v in problem.cell_m[i]]
-        lines.append(" ".join(row))
-    lines.append(f"candidates {problem.n_candidates}")
-    for j in range(problem.n_candidates):
-        row = [str(j), _fmt(problem.cand_sigma2[j])]
-        row += [_fmt(v) for v in problem.cand_mu[j]]
-        lines.append(" ".join(row))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-class _Lines:
-    """Cursor over the nonblank lines of a serialized text."""
-
-    def __init__(self, text: str, header: str) -> None:
-        self.lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not self.lines or self.lines[0] != header:
-            first = self.lines[0] if self.lines else ""
-            raise InvalidConfigError(f"unrecognized header {first!r}, expected {header!r}")
-        self.pos = 1
-
-    def row(self) -> list[str]:
-        if self.pos >= len(self.lines):
-            raise InvalidConfigError("text ends before its end marker")
-        self.pos += 1
-        return self.lines[self.pos - 1].split()
-
-    def take(self, key: str) -> list[str]:
-        parts = self.row()
-        if parts[0] != key:
-            raise InvalidConfigError(f"expected {key!r} at line {self.pos}, got {' '.join(parts)!r}")
-        return parts[1:]
-
-    def table(self, key: str, width: int) -> np.ndarray:
-        """The ``key n`` line and its ``n`` rows, each a row index followed
-        by ``width`` floats."""
-        n = int(self.take(key)[0])
-        rows = [[float(v) for v in self.row()[1 : 1 + width]] for _ in range(n)]
-        return np.array(rows, dtype=float).reshape(n, width)
+    return render_json(
+        "discrete-problem",
+        {
+            "N": problem.cfg.N,
+            "J": problem.cfg.J,
+            "prior_p": problem.prior.p,
+            "topology": problem.topology,
+            "lattice": None if lat is None else dataclasses.asdict(lat),
+            **{name: getattr(problem, name) for name in _TABLES},
+        },
+    )
 
 
 @contextmanager
 def _parsing(kind: str):
-    """Report a missing or unconvertible field of a serialized ``kind`` as
-    malformed input; usable as a decorator."""
+    """Report a missing, mistyped or unconvertible field of a serialized
+    ``kind`` report as malformed input; usable as a decorator."""
     try:
         yield
     except InvalidConfigError:
         raise
-    except (IndexError, ValueError) as exc:
-        raise InvalidConfigError(f"malformed {kind} text: {exc}") from exc
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"malformed {kind} report: {exc}") from exc
 
 
-@_parsing("problem")
+def _load_report(text: str, kind: str) -> dict:
+    data = json.loads(text)
+    if not isinstance(data, dict) or data.get("report") != kind:
+        raise InvalidConfigError(f"not a {kind} report")
+    return data
+
+
+def _json_array(data: dict, key: str, kinds: str = "if") -> np.ndarray:
+    """``data[key]`` as an array of a numpy dtype kind in ``kinds``; integer
+    fields pass ``"i"``, so a stored 2.5 is rejected rather than truncated."""
+    arr = np.asarray(data[key])
+    if arr.dtype.kind not in kinds:
+        raise InvalidConfigError(f"{key} must hold {'integers' if kinds == 'i' else 'numbers'}")
+    return arr.astype(float) if "f" in kinds else arr
+
+
+def _json_ints(data: dict, key: str) -> tuple[int, ...] | None:
+    return None if data[key] is None else tuple(_json_array(data, key, "i").tolist())
+
+
+@_parsing("discrete-problem")
 def problem_from_text(text: str) -> DiscreteProblem:
-    rd = _Lines(text, _PROBLEM_HEADER)
-    cfg = ProblemConfig(N=int(rd.take("N")[0]), J=int(rd.take("J")[0]))
-    prior = PriorSpec(float(rd.take("prior_p")[0]))
-    topology = rd.take("topology")[0]
-    lattice = None
-    if int(rd.take("lattice")[0]):
-        lo = np.array([float(v) for v in rd.take("lo")])
-        hi = np.array([float(v) for v in rd.take("hi")])
-        shape = tuple(int(v) for v in rd.take("shape"))
-        cand_shape = None
-        cand_origin = None
-        stride = 1
-        if int(rd.take("cand_lattice")[0]):
-            cand_shape = tuple(int(v) for v in rd.take("cand_shape"))
-            cand_origin = tuple(int(v) for v in rd.take("cand_origin"))
-            stride = int(rd.take("stride")[0])
-        lattice = LatticeInfo(lo, hi, shape, cand_shape, cand_origin, stride)
-    elif topology == "torus":
-        raise InvalidConfigError("torus problems need their lattice")
-
-    cells = rd.table("cells", 2 + cfg.N)
-    cands = rd.table("candidates", 1 + cfg.N)
-    rd.take("end")
-    # Contiguous copies: reductions over strided views round differently.
-    mass, cell_s2, cell_m, cand_sigma2, cand_mu = (
-        np.ascontiguousarray(a)
-        for a in (cells[:, 0], cells[:, 1], cells[:, 2:], cands[:, 0], cands[:, 1:])
-    )
-
-    s = np.sqrt(cell_s2)
-    cell_coords = np.concatenate([np.log(s)[:, None], cell_m / s[:, None]], axis=1)
-    csigma = np.sqrt(cand_sigma2)
-    cand_coords = np.concatenate([np.log(csigma)[:, None], cand_mu / csigma[:, None]], axis=1)
-
-    if topology == "torus":
-        period = float(lattice.hi[0] - lattice.lo[0])
-        delta = cell_coords[:, 0][:, None] - cand_coords[:, 0][None, :]
-        delta = (delta + 0.5 * period) % period - 0.5 * period
-        u0 = cell_coords[0, 1:]
-        penalty = _torus_penalty(delta, u0, prior, cfg)
-    else:
-        penalty = _penalty_matrix(cell_s2, cell_m, cand_sigma2, cand_mu, prior, cfg)
-
-    return DiscreteProblem(
-        cfg=cfg,
-        prior=prior,
-        mass=mass,
-        cell_s2=cell_s2,
-        cell_m=cell_m,
-        cell_coords=cell_coords,
-        cand_sigma2=cand_sigma2,
-        cand_mu=cand_mu,
-        cand_coords=cand_coords,
-        penalty=penalty,
-        topology=topology,
-        lattice=lattice,
+    data = _load_report(text, "discrete-problem")
+    lattice = data["lattice"]
+    if lattice is not None:
+        lattice = LatticeInfo(
+            lo=_json_array(lattice, "lo"),
+            hi=_json_array(lattice, "hi"),
+            shape=_json_ints(lattice, "shape"),
+            cand_shape=_json_ints(lattice, "cand_shape"),
+            cand_origin=_json_ints(lattice, "cand_origin"),
+            stride=_json_array(lattice, "stride", "i").item(),
+        )
+    return _problem(
+        ProblemConfig(N=data["N"], J=data["J"]),
+        PriorSpec(_json_array(data, "prior_p").item()),
+        data["topology"],
+        lattice,
+        **{name: _json_array(data, name) for name in _TABLES},
     )
 
 
 def codebook_to_text(codebook: Codebook) -> str:
-    lines = [
-        _CODEBOOK_HEADER,
-        f"cells {codebook.assign.shape[0]}",
-        f"L_E {_fmt(codebook.cost.L_E)}",
-        f"L_P {_fmt(codebook.cost.L_P)}",
-        f"L {_fmt(codebook.cost.L)}",
-        "assign " + " ".join(str(int(a)) for a in codebook.assign),
-        "end",
-    ]
-    return "\n".join(lines) + "\n"
+    return render_json("codebook", {**dataclasses.asdict(codebook.cost), "assign": codebook.assign})
 
 
 @_parsing("codebook")
 def codebook_from_text(text: str, problem: DiscreteProblem) -> Codebook:
-    rd = _Lines(text, _CODEBOOK_HEADER)
-    n = int(rd.take("cells")[0])
-    stored = {key: float(rd.take(key)[0]) for key in ("L_E", "L_P", "L")}
-    assign = np.array([int(v) for v in rd.take("assign")], dtype=np.int64)
-    rd.take("end")
-    if assign.shape[0] != n:
-        raise InvalidConfigError("malformed codebook body")
-    cb = make_codebook(problem, assign)
-    for key, value in stored.items():
-        if not abs(getattr(cb.cost, key) - value) <= 1e-9:  # rejects nan too
-            raise InvalidConfigError(
-                f"stored {key} {value} does not match recomputed {getattr(cb.cost, key)}"
-            )
+    data = _load_report(text, "codebook")
+    cb = make_codebook(problem, _json_array(data, "assign", "i"))
+    for key, recomputed in dataclasses.asdict(cb.cost).items():
+        value = _json_array(data, key).item()
+        if not abs(recomputed - value) <= 1e-9:  # rejects nan too
+            raise InvalidConfigError(f"stored {key} {value} does not match recomputed {recomputed}")
     return cb

@@ -98,6 +98,8 @@ class SweepSpec:
             raise InvalidConfigError("trials must be >= 1")
         if not self.sigma2_true > 0.0:
             raise InvalidConfigError("sigma2_true must be > 0")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.estimators or any(e not in SIGMA2_HAT for e in self.estimators):
             raise InvalidConfigError(f"estimators must be a nonempty subset of {sorted(SIGMA2_HAT)}")
         if self.mu_law.startswith("fixed:"):

@@ -53,7 +53,7 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        return value.tolist()
     if isinstance(value, (np.floating,)):
         return float(value)
     if isinstance(value, (np.integer,)):

@@ -1,6 +1,8 @@
 """Discrete codebook construction, search, audits and serialization."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from nsmml import (
 )
 from nsmml.codebook import (
     CandidateSpec,
+    Codebook,
+    CodebookCost,
     DiscreteProblem,
     SizeLimitError,
     _descend,
@@ -70,14 +74,21 @@ def synthetic_problem(mass, penalty):
 
 
 def malformed_variants(text):
-    """Every truncation of a serialized text, and each of its lines with
-    the last field made non-numeric."""
+    """Every truncation of a serialized report at a line end, and each of
+    its lines with its value (number, string or null) made the string
+    ``"x"``."""
     lines = text.splitlines()
     out = ["\n".join(lines[:k]) for k in range(len(lines))]
     for k, line in enumerate(lines):
-        mangled = " ".join(line.split()[:-1] + ["x"])
-        out.append("\n".join(lines[:k] + [mangled] + lines[k + 1:]))
+        mangled, n = re.subn(r'(-?[0-9][0-9.eE+-]*|"[^"]*"|null)(,?)$', r'"x"\2', line)
+        if n:
+            out.append("\n".join(lines[:k] + [mangled] + lines[k + 1:]))
     return out
+
+
+def edited(text, **fields):
+    """A serialized report with some top-level fields replaced."""
+    return json.dumps({**json.loads(text), **fields})
 
 
 class TestDiscretize:
@@ -431,6 +442,7 @@ class TestSerialization:
         for prior in (WALLACE, SCALE_FREE):
             prob = discretize(CFG, prior, BOX, 12)
             back = problem_from_text(problem_to_text(prob))
+            assert back.cell_coords.tobytes() == prob.cell_coords.tobytes()
             assign = pointwise_assignment(prob)
             assert codebook_cost(back, assign) == codebook_cost(prob, assign)
         assert back.lattice.shape == prob.lattice.shape
@@ -441,6 +453,13 @@ class TestSerialization:
         back = problem_from_text(problem_to_text(tor))
         np.testing.assert_array_equal(back.penalty, tor.penalty)
         assert back.lattice.stride == 3
+        # Stored coordinates: re-deriving log s from s2 moved offsets near a
+        # half period to the other side of the circle.
+        for cells, stride, mean in ((16, 2, 0.0), (100, 2, 0.0), (200, 4, 1.3)):
+            tor = torus_problem(CFG, SCALE_FREE, cells, candidate_stride=stride, mean_coord=mean)
+            back = problem_from_text(problem_to_text(tor))
+            for name in ("cell_coords", "cand_coords", "penalty"):
+                assert getattr(back, name).tobytes() == getattr(tor, name).tobytes(), name
 
     def test_problem_roundtrip_explicit_candidates(self):
         params = tuple(Parameter(s2, [0.0]) for s2 in (0.5, 2.0))
@@ -457,26 +476,64 @@ class TestSerialization:
         np.testing.assert_array_equal(back.assign, book.assign)
         assert back.cost.L == pytest.approx(book.cost.L, abs=1e-12)
         with pytest.raises(InvalidConfigError):
-            codebook_from_text(text.replace("assign ", "assign 0 ", 1), prob)
+            codebook_from_text(edited(text, assign=[0, *book.assign.tolist()]), prob)
 
     def test_malformed_problem_text_rejected(self):
         text = problem_to_text(torus_problem(CFG, SCALE_FREE, 4, candidate_stride=2))
-        lines = text.splitlines()
-        no_lattice = [ln for ln in lines if ln.split()[0] not in
-                      ("lo", "hi", "shape", "cand_lattice", "cand_shape", "cand_origin", "stride")]
         bad = malformed_variants(text) + [
             "\n\n",
-            "nsmml/codebook 1\n",
-            "\n".join(no_lattice).replace("lattice 1", "lattice 0"),
+            codebook_to_text(Codebook(np.zeros(4, dtype=int), CodebookCost(0.0, 0.0, 0.0))),
+            edited(text, lattice=None),
+            # the line format that preceded the JSON reports
+            "nsmml/discrete-problem 1\nN 1\nJ 2\nprior_p 2.0\ntopology torus\nlattice 0\n",
         ]
         for t in bad:
             with pytest.raises(InvalidConfigError):
                 problem_from_text(t)
+        with pytest.raises(InvalidConfigError, match="discrete-problem"):
+            problem_from_text(bad[-1])
+
+    def test_malformed_problem_geometry_rejected(self):
+        prob = discretize(CFG, SCALE_FREE, BOX, 2, CandidateSpec(extension=0.5))
+        text = problem_to_text(prob)
+        lattice = json.loads(text)["lattice"]
+        for change in (
+            {"shape": [4, 4]},
+            {"shape": [2, 2, 1]},
+            {"shape": [2.5, 2]},
+            {"shape": [-2, -2]},
+            {"cand_shape": [4, 5]},
+            {"cand_shape": [4.0, 4.0]},
+            {"cand_origin": [-1]},
+            {"cand_origin": [-1.5, -1]},
+            {"lo": [-1.5]},
+            {"hi": [1.5, float("inf")]},
+            {"stride": 0},
+            {"stride": 2.5},
+        ):
+            with pytest.raises(InvalidConfigError):
+                problem_from_text(edited(text, lattice={**lattice, **change}))
+        cell_coords = prob.cell_coords.tolist()
+        cell_coords[1][0] = float("inf")
+        for fields in ({"cell_coords": cell_coords}, {"cell_coords": np.tile(prob.cell_coords, 2).tolist()},
+                       {"cell_s2": [1.0]}, {"cand_mu": prob.cand_mu[:-1].tolist()},
+                       {"N": 2}, {"N": 10**400}):
+            with pytest.raises(InvalidConfigError):
+                problem_from_text(edited(text, **fields))
 
     def test_malformed_codebook_text_rejected(self):
         prob = discretize(CFG, SCALE_FREE, BOX, 3)
         text = codebook_to_text(make_codebook(prob, pointwise_assignment(prob)))
-        for t in malformed_variants(text) + ["nsmml/discrete-problem 1\n"]:
+        cost = json.loads(text)
+        bad = malformed_variants(text) + [
+            problem_to_text(prob),
+            edited(text, L=cost["L"] + 1e-6),
+            edited(text, L_E=float("nan")),
+            edited(text, assign=cost["assign"][:-1]),
+            edited(text, assign=[a + 0.5 for a in cost["assign"]]),
+            "nsmml/codebook 1\ncells 9\n",
+        ]
+        for t in bad:
             with pytest.raises(InvalidConfigError):
                 codebook_from_text(t, prob)
 

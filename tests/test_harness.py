@@ -129,6 +129,8 @@ class TestRunSweep:
         for methods in ((), ("ml",), ("MARGINALIZED",)):
             with pytest.raises(InvalidConfigError):
                 SweepSpec(J=2, N_list=(10,), trials=1, estimators=methods)
+        with pytest.raises(InvalidConfigError):
+            SweepSpec(J=2, N_list=(10,), trials=1, seed=-1)
 
     def test_trial_ratios_reject_zero_s2(self, monkeypatch):
         # Constant data within every group gives s2 = 0 in every trial.
@@ -242,6 +244,29 @@ class TestCli:
         assert cli_csv(body) == direct_csv(7)
         assert direct_csv(12345) != direct_csv(7)
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--N", "2", "--J", "2", "--seed", "-1"],
+        ["regularity", "--seed", "-1"],
+        ["locality", "--seed", "-1"],
+        ["smml", "--torus", "8", "--seed", "-1"],
+        ["sweep", "--seed", "-1"],
+        ["sweep"],
+    ])
+    def test_negative_seed_exit_two(self, argv, tmp_path, capsys):
+        if argv[0] == "sweep":
+            # A negative seed from --seed, or else from the config file.
+            config = tmp_path / "sweep.cfg"
+            config.write_text("J = 2\nN_list = 10\ntrials = 2\n" + ("seed = -1\n" if argv == ["sweep"] else ""))
+            argv = [*argv, "--config", str(config)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_bad_env_seed_exit_two(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("NSMML_SEED", value)
+        assert main(["simulate", "--N", "1", "--J", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: NSMML_SEED must be an integer")
+
     def test_regularity_exit_codes(self, capsys):
         assert main(["regularity", "--prior", "scale-free", "--N", "2", "--J", "2"]) == 0
         capsys.readouterr()
@@ -291,17 +316,32 @@ class TestCli:
         assert out.read_bytes() == (DATA / f"regularity_{prior}.txt").read_bytes()
 
     def test_smml_cli_roundtrip(self, tmp_path, capsys):
-        problem_file = tmp_path / "prob.txt"
-        book_file = tmp_path / "book.txt"
-        assert main(["smml", "--N", "1", "--J", "2", "--resolution", "6",
-                     "--interior-margin", "1", "--seed", "0",
+        problem_file = tmp_path / "prob.json"
+        book_file = tmp_path / "book.json"
+        common = ["--interior-margin", "1", "--seed", "0"]
+        assert main(["smml", "--N", "1", "--J", "2", "--resolution", "6", *common,
                      "--save-problem", str(problem_file),
                      "--save-codebook", str(book_file)]) == 0
         out = capsys.readouterr().out
         assert "kind smml" in out
         assert problem_file.exists() and book_file.exists()
-        assert main(["smml", "--load-problem", str(problem_file), "--solver", "local",
-                     "--seed", "0"]) == 0
+        assert main(["smml", "--load-problem", str(problem_file), "--solver", "local", *common]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_smml_malformed_problem_file_exit_two(self, tmp_path, capsys):
+        problem_file = tmp_path / "prob.json"
+        # The line format that preceded the JSON reports.
+        problem_file.write_text("nsmml/discrete-problem 1\nN 1\nJ 2\n")
+        assert main(["smml", "--load-problem", str(problem_file)]) == 2
+        assert "discrete-problem" in capsys.readouterr().err
+        # A lattice of 4 x 4 cells around a 2-cell problem.
+        assert main(["smml", "--torus", "2", "--save-problem", str(problem_file)]) == 0
+        data = json.loads(problem_file.read_text())
+        data["lattice"]["shape"] = [4, 4]
+        problem_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["smml", "--load-problem", str(problem_file), "--shift", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: lattice shape")
 
     def test_smml_torus_transport_report(self, capsys):
         assert main(["smml", "--N", "1", "--J", "2", "--torus", "12",

@@ -1,14 +1,17 @@
 """Property tests: the estimator table against its scalar wrappers, the
-Ideal Point as the minimizer of the code penalty, and the sweep config
-parser under fuzzed text."""
+Ideal Point as the minimizer of the code penalty, the sweep config parser
+under fuzzed text, and problem and codebook round trips through their
+JSON reports, intact and fuzzed."""
 
+import json
 import math
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nsmml import (
     InvalidConfigError,
+    Parameter,
     PriorSpec,
     ProblemConfig,
     SufficientStat,
@@ -18,6 +21,16 @@ from nsmml import (
     ml_estimate,
     parse_sweep_config,
     wf_estimate,
+)
+from nsmml.codebook import (
+    CandidateSpec,
+    codebook_from_text,
+    codebook_to_text,
+    discretize,
+    make_codebook,
+    problem_from_text,
+    problem_to_text,
+    torus_problem,
 )
 from nsmml.estimators import (
     METHOD_IP,
@@ -95,5 +108,124 @@ config_lines = st.one_of(
 def test_fuzzed_sweep_config_raises_only_invalid_config(lines):
     try:
         parse_sweep_config("\n".join(lines))
+    except InvalidConfigError:
+        pass
+
+
+PROBLEM_ARRAYS = ("mass", "cell_s2", "cell_m", "cell_coords", "cand_sigma2", "cand_mu", "cand_coords", "penalty")
+
+
+@st.composite
+def discretized_problems(draw):
+    """Small truncated instances: N <= 2, Wallace, scale-free or other
+    priors, random boxes, lattice or explicit candidates."""
+    n = draw(st.integers(1, 2))
+    cfg = ProblemConfig(N=n, J=draw(st.integers(2, 5)))
+    prior = PriorSpec(draw(st.one_of(st.just(1.0), st.just(n + 1.0), st.floats(1.0, n + 3.0))))
+    lo = draw(st.lists(st.floats(-3.0, 1.0), min_size=n + 1, max_size=n + 1))
+    width = draw(st.lists(st.floats(0.1, 3.0), min_size=n + 1, max_size=n + 1))
+    box = np.stack([lo, np.add(lo, width)], axis=1)
+    res = draw(st.lists(st.integers(2, 6 if n == 1 else 3), min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):
+        spec = CandidateSpec(extension=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    else:
+        params = draw(st.lists(
+            st.tuples(st.floats(0.05, 20.0), st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)),
+            min_size=1, max_size=5,
+        ))
+        spec = CandidateSpec(parameters=tuple(Parameter(s2, mu) for s2, mu in params))
+    return discretize(cfg, prior, box, res, spec)
+
+
+@st.composite
+def torus_problems(draw):
+    """Torus instances with up to 200 cells and any stride dividing them."""
+    n = draw(st.integers(1, 2))
+    cfg = ProblemConfig(N=n, J=draw(st.integers(2, 5)))
+    cells = draw(st.integers(2, 200))
+    stride = draw(st.sampled_from([k for k in range(1, cells + 1) if cells % k == 0]))
+    lo = draw(st.floats(-3.0, 0.0))
+    return torus_problem(
+        cfg, PriorSpec.scale_free(cfg), cells,
+        log_s_lo=lo, log_s_hi=lo + draw(st.floats(0.5, 6.0)),
+        mean_coord=draw(st.floats(-3.0, 3.0)), candidate_stride=stride,
+    )
+
+
+# Re-deriving log s from s2 once moved 4 offsets of this instance to the
+# other side of the circle and 471 penalty entries by up to 114 nats.
+TORUS_200 = torus_problem(ProblemConfig(N=1, J=2), PriorSpec(2.0), 200, mean_coord=1.3, candidate_stride=4)
+
+
+@given(st.one_of(discretized_problems(), torus_problems()), st.integers(0, 2**32 - 1))
+@example(TORUS_200, 0)
+def test_round_trips_are_bit_identical(problem, seed):
+    back = problem_from_text(problem_to_text(problem))
+    for name in PROBLEM_ARRAYS:
+        a, b = getattr(back, name), getattr(problem, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    # The text fixes every other field, lattice geometry included.
+    assert problem_to_text(back) == problem_to_text(problem)
+
+    assign = np.random.default_rng(seed).integers(0, problem.n_candidates, problem.n_cells)
+    book = make_codebook(problem, assign)
+    again = codebook_from_text(codebook_to_text(book), back)
+    assert again.assign.tobytes() == book.assign.tobytes()
+    assert again.cost == book.cost
+
+
+_CFG = ProblemConfig(N=1, J=2)
+_SMALL = {
+    "torus": torus_problem(_CFG, PriorSpec(2.0), 4, candidate_stride=2),
+    "lattice": discretize(_CFG, PriorSpec(1.0), [[-1.0, 1.0]] * 2, 2, CandidateSpec(extension=0.5)),
+}
+_TEXTS = {
+    **{name: problem_to_text(prob) for name, prob in _SMALL.items()},
+    "codebook": codebook_to_text(make_codebook(_SMALL["lattice"], np.arange(4))),
+}
+
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10), st.integers(), st.just(10**400),
+    st.floats(), st.text(alphabet="x0.-", max_size=3),
+    st.lists(st.one_of(st.integers(-2, 5), st.floats(-3.0, 3.0)), max_size=3),
+    st.dictionaries(st.sampled_from(["lo", "hi", "shape", "stride"]), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def fuzzed_reports(draw):
+    """``(kind, text)``: a small report truncated, spliced with characters,
+    or with a field, an element or a lattice entry replaced or deleted."""
+    kind = draw(st.sampled_from(sorted(_TEXTS)))
+    text = _TEXTS[kind]
+    how = draw(st.sampled_from(["truncate", "splice", "field"]))
+    if how == "truncate":
+        return kind, text[: draw(st.integers(0, len(text)))]
+    if how == "splice":
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        return kind, text[:i] + draw(st.text(alphabet='{}[],:"-.0123456789eEnul x', max_size=8)) + text[j:]
+    data = json.loads(text)
+    node = data
+    key = draw(st.sampled_from(sorted(data)))
+    while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+        node = node[key]
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    if isinstance(node, dict) and draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(json_values)
+    return kind, json.dumps(data)
+
+
+@settings(max_examples=300)
+@given(fuzzed_reports())
+def test_fuzzed_reports_raise_only_invalid_config(report):
+    kind, text = report
+    try:
+        if kind == "codebook":
+            codebook_from_text(text, _SMALL["lattice"])
+        else:
+            problem_from_text(text)
     except InvalidConfigError:
         pass
