@@ -216,6 +216,8 @@ def _cmd_locality(args) -> int:
     mu = _parse_floats(args.mu) if args.mu else np.zeros(cfg.N)
     if mu.shape[0] != cfg.N:
         raise InvalidConfigError(f"--mu must have N={cfg.N} components")
+    if not (args.sigma2 > 0.0 and math.isfinite(args.sigma2)):
+        raise InvalidConfigError(f"--sigma2 must be finite and > 0, got {args.sigma2!r}")
     theta = Parameter(args.sigma2, mu)
     grid = reg.GridSpec(points_scale=args.points_scale, points_mean=args.points_mean)
     try:

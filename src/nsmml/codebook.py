@@ -142,34 +142,15 @@ class DiscreteProblem:
 
     def __post_init__(self) -> None:
         self.mass = np.asarray(self.mass, dtype=float)
-        if self.mass.ndim != 1 or self.mass.size == 0:
-            raise InvalidConfigError("mass must be a nonempty vector")
-        if not np.all(self.mass > 0.0):
-            raise InvalidConfigError("cell masses must be positive")
-        if abs(float(self.mass.sum()) - 1.0) > 1e-12:
-            raise InvalidConfigError("cell masses must sum to 1 within 1e-12")
+        _check_tables(self.cfg, {name: getattr(self, name) for name in _TABLES})
         if not np.all(np.isfinite(self.penalty)):
             raise InvalidConfigError("penalty matrix must be finite")
         if self.penalty.shape != (self.n_cells, self.n_candidates):
             raise InvalidConfigError("penalty shape does not match cells x candidates")
         if self.topology not in ("truncated", "torus"):
             raise InvalidConfigError(f"unknown topology {self.topology!r}")
-        c, b, dim = self.n_cells, self.n_candidates, self.cfg.N + 1
-        for name, shape in (
-            ("cell_s2", (c,)),
-            ("cell_m", (c, dim - 1)),
-            ("cell_coords", (c, dim)),
-            ("cand_sigma2", (b,)),
-            ("cand_mu", (b, dim - 1)),
-            ("cand_coords", (b, dim)),
-        ):
-            table = getattr(self, name)
-            if table.shape != shape:
-                raise InvalidConfigError(f"{name} has shape {table.shape}, expected {shape}")
-            if not np.all(np.isfinite(table)):
-                raise InvalidConfigError(f"{name} must be finite")
         if self.lattice is not None:
-            self._check_lattice(self.lattice, dim)
+            self._check_lattice(self.lattice, self.cfg.N + 1)
 
     def _check_lattice(self, lat: LatticeInfo, dim: int) -> None:
         if not (np.shape(lat.lo) == np.shape(lat.hi) == (dim,) and len(lat.shape) == dim):
@@ -201,6 +182,38 @@ class DiscreteProblem:
 
     def cell_stat(self, i: int) -> SufficientStat:
         return SufficientStat(self.cell_m[i].copy(), float(self.cell_s2[i]))
+
+
+_TABLES = ("mass", "cell_s2", "cell_m", "cell_coords", "cand_sigma2", "cand_mu", "cand_coords")
+
+
+def _check_tables(cfg: ProblemConfig, tables: dict) -> None:
+    """Reject a problem's cell or candidate table, by name, when its shape
+    is wrong or an entry is not finite (or, for masses and variances, not
+    positive)."""
+    mass = np.asarray(tables["mass"], dtype=float)
+    if mass.ndim != 1 or mass.size == 0:
+        raise InvalidConfigError("mass must be a nonempty vector")
+    if not np.all(mass > 0.0):
+        raise InvalidConfigError("cell masses must be positive")
+    if abs(float(mass.sum()) - 1.0) > 1e-12:
+        raise InvalidConfigError("cell masses must sum to 1 within 1e-12")
+    c, b, dim = mass.shape[0], tables["cand_sigma2"].shape[0], cfg.N + 1
+    for name, shape in (
+        ("cell_s2", (c,)),
+        ("cell_m", (c, dim - 1)),
+        ("cell_coords", (c, dim)),
+        ("cand_sigma2", (b,)),
+        ("cand_mu", (b, dim - 1)),
+        ("cand_coords", (b, dim)),
+    ):
+        table = tables[name]
+        if table.shape != shape:
+            raise InvalidConfigError(f"{name} has shape {table.shape}, expected {shape}")
+        if not np.all(np.isfinite(table)):
+            raise InvalidConfigError(f"{name} must be finite")
+        if name in ("cell_s2", "cand_sigma2") and not np.all(table > 0.0):
+            raise InvalidConfigError(f"{name} must be > 0")
 
 
 def _penalty_matrix(
@@ -344,6 +357,7 @@ def _problem(
 ) -> DiscreteProblem:
     """The problem on the given cell and candidate tables; the penalty
     matrix is the one field derived from them."""
+    _check_tables(cfg, tables)
     if topology == "torus":
         if lattice is None:
             raise InvalidConfigError("torus problems need their lattice")
@@ -608,6 +622,28 @@ def _exhaustive_dp(problem: DiscreteProblem, tol: float, state_limit: int) -> li
     return list(picks)
 
 
+_TOP_K = 32  # length of each cell's list of least-penalty candidates
+
+
+def _least_penalties(pen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's ``_TOP_K`` least-penalty candidates (in no order), their
+    penalties, and a penalty that every candidate left out of the list
+    reaches or exceeds (``inf`` when the list holds every candidate)."""
+    c, b = pen.shape
+    if b <= _TOP_K:
+        top = np.broadcast_to(np.arange(b), (c, b))
+        edge = np.full(c, np.inf)
+    else:
+        top = np.empty((c, _TOP_K), dtype=np.int64)
+        edge = np.empty(c)
+        for lo in range(0, c, 64):  # row blocks bound the index array argpartition makes
+            block = pen[lo : lo + 64]
+            part = np.argpartition(block, _TOP_K, axis=1)
+            top[lo : lo + 64] = part[:, :_TOP_K]
+            edge[lo : lo + 64] = np.take_along_axis(block, part[:, _TOP_K, None], axis=1)[:, 0]
+    return top, np.take_along_axis(pen, top, axis=1), edge
+
+
 def _descend(
     problem: DiscreteProblem, assign: np.ndarray, collect_trace: bool = False
 ) -> tuple[np.ndarray, float, list[tuple[float, float]]]:
@@ -617,6 +653,16 @@ def _descend(
     (the best candidate per cell, lowest index among ties); (b) per-region
     candidate re-selection minimizing the region's mass-weighted penalty.
     Every accepted move strictly decreases the incrementally tracked cost.
+
+    A cell visit costs O(candidates in use), not O(candidates).  The move
+    cost to each candidate with nonzero mass (a float residue included) is
+    evaluated in full.  Every other candidate has the same entropy gain
+    ``-m_i log m_i``, so its move cost rises with its penalty: the best of
+    them is the cheapest unused entry of the cell's least-penalty list, or
+    comes from an exact scan of the row when the list cannot settle it.
+    Cells that would not move are skipped a block at a time.  The moves,
+    their order and the returned level are those of a scan of every
+    candidate on every visit, bit for bit.
     """
     mass = problem.mass
     pen = problem.penalty
@@ -626,28 +672,84 @@ def _descend(
     q = np.bincount(assign, weights=mass, minlength=b).astype(float)
     level = float(mass @ pen[np.arange(c), assign]) + _entropy(q)
     trace: list[tuple[float, float]] = []
+    top, top_pen, edge = _least_penalties(pen)
+    in_use = q != 0.0
+    used = np.flatnonzero(in_use)
+
+    def moved(*js: int) -> None:
+        # Mass moved between the candidates js: refresh which are in use.
+        nonlocal used
+        js = list(js)
+        if np.any(in_use[js] != (q[js] != 0.0)):
+            in_use[js] = q[js] != 0.0
+            used = np.flatnonzero(in_use)
+
+    def best_moves(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        # The least move cost of each cell in lo:hi against the current
+        # state, and its candidate (the lowest index among equal costs).
+        n, k = hi - lo, used.shape[0]
+        nk = n * k
+        a = assign[lo:hi]
+        m = mass[lo:hi]
+        rows = pen[lo:hi]
+        pa = rows[np.arange(n), a]
+        q_used, q_a = q[used], q[a]
+        # One call for every entropy term: each used candidate joined by
+        # each cell and alone, each cell's candidate without and with it,
+        # and -m_i log m_i, the gain of joining any unused candidate.
+        h = _neg_xlogx(np.concatenate(((q_used + m[:, None]).ravel(), q_used, q_a - m, q_a, m)))
+        joined, alone = h[:nk].reshape(n, k), h[nk : nk + k]
+        gain_a = h[nk + k : nk + k + n] - h[nk + k + n : nk + k + 2 * n]
+        gain_free = h[nk + k + 2 * n :]
+        # Columns: the used candidates, then each cell's least-penalty list
+        # (its used entries masked; a cell's own candidate is unused only
+        # once it has no mass left, and then costs -m_i log m_i >= 0).
+        lst = top[lo:hi]
+        cand = np.concatenate((used[None, :].repeat(n, axis=0), lst), axis=1)
+        col_pen = np.concatenate((rows[:, used], top_pen[lo:hi]), axis=1)
+        gain = np.concatenate((joined - alone, gain_free[:, None].repeat(lst.shape[1], axis=1)), axis=1)
+        cost = m[:, None] * (col_pen - pa[:, None]) + gain + gain_a[:, None]
+        cost[np.concatenate((used == a[:, None], in_use[lst]), axis=1)] = np.inf
+        best = cost.min(axis=1)
+        j = np.where(cost == best[:, None], cand, b).min(axis=1)
+        # Unused candidates left out of a list cost at least its floor; where
+        # that does not settle the best, scan the whole row.
+        floor = m * (edge[lo:hi] - pa) + gain_free + gain_a
+        for r in (~(best < floor)).nonzero()[0]:
+            row = m[r] * (rows[r] - pa[r]) + gain_free[r] + gain_a[r]
+            row[used] = cost[r, :k]
+            j[r] = np.argmin(row)
+            best[r] = row[j[r]]
+        return best, j
 
     for _sweep in range(10_000):
         changed = False
-        for i in range(c):
-            a = int(assign[i])
-            mi = mass[i]
-            gain_others = _neg_xlogx(q + mi) - _neg_xlogx(q)
-            gain_a = _neg_xlogx(q[a] - mi) - _neg_xlogx(q[a])
-            delta = mi * (pen[i] - pen[i, a]) + gain_others + gain_a
-            delta[a] = 0.0
-            j = int(np.argmin(delta))
-            if delta[j] < 0.0:
-                assign[i] = j
-                q[a] -= mi
-                q[j] += mi
-                level += float(delta[j])
-                changed = True
-                if collect_trace:
-                    trace.append((level, codebook_cost(problem, assign).L))
+        # Cells are evaluated a block of about 1024 move costs at a time (one
+        # cell while hundreds of candidates are in use); the cells before a
+        # block's first mover do not move.
+        i = 0
+        while i < c:
+            hi = min(i + max(1, 1024 // (used.shape[0] + top.shape[1])), c)
+            costs, targets = best_moves(i, hi)
+            movers = (costs < 0.0).nonzero()[0]
+            if not movers.shape[0]:
+                i = hi
+                continue
+            first = int(movers[0])
+            i += first
+            a, j, mi = assign[i], int(targets[first]), mass[i]
+            assign[i] = j
+            q[a] -= mi
+            q[j] += mi
+            moved(a, j)
+            level += float(costs[first])
+            changed = True
+            if collect_trace:
+                trace.append((level, codebook_cost(problem, assign).L))
+            i += 1
         for r in np.unique(assign):
-            cells = assign == r
-            region_cost = mass[cells] @ pen[cells]
+            cells = np.flatnonzero(assign == r)
+            region_cost = np.take(mass, cells) @ np.take(pen, cells, axis=0)
             j = int(np.argmin(region_cost))
             if j == r:
                 continue
@@ -658,6 +760,7 @@ def _descend(
                 assign[cells] = j
                 q[j] += q[r]
                 q[r] = 0.0
+                moved(r, j)
                 level += delta
                 changed = True
                 if collect_trace:
@@ -880,8 +983,6 @@ def transport_cost_bound(problem: DiscreteProblem, lattice_shift) -> float:
 # Serialization: problems and codebooks are ``reporting.render_json`` reports.
 # Floats are written with ``repr``, so every stored table reloads bit for bit;
 # the penalty matrix is recomputed from the tables on load.
-
-_TABLES = ("mass", "cell_s2", "cell_m", "cell_coords", "cand_sigma2", "cand_mu", "cand_coords")
 
 
 def problem_to_text(problem: DiscreteProblem) -> str:

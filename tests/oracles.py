@@ -5,7 +5,9 @@ integrates prior times likelihood by adaptive quadrature, the Hessian
 oracle uses central finite differences, the raw-sample builder lets
 likelihood values be cross-checked against a literal product of normal
 densities, and the codebook oracle enumerates every assignment in pure
-Python.
+Python.  ``oracle_descend`` is the local-search descent as first written,
+scanning every candidate on every cell visit; the production descent
+must follow the same trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from nsmml import ProblemConfig, SufficientStat, sufficient_stats
+from nsmml.codebook import DiscreteProblem, _entropy, _neg_xlogx, codebook_cost
 
 
 def oracle_log_marginal(stat: SufficientStat, p: float, cfg: ProblemConfig) -> float:
@@ -104,3 +107,62 @@ def oracle_smml_optima(mass, penalty, tol: float = 1e-12) -> list[tuple[int, ...
         costs[assign] = l_p - sum(x * math.log(x) for x in q if x > 0.0)
     best = min(costs.values())
     return sorted(a for a, cost in costs.items() if cost <= best + tol)
+
+
+def oracle_descend(
+    problem: DiscreteProblem, assign: np.ndarray, collect_trace: bool = False
+) -> tuple[np.ndarray, float, list[tuple[float, float]]]:
+    """Alternating descent to a local optimum.
+
+    (a) single-cell reassignment, first improvement in cell index order
+    (the best candidate per cell, lowest index among ties); (b) per-region
+    candidate re-selection minimizing the region's mass-weighted penalty.
+    Every accepted move strictly decreases the incrementally tracked cost.
+    """
+    mass = problem.mass
+    pen = problem.penalty
+    c = problem.n_cells
+    b = problem.n_candidates
+    assign = assign.astype(np.int64).copy()
+    q = np.bincount(assign, weights=mass, minlength=b).astype(float)
+    level = float(mass @ pen[np.arange(c), assign]) + _entropy(q)
+    trace: list[tuple[float, float]] = []
+
+    for _sweep in range(10_000):
+        changed = False
+        for i in range(c):
+            a = int(assign[i])
+            mi = mass[i]
+            gain_others = _neg_xlogx(q + mi) - _neg_xlogx(q)
+            gain_a = _neg_xlogx(q[a] - mi) - _neg_xlogx(q[a])
+            delta = mi * (pen[i] - pen[i, a]) + gain_others + gain_a
+            delta[a] = 0.0
+            j = int(np.argmin(delta))
+            if delta[j] < 0.0:
+                assign[i] = j
+                q[a] -= mi
+                q[j] += mi
+                level += float(delta[j])
+                changed = True
+                if collect_trace:
+                    trace.append((level, codebook_cost(problem, assign).L))
+        for r in np.unique(assign):
+            cells = assign == r
+            region_cost = mass[cells] @ pen[cells]
+            j = int(np.argmin(region_cost))
+            if j == r:
+                continue
+            delta = float(region_cost[j] - region_cost[r]) + float(
+                _neg_xlogx(q[j] + q[r]) - _neg_xlogx(q[j]) - _neg_xlogx(q[r])
+            )
+            if delta < 0.0:
+                assign[cells] = j
+                q[j] += q[r]
+                q[r] = 0.0
+                level += delta
+                changed = True
+                if collect_trace:
+                    trace.append((level, codebook_cost(problem, assign).L))
+        if not changed:
+            break
+    return assign, level, trace

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from nsmml.codebook import (
     transport_cost_bound,
 )
 
-from oracles import oracle_smml_optima
+from oracles import oracle_descend, oracle_smml_optima
 
 CFG = ProblemConfig(N=1, J=2)
 SCALE_FREE = PriorSpec.scale_free(CFG)
@@ -328,6 +329,30 @@ class TestLocalSearch:
         levels = [t[0] for t in trace]
         assert all(b < a for a, b in zip(levels, levels[1:]))
 
+    def test_equal_cost_used_and_unused_candidates_take_lower_index(self):
+        # Candidates 0 and 1 share a penalty column.  Candidate 1 holds only
+        # a cell of mass 1e-40, too little to change the entropy gain of
+        # joining it, so moving cell 0 to either costs the same bits; the
+        # unused candidate 0 has the lower index and wins, as in a full scan.
+        prob = synthetic_problem([0.5, 1e-40, 0.5], [[0.0, 0.0, 5.0], [0.0, 0.0, 0.0], [5.0, 5.0, 0.0]])
+        init = np.array([2, 1, 2])
+        assign, level, trace = _descend(prob, init, collect_trace=True)
+        want_assign, want_level, want_trace = oracle_descend(prob, init, collect_trace=True)
+        assert assign.tolist() == want_assign.tolist() == [0, 0, 2]
+        assert level.hex() == want_level.hex()
+        assert [t[0] for t in trace] == [t[0] for t in want_trace]
+
+    def test_moved_cell_waits_for_next_sweep(self):
+        # Each sweep visits every cell once, in order.  Revisiting a cell
+        # straight after its move would here find a second move whose cost
+        # rounds to just below zero, and leave the full scan's trajectory.
+        prob = synthetic_problem([0.03, 0.29, 0.68], [[1.4, 1.9, 1.0], [1.7, 1.1, 0.2], [0.3, 1.8, 0.3]])
+        init = np.array([0, 0, 1])
+        _, level, trace = _descend(prob, init, collect_trace=True)
+        _, want_level, want_trace = oracle_descend(prob, init, collect_trace=True)
+        assert [t[0].hex() for t in trace] == [t[0].hex() for t in want_trace]
+        assert level.hex() == want_level.hex()
+
     def test_bounded_by_pointwise_cost(self):
         prob = discretize(CFG, SCALE_FREE, BOX, 8)
         book = smml_local_search(prob, restarts=1, seed=0)
@@ -520,6 +545,19 @@ class TestSerialization:
                        {"N": 2}, {"N": 10**400}):
             with pytest.raises(InvalidConfigError):
                 problem_from_text(edited(text, **fields))
+
+    def test_nonpositive_variance_table_named_without_warning(self):
+        # The tables are checked before the penalty build, so the log of a
+        # negative variance never runs.
+        for prob in (discretize(CFG, SCALE_FREE, BOX, 3), torus_problem(CFG, SCALE_FREE, 4, candidate_stride=2)):
+            text = problem_to_text(prob)
+            for name, value in (("cand_sigma2", -1.0), ("cell_s2", -1.0), ("cand_sigma2", 0.0)):
+                table = json.loads(text)[name]
+                table[0] = value
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(InvalidConfigError, match=f"^{name} must be > 0$"):
+                        problem_from_text(edited(text, **{name: table}))
 
     def test_malformed_codebook_text_rejected(self):
         prob = discretize(CFG, SCALE_FREE, BOX, 3)

@@ -383,6 +383,10 @@ class TestCli:
             ["simulate", "--N", "2", "--J", "2", "--mu", "1,a"],
             ["simulate", "--N", "2", "--J", "2", "--mu", "a"],
             ["locality", "--mu", "a,1"],
+            ["locality", "--sigma2", "-1"],
+            ["locality", "--sigma2", "0"],
+            ["locality", "--sigma2", "nan"],
+            ["locality", "--sigma2", "inf"],
             ["smml", "--resolution", "4", "--shift", "a"],
         ):
             assert main(argv) == 2

@@ -1,10 +1,12 @@
 """Property tests: the estimator table against its scalar wrappers, the
 Ideal Point as the minimizer of the code penalty, the sweep config parser
-under fuzzed text, and problem and codebook round trips through their
-JSON reports, intact and fuzzed."""
+under fuzzed text, problem and codebook round trips through their JSON
+reports, intact and fuzzed, the local-search descent against its
+full-scan oracle, and exact <= local <= pointwise costs."""
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -23,13 +25,19 @@ from nsmml import (
     wf_estimate,
 )
 from nsmml.codebook import (
+    _TOP_K,
     CandidateSpec,
+    _descend,
+    codebook_cost,
     codebook_from_text,
     codebook_to_text,
     discretize,
     make_codebook,
+    pointwise_assignment,
     problem_from_text,
     problem_to_text,
+    smml_exhaustive,
+    smml_local_search,
     torus_problem,
 )
 from nsmml.estimators import (
@@ -39,6 +47,9 @@ from nsmml.estimators import (
     METHOD_WF,
     SIGMA2_HAT,
 )
+
+from oracles import oracle_descend
+from test_codebook import synthetic_problem
 
 
 @st.composite
@@ -229,3 +240,77 @@ def test_fuzzed_reports_raise_only_invalid_config(report):
             problem_from_text(text)
     except InvalidConfigError:
         pass
+
+
+@st.composite
+def synthetic_problems(draw):
+    """Explicit instances: masses spread over up to 80 e-folds (or equal),
+    penalties rounded so that move costs tie, duplicated candidates (exact
+    ties), and candidate counts below, at and above the length of the
+    descent's least-penalty lists."""
+    c = draw(st.integers(1, 40))
+    b = draw(st.one_of(st.just(_TOP_K), st.just(_TOP_K + 1), st.integers(1, 2 * _TOP_K)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = np.exp(rng.uniform(-draw(st.sampled_from([0.0, 5.0, 40.0, 80.0])), 0.0, c))
+    mass /= mass.sum()
+    penalty = rng.uniform(0.0, 4.0, (c, b))
+    if draw(st.booleans()):
+        penalty = np.round(penalty, 1)
+    if draw(st.booleans()):
+        penalty = np.concatenate([penalty, penalty[:, rng.integers(0, b, draw(st.integers(1, b)))]], axis=1)
+    return synthetic_problem(mass, penalty)
+
+
+# With one-entry lists, a row scan that left out the used candidates would
+# miss a best move of this instance.
+SCAN_NEEDS_USED = synthetic_problem(
+    [0.09, 0.11, 0.08, 0.72], [[1.7, 0.0, 0.4], [1.6, 1.5, 1.5], [1.8, 0.2, 1.4], [1.0, 1.0, 2.0]]
+)
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(synthetic_problems(), discretized_problems(), torus_problems()),
+    st.sampled_from(["pointwise", "random", "one region"]),
+    st.sampled_from([1, 2, _TOP_K]),
+    st.integers(0, 2**32 - 1),
+)
+@example(SCAN_NEEDS_USED, "random", 1, 430)
+def test_descent_follows_full_scan_oracle(problem, start, top_k, seed):
+    rng = np.random.default_rng(seed)
+    if start == "pointwise":
+        init = pointwise_assignment(problem)
+    elif start == "random":
+        init = rng.integers(0, problem.n_candidates, problem.n_cells)
+    else:
+        init = np.full(problem.n_cells, rng.integers(problem.n_candidates))
+    # Shorter least-penalty lists leave more visits to the exact row scan.
+    with mock.patch("nsmml.codebook._TOP_K", top_k):
+        assign, level, trace = _descend(problem, init, collect_trace=True)
+    want_assign, want_level, want_trace = oracle_descend(problem, init, collect_trace=True)
+    # The same accepted moves in the same order, and the same bits.
+    assert [step.hex() for step, _ in trace] == [step.hex() for step, _ in want_trace]
+    assert assign.tobytes() == want_assign.tobytes()
+    assert level.hex() == want_level.hex()
+
+
+@st.composite
+def exact_route_problems(draw):
+    """Small instances for each exact route: any masses within the
+    brute-force limit, or equal masses past it for the count-vector DP."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        c, b = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+        mass = rng.dirichlet(np.ones(c))
+    else:
+        c, b = draw(st.integers(11, 14)), draw(st.integers(4, 5))
+        mass = np.full(c, 1.0 / c)
+    return synthetic_problem(mass, rng.uniform(0.0, 3.0, (c, b)))
+
+
+@given(exact_route_problems(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_exact_local_pointwise_ordering(problem, restarts, seed):
+    exact = smml_exhaustive(problem)[0].cost.L
+    local = smml_local_search(problem, restarts=restarts, seed=seed).cost.L
+    pointwise = codebook_cost(problem, pointwise_assignment(problem)).L
+    assert exact - 1e-12 <= local <= pointwise + 1e-12
