@@ -702,8 +702,9 @@ def _descend(
         gain_a = h[nk + k : nk + k + n] - h[nk + k + n : nk + k + 2 * n]
         gain_free = h[nk + k + 2 * n :]
         # Columns: the used candidates, then each cell's least-penalty list
-        # (its used entries masked; a cell's own candidate is unused only
-        # once it has no mass left, and then costs -m_i log m_i >= 0).
+        # (its used entries masked, as the shared gain holds only for unused
+        # ones; a cell's own candidate is unused only once it has no mass
+        # left, and then costs -m_i log m_i >= 0).
         lst = top[lo:hi]
         cand = np.concatenate((used[None, :].repeat(n, axis=0), lst), axis=1)
         col_pen = np.concatenate((rows[:, used], top_pen[lo:hi]), axis=1)
