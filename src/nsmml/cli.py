@@ -34,6 +34,7 @@ from .estimators import METHOD_MARGINALIZED, PRIOR_FREE_METHODS, SIGMA2_HAT, met
 from . import codebook as cbk
 from . import regularity as reg
 from .harness import (
+    _check_variance,
     parse_sweep_config,
     resolve_prior,
     rows_to_csv,
@@ -68,6 +69,10 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
     else:
         out.write_text(text)
+
+
+def _emit_report(kind: str, data: dict, args) -> None:
+    _emit(render_json(kind, data) if args.json else render_report(kind, data), args)
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -198,13 +203,12 @@ def _cmd_regularity(args) -> int:
     if "automorphism" in checks:
         aut = reg.Automorphism(args.alpha, np.full(cfg.N, args.beta))
         res = reg.check_automorphism(aut, prior, cfg, samples=args.samples, seed=args.seed, tol=args.tol)
-        report["automorphism"] = {"alpha": args.alpha, "beta": args.beta, **res.to_dict()}
+        report["automorphism"] = {"alpha": args.alpha, "beta": args.beta, **dataclasses.asdict(res)}
         if not (res.marginal_ok and res.likelihood_ok):
             failed.append("automorphism")
 
     report["failed_checks"] = failed
-    text = render_json("regularity", report) if args.json else render_report("regularity", report)
-    _emit(text, args)
+    _emit_report("regularity", report, args)
     if failed:
         print(f"regularity check failed: {', '.join(failed)}", file=sys.stderr)
         return 1
@@ -216,8 +220,7 @@ def _cmd_locality(args) -> int:
     mu = _parse_floats(args.mu) if args.mu else np.zeros(cfg.N)
     if mu.shape[0] != cfg.N:
         raise InvalidConfigError(f"--mu must have N={cfg.N} components")
-    if not (args.sigma2 > 0.0 and math.isfinite(args.sigma2)):
-        raise InvalidConfigError(f"--sigma2 must be finite and > 0, got {args.sigma2!r}")
+    _check_variance(args.sigma2, "--sigma2")
     theta = Parameter(args.sigma2, mu)
     grid = reg.GridSpec(points_scale=args.points_scale, points_mean=args.points_mean)
     try:
@@ -225,12 +228,9 @@ def _cmd_locality(args) -> int:
     except reg.CertificateError as exc:
         print(f"locality verification failed: {exc}", file=sys.stderr)
         if exc.report is not None:
-            data = exc.report.to_dict()
-            _emit(render_json("locality", data) if args.json else render_report("locality", data), args)
+            _emit_report("locality", dataclasses.asdict(exc.report), args)
         return 1
-    data = rep.to_dict()
-    text = render_json("locality", data) if args.json else render_report("locality", data)
-    _emit(text, args)
+    _emit_report("locality", dataclasses.asdict(rep), args)
     return 0
 
 
@@ -309,8 +309,7 @@ def _cmd_smml(args) -> int:
     if args.save_codebook:
         _resolve_out(args.save_codebook, args.outdir).write_text(cbk.codebook_to_text(book))
 
-    text = render_json("smml", report) if args.json else render_report("smml", report)
-    _emit(text, args)
+    _emit_report("smml", report, args)
     return 0
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _ip_shrinkage
+from .estimators import _from_coords, _ip_sigma2, _to_coords
 from .model import (
     InvalidConfigError,
     NeymanScottError,
@@ -37,8 +37,7 @@ from .model import (
     PriorSpec,
     ProblemConfig,
     SufficientStat,
-    log_likelihood_kernel,
-    log_marginal_kernel,
+    code_penalty_kernel,
 )
 from .reporting import render_json
 
@@ -237,8 +236,7 @@ def _penalty_matrix(
         - 2.0 * cell_m @ cand_mu.T
     )
     np.maximum(sq, 0.0, out=sq)
-    loglik = log_likelihood_kernel(cell_s2[:, None], sq, cand_sigma2[None, :], cfg)
-    return log_marginal_kernel(cell_s2, prior, cfg)[:, None] - loglik
+    return code_penalty_kernel(cell_s2[:, None], sq, cand_sigma2[None, :], prior, cfg)
 
 
 def _axis_masses(lo: float, hi: float, res: int, kappa: float) -> np.ndarray:
@@ -291,9 +289,7 @@ def discretize(
     mass = mass.ravel()
     mass = mass / mass.sum()
 
-    s = np.exp(cell_coords[:, 0])
-    cell_s2 = s**2
-    cell_m = cell_coords[:, 1:] * s[:, None]
+    cell_s2, cell_m = _from_coords(cell_coords)
 
     spec = candidate_spec if candidate_spec is not None else CandidateSpec()
     if spec.parameters is not None:
@@ -312,14 +308,9 @@ def discretize(
             for d in range(dim)
         ]
         cmesh = np.meshgrid(*cand_axes, indexing="ij")
-        cand_coords_lattice = np.stack([g.ravel() for g in cmesh], axis=1)
-        csigma = np.exp(cand_coords_lattice[:, 0])
-        cand_sigma2 = csigma**2
-        cand_mu = cand_coords_lattice[:, 1:] * csigma[:, None]
+        cand_sigma2, cand_mu = _from_coords(np.stack([g.ravel() for g in cmesh], axis=1))
         cand_origin = tuple(int(-e) for e in ext_steps)
-
-    csigma = np.sqrt(cand_sigma2)
-    cand_coords = np.concatenate([np.log(csigma)[:, None], cand_mu / csigma[:, None]], axis=1)
+    cand_coords = _to_coords(cand_sigma2, cand_mu)
 
     lattice = LatticeInfo(
         lo=box[:, 0].copy(),
@@ -345,11 +336,20 @@ def _torus_penalty(
     # R of the representative pair at the wrapped log-scale offset delta:
     # stat (s = e^delta, m = u0 * s) against theta (sigma = 1, mu = u0), where
     # u0 is the mean coordinate shared by every cell.
-    delta = cell_coords[:, 0][:, None] - cand_coords[:, 0][None, :]
-    delta = (delta + 0.5 * period) % period - 0.5 * period
+    delta = _wrap(cell_coords[:, 0][:, None] - cand_coords[:, 0][None, :], period)
+    # Offsets are whole cell spacings; an antipodal one goes to -period/2
+    # whichever side rounding left it on, so every entry depends on the
+    # lattice offset alone.
+    spacing = period / cell_coords.shape[0]
+    delta[delta > 0.5 * period - 0.25 * spacing] -= period
     s2 = np.exp(2.0 * delta)
     sq_dev = float((cell_coords[0, 1:] ** 2).sum()) * (np.exp(delta) - 1.0) ** 2
-    return log_marginal_kernel(s2, prior, cfg) - log_likelihood_kernel(s2, sq_dev, 1.0, cfg)
+    return code_penalty_kernel(s2, sq_dev, 1.0, prior, cfg)
+
+
+def _wrap(x, period):
+    """``x`` wrapped into ``[-period/2, period/2)``, up to rounding."""
+    return (x + 0.5 * period) % period - 0.5 * period
 
 
 def _problem(
@@ -407,16 +407,10 @@ def torus_problem(
     u0 = np.full(cfg.N, float(mean_coord))
 
     cell_coords = np.concatenate([ls[:, None], np.tile(u0, (n_cells, 1))], axis=1)
-    s = np.exp(ls)
-    cell_s2 = s**2
-    cell_m = np.tile(u0, (n_cells, 1)) * s[:, None]
+    cell_s2, cell_m = _from_coords(cell_coords)
     mass = np.full(n_cells, 1.0 / n_cells)
-
-    lsig = ls[::candidate_stride]
-    csigma = np.exp(lsig)
-    cand_sigma2 = csigma**2
-    cand_mu = np.tile(u0, (lsig.shape[0], 1)) * csigma[:, None]
-    cand_coords = np.concatenate([lsig[:, None], np.tile(u0, (lsig.shape[0], 1))], axis=1)
+    cand_coords = cell_coords[::candidate_stride].copy()
+    cand_sigma2, cand_mu = _from_coords(cand_coords)
 
     lattice = LatticeInfo(
         lo=np.concatenate([[log_s_lo], u0 - 0.5]),
@@ -472,32 +466,33 @@ def pointwise_assignment(problem: DiscreteProblem) -> np.ndarray:
     return np.argmin(problem.penalty, axis=1)
 
 
-def smml_exhaustive(
-    problem: DiscreteProblem,
-    tol: float = 1e-12,
-    brute_limit: int = 2**20,
-    dp_state_limit: int = 4_000_000,
-) -> list[Codebook]:
+_EXACT_TOL = 1e-12  # codebooks within this cost of the minimum are all optimal
+_BRUTE_LIMIT = 2**20  # most assignments that brute force enumerates
+_DP_STATE_LIMIT = 4_000_000  # most count vectors in one layer of the exact DP
+
+
+def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
     """All globally optimal codebooks, exact by enumeration.
 
     Routes: brute force when ``candidates ** cells`` fits under
-    ``brute_limit`` (the documented small-instance regime, cells <= 12 and
+    ``_BRUTE_LIMIT`` (the documented small-instance regime, cells <= 12 and
     candidates <= 8), scoring every assignment from precomputed tables of
     two cell blocks; otherwise, for uniform-mass instances (scale-free
     discretizations and torus instances), an exact dynamic program over
     per-candidate count vectors, valid because the entropy term depends on
     the assignment only through region masses.  Each DP layer is a sorted
     integer array of count vectors in mixed-radix form, so the DP also
-    needs ``(cells + 1) ** candidates < 2**63``.  Returns every assignment
-    whose cost is within ``tol`` of the global minimum, sorted
+    needs ``(cells + 1) ** candidates < 2**63``, and gives up past
+    ``_DP_STATE_LIMIT`` states in a layer.  Returns every assignment whose
+    cost is within ``_EXACT_TOL`` of the global minimum, sorted
     lexicographically.
     """
     c = problem.n_cells
     b = problem.n_candidates
-    if b**c <= brute_limit:
-        assigns = _exhaustive_brute(problem, tol)
+    if b**c <= _BRUTE_LIMIT:
+        assigns = _exhaustive_brute(problem)
     elif np.ptp(problem.mass) <= 1e-15 and b <= 12:
-        assigns = _exhaustive_dp(problem, tol, dp_state_limit)
+        assigns = _exhaustive_dp(problem)
     else:
         raise SizeLimitError(
             f"instance too large for exact search: {b}^{c} assignments "
@@ -523,7 +518,7 @@ def _block_tables(problem: DiscreteProblem, cells: np.ndarray) -> tuple[np.ndarr
     return l_p.ravel(), q.reshape(b, -1)
 
 
-def _exhaustive_brute(problem: DiscreteProblem, tol: float) -> list[np.ndarray]:
+def _exhaustive_brute(problem: DiscreteProblem) -> list[np.ndarray]:
     # Split the cells into a high and a low block: assignment h * b^c_low + l
     # costs lp_h[h] + lp_l[l] + H(q_h[:, h] + q_l[:, l]).
     c = problem.n_cells
@@ -541,17 +536,17 @@ def _exhaustive_brute(problem: DiscreteProblem, tol: float) -> list[np.ndarray]:
         chunk_best = float(cost.min())
         if chunk_best < best:
             best = chunk_best
-            survivors = [(co, ix) for co, ix in survivors if co <= best + tol]
-        keep = np.flatnonzero(cost <= best + tol)
+            survivors = [(co, ix) for co, ix in survivors if co <= best + _EXACT_TOL]
+        keep = np.flatnonzero(cost <= best + _EXACT_TOL)
         survivors.extend((float(cost[k]), h * n_low + int(k)) for k in keep)
     return [
         np.array(np.unravel_index(ix, (b,) * c), dtype=np.int64)
         for co, ix in survivors
-        if co <= best + tol
+        if co <= best + _EXACT_TOL
     ]
 
 
-def _exhaustive_dp(problem: DiscreteProblem, tol: float, state_limit: int) -> list[np.ndarray]:
+def _exhaustive_dp(problem: DiscreteProblem) -> list[np.ndarray]:
     c = problem.n_cells
     b = problem.n_candidates
     base = c + 1  # a count vector n is stored as the code sum_j n_j * base**j
@@ -576,14 +571,14 @@ def _exhaustive_dp(problem: DiscreteProblem, tol: float, state_limit: int) -> li
         # One sorted run per candidate, so the stable (merge) sort is cheap.
         codes = (radix[:, None] + codes[None, :]).ravel()
         vals = (w[i][:, None] + vals[None, :]).ravel()
-        keep = vals <= ub + tol - suffix_min[i + 1]
+        keep = vals <= ub + _EXACT_TOL - suffix_min[i + 1]
         codes, vals = codes[keep], vals[keep]
         order = np.argsort(codes, kind="stable")
         codes, vals = codes[order], vals[order]
         starts = np.flatnonzero(np.diff(codes, prepend=-1))
         codes, vals = codes[starts], np.minimum.reduceat(vals, starts)
-        if codes.shape[0] > state_limit:
-            raise SizeLimitError(f"count-vector DP exceeded {state_limit} states at layer {i + 1}")
+        if codes.shape[0] > _DP_STATE_LIMIT:
+            raise SizeLimitError(f"count-vector DP exceeded {_DP_STATE_LIMIT} states at layer {i + 1}")
         if not codes.shape[0]:
             raise SizeLimitError("count-vector DP pruned every state; upper bound inconsistent")
         layers.append((codes, vals))
@@ -593,7 +588,7 @@ def _exhaustive_dp(problem: DiscreteProblem, tol: float, state_limit: int) -> li
     nlogn = k * np.log(np.maximum(k, 1))
     entropy = -m0 * nlogn[codes[:, None] // radix % base].sum(axis=1) - math.log(m0)
     best = float((vals + entropy).min())
-    target = best + tol - entropy
+    target = best + _EXACT_TOL - entropy
     final = vals <= target
 
     # Walk back from every optimal final state, one layer at a time, keeping
@@ -673,20 +668,12 @@ def _descend(
     level = float(mass @ pen[np.arange(c), assign]) + _entropy(q)
     trace: list[tuple[float, float]] = []
     top, top_pen, edge = _least_penalties(pen)
-    in_use = q != 0.0
-    used = np.flatnonzero(in_use)
-
-    def moved(*js: int) -> None:
-        # Mass moved between the candidates js: refresh which are in use.
-        nonlocal used
-        js = list(js)
-        if np.any(in_use[js] != (q[js] != 0.0)):
-            in_use[js] = q[js] != 0.0
-            used = np.flatnonzero(in_use)
 
     def best_moves(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         # The least move cost of each cell in lo:hi against the current
         # state, and its candidate (the lowest index among equal costs).
+        in_use = q != 0.0
+        used = np.flatnonzero(in_use)
         n, k = hi - lo, used.shape[0]
         nk = n * k
         a = assign[lo:hi]
@@ -730,7 +717,7 @@ def _descend(
         # block's first mover do not move.
         i = 0
         while i < c:
-            hi = min(i + max(1, 1024 // (used.shape[0] + top.shape[1])), c)
+            hi = min(i + max(1, 1024 // (np.count_nonzero(q) + top.shape[1])), c)
             costs, targets = best_moves(i, hi)
             movers = (costs < 0.0).nonzero()[0]
             if not movers.shape[0]:
@@ -742,7 +729,6 @@ def _descend(
             assign[i] = j
             q[a] -= mi
             q[j] += mi
-            moved(a, j)
             level += float(costs[first])
             changed = True
             if collect_trace:
@@ -761,7 +747,6 @@ def _descend(
                 assign[cells] = j
                 q[j] += q[r]
                 q[r] = 0.0
-                moved(r, j)
                 level += delta
                 changed = True
                 if collect_trace:
@@ -848,9 +833,7 @@ class OverlapReport:
 def _coord_distances(problem: DiscreteProblem, diff: np.ndarray) -> np.ndarray:
     # Torus instances measure coordinate differences on the circle.
     if problem.topology == "torus":
-        lat = problem.lattice
-        periods = (lat.hi - lat.lo)[None, :]
-        diff = (diff + 0.5 * periods) % periods - 0.5 * periods
+        diff = _wrap(diff, problem.lattice.hi - problem.lattice.lo)
     return np.linalg.norm(diff, axis=-1)
 
 
@@ -882,10 +865,7 @@ def smml_ip_overlap(
                 )
             interior &= (multi[:, d] >= interior_margin) & (multi[:, d] < size - interior_margin)
 
-    ip_sigma = np.sqrt(problem.cell_s2 / _ip_shrinkage(problem.prior, problem.cfg))
-    ip_coords = np.concatenate(
-        [np.log(ip_sigma)[:, None], problem.cell_m / ip_sigma[:, None]], axis=1
-    )
+    ip_coords = _to_coords(_ip_sigma2(problem.cell_s2, problem.prior, problem.cfg), problem.cell_m)
     assigned_coords = problem.cand_coords[assign]
     dist = _coord_distances(problem, assigned_coords - ip_coords)
 

@@ -24,7 +24,6 @@ these closed forms live in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,52 +152,64 @@ def penalty_at_ideal_point(theta: Parameter, prior: PriorSpec, cfg: ProblemConfi
     return code_penalty_R(theta, ip_reverse(theta, prior, cfg), prior, cfg)
 
 
+def _from_coords(coords):
+    """``(scale^2, means)`` from ``(log scale, means/scale)`` coordinates on
+    the last axis; broadcasts over any leading axes."""
+    coords = np.asarray(coords, dtype=float)
+    scale = np.exp(coords[..., 0])
+    return scale**2, coords[..., 1:] * scale[..., None]
+
+
+def _to_coords(scale2, means):
+    """``(log scale, means/scale)`` coordinates; inverse of :func:`_from_coords`."""
+    scale = np.sqrt(scale2)
+    return np.concatenate([np.log(scale)[..., None], means / scale[..., None]], axis=-1)
+
+
 def stat_from_coords(coords: np.ndarray) -> SufficientStat:
     """Observation from ``(log s, m/s)`` coordinates."""
-    coords = np.asarray(coords, dtype=float)
-    s = math.exp(coords[0])
-    return SufficientStat(coords[1:] * s, s * s)
+    s2, m = _from_coords(coords)
+    return SufficientStat(m, s2)
 
 
 def coords_from_stat(stat: SufficientStat) -> np.ndarray:
     """``(log s, m/s)`` coordinates of an observation."""
-    s = stat.s
-    return np.concatenate(([math.log(s)], stat.m / s))
+    return _to_coords(stat.s2, stat.m)
 
 
 def param_from_coords(coords: np.ndarray) -> Parameter:
     """Parameter from ``(log sigma, mu/sigma)`` coordinates."""
-    coords = np.asarray(coords, dtype=float)
-    sigma = math.exp(coords[0])
-    return Parameter(sigma * sigma, coords[1:] * sigma)
+    sigma2, mu = _from_coords(coords)
+    return Parameter(sigma2, mu)
 
 
 def coords_from_param(theta: Parameter) -> np.ndarray:
     """``(log sigma, mu/sigma)`` coordinates of a parameter."""
-    sigma = theta.sigma
-    return np.concatenate(([math.log(sigma)], theta.mu / sigma))
+    return _to_coords(theta.sigma2, theta.mu)
 
 
-def _expand_to_level(profile, t0: float, step: float, level: float, max_doublings: int = 200) -> float:
+_INITIAL_STEP = 0.25  # first bracket step of a level crossing, in coordinate units
+_MAX_DOUBLINGS = 200  # bracket doublings before a level crossing is given up
+
+
+def _expand_to_level(profile, t0: float, step: float, level: float) -> float:
     """First crossing of ``profile(t) = level`` from ``t0`` in the direction
     of ``step``.  Requires ``profile(t0) < level`` and eventual growth past
     ``level`` (true for all the convex penalty profiles used here).
     """
     lo = t0
     hi = t0 + step
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         if profile(hi) >= level:
             break
         lo = hi
         hi = t0 + 2.0 * (hi - t0)
     else:
-        raise DegenerateInputError(
-            f"no level crossing found within {max_doublings} bracket doublings"
-        )
+        raise DegenerateInputError(f"no level crossing found within {_MAX_DOUBLINGS} bracket doublings")
     return brentq(lambda t: profile(t) - level, min(lo, hi), max(lo, hi), xtol=1e-12, rtol=1e-12)
 
 
-def axis_level_box(profile_at, center: np.ndarray, level: float, initial_step: float = 0.25) -> np.ndarray:
+def axis_level_box(profile_at, center: np.ndarray, level: float) -> np.ndarray:
     """Axis-aligned box of level crossings through ``center``.
 
     For each coordinate axis, holds the remaining coordinates at the
@@ -215,8 +226,8 @@ def axis_level_box(profile_at, center: np.ndarray, level: float, initial_step: f
             coords[axis] = t
             return profile_at(coords)
 
-        box[axis, 0] = _expand_to_level(profile, center[axis], -initial_step, level)
-        box[axis, 1] = _expand_to_level(profile, center[axis], initial_step, level)
+        box[axis, 0] = _expand_to_level(profile, center[axis], -_INITIAL_STEP, level)
+        box[axis, 1] = _expand_to_level(profile, center[axis], _INITIAL_STEP, level)
     return box
 
 

@@ -241,6 +241,12 @@ def log_marginal_kernel(s2, prior: PriorSpec, cfg: ProblemConfig):
     )
 
 
+def code_penalty_kernel(s2, sq_dev, sigma2, prior: PriorSpec, cfg: ProblemConfig):
+    """Broadcasting :func:`code_penalty_R`, without its checks: ``log
+    marginal - log likelihood``, with ``sq_dev = sum_n (m_n - mu_n)^2``."""
+    return log_marginal_kernel(s2, prior, cfg) - log_likelihood_kernel(s2, sq_dev, sigma2, cfg)
+
+
 def log_likelihood(stat: SufficientStat, theta: Parameter, cfg: ProblemConfig) -> float:
     """Log-density of the raw ``N x J`` sample, via its sufficient statistic.
 
@@ -280,7 +286,10 @@ def code_penalty_R(theta: Parameter, stat: SufficientStat, prior: PriorSpec, cfg
     data-encoding cost the region pays for representing its members by the
     single parameter ``theta``.
     """
-    return log_marginal(stat, prior, cfg) - log_likelihood(stat, theta, cfg)
+    _check_stat(stat, cfg)
+    _check_param(theta, cfg)
+    sq_dev = float(((stat.m - theta.mu) ** 2).sum())
+    return float(code_penalty_kernel(stat.s2, sq_dev, theta.sigma2, prior, cfg))
 
 
 def fisher_log_sqrt_det(theta: Parameter, cfg: ProblemConfig) -> float:

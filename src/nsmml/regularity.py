@@ -23,7 +23,7 @@ constant independent of ``theta``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -135,17 +135,6 @@ class AutomorphismReport:
     samples: int
     tol: float
 
-    def to_dict(self) -> dict:
-        return {
-            "marginal_ok": self.marginal_ok,
-            "likelihood_ok": self.likelihood_ok,
-            "max_marginal_violation": self.max_marginal_violation,
-            "max_likelihood_violation": self.max_likelihood_violation,
-            "max_violation": self.max_violation,
-            "samples": self.samples,
-            "tol": self.tol,
-        }
-
 
 def _random_stat(rng: np.random.Generator, cfg: ProblemConfig) -> SufficientStat:
     return SufficientStat(rng.normal(0.0, 2.0, cfg.N), math.exp(rng.normal(0.0, 1.0)))
@@ -222,35 +211,43 @@ def transitivity_witness(src, dst) -> Automorphism:
     raise InvalidConfigError("src and dst must both be observations or both be parameters")
 
 
-def _fit_drift(values: np.ndarray, log_scales: np.ndarray, slope: float) -> dict:
-    # Fixed-slope affine fit: values ~ intercept + slope * log_scales.
+class _DriftReport:
+    """A constancy verdict over sampled minimal penalties (the first two
+    fields: the verdict and the values), their spread, and the fitted
+    drift law."""
+
+    def to_dict(self) -> dict:
+        verdict, values = (f.name for f in fields(self)[:2])
+        return {
+            verdict: getattr(self, verdict),
+            "spread": self.spread,
+            "tol": self.tol,
+            **{f"drift_{key}": value for key, value in self.drift.items()},
+            values: [float(v) for v in getattr(self, values)],
+        }
+
+
+def _drift_check(values: list, log_scales: list, prior: PriorSpec, cfg: ProblemConfig, tol: float) -> tuple:
+    """The verdict, values, spread and drift of a constancy check: is
+    ``values`` constant within ``tol``, and how well does the predicted law
+    ``values = intercept + ((N+1-p)/2) * log_scales`` fit them?"""
+    values = np.array(values)
+    log_scales = np.array(log_scales)
+    spread = float(values.max() - values.min())
+    slope = 0.5 * (cfg.N + 1 - prior.p)
     intercept = float(np.mean(values - slope * log_scales))
     residuals = values - (intercept + slope * log_scales)
-    return {
-        "slope": slope,
-        "intercept": intercept,
-        "max_residual": float(np.max(np.abs(residuals))),
-    }
+    drift = {"slope": slope, "intercept": intercept, "max_residual": float(np.max(np.abs(residuals)))}
+    return spread < tol, values, spread, drift
 
 
 @dataclass(frozen=True)
-class HomogeneityReport:
+class HomogeneityReport(_DriftReport):
     is_homogeneous: bool
     r_star_values: np.ndarray
     spread: float
     drift: dict
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "is_homogeneous": self.is_homogeneous,
-            "spread": self.spread,
-            "tol": self.tol,
-            "drift_slope": self.drift["slope"],
-            "drift_intercept": self.drift["intercept"],
-            "drift_max_residual": self.drift["max_residual"],
-            "r_star_values": [float(v) for v in self.r_star_values],
-        }
 
 
 def homogeneity_check(
@@ -267,37 +264,18 @@ def homogeneity_check(
     """
     if not thetas:
         raise InvalidConfigError("thetas must be a nonempty sample")
-    values = np.array([penalty_at_ideal_point(theta, prior, cfg) for theta in thetas])
-    log_scales = np.array([math.log(theta.sigma2) for theta in thetas])
-    spread = float(values.max() - values.min())
-    slope = 0.5 * (cfg.N + 1 - prior.p)
-    return HomogeneityReport(
-        is_homogeneous=spread < tol,
-        r_star_values=values,
-        spread=spread,
-        drift=_fit_drift(values, log_scales, slope),
-        tol=tol,
-    )
+    values = [penalty_at_ideal_point(theta, prior, cfg) for theta in thetas]
+    log_scales = [math.log(theta.sigma2) for theta in thetas]
+    return HomogeneityReport(*_drift_check(values, log_scales, prior, cfg, tol), tol)
 
 
 @dataclass(frozen=True)
-class ComprehensivenessReport:
+class ComprehensivenessReport(_DriftReport):
     is_comprehensive: bool
     r_opt_values: np.ndarray
     spread: float
     drift: dict
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "is_comprehensive": self.is_comprehensive,
-            "spread": self.spread,
-            "tol": self.tol,
-            "drift_slope": self.drift["slope"],
-            "drift_intercept": self.drift["intercept"],
-            "drift_max_residual": self.drift["max_residual"],
-            "r_opt_values": [float(v) for v in self.r_opt_values],
-        }
 
 
 def comprehensiveness_check(
@@ -313,23 +291,9 @@ def comprehensiveness_check(
     """
     if not stats:
         raise InvalidConfigError("stats must be a nonempty sample")
-    values = []
-    log_scales = []
-    for stat in stats:
-        theta = ip_estimate(stat, prior, cfg).theta
-        values.append(code_penalty_R(theta, stat, prior, cfg))
-        log_scales.append(math.log(stat.s2))
-    values = np.array(values)
-    log_scales = np.array(log_scales)
-    spread = float(values.max() - values.min())
-    slope = 0.5 * (cfg.N + 1 - prior.p)
-    return ComprehensivenessReport(
-        is_comprehensive=spread < tol,
-        r_opt_values=values,
-        spread=spread,
-        drift=_fit_drift(values, log_scales, slope),
-        tol=tol,
-    )
+    values = [code_penalty_R(ip_estimate(stat, prior, cfg).theta, stat, prior, cfg) for stat in stats]
+    log_scales = [math.log(stat.s2) for stat in stats]
+    return ComprehensivenessReport(*_drift_check(values, log_scales, prior, cfg, tol), tol)
 
 
 @dataclass(frozen=True)
@@ -373,7 +337,10 @@ def concentration_box(
     return ConcentrationBox(center=center, box=box, epsilon=float(epsilon))
 
 
-def find_valid_c(cfg: ProblemConfig, c_max: int = 10**6) -> int:
+_C_MAX = 10**6  # largest grid constant find_valid_c tries
+
+
+def find_valid_c(cfg: ProblemConfig) -> int:
     """Smallest integer ``c >= 2`` satisfying the two sufficient
     inequalities of the locality construction:
 
@@ -391,13 +358,16 @@ def find_valid_c(cfg: ProblemConfig, c_max: int = 10**6) -> int:
             "(c+1)^N >= c^N + 2N + 2 reduces to c+1 >= c+4, which no c satisfies"
         )
     base = (2 * cfg.nj) ** (2 * cfg.J)
-    for c in range(2, c_max + 1):
+    for c in range(2, _C_MAX + 1):
         if c ** (4 * cfg.J) < base * (c + 1) ** 7:
             continue
         if (c + 1) ** cfg.N < c**cfg.N + 2 * cfg.N + 2:
             continue
         return c
-    raise LocalityConstructionError(f"no valid c found up to {c_max}")
+    raise LocalityConstructionError(f"no valid c found up to {_C_MAX}")
+
+
+_GRID_LIMIT = 200_000  # most competitor grid points a certificate lists
 
 
 @dataclass(frozen=True)
@@ -433,22 +403,28 @@ class LocalityCertificate:
     exempt_box: np.ndarray = field(repr=False)
     v0_bound: float = 0.0
 
-    def materialize_grid(self, limit: int = 200_000) -> list[Parameter]:
+    def materialize_grid(self) -> list[Parameter]:
         count = self.c**self.cfg.N
-        if count > limit:
-            raise InvalidConfigError(f"grid has {count} points, above the materialization limit {limit}")
+        if count > _GRID_LIMIT:
+            raise InvalidConfigError(f"grid has {count} points, above the materialization limit {_GRID_LIMIT}")
         axes = [self.grid_start[n] + self.grid_step[n] * np.arange(self.c) for n in range(self.cfg.N)]
         mesh = np.meshgrid(*axes, indexing="ij")
         mus = np.stack([g.ravel() for g in mesh], axis=1)
         return [Parameter(self.grid_sigma**2, mu) for mu in mus]
 
-    def theta_list(self, limit: int = 200_000) -> list[Parameter]:
-        return self.explicit_thetas + self.materialize_grid(limit)
+    def theta_list(self) -> list[Parameter]:
+        return self.explicit_thetas + self.materialize_grid()
 
     def best_log_likelihood_gap(self, stat: SufficientStat) -> float:
         """``max_i log f(x | theta_i) - log f(x | theta)`` over all k competitors."""
         _check_stat(stat, self.cfg)
         return float(_best_gaps(self, np.array([stat.s]), stat.m[None, :])[0])
+
+
+# How far the verification grid reaches past the exempt box: in log(s/sigma)
+# on each side, and as a multiple of its half-width on the mean axes.
+_EXPAND_SCALE = 1.5
+_EXPAND_MEAN = 2.0
 
 
 @dataclass(frozen=True)
@@ -460,8 +436,6 @@ class GridSpec:
 
     points_scale: int = 48
     points_mean: int = 24
-    expand_scale: float = 1.5
-    expand_mean: float = 2.0
 
     def __post_init__(self) -> None:
         if self.points_scale < 1 or self.points_mean < 1:
@@ -484,22 +458,6 @@ class LocalityReport:
     T_margin: float
     delta: float
     delta_prime: float
-
-    def to_dict(self) -> dict:
-        return {
-            "all_pass": self.all_pass,
-            "n_points": self.n_points,
-            "n_exterior": self.n_exterior,
-            "n_exempt": self.n_exempt,
-            "worst_margin": self.worst_margin,
-            "worst_point": [float(v) for v in self.worst_point],
-            "v0_bound": self.v0_bound,
-            "c": self.c,
-            "k": self.k,
-            "T_margin": self.T_margin,
-            "delta": self.delta,
-            "delta_prime": self.delta_prime,
-        }
 
 
 def _build_certificate(theta: Parameter, cfg: ProblemConfig, c: int) -> LocalityCertificate:
@@ -581,11 +539,11 @@ def locality_certificate(
     sigma = theta.sigma
 
     # Grid in relative coordinates: log(s/sigma) and (m - mu)/sigma.
-    ls_lo = math.log(cert.delta_prime) - grid.expand_scale
-    ls_hi = math.log(cert.delta) + grid.expand_scale
+    ls_lo = math.log(cert.delta_prime) - _EXPAND_SCALE
+    ls_hi = math.log(cert.delta) + _EXPAND_SCALE
     jitter = rng.uniform(0.25, 0.75)
     ls_vals = ls_lo + (ls_hi - ls_lo) * (np.arange(grid.points_scale) + jitter) / grid.points_scale
-    half = math.sqrt(2.0 * cert.T_margin) * grid.expand_mean
+    half = math.sqrt(2.0 * cert.T_margin) * _EXPAND_MEAN
     jitter_m = rng.uniform(0.25, 0.75, cfg.N)
     mean_axes = [
         -half + 2.0 * half * (np.arange(grid.points_mean) + jitter_m[n]) / grid.points_mean

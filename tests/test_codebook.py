@@ -264,8 +264,8 @@ class TestExhaustive:
                 penalty = np.concatenate([penalty, penalty[:, :1]], axis=1)
             problems.append(synthetic_problem(np.full(c, 1.0 / c), penalty))
         for prob in problems:
-            brute = sorted(tuple(a) for a in _exhaustive_brute(prob, 1e-12))
-            dp = sorted(tuple(a) for a in _exhaustive_dp(prob, 1e-12, 4_000_000))
+            brute = sorted(tuple(a) for a in _exhaustive_brute(prob))
+            dp = sorted(tuple(a) for a in _exhaustive_dp(prob))
             assert brute == dp and brute
 
     def test_brute_force_matches_enumeration_oracle(self):

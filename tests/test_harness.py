@@ -131,6 +131,9 @@ class TestRunSweep:
                 SweepSpec(J=2, N_list=(10,), trials=1, estimators=methods)
         with pytest.raises(InvalidConfigError):
             SweepSpec(J=2, N_list=(10,), trials=1, seed=-1)
+        for sigma2 in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InvalidConfigError, match=f"sigma2_true must be finite and > 0, got {sigma2!r}"):
+                SweepSpec(J=2, N_list=(10,), trials=1, sigma2_true=sigma2)
 
     def test_trial_ratios_reject_zero_s2(self, monkeypatch):
         # Constant data within every group gives s2 = 0 in every trial.
@@ -391,6 +394,12 @@ class TestCli:
         ):
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith("error: ")
+        # An infinite variance is named, not passed on to the arithmetic.
+        bad.write_text(body + "sigma2_true = inf\n")
+        assert main(["sweep", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: sigma2_true must be finite and > 0, got inf\n"
+        assert main(["simulate", "--N", "2", "--J", "2", "--sigma2", "inf"]) == 2
+        assert capsys.readouterr() == ("", "error: sigma2_true must be finite and > 0, got inf\n")
 
     def test_csv_rows_byte_stable(self):
         spec = parse_sweep_config(SWEEP_CONFIG)

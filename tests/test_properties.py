@@ -1,8 +1,10 @@
-"""Property tests: the estimator table against its scalar wrappers, the
-Ideal Point as the minimizer of the code penalty, the sweep config parser
-under fuzzed text, problem and codebook round trips through their JSON
-reports, intact and fuzzed, the local-search descent against its
-full-scan oracle, and exact <= local <= pointwise costs."""
+"""Property tests: the estimator table, the penalty kernel and the
+coordinate kernels against their scalar wrappers, the Ideal Point as the
+minimizer of the code penalty, the sweep config parser under fuzzed text,
+problem and codebook round trips through their JSON reports, intact and
+fuzzed, the local-search descent against its full-scan oracle, exact <=
+local <= pointwise costs, cost-preserving torus transport, and the uniform
+masses that the count-vector DP requires of scale-free lattices."""
 
 import json
 import math
@@ -29,6 +31,7 @@ from nsmml.codebook import (
     CandidateSpec,
     _descend,
     codebook_cost,
+    codebook_transport,
     codebook_from_text,
     codebook_to_text,
     discretize,
@@ -46,7 +49,14 @@ from nsmml.estimators import (
     METHOD_ML,
     METHOD_WF,
     SIGMA2_HAT,
+    _from_coords,
+    _to_coords,
+    coords_from_param,
+    coords_from_stat,
+    param_from_coords,
+    stat_from_coords,
 )
+from nsmml.model import code_penalty_kernel
 
 from oracles import oracle_descend
 from test_codebook import synthetic_problem
@@ -81,6 +91,42 @@ def test_table_equals_scalar_wrappers_bit_for_bit(problem, values):
         expected = [scalar[method](SufficientStat(m, v)) for v in values]
         assert column.tobytes() == np.array(expected).tobytes(), method
     np.testing.assert_array_equal(SIGMA2_HAT[METHOD_WF](s2, prior, cfg), SIGMA2_HAT[METHOD_IP](s2, prior, cfg))
+
+
+@given(
+    problems(),
+    st.lists(positive_s2, min_size=1, max_size=8),
+    st.lists(st.tuples(st.floats(1e-50, 1e50), st.floats(-10.0, 10.0)), min_size=1, max_size=8),
+)
+def test_penalty_kernel_equals_scalar_wrapper_bit_for_bit(problem, cell_s2, candidates):
+    # Cells share the means m; candidate j has variance sigma2_j and means m + shift_j.
+    cfg, prior, m = problem
+    s2 = np.array(cell_s2)
+    sigma2 = np.array([v for v, _ in candidates])
+    mus = [m + shift for _, shift in candidates]
+    sq_dev = np.array([float(((m - mu) ** 2).sum()) for mu in mus])
+    matrix = code_penalty_kernel(s2[:, None], sq_dev[None, :], sigma2[None, :], prior, cfg)
+    for i, x in enumerate(s2):
+        expected = [code_penalty_R(Parameter(v, mu), SufficientStat(m, x), prior, cfg) for v, mu in zip(sigma2, mus)]
+        assert matrix[i].tobytes() == np.array(expected).tobytes()
+
+
+@given(st.integers(1, 50).flatmap(lambda n: st.lists(
+    st.tuples(st.floats(-100.0, 100.0), st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)),
+    min_size=1, max_size=16,
+)))
+def test_coordinate_kernels_equal_scalar_wrappers_bit_for_bit(rows):
+    coords = np.array([[log_scale, *means] for log_scale, means in rows])
+    scale2, means = _from_coords(coords)
+    back = _to_coords(scale2, means)
+    for k, row in enumerate(coords):
+        stat, theta = stat_from_coords(row), param_from_coords(row)
+        for got in ((stat.s2, stat.m), (theta.sigma2, theta.mu)):
+            assert np.float64(got[0]).tobytes() == scale2[k].tobytes()
+            assert got[1].tobytes() == means[k].tobytes()
+        assert coords_from_stat(stat).tobytes() == back[k].tobytes()
+        assert coords_from_param(theta).tobytes() == back[k].tobytes()
+    assert np.all(np.abs(back - coords) <= 1e-15 * np.maximum(np.abs(coords), 1.0))
 
 
 @given(problems(), st.floats(-5.0, 5.0))
@@ -306,6 +352,24 @@ def exact_route_problems(draw):
         c, b = draw(st.integers(11, 14)), draw(st.integers(4, 5))
         mass = np.full(c, 1.0 / c)
     return synthetic_problem(mass, rng.uniform(0.0, 3.0, (c, b)))
+
+
+@given(torus_problems(), st.integers(0, 2**32 - 1))
+def test_torus_transport_preserves_cost(problem, seed):
+    assign = np.random.default_rng(seed).integers(0, problem.n_candidates, problem.n_cells)
+    book = make_codebook(problem, assign)
+    for shift in range(0, problem.n_cells, problem.lattice.stride):
+        assert abs(codebook_transport(problem, book, shift).cost.L - book.cost.L) <= 1e-12
+
+
+def test_scale_free_lattices_pass_the_uniform_mass_gate():
+    # smml_exhaustive takes the count-vector DP only when np.ptp(mass) <= 1e-15.
+    for n, res in ((1, 32), (1, 64), (2, 16), (2, 24)):
+        cfg = ProblemConfig(N=n, J=2)
+        one = CandidateSpec(parameters=(Parameter(1.0, np.zeros(n)),))
+        problem = discretize(cfg, PriorSpec.scale_free(cfg), [[-1.5, 1.5]] * (n + 1), res, one)
+        assert problem.n_cells == res ** (n + 1)
+        assert np.ptp(problem.mass) <= 1e-15
 
 
 @given(exact_route_problems(), st.integers(1, 3), st.integers(0, 2**32 - 1))
