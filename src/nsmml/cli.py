@@ -27,20 +27,14 @@ from .model import (
     Parameter,
     ProblemConfig,
     SufficientStat,
+    _check_positive,
     _check_stat,
     sufficient_stats,
 )
 from .estimators import METHOD_MARGINALIZED, PRIOR_FREE_METHODS, SIGMA2_HAT, method_from_name
 from . import codebook as cbk
 from . import regularity as reg
-from .harness import (
-    _check_variance,
-    parse_sweep_config,
-    resolve_prior,
-    rows_to_csv,
-    run_sweep,
-    simulate,
-)
+from .harness import parse_sweep_config, resolve_prior, rows_to_csv, run_sweep, simulate
 from .reporting import render_json, render_report, table_to_csv
 
 
@@ -220,7 +214,7 @@ def _cmd_locality(args) -> int:
     mu = _parse_floats(args.mu) if args.mu else np.zeros(cfg.N)
     if mu.shape[0] != cfg.N:
         raise InvalidConfigError(f"--mu must have N={cfg.N} components")
-    _check_variance(args.sigma2, "--sigma2")
+    _check_positive(args.sigma2, "--sigma2")
     theta = Parameter(args.sigma2, mu)
     grid = reg.GridSpec(points_scale=args.points_scale, points_mean=args.points_mean)
     try:

@@ -96,10 +96,6 @@ class LatticeInfo:
     cand_origin: tuple[int, ...] | None  # cell-step position of candidate index 0
     stride: int = 1  # axis-0 candidate stride (torus instances)
 
-    @property
-    def spacing(self) -> np.ndarray:
-        return (self.hi - self.lo) / np.asarray(self.shape, dtype=float)
-
 
 @dataclass
 class CodebookCost:
@@ -141,32 +137,34 @@ class DiscreteProblem:
 
     def __post_init__(self) -> None:
         self.mass = np.asarray(self.mass, dtype=float)
-        _check_tables(self.cfg, {name: getattr(self, name) for name in _TABLES})
+        self._check_tables()
         if not np.all(np.isfinite(self.penalty)):
             raise InvalidConfigError("penalty matrix must be finite")
         if self.penalty.shape != (self.n_cells, self.n_candidates):
             raise InvalidConfigError("penalty shape does not match cells x candidates")
         if self.topology not in ("truncated", "torus"):
             raise InvalidConfigError(f"unknown topology {self.topology!r}")
-        if self.lattice is not None:
-            self._check_lattice(self.lattice, self.cfg.N + 1)
 
-    def _check_lattice(self, lat: LatticeInfo, dim: int) -> None:
-        if not (np.shape(lat.lo) == np.shape(lat.hi) == (dim,) and len(lat.shape) == dim):
-            raise InvalidConfigError(f"lattice lo, hi and shape need N+1 = {dim} entries")
-        if not (np.all(np.isfinite(lat.lo)) and np.all(np.isfinite(lat.hi))):
-            raise InvalidConfigError("lattice bounds must be finite")
-        if min(lat.shape) < 1 or math.prod(lat.shape) != self.n_cells:
-            raise InvalidConfigError(f"lattice shape {lat.shape} does not hold {self.n_cells} cells")
-        if lat.cand_shape is not None:
-            if len(lat.cand_shape) != dim or lat.cand_origin is None or len(lat.cand_origin) != dim:
-                raise InvalidConfigError(f"cand_shape and cand_origin need N+1 = {dim} entries")
-            if min(lat.cand_shape) < 1 or math.prod(lat.cand_shape) != self.n_candidates:
-                raise InvalidConfigError(
-                    f"cand_shape {lat.cand_shape} does not hold {self.n_candidates} candidates"
-                )
-        if lat.stride < 1:
-            raise InvalidConfigError("candidate stride must be >= 1")
+    def _check_tables(self) -> None:
+        """Reject a cell or candidate table, by name, when its shape is
+        wrong or an entry is not finite (or, for masses and variances, not
+        positive)."""
+        if self.mass.ndim != 1 or self.mass.size == 0:
+            raise InvalidConfigError("mass must be a nonempty vector")
+        if not np.all(self.mass > 0.0):
+            raise InvalidConfigError("cell masses must be positive")
+        if abs(float(self.mass.sum()) - 1.0) > 1e-12:
+            raise InvalidConfigError("cell masses must sum to 1 within 1e-12")
+        c, b, dim = self.n_cells, self.cand_sigma2.shape[0], self.cfg.N + 1
+        for name, shape in (
+            ("cell_s2", (c,)),
+            ("cell_m", (c, dim - 1)),
+            ("cell_coords", (c, dim)),
+            ("cand_sigma2", (b,)),
+            ("cand_mu", (b, dim - 1)),
+            ("cand_coords", (b, dim)),
+        ):
+            _check_table(name, getattr(self, name), shape)
 
     @property
     def n_cells(self) -> int:
@@ -183,36 +181,22 @@ class DiscreteProblem:
         return SufficientStat(self.cell_m[i].copy(), float(self.cell_s2[i]))
 
 
-_TABLES = ("mass", "cell_s2", "cell_m", "cell_coords", "cand_sigma2", "cand_mu", "cand_coords")
+def _check_table(name: str, table: np.ndarray, shape: tuple) -> None:
+    if table.shape != shape:
+        raise InvalidConfigError(f"{name} has shape {table.shape}, expected {shape}")
+    if not np.all(np.isfinite(table)):
+        raise InvalidConfigError(f"{name} must be finite")
+    if name in ("cell_s2", "cand_sigma2") and not np.all(table > 0.0):
+        raise InvalidConfigError(f"{name} must be > 0")
 
 
-def _check_tables(cfg: ProblemConfig, tables: dict) -> None:
-    """Reject a problem's cell or candidate table, by name, when its shape
-    is wrong or an entry is not finite (or, for masses and variances, not
-    positive)."""
-    mass = np.asarray(tables["mass"], dtype=float)
-    if mass.ndim != 1 or mass.size == 0:
-        raise InvalidConfigError("mass must be a nonempty vector")
-    if not np.all(mass > 0.0):
-        raise InvalidConfigError("cell masses must be positive")
-    if abs(float(mass.sum()) - 1.0) > 1e-12:
-        raise InvalidConfigError("cell masses must sum to 1 within 1e-12")
-    c, b, dim = mass.shape[0], tables["cand_sigma2"].shape[0], cfg.N + 1
-    for name, shape in (
-        ("cell_s2", (c,)),
-        ("cell_m", (c, dim - 1)),
-        ("cell_coords", (c, dim)),
-        ("cand_sigma2", (b,)),
-        ("cand_mu", (b, dim - 1)),
-        ("cand_coords", (b, dim)),
-    ):
-        table = tables[name]
-        if table.shape != shape:
-            raise InvalidConfigError(f"{name} has shape {table.shape}, expected {shape}")
-        if not np.all(np.isfinite(table)):
-            raise InvalidConfigError(f"{name} must be finite")
-        if name in ("cell_s2", "cand_sigma2") and not np.all(table > 0.0):
-            raise InvalidConfigError(f"{name} must be > 0")
+_TABLE_LIMIT = 2**28  # most float64 entries (2 GiB) of a builder's penalty and coordinate tables
+
+
+def _check_size(cells: int, candidates: int, dim: int) -> None:
+    # Called before any table is allocated.
+    if cells * candidates + (cells + candidates) * dim > _TABLE_LIMIT:
+        raise InvalidConfigError(f"{cells} cells x {candidates} candidates exceed {_TABLE_LIMIT} table entries")
 
 
 def _penalty_matrix(
@@ -264,16 +248,52 @@ def discretize(
     sit on the matching lattice (same spacing, aligned with the cell
     centers) extended beyond the box, unless an explicit list is given.
     """
-    box = np.asarray(box, dtype=float)
+    res = np.broadcast_to(np.asarray(resolution, dtype=int), (cfg.N + 1,))
+    spec = candidate_spec if candidate_spec is not None else CandidateSpec()
+    if spec.parameters is not None:
+        candidates = (np.array([p.sigma2 for p in spec.parameters]), np.array([p.mu for p in spec.parameters]))
+    else:
+        if not math.isfinite(spec.extension):
+            raise InvalidConfigError(f"extension must be finite, got {spec.extension!r}")
+        candidates = [max(round(spec.extension * int(r)), 0) for r in res]
+    return _discretize(cfg, prior, box, res, candidates)
+
+
+def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidates) -> DiscreteProblem:
+    """The truncated problem on ``box`` at ``resolution`` cells per axis.
+
+    ``candidates`` is either the number of candidate-lattice steps beyond
+    the box on each side of each axis, or the explicit ``(cand_sigma2,
+    cand_mu)`` tables.  Every input is checked before anything is built.
+    """
     dim = cfg.N + 1
+    box = np.asarray(box, dtype=float)
     if box.shape != (dim, 2):
         raise InvalidConfigError(f"box must have shape ({dim}, 2), got {box.shape}")
+    if not np.all(np.isfinite(box)):
+        raise InvalidConfigError("box must be finite")
     if not np.all(box[:, 1] > box[:, 0]):
         raise InvalidConfigError("box must be nondegenerate (hi > lo per axis)")
-    res = np.broadcast_to(np.asarray(resolution, dtype=int), (dim,)).copy()
-    if not np.all(res >= 2):
-        raise InvalidConfigError("resolution must be >= 2 per axis")
+    res = np.asarray(resolution)
+    if res.shape != (dim,) or res.dtype.kind != "i" or not np.all(res >= 2):
+        raise InvalidConfigError(f"resolution must be {dim} integers >= 2")
     shape = tuple(int(r) for r in res)
+    if isinstance(candidates, tuple):
+        cand_sigma2, cand_mu = (np.asarray(t, dtype=float) for t in candidates)
+        if cand_sigma2.ndim != 1 or cand_sigma2.size == 0:
+            raise InvalidConfigError("explicit candidate list must be nonempty")
+        _check_table("cand_sigma2", cand_sigma2, cand_sigma2.shape)
+        _check_table("cand_mu", cand_mu, (cand_sigma2.shape[0], cfg.N))
+        cand_shape = cand_origin = None
+        n_candidates = cand_sigma2.shape[0]
+    else:
+        steps = np.asarray(candidates)
+        if steps.shape != (dim,) or steps.dtype.kind != "i" or not np.all(steps >= 0):
+            raise InvalidConfigError(f"cand_steps must be {dim} integers >= 0")
+        cand_shape = tuple(r + 2 * int(e) for r, e in zip(shape, steps))
+        cand_origin = tuple(-int(e) for e in steps)
+        n_candidates = math.prod(cand_shape)
+    _check_size(math.prod(shape), n_candidates, dim)
 
     spacing = (box[:, 1] - box[:, 0]) / res
     centers = [box[d, 0] + spacing[d] * (np.arange(res[d]) + 0.5) for d in range(dim)]
@@ -291,38 +311,19 @@ def discretize(
 
     cell_s2, cell_m = _from_coords(cell_coords)
 
-    spec = candidate_spec if candidate_spec is not None else CandidateSpec()
-    if spec.parameters is not None:
-        params = list(spec.parameters)
-        if not params:
-            raise InvalidConfigError("explicit candidate list must be nonempty")
-        cand_sigma2 = np.array([p.sigma2 for p in params])
-        cand_mu = np.stack([p.mu for p in params])
-        cand_shape = None
-        cand_origin = None
-    else:
-        ext_steps = np.maximum(np.rint(spec.extension * res).astype(int), 0)
-        cand_shape = tuple(int(res[d] + 2 * ext_steps[d]) for d in range(dim))
+    if cand_shape is not None:
         cand_axes = [
-            box[d, 0] + spacing[d] * (np.arange(cand_shape[d]) - ext_steps[d] + 0.5)
+            box[d, 0] + spacing[d] * (np.arange(cand_shape[d]) - steps[d] + 0.5)
             for d in range(dim)
         ]
         cmesh = np.meshgrid(*cand_axes, indexing="ij")
         cand_sigma2, cand_mu = _from_coords(np.stack([g.ravel() for g in cmesh], axis=1))
-        cand_origin = tuple(int(-e) for e in ext_steps)
-    cand_coords = _to_coords(cand_sigma2, cand_mu)
 
-    lattice = LatticeInfo(
-        lo=box[:, 0].copy(),
-        hi=box[:, 1].copy(),
-        shape=shape,
-        cand_shape=cand_shape,
-        cand_origin=cand_origin,
-    )
-    return _problem(
-        cfg, prior, "truncated", lattice,
-        mass=mass, cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
-        cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=cand_coords,
+    return DiscreteProblem(
+        cfg=cfg, prior=prior, mass=mass, cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
+        cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=_to_coords(cand_sigma2, cand_mu),
+        penalty=_penalty_matrix(cell_s2, cell_m, cand_sigma2, cand_mu, prior, cfg),
+        lattice=LatticeInfo(box[:, 0].copy(), box[:, 1].copy(), shape, cand_shape, cand_origin),
     )
 
 
@@ -352,26 +353,6 @@ def _wrap(x, period):
     return (x + 0.5 * period) % period - 0.5 * period
 
 
-def _problem(
-    cfg: ProblemConfig, prior: PriorSpec, topology: str, lattice: LatticeInfo | None, **tables
-) -> DiscreteProblem:
-    """The problem on the given cell and candidate tables; the penalty
-    matrix is the one field derived from them."""
-    _check_tables(cfg, tables)
-    if topology == "torus":
-        if lattice is None:
-            raise InvalidConfigError("torus problems need their lattice")
-        period = lattice.hi[0] - lattice.lo[0]
-        penalty = _torus_penalty(tables["cell_coords"], tables["cand_coords"], period, prior, cfg)
-    else:
-        penalty = _penalty_matrix(
-            tables["cell_s2"], tables["cell_m"], tables["cand_sigma2"], tables["cand_mu"], prior, cfg
-        )
-    return DiscreteProblem(
-        cfg=cfg, prior=prior, **tables, penalty=penalty, topology=topology, lattice=lattice
-    )
-
-
 def torus_problem(
     cfg: ProblemConfig,
     prior: PriorSpec,
@@ -397,10 +378,14 @@ def torus_problem(
         raise InvalidConfigError("n_cells must be >= 2")
     if candidate_stride < 1 or n_cells % candidate_stride != 0:
         raise InvalidConfigError("candidate_stride must divide n_cells")
+    for name, value in (("log_s_lo", log_s_lo), ("log_s_hi", log_s_hi), ("mean_coord", mean_coord)):
+        if not math.isfinite(value):
+            raise InvalidConfigError(f"{name} must be finite, got {value!r}")
     if not log_s_hi > log_s_lo:
         raise InvalidConfigError("log-scale range must be nondegenerate")
-
     dim = cfg.N + 1
+    _check_size(n_cells, n_cells // candidate_stride, dim)
+
     period = log_s_hi - log_s_lo
     spacing = period / n_cells
     ls = log_s_lo + spacing * (np.arange(n_cells) + 0.5)
@@ -408,22 +393,23 @@ def torus_problem(
 
     cell_coords = np.concatenate([ls[:, None], np.tile(u0, (n_cells, 1))], axis=1)
     cell_s2, cell_m = _from_coords(cell_coords)
-    mass = np.full(n_cells, 1.0 / n_cells)
     cand_coords = cell_coords[::candidate_stride].copy()
     cand_sigma2, cand_mu = _from_coords(cand_coords)
 
-    lattice = LatticeInfo(
-        lo=np.concatenate([[log_s_lo], u0 - 0.5]),
-        hi=np.concatenate([[log_s_hi], u0 + 0.5]),
-        shape=(n_cells,) + (1,) * cfg.N,
-        cand_shape=(n_cells // candidate_stride,) + (1,) * cfg.N,
-        cand_origin=(0,) * dim,
-        stride=candidate_stride,
-    )
-    return _problem(
-        cfg, prior, "torus", lattice,
-        mass=mass, cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
+    return DiscreteProblem(
+        cfg=cfg, prior=prior, mass=np.full(n_cells, 1.0 / n_cells),
+        cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
         cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=cand_coords,
+        penalty=_torus_penalty(cell_coords, cand_coords, period, prior, cfg),
+        topology="torus",
+        lattice=LatticeInfo(
+            lo=np.concatenate([[log_s_lo], u0 - 0.5]),
+            hi=np.concatenate([[log_s_hi], u0 + 0.5]),
+            shape=(n_cells,) + (1,) * cfg.N,
+            cand_shape=(n_cells // candidate_stride,) + (1,) * cfg.N,
+            cand_origin=(0,) * dim,
+            stride=candidate_stride,
+        ),
     )
 
 
@@ -962,23 +948,32 @@ def transport_cost_bound(problem: DiscreteProblem, lattice_shift) -> float:
 
 # ---------------------------------------------------------------------------
 # Serialization: problems and codebooks are ``reporting.render_json`` reports.
-# Floats are written with ``repr``, so every stored table reloads bit for bit;
-# the penalty matrix is recomputed from the tables on load.
+# A problem report holds its builder's inputs, and loading calls that builder,
+# so every table and the penalty come back bit for bit (floats are written
+# with ``repr``) and a report can describe only a problem a builder makes.
+
+_RECIPE_KEYS = {  # beside report, N, J, prior_p and topology
+    "torus": {"n_cells", "log_s_lo", "log_s_hi", "mean_coord", "candidate_stride"},
+    "truncated": {"box", "resolution", "cand_steps"},
+    "explicit": {"box", "resolution", "cand_sigma2", "cand_mu"},
+}
 
 
 def problem_to_text(problem: DiscreteProblem) -> str:
     lat = problem.lattice
-    return render_json(
-        "discrete-problem",
-        {
-            "N": problem.cfg.N,
-            "J": problem.cfg.J,
-            "prior_p": problem.prior.p,
-            "topology": problem.topology,
-            "lattice": None if lat is None else dataclasses.asdict(lat),
-            **{name: getattr(problem, name) for name in _TABLES},
-        },
-    )
+    if lat is None:
+        raise InvalidConfigError("only a problem built by discretize or torus_problem can be saved")
+    if problem.topology == "torus":
+        recipe = {"n_cells": lat.shape[0], "log_s_lo": lat.lo[0], "log_s_hi": lat.hi[0],
+                  "mean_coord": problem.cell_coords[0, 1], "candidate_stride": lat.stride}
+    elif lat.cand_shape is None:
+        recipe = {"box": np.stack([lat.lo, lat.hi], axis=1), "resolution": lat.shape,
+                  "cand_sigma2": problem.cand_sigma2, "cand_mu": problem.cand_mu}
+    else:
+        recipe = {"box": np.stack([lat.lo, lat.hi], axis=1), "resolution": lat.shape,
+                  "cand_steps": [-o for o in lat.cand_origin]}
+    head = {"N": problem.cfg.N, "J": problem.cfg.J, "prior_p": problem.prior.p, "topology": problem.topology}
+    return render_json("discrete-problem", {**head, **recipe})
 
 
 @contextmanager
@@ -1009,30 +1004,30 @@ def _json_array(data: dict, key: str, kinds: str = "if") -> np.ndarray:
     return arr.astype(float) if "f" in kinds else arr
 
 
-def _json_ints(data: dict, key: str) -> tuple[int, ...] | None:
-    return None if data[key] is None else tuple(_json_array(data, key, "i").tolist())
-
-
 @_parsing("discrete-problem")
 def problem_from_text(text: str) -> DiscreteProblem:
     data = _load_report(text, "discrete-problem")
-    lattice = data["lattice"]
-    if lattice is not None:
-        lattice = LatticeInfo(
-            lo=_json_array(lattice, "lo"),
-            hi=_json_array(lattice, "hi"),
-            shape=_json_ints(lattice, "shape"),
-            cand_shape=_json_ints(lattice, "cand_shape"),
-            cand_origin=_json_ints(lattice, "cand_origin"),
-            stride=_json_array(lattice, "stride", "i").item(),
+    topology = data["topology"]
+    if topology not in ("truncated", "torus"):
+        raise InvalidConfigError(f"unknown topology {topology!r}")
+    recipe = "explicit" if topology == "truncated" and "cand_steps" not in data else topology
+    keys = {"report", "N", "J", "prior_p", "topology"} | _RECIPE_KEYS[recipe]
+    if data.keys() != keys:
+        raise InvalidConfigError(
+            f"discrete-problem report has unknown keys {sorted(data.keys() - keys)}"
+            f" and lacks keys {sorted(keys - data.keys())}"
         )
-    return _problem(
-        ProblemConfig(N=data["N"], J=data["J"]),
-        PriorSpec(_json_array(data, "prior_p").item()),
-        data["topology"],
-        lattice,
-        **{name: _json_array(data, name) for name in _TABLES},
-    )
+    cfg = ProblemConfig(N=data["N"], J=data["J"])
+    prior = PriorSpec(_json_array(data, "prior_p").item())
+    if recipe == "torus":
+        ints = {key: _json_array(data, key, "i").item() for key in ("n_cells", "candidate_stride")}
+        floats = {key: _json_array(data, key).item() for key in ("log_s_lo", "log_s_hi", "mean_coord")}
+        return torus_problem(cfg, prior, **ints, **floats)
+    if recipe == "truncated":
+        candidates = _json_array(data, "cand_steps", "i")
+    else:
+        candidates = (_json_array(data, "cand_sigma2"), _json_array(data, "cand_mu"))
+    return _discretize(cfg, prior, _json_array(data, "box"), _json_array(data, "resolution", "i"), candidates)
 
 
 def codebook_to_text(codebook: Codebook) -> str:

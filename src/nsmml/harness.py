@@ -22,6 +22,7 @@ from .model import (
     InvalidConfigError,
     PriorSpec,
     ProblemConfig,
+    _check_positive,
     sufficient_stats,
 )
 from .estimators import PRIOR_FREE_METHODS, SIGMA2_HAT, method_from_name
@@ -52,19 +53,13 @@ def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri((2.0 * k + 1.0) / float(1 << 54))
 
 
-def _check_variance(value, name: str) -> None:
-    """Reject a variance that is not finite and > 0, naming it and its value."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise InvalidConfigError(f"{name} must be finite and > 0, got {value!r}")
-
-
 def simulate(cfg: ProblemConfig, sigma2_true: float, mu_true, seed) -> np.ndarray:
     """Draw an ``N x J`` sample with ``x[n, j] ~ Normal(mu_n, sigma2_true)``.
 
     ``seed`` may be an integer or a ``numpy.random.SeedSequence``; output
     is byte-identical for equal seeds.
     """
-    _check_variance(sigma2_true, "sigma2_true")
+    _check_positive(sigma2_true, "sigma2_true")
     mu = np.broadcast_to(np.asarray(mu_true, dtype=float), (cfg.N,))
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.PCG64(ss))
@@ -101,7 +96,7 @@ class SweepSpec:
             raise InvalidConfigError("N_list must be strictly increasing positive integers")
         if self.trials < 1:
             raise InvalidConfigError("trials must be >= 1")
-        _check_variance(self.sigma2_true, "sigma2_true")
+        _check_positive(self.sigma2_true, "sigma2_true")
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.estimators or any(e not in SIGMA2_HAT for e in self.estimators):

@@ -191,6 +191,12 @@ class Parameter:
         return math.sqrt(self.sigma2)
 
 
+def _check_positive(value, name: str) -> None:
+    """Reject a value that is not finite and > 0, naming it and its value."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InvalidConfigError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def _check_stat(stat: SufficientStat, cfg: ProblemConfig) -> None:
     if stat.n_groups != cfg.N:
         raise InvalidConfigError(

@@ -36,6 +36,7 @@ from .model import (
     ProblemConfig,
     SufficientStat,
     _check_param,
+    _check_positive,
     _check_stat,
     code_penalty_R,
     log_likelihood_kernel,
@@ -164,6 +165,7 @@ def check_automorphism(
     marginal condition's violation is ``|p - (N+1)| * log alpha`` in closed
     form; the likelihood condition holds identically for this family.
     """
+    _check_positive(tol, "tol")
     if samples < 1:
         raise InvalidConfigError("samples must be >= 1")
     if aut.n_groups != cfg.N:
@@ -262,6 +264,7 @@ def homogeneity_check(
     log sigma^2`` (slope ``N/2`` under the Wallace prior, zero under the
     scale-free prior) and reports the residual of that law.
     """
+    _check_positive(tol, "tol")
     if not thetas:
         raise InvalidConfigError("thetas must be a nonempty sample")
     values = [penalty_at_ideal_point(theta, prior, cfg) for theta in thetas]
@@ -289,6 +292,7 @@ def comprehensiveness_check(
     The closed-form minimizer is the forward Ideal Point estimate.  The
     drift law here is ``R_opt = const + ((N+1-p)/2) * log s^2``.
     """
+    _check_positive(tol, "tol")
     if not stats:
         raise InvalidConfigError("stats must be a nonempty sample")
     values = [code_penalty_R(ip_estimate(stat, prior, cfg).theta, stat, prior, cfg) for stat in stats]

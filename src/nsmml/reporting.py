@@ -78,10 +78,4 @@ def table_to_csv(header: list[str], rows: list[list]) -> str:
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    return "" if value is None else _fmt_scalar(value)

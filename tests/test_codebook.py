@@ -508,7 +508,7 @@ class TestSerialization:
         bad = malformed_variants(text) + [
             "\n\n",
             codebook_to_text(Codebook(np.zeros(4, dtype=int), CodebookCost(0.0, 0.0, 0.0))),
-            edited(text, lattice=None),
+            edited(text, cand_coords=[[0.0, 0.0], [0.5, 0.0]]),
             # the line format that preceded the JSON reports
             "nsmml/discrete-problem 1\nN 1\nJ 2\nprior_p 2.0\ntopology torus\nlattice 0\n",
         ]
@@ -519,45 +519,66 @@ class TestSerialization:
             problem_from_text(bad[-1])
 
     def test_malformed_problem_geometry_rejected(self):
-        prob = discretize(CFG, SCALE_FREE, BOX, 2, CandidateSpec(extension=0.5))
-        text = problem_to_text(prob)
-        lattice = json.loads(text)["lattice"]
-        for change in (
-            {"shape": [4, 4]},
-            {"shape": [2, 2, 1]},
-            {"shape": [2.5, 2]},
-            {"shape": [-2, -2]},
-            {"cand_shape": [4, 5]},
-            {"cand_shape": [4.0, 4.0]},
-            {"cand_origin": [-1]},
-            {"cand_origin": [-1.5, -1]},
-            {"lo": [-1.5]},
-            {"hi": [1.5, float("inf")]},
-            {"stride": 0},
-            {"stride": 2.5},
+        text = problem_to_text(discretize(CFG, SCALE_FREE, BOX, 2, CandidateSpec(extension=0.5)))
+        params = tuple(Parameter(s2, [0.0]) for s2 in (0.5, 2.0))
+        explicit = problem_to_text(discretize(CFG, SCALE_FREE, BOX, 2, CandidateSpec(parameters=params)))
+        torus = problem_to_text(torus_problem(CFG, SCALE_FREE, 4, candidate_stride=2))
+        for t in (
+            edited(text, box=[[-1.5, 1.5]]),
+            edited(text, box=[[-1.5, 1.5, 0.0], [-1.5, 1.5, 0.0]]),
+            edited(text, box=[[-1.5, 1.5], [-1.5, float("inf")]]),
+            edited(text, box=[[1.5, -1.5], [-1.5, 1.5]]),
+            edited(text, resolution=[2.5, 2]),
+            edited(text, resolution=[-2, -2]),
+            edited(text, resolution=[2, 2, 1]),
+            edited(text, cand_steps=[-1, 0]),
+            edited(text, cand_steps=[1.0, 1.0]),
+            edited(text, cand_steps=[1]),
+            edited(text, N=2),
+            edited(text, N=10**400),
+            edited(explicit, cand_sigma2=[]),
+            edited(explicit, cand_mu=[[0.0]]),
+            edited(explicit, cand_mu=[[0.0], [float("inf")]]),
+            edited(torus, candidate_stride=3),
+            edited(torus, candidate_stride=0),
+            edited(torus, candidate_stride=2.5),
+            edited(torus, n_cells=[4, 4]),
+            edited(torus, N=2),
+            edited(explicit, topology="explicit"),
         ):
             with pytest.raises(InvalidConfigError):
-                problem_from_text(edited(text, lattice={**lattice, **change}))
-        cell_coords = prob.cell_coords.tolist()
-        cell_coords[1][0] = float("inf")
-        for fields in ({"cell_coords": cell_coords}, {"cell_coords": np.tile(prob.cell_coords, 2).tolist()},
-                       {"cell_s2": [1.0]}, {"cand_mu": prob.cand_mu[:-1].tolist()},
-                       {"N": 2}, {"N": 10**400}):
-            with pytest.raises(InvalidConfigError):
-                problem_from_text(edited(text, **fields))
+                problem_from_text(t)
 
     def test_nonpositive_variance_table_named_without_warning(self):
-        # The tables are checked before the penalty build, so the log of a
-        # negative variance never runs.
-        for prob in (discretize(CFG, SCALE_FREE, BOX, 3), torus_problem(CFG, SCALE_FREE, 4, candidate_stride=2)):
-            text = problem_to_text(prob)
-            for name, value in (("cand_sigma2", -1.0), ("cell_s2", -1.0), ("cand_sigma2", 0.0)):
-                table = json.loads(text)[name]
-                table[0] = value
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    with pytest.raises(InvalidConfigError, match=f"^{name} must be > 0$"):
-                        problem_from_text(edited(text, **{name: table}))
+        # Explicit candidate tables are checked before the penalty build, so
+        # the log of a negative variance never runs.
+        params = tuple(Parameter(s2, [0.0]) for s2 in (0.5, 2.0))
+        text = problem_to_text(discretize(CFG, SCALE_FREE, BOX, 3, CandidateSpec(parameters=params)))
+        for value in (-1.0, 0.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidConfigError, match="^cand_sigma2 must be > 0$"):
+                    problem_from_text(edited(text, cand_sigma2=[value, 2.0]))
+
+    def test_torus_report_cannot_move_a_candidate_off_the_lattice(self):
+        # A torus report holds the ring, not its candidates, so a candidate
+        # moved a third of a cell (which would break the transport symmetry)
+        # has no field to live in.
+        tor = torus_problem(CFG, SCALE_FREE, 18, candidate_stride=3)
+        text = problem_to_text(tor)
+        moved = tor.cand_coords.copy()
+        moved[0, 0] += (tor.lattice.hi[0] - tor.lattice.lo[0]) / 18 / 3
+        cand_sigma2, cand_mu = np.exp(2.0 * moved[:, 0]), moved[:, 1:] * np.exp(moved[:, :1])
+        for fields in (
+            {"cand_coords": moved.tolist()},
+            {"cand_sigma2": cand_sigma2.tolist(), "cand_mu": cand_mu.tolist()},
+            {"cand_steps": [0, 0]},
+            {"box": [[-2.0, 2.0], [-0.5, 0.5]]},
+        ):
+            with pytest.raises(InvalidConfigError, match="unknown keys"):
+                problem_from_text(edited(text, **fields))
+        back = problem_from_text(text)
+        assert back.cand_coords.tobytes() == back.cell_coords[::3].tobytes()
 
     def test_malformed_codebook_text_rejected(self):
         prob = discretize(CFG, SCALE_FREE, BOX, 3)

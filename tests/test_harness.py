@@ -1,7 +1,9 @@
 """Simulation moments, sweep bookkeeping, config parsing, and the CLI."""
 
+import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from nsmml import (
     DegenerateInputError,
     InvalidConfigError,
+    PriorSpec,
     ProblemConfig,
     ip_estimate,
     marginalized_sigma2_ml,
@@ -19,8 +22,10 @@ from nsmml import (
     sufficient_stats,
     wf_estimate,
 )
+from nsmml import codebook as cbk
 from nsmml.harness import SweepSpec, parse_sweep_config, rows_to_csv, run_sweep, trial_ratios
 from nsmml.cli import main
+from nsmml.reporting import render_json
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -337,14 +342,36 @@ class TestCli:
         problem_file.write_text("nsmml/discrete-problem 1\nN 1\nJ 2\n")
         assert main(["smml", "--load-problem", str(problem_file)]) == 2
         assert "discrete-problem" in capsys.readouterr().err
-        # A lattice of 4 x 4 cells around a 2-cell problem.
-        assert main(["smml", "--torus", "2", "--save-problem", str(problem_file)]) == 0
+        # A ring of 5 cells with a candidate on every second one.
+        assert main(["smml", "--torus", "4", "--torus-stride", "2", "--save-problem", str(problem_file)]) == 0
         data = json.loads(problem_file.read_text())
-        data["lattice"]["shape"] = [4, 4]
+        data["n_cells"] = 5
         problem_file.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["smml", "--load-problem", str(problem_file), "--shift", "1"]) == 2
-        assert capsys.readouterr().err.startswith("error: lattice shape")
+        assert capsys.readouterr().err == "error: candidate_stride must divide n_cells\n"
+        # 10^10 cells: the size limit rejects the recipe before any table is built.
+        assert main(["smml", "--resolution", "4", "--save-problem", str(problem_file)]) == 0
+        data = json.loads(problem_file.read_text())
+        data["resolution"] = [100000, 100000]
+        problem_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["smml", "--load-problem", str(problem_file)]) == 2
+        assert capsys.readouterr().err.startswith("error: 10000000000 cells x ")
+
+    def test_smml_seven_table_problem_file_exit_two(self, tmp_path, capsys):
+        # A report that stores the cell and candidate tables instead of the
+        # builder's inputs describes no problem a builder makes.
+        prob = cbk.torus_problem(ProblemConfig(N=1, J=2), PriorSpec(2.0), 4, candidate_stride=2)
+        tables = ("mass", "cell_s2", "cell_m", "cell_coords", "cand_sigma2", "cand_mu", "cand_coords")
+        problem_file = tmp_path / "prob.json"
+        problem_file.write_text(render_json("discrete-problem", {
+            "N": 1, "J": 2, "prior_p": 2.0, "topology": "torus",
+            "lattice": dataclasses.asdict(prob.lattice),
+            **{name: getattr(prob, name) for name in tables},
+        }))
+        assert main(["smml", "--load-problem", str(problem_file)]) == 2
+        assert capsys.readouterr().err.startswith("error: discrete-problem report has unknown keys")
 
     def test_smml_torus_transport_report(self, capsys):
         assert main(["smml", "--N", "1", "--J", "2", "--torus", "12",
@@ -400,6 +427,25 @@ class TestCli:
         assert capsys.readouterr().err == "error: sigma2_true must be finite and > 0, got inf\n"
         assert main(["simulate", "--N", "2", "--J", "2", "--sigma2", "inf"]) == 2
         assert capsys.readouterr() == ("", "error: sigma2_true must be finite and > 0, got inf\n")
+        # Non-finite builder inputs, oversized instances and malformed
+        # tolerances are named before any arithmetic runs.
+        for argv, message in (
+            (["smml", "--cand-extension", "nan"], "extension must be finite, got nan"),
+            (["smml", "--box-half-width", "inf"], "box must be finite"),
+            (["smml", "--torus", "8", "--log-s-hi", "inf"], "log_s_hi must be finite, got inf"),
+            (["smml", "--torus", "8", "--torus-mean", "nan"], "mean_coord must be finite, got nan"),
+            (["smml", "--torus", "1000000"], "1000000 cells x 1000000 candidates exceed 268435456 table entries"),
+            (["regularity", "--tol", "nan"], "tol must be finite and > 0, got nan"),
+            (["regularity", "--check", "homogeneity", "--tol", "-1"], "tol must be finite and > 0, got -1.0"),
+            (["regularity", "--tol", "inf"], "tol must be finite and > 0, got inf"),
+            (["regularity", "--check", "comprehensiveness", "--tol", "0"], "tol must be finite and > 0, got 0.0"),
+            (["regularity", "--check", "automorphism", "--tol", "nan"], "tol must be finite and > 0, got nan"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {message}")
 
     def test_csv_rows_byte_stable(self):
         spec = parse_sweep_config(SWEEP_CONFIG)
