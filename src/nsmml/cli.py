@@ -294,9 +294,7 @@ def _cmd_smml(args) -> int:
         report["transport"] = {
             "shift": shift,
             "delta_L": moved.cost.L - book.cost.L,
-            "bound": cbk.transport_cost_bound(problem, shift_arg)
-            if problem.topology == "truncated"
-            else 0.0,
+            "bound": cbk.transport_cost_bound(problem, shift_arg),
         }
     if args.save_problem:
         _resolve_out(args.save_problem, args.outdir).write_text(cbk.problem_to_text(problem))

@@ -199,6 +199,19 @@ def _check_size(cells: int, candidates: int, dim: int) -> None:
         raise InvalidConfigError(f"{cells} cells x {candidates} candidates exceed {_TABLE_LIMIT} table entries")
 
 
+@contextmanager
+def _float_range(inputs: str):
+    """Reject a build, naming ``inputs``, at its first floating-point
+    overflow, invalid operation or log of zero, so no table or penalty
+    leaves the float range and numpy prints no warning; usable as a
+    decorator."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise InvalidConfigError(f"{inputs} take the tables out of the float range ({exc})") from None
+
+
 def _penalty_matrix(
     cell_s2: np.ndarray,
     cell_m: np.ndarray,
@@ -255,10 +268,14 @@ def discretize(
     else:
         if not math.isfinite(spec.extension):
             raise InvalidConfigError(f"extension must be finite, got {spec.extension!r}")
-        candidates = [max(round(spec.extension * int(r)), 0) for r in res]
+        if spec.extension < 0.0:
+            raise InvalidConfigError(f"extension must be >= 0, got {spec.extension!r}")
+        # More than _TABLE_LIMIT steps exceed the table limit on their own.
+        candidates = [min(round(spec.extension * int(r)), _TABLE_LIMIT) for r in res]
     return _discretize(cfg, prior, box, res, candidates)
 
 
+@_float_range("box and candidates")
 def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidates) -> DiscreteProblem:
     """The truncated problem on ``box`` at ``resolution`` cells per axis.
 
@@ -327,25 +344,18 @@ def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidate
     )
 
 
-def _torus_penalty(
-    cell_coords: np.ndarray,
-    cand_coords: np.ndarray,
-    period: float,
-    prior: PriorSpec,
-    cfg: ProblemConfig,
-) -> np.ndarray:
-    # R of the representative pair at the wrapped log-scale offset delta:
-    # stat (s = e^delta, m = u0 * s) against theta (sigma = 1, mu = u0), where
-    # u0 is the mean coordinate shared by every cell.
-    delta = _wrap(cell_coords[:, 0][:, None] - cand_coords[:, 0][None, :], period)
-    # Offsets are whole cell spacings; an antipodal one goes to -period/2
-    # whichever side rounding left it on, so every entry depends on the
-    # lattice offset alone.
-    spacing = period / cell_coords.shape[0]
-    delta[delta > 0.5 * period - 0.25 * spacing] -= period
-    s2 = np.exp(2.0 * delta)
-    sq_dev = float((cell_coords[0, 1:] ** 2).sum()) * (np.exp(delta) - 1.0) ** 2
-    return code_penalty_kernel(s2, sq_dev, 1.0, prior, cfg)
+def _torus_penalty(n: int, stride: int, spacing: float, u0: np.ndarray, prior: PriorSpec, cfg: ProblemConfig):
+    # R of the representative pair at each lattice offset k in [-(n//2), n - n//2),
+    # delta = k * spacing: stat (s = e^delta, m = u0 * s) against theta
+    # (sigma = 1, mu = u0), where u0 is the mean coordinate shared by every
+    # cell.  Entry (i, j) is the row at offset i - stride * j, so a
+    # stride-compatible shift permutes the matrix exactly.
+    half = n // 2
+    delta = spacing * np.arange(-half, n - half)
+    sq_dev = float((u0**2).sum()) * (np.exp(delta) - 1.0) ** 2
+    row = code_penalty_kernel(np.exp(2.0 * delta), sq_dev, 1.0, prior, cfg)
+    offsets = np.arange(n)[:, None] - np.arange(0, n, stride)[None, :]
+    return row[(offsets + half) % n]
 
 
 def _wrap(x, period):
@@ -353,6 +363,7 @@ def _wrap(x, period):
     return (x + 0.5 * period) % period - 0.5 * period
 
 
+@_float_range("log_s_lo, log_s_hi and mean_coord")
 def torus_problem(
     cfg: ProblemConfig,
     prior: PriorSpec,
@@ -366,11 +377,14 @@ def torus_problem(
 
     Cells sit on a circle of circumference ``log_s_hi - log_s_lo`` in
     ``log s``; candidates occupy every ``candidate_stride``-th cell
-    position.  Penalties are the exact ``R`` values of representative
-    pairs at the wrapped log-scale offset, so any lattice shift compatible
-    with the candidate stride permutes the penalty matrix and leaves every
-    codebook cost unchanged.  Requires the scale-free prior (uniform cell
-    masses); the mean axes are frozen at ``mean_coord``.
+    position.  The penalty is a circulant: one exact ``R`` value per
+    integer lattice offset ``k`` in ``[-(n//2), n - n//2)``, at log-scale
+    offset ``k * spacing``, so any lattice shift compatible with the
+    candidate stride permutes the penalty matrix exactly and leaves every
+    codebook cost unchanged up to the rounding of its sums.  Requires the
+    scale-free prior (uniform cell masses); the mean axes are frozen at
+    ``mean_coord``.  Inputs whose tables or penalty leave the float range
+    are rejected by name.
     """
     if not prior.is_scale_free(cfg):
         raise InvalidConfigError("torus instances require the scale-free prior (uniform masses)")
@@ -383,10 +397,12 @@ def torus_problem(
             raise InvalidConfigError(f"{name} must be finite, got {value!r}")
     if not log_s_hi > log_s_lo:
         raise InvalidConfigError("log-scale range must be nondegenerate")
+    period = log_s_hi - log_s_lo
+    if not math.isfinite(period):
+        raise InvalidConfigError(f"log_s_hi - log_s_lo must be finite, got {period!r}")
     dim = cfg.N + 1
     _check_size(n_cells, n_cells // candidate_stride, dim)
 
-    period = log_s_hi - log_s_lo
     spacing = period / n_cells
     ls = log_s_lo + spacing * (np.arange(n_cells) + 0.5)
     u0 = np.full(cfg.N, float(mean_coord))
@@ -400,7 +416,7 @@ def torus_problem(
         cfg=cfg, prior=prior, mass=np.full(n_cells, 1.0 / n_cells),
         cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
         cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=cand_coords,
-        penalty=_torus_penalty(cell_coords, cand_coords, period, prior, cfg),
+        penalty=_torus_penalty(n_cells, candidate_stride, spacing, u0, prior, cfg),
         topology="torus",
         lattice=LatticeInfo(
             lo=np.concatenate([[log_s_lo], u0 - 0.5]),
@@ -887,54 +903,48 @@ def codebook_transport(problem: DiscreteProblem, codebook: Codebook, lattice_shi
     Cell indices wrap around the box on both topologies (the declared
     policy for the truncated variant); candidate indices wrap on a torus
     and must stay inside the extended lattice otherwise.  On a torus any
-    compatible shift preserves the cost exactly; on a truncated instance
-    the change is bounded by :func:`transport_cost_bound`.
+    compatible shift permutes the penalty matrix exactly, so the cost moves
+    only by the rounding of its sums; on a truncated instance the change
+    is bounded by :func:`transport_cost_bound`.
     """
     if problem.lattice is None or problem.lattice.cand_shape is None:
         raise InvalidConfigError("transport requires lattice cells and lattice candidates")
     lat = problem.lattice
     shift = _shift_vector(problem, lattice_shift)
     assign = _check_assign(problem, codebook.assign)
-    shape = np.asarray(lat.shape)
-    cand_shape = np.asarray(lat.cand_shape)
+    if problem.topology == "torus" and shift[0] % lat.stride != 0:
+        raise InvalidConfigError(
+            f"shift {shift[0]} along the scale axis is incompatible with candidate stride {lat.stride}"
+        )
 
+    # Cell x takes the candidate of cell x - shift, moved by the same step.
+    src_assign = np.roll(assign.reshape(lat.shape), tuple(shift), axis=tuple(range(len(lat.shape)))).ravel()
     if problem.topology == "torus":
-        if shift[0] % lat.stride != 0:
-            raise InvalidConfigError(
-                f"shift {shift[0]} along the scale axis is incompatible with candidate stride {lat.stride}"
-            )
-        if np.any(shift[1:] % shape[1:] != 0):
-            raise InvalidConfigError("mean-axis shifts must be multiples of the (singleton) axis size")
-
-    multi = np.stack(np.unravel_index(np.arange(problem.n_cells), lat.shape), axis=1)
-    src_multi = (multi - shift) % shape
-    src = np.ravel_multi_index(tuple(src_multi.T), lat.shape)
-    src_assign = assign[src]
-
-    cand_multi = np.stack(np.unravel_index(src_assign, lat.cand_shape), axis=1)
-    if problem.topology == "torus":
-        cand_step = shift.copy()
-        cand_step[0] //= lat.stride
-        new_multi = (cand_multi + cand_step) % cand_shape
+        new_assign = (src_assign + shift[0] // lat.stride) % problem.n_candidates
     else:
-        new_multi = cand_multi + shift
-        if np.any(new_multi < 0) or np.any(new_multi >= cand_shape):
+        new_multi = np.stack(np.unravel_index(src_assign, lat.cand_shape), axis=1) + shift
+        if np.any(new_multi < 0) or np.any(new_multi >= lat.cand_shape):
             raise InvalidConfigError(
                 "shift moves an assigned candidate outside the extended candidate lattice"
             )
-    new_assign = np.ravel_multi_index(tuple(new_multi.T), lat.cand_shape)
+        new_assign = np.ravel_multi_index(tuple(new_multi.T), lat.cand_shape)
     return make_codebook(problem, new_assign)
 
 
 def transport_cost_bound(problem: DiscreteProblem, lattice_shift) -> float:
-    """Bound on ``|delta L|`` for transporting a uniform-mass truncated
-    instance: total mass of the wrap-affected boundary layers times the
-    penalty spread.
+    """Bound on ``|delta L|`` for transporting a codebook.
+
+    On a torus it is ``0.0``: a compatible shift permutes the penalty matrix
+    exactly, so ``L`` moves only by the rounding of its sums.  On a
+    uniform-mass truncated instance it is the total mass of the
+    wrap-affected boundary layers times the penalty spread.
     """
     if problem.lattice is None:
         raise InvalidConfigError("transport bound requires a lattice problem")
     lat = problem.lattice
     shift = _shift_vector(problem, lattice_shift)
+    if problem.topology == "torus":
+        return 0.0
     multi = np.stack(np.unravel_index(np.arange(problem.n_cells), lat.shape), axis=1)
     boundary = np.zeros(problem.n_cells, dtype=bool)
     for d, size in enumerate(lat.shape):

@@ -23,7 +23,7 @@ constant independent of ``theta``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -308,10 +308,6 @@ class ConcentrationBox:
     box: np.ndarray
     epsilon: float
 
-    @property
-    def widths(self) -> np.ndarray:
-        return self.box[:, 1] - self.box[:, 0]
-
     def contains_param(self, theta: Parameter) -> bool:
         coords = coords_from_param(theta)
         return bool(np.all(coords >= self.box[:, 0]) and np.all(coords <= self.box[:, 1]))
@@ -386,11 +382,9 @@ class LocalityCertificate:
     per-coordinate centers as ``start/step/count``); ``materialize_grid``
     expands it when ``c^N`` is small enough to enumerate.
 
-    ``exempt_box`` is the covering box, in ``(log s, m/s)`` coordinates, of
-    the region where domination is not asserted (``delta_prime <= s/sigma
-    <= delta`` and ``|m_n - mu_n| <= sigma*sqrt(2T)``); its scaled
-    probability is bounded by ``v0_bound``, which depends only on
-    ``(N, J, c)``.
+    ``v0_bound`` bounds the scaled probability of the exempt region, where
+    domination is not asserted (``delta_prime <= s/sigma <= delta`` and
+    ``|m_n - mu_n| <= sigma*sqrt(2T)``); it depends only on ``(N, J, c)``.
     """
 
     theta: Parameter
@@ -404,8 +398,7 @@ class LocalityCertificate:
     grid_sigma: float
     grid_start: np.ndarray
     grid_step: np.ndarray
-    exempt_box: np.ndarray = field(repr=False)
-    v0_bound: float = 0.0
+    v0_bound: float
 
     def materialize_grid(self) -> list[Parameter]:
         count = self.c**self.cfg.N
@@ -487,17 +480,6 @@ def _build_certificate(theta: Parameter, cfg: ProblemConfig, c: int) -> Locality
     grid_step = np.full(cfg.N, step)
     grid_sigma = math.sqrt(2.0 * cfg.nj) * sigma / c
 
-    # Covering box of the exempt region in (log s, m/s) coordinates.
-    ls_lo = math.log(sigma * delta_prime)
-    ls_hi = math.log(sigma * delta)
-    lo_m = theta.mu - shift
-    hi_m = theta.mu + shift
-    s_lo = sigma * delta_prime
-    s_hi = sigma * delta
-    u_lo = np.minimum(lo_m / s_lo, lo_m / s_hi)
-    u_hi = np.maximum(hi_m / s_lo, hi_m / s_hi)
-    exempt_box = np.vstack([np.array([[ls_lo, ls_hi]]), np.stack([u_lo, u_hi], axis=1)])
-
     v0 = (2.0 * math.sqrt(2.0 * T)) ** cfg.N * math.log(delta / delta_prime) / delta_prime**cfg.N
     return LocalityCertificate(
         theta=theta,
@@ -511,7 +493,6 @@ def _build_certificate(theta: Parameter, cfg: ProblemConfig, c: int) -> Locality
         grid_sigma=grid_sigma,
         grid_start=grid_start,
         grid_step=grid_step,
-        exempt_box=exempt_box,
         v0_bound=v0,
     )
 

@@ -435,6 +435,7 @@ class TestTransport:
         for shift in range(0, 16, 2):
             moved = codebook_transport(tor, book, shift)
             assert abs(moved.cost.L - book.cost.L) < 1e-12
+            assert transport_cost_bound(tor, shift) == 0.0
 
     def test_torus_incompatible_stride_rejected(self):
         tor = torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2)

@@ -435,6 +435,15 @@ class TestCli:
             (["smml", "--torus", "8", "--log-s-hi", "inf"], "log_s_hi must be finite, got inf"),
             (["smml", "--torus", "8", "--torus-mean", "nan"], "mean_coord must be finite, got nan"),
             (["smml", "--torus", "1000000"], "1000000 cells x 1000000 candidates exceed 268435456 table entries"),
+            (["smml", "--cand-extension", "-1", "--resolution", "4"], "extension must be >= 0, got -1.0"),
+            (["smml", "--cand-extension", "1e300"],
+             "256 cells x 288230393331581184 candidates exceed 268435456 table entries"),
+            # Geometry whose tables or penalty would overflow names its inputs.
+            (["smml", "--box-half-width", "400"], "box and candidates take the tables out of the float range"),
+            (["smml", "--torus", "8", "--log-s-lo=-1e308", "--log-s-hi=1e308"],
+             "log_s_hi - log_s_lo must be finite, got inf"),
+            (["smml", "--torus", "8", "--torus-mean", "1e200"],
+             "log_s_lo, log_s_hi and mean_coord take the tables out of the float range"),
             (["regularity", "--tol", "nan"], "tol must be finite and > 0, got nan"),
             (["regularity", "--check", "homogeneity", "--tol", "-1"], "tol must be finite and > 0, got -1.0"),
             (["regularity", "--tol", "inf"], "tol must be finite and > 0, got inf"),

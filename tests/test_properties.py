@@ -3,8 +3,9 @@ coordinate kernels against their scalar wrappers, the Ideal Point as the
 minimizer of the code penalty, the sweep config parser under fuzzed text,
 problem and codebook round trips through their JSON reports, intact and
 fuzzed, the local-search descent against its full-scan oracle, exact <=
-local <= pointwise costs, cost-preserving torus transport, and the uniform
-masses that the count-vector DP requires of scale-free lattices."""
+local <= pointwise costs, torus shifts that permute the penalty bit for
+bit and preserve cost, and the uniform masses that the count-vector DP
+requires of scale-free lattices."""
 
 import json
 import math
@@ -354,12 +355,27 @@ def exact_route_problems(draw):
     return synthetic_problem(mass, rng.uniform(0.0, 3.0, (c, b)))
 
 
+# Float offsets of log-scale coordinates made shifts of this torus move L
+# by up to 1.36e-12 (seed 4 among them).
+_CFG_3 = ProblemConfig(N=3, J=3)
+TORUS_56 = torus_problem(_CFG_3, PriorSpec.scale_free(_CFG_3), 56, 0.0, 6.0, 3.0, 4)
+
+
 @given(torus_problems(), st.integers(0, 2**32 - 1))
+@example(TORUS_56, 4)
 def test_torus_transport_preserves_cost(problem, seed):
     assign = np.random.default_rng(seed).integers(0, problem.n_candidates, problem.n_cells)
     book = make_codebook(problem, assign)
     for shift in range(0, problem.n_cells, problem.lattice.stride):
         assert abs(codebook_transport(problem, book, shift).cost.L - book.cost.L) <= 1e-12
+
+
+@given(torus_problems())
+@example(TORUS_56)
+def test_torus_shifts_permute_the_penalty_exactly(problem):
+    pen, stride = problem.penalty, problem.lattice.stride
+    for shift in range(0, problem.n_cells, stride):
+        assert np.array_equal(np.roll(np.roll(pen, shift, 0), shift // stride, 1), pen)
 
 
 def test_scale_free_lattices_pass_the_uniform_mass_gate():
