@@ -278,12 +278,8 @@ def _cmd_smml(args) -> int:
     }
     if n_optima is not None:
         report["n_optimal_codebooks"] = n_optima
-    if problem.lattice is not None and args.interior_margin:
-        try:
-            overlap = cbk.smml_ip_overlap(problem, book, interior_margin=args.interior_margin)
-            report["overlap"] = overlap.to_dict()
-        except InvalidConfigError as exc:
-            report["overlap"] = {"skipped": str(exc)}
+    if args.interior_margin:
+        report["overlap"] = cbk.smml_ip_overlap(problem, book, interior_margin=args.interior_margin).to_dict()
     if args.shift:
         try:
             shift = [int(v) for v in args.shift.split(",")]

@@ -9,9 +9,9 @@ scaled-marginal mass (uniform exactly when the prior is scale free), a
 finite candidate-parameter list, and the penalty matrix of exact ``R``
 values.  Costs are in nats.
 
-Two minimizers are provided: exact enumeration (vectorized brute force,
-or an exact count-vector dynamic program when masses are uniform) and a
-deterministic alternating local search with restarts.  Audits cover the
+Two minimizers are provided: exact search by a count-vector dynamic
+program over classes of equal-mass cells, and a deterministic alternating
+local search with restarts.  Audits cover the
 largest region mass, the empirical overlap between optimized codebooks
 and the Ideal Point estimator, and transport of codebooks by lattice
 shifts -- on the periodic (torus) variant, transport along the log-scale
@@ -469,93 +469,43 @@ def pointwise_assignment(problem: DiscreteProblem) -> np.ndarray:
 
 
 _EXACT_TOL = 1e-12  # codebooks within this cost of the minimum are all optimal
-_BRUTE_LIMIT = 2**20  # most assignments that brute force enumerates
 _DP_STATE_LIMIT = 4_000_000  # most count vectors in one layer of the exact DP
 
 
 def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
-    """All globally optimal codebooks, exact by enumeration.
+    """All globally optimal codebooks, exact by a count-vector dynamic program.
 
-    Routes: brute force when ``candidates ** cells`` fits under
-    ``_BRUTE_LIMIT`` (the documented small-instance regime, cells <= 12 and
-    candidates <= 8), scoring every assignment from precomputed tables of
-    two cell blocks; otherwise, for uniform-mass instances (scale-free
-    discretizations and torus instances), an exact dynamic program over
-    per-candidate count vectors, valid because the entropy term depends on
-    the assignment only through region masses.  Each DP layer is a sorted
-    integer array of count vectors in mixed-radix form, so the DP also
-    needs ``(cells + 1) ** candidates < 2**63``, and gives up past
+    The entropy term depends on an assignment only through its region
+    masses, so cells of bit-identical mass are exchangeable.  The cells
+    fall into mass classes (one when masses are uniform, as on scale-free
+    lattices and tori; one per log-scale row of a :func:`discretize`
+    instance under any other prior), and a DP state counts the cells of
+    each class assigned to each candidate.  Each DP layer is a sorted
+    integer array of these count vectors in mixed-radix form, so the one
+    precondition, checked in exact integers before any search, is that the
+    code space ``prod_k (size_k + 1) ** candidates`` over the class sizes
+    ``size_k`` stays below ``2**63``.  Every instance with at most ``2**20``
+    assignments and at most 12 candidates meets it (a code space of at most
+    ``2**60``), whatever its masses.  Among the builders' instances of at most
+    ``2**20`` assignments, only 2x2 lattices with 20-32 candidates (28-32
+    when masses are uniform) do not.  The DP gives up past
     ``_DP_STATE_LIMIT`` states in a layer.  Returns every assignment whose
     cost is within ``_EXACT_TOL`` of the global minimum, sorted
     lexicographically.
     """
     c = problem.n_cells
     b = problem.n_candidates
-    if b**c <= _BRUTE_LIMIT:
-        assigns = _exhaustive_brute(problem)
-    elif np.ptp(problem.mass) <= 1e-15 and b <= 12:
-        assigns = _exhaustive_dp(problem)
-    else:
+    weight, cls, size = np.unique(problem.mass, return_inverse=True, return_counts=True)
+    space = math.prod(int(n) + 1 for n in size) ** b  # the mixed-radix code range
+    if space >= 2**63:
         raise SizeLimitError(
-            f"instance too large for exact search: {b}^{c} assignments "
-            "(count-vector DP needs uniform masses and at most 12 candidates)"
+            f"count-vector codes overflow int64: {b} candidates on cells of {size.shape[0]} "
+            f"distinct mass(es) span 2^{math.log2(space):.1f} >= 2^63 codes"
         )
-    assigns.sort(key=tuple)
-    return [make_codebook(problem, a) for a in assigns]
-
-
-def _block_tables(problem: DiscreteProblem, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mass-weighted penalty ``(b^k,)`` and region masses ``(b, b^k)`` of
-    every assignment of ``k`` cells, in lexicographic order (first cell most
-    significant)."""
-    b = problem.n_candidates
-    k = cells.shape[0]
-    l_p = np.zeros((b,) * k)
-    q = np.zeros((b,) + (b,) * k)
-    eye = np.eye(b)
-    for pos, i in enumerate(cells):
-        axis = (1,) * pos + (b,) + (1,) * (k - pos - 1)
-        l_p = l_p + (problem.mass[i] * problem.penalty[i]).reshape(axis)
-        q = q + problem.mass[i] * eye.reshape((b,) + axis)
-    return l_p.ravel(), q.reshape(b, -1)
-
-
-def _exhaustive_brute(problem: DiscreteProblem) -> list[np.ndarray]:
-    # Split the cells into a high and a low block: assignment h * b^c_low + l
-    # costs lp_h[h] + lp_l[l] + H(q_h[:, h] + q_l[:, l]).
-    c = problem.n_cells
-    b = problem.n_candidates
-    c_low = 0
-    while c_low < c and b ** (c_low + 1) <= 1 << 16:
-        c_low += 1
-    lp_h, q_h = _block_tables(problem, np.arange(c - c_low))
-    lp_l, q_l = _block_tables(problem, np.arange(c - c_low, c))
-    n_low = lp_l.shape[0]
-    best = math.inf
-    survivors: list[tuple[float, int]] = []
-    for h in range(lp_h.shape[0]):
-        cost = lp_h[h] + lp_l + _neg_xlogx(q_h[:, h, None] + q_l).sum(axis=0)
-        chunk_best = float(cost.min())
-        if chunk_best < best:
-            best = chunk_best
-            survivors = [(co, ix) for co, ix in survivors if co <= best + _EXACT_TOL]
-        keep = np.flatnonzero(cost <= best + _EXACT_TOL)
-        survivors.extend((float(cost[k]), h * n_low + int(k)) for k in keep)
-    return [
-        np.array(np.unravel_index(ix, (b,) * c), dtype=np.int64)
-        for co, ix in survivors
-        if co <= best + _EXACT_TOL
-    ]
-
-
-def _exhaustive_dp(problem: DiscreteProblem) -> list[np.ndarray]:
-    c = problem.n_cells
-    b = problem.n_candidates
-    base = c + 1  # a count vector n is stored as the code sum_j n_j * base**j
-    if base**b >= 2**63:
-        raise SizeLimitError(f"count-vector codes overflow int64: ({c} + 1)^{b} >= 2^63")
-    radix = base ** np.arange(b, dtype=np.int64)
-    m0 = float(problem.mass[0])
+    # The count n_kj of class-k cells on candidate j is the digit of place
+    # value radix[k, j], of radix size[k] + 1 (one class: (cells + 1)^j).
+    digits = np.tile(size + 1, b)
+    radix = np.cumprod(np.concatenate(([1], digits[:-1]))).reshape(b, -1).T
     w = problem.mass[:, None] * problem.penalty  # per-cell assignment costs
     suffix_min = np.zeros(c + 1)
     mins = w.min(axis=1)
@@ -571,7 +521,7 @@ def _exhaustive_dp(problem: DiscreteProblem) -> list[np.ndarray]:
     layers = [(codes, vals)]
     for i in range(c):
         # One sorted run per candidate, so the stable (merge) sort is cheap.
-        codes = (radix[:, None] + codes[None, :]).ravel()
+        codes = (radix[cls[i]][:, None] + codes[None, :]).ravel()
         vals = (w[i][:, None] + vals[None, :]).ravel()
         keep = vals <= ub + _EXACT_TOL - suffix_min[i + 1]
         codes, vals = codes[keep], vals[keep]
@@ -585,10 +535,14 @@ def _exhaustive_dp(problem: DiscreteProblem) -> list[np.ndarray]:
             raise SizeLimitError("count-vector DP pruned every state; upper bound inconsistent")
         layers.append((codes, vals))
 
-    # Region masses are m0 * n_j, so H = -m0 * sum_j n_j log n_j - log m0.
-    k = np.arange(base)
-    nlogn = k * np.log(np.maximum(k, 1))
-    entropy = -m0 * nlogn[codes[:, None] // radix % base].sum(axis=1) - math.log(m0)
+    # Region masses q_j = sum_k n_kj * weight[k], decoded one candidate at
+    # a time so that no (states, classes, candidates) array is built.
+    entropy = np.zeros(codes.shape[0])
+    for j in range(b):
+        q = np.zeros(codes.shape[0])
+        for k in range(size.shape[0]):
+            q += codes // radix[k, j] % (size[k] + 1) * weight[k]
+        entropy += _neg_xlogx(q)
     best = float((vals + entropy).min())
     target = best + _EXACT_TOL - entropy
     final = vals <= target
@@ -602,11 +556,12 @@ def _exhaustive_dp(problem: DiscreteProblem) -> list[np.ndarray]:
     picks = np.empty((front.shape[0], c), dtype=np.int64)
     for i in range(c, 0, -1):
         prev_codes, prev_vals = layers[i - 1]
-        step = front[:, None] - radix[None, :]
+        place = radix[cls[i - 1]]
+        step = front[:, None] - place[None, :]
         pos = np.minimum(np.searchsorted(prev_codes, step), prev_codes.shape[0] - 1)
         nused = used[:, None] + w[i - 1][None, :]
         ok = (
-            (front[:, None] // radix % base > 0)
+            (front[:, None] // place % (size[cls[i - 1]] + 1) > 0)
             & (prev_codes[pos] == step)
             & (prev_vals[pos] + nused <= target[:, None] + 1e-15)
         )
@@ -616,7 +571,7 @@ def _exhaustive_dp(problem: DiscreteProblem) -> list[np.ndarray]:
         picks = picks[rows]
         picks[:, i - 1] = js
         front, used, target = step[rows, js], nused[rows, js], target[rows]
-    return list(picks)
+    return [make_codebook(problem, a) for a in sorted(picks, key=tuple)]
 
 
 _TOP_K = 32  # length of each cell's list of least-penalty candidates

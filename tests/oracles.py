@@ -5,7 +5,10 @@ integrates prior times likelihood by adaptive quadrature, the Hessian
 oracle uses central finite differences, the raw-sample builder lets
 likelihood values be cross-checked against a literal product of normal
 densities, and the codebook oracle enumerates every assignment in pure
-Python.  ``oracle_descend`` is the local-search descent as first written,
+Python.  ``oracle_brute_optima`` is the vectorized brute force that
+``smml_exhaustive`` once used on small instances: it scores every
+assignment from precomputed tables of two cell blocks, so it reaches
+instances the pure-Python enumeration is too slow for.  ``oracle_descend`` is the local-search descent as first written,
 scanning every candidate on every cell visit; the production descent
 must follow the same trajectory bit for bit.
 """
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from nsmml import ProblemConfig, SufficientStat, sufficient_stats
-from nsmml.codebook import DiscreteProblem, _entropy, _neg_xlogx, codebook_cost
+from nsmml.codebook import _EXACT_TOL, DiscreteProblem, _entropy, _neg_xlogx, codebook_cost
 
 
 def oracle_log_marginal(stat: SufficientStat, p: float, cfg: ProblemConfig) -> float:
@@ -107,6 +110,52 @@ def oracle_smml_optima(mass, penalty, tol: float = 1e-12) -> list[tuple[int, ...
         costs[assign] = l_p - sum(x * math.log(x) for x in q if x > 0.0)
     best = min(costs.values())
     return sorted(a for a, cost in costs.items() if cost <= best + tol)
+
+
+def _block_tables(problem: DiscreteProblem, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mass-weighted penalty ``(b^k,)`` and region masses ``(b, b^k)`` of
+    every assignment of ``k`` cells, in lexicographic order (first cell most
+    significant)."""
+    b = problem.n_candidates
+    k = cells.shape[0]
+    l_p = np.zeros((b,) * k)
+    q = np.zeros((b,) + (b,) * k)
+    eye = np.eye(b)
+    for pos, i in enumerate(cells):
+        axis = (1,) * pos + (b,) + (1,) * (k - pos - 1)
+        l_p = l_p + (problem.mass[i] * problem.penalty[i]).reshape(axis)
+        q = q + problem.mass[i] * eye.reshape((b,) + axis)
+    return l_p.ravel(), q.reshape(b, -1)
+
+
+def oracle_brute_optima(problem: DiscreteProblem) -> list[np.ndarray]:
+    """Every assignment whose cost is within ``_EXACT_TOL`` of the least,
+    by vectorized enumeration of all ``candidates ** cells`` of them."""
+    # Split the cells into a high and a low block: assignment h * b^c_low + l
+    # costs lp_h[h] + lp_l[l] + H(q_h[:, h] + q_l[:, l]).
+    c = problem.n_cells
+    b = problem.n_candidates
+    c_low = 0
+    while c_low < c and b ** (c_low + 1) <= 1 << 16:
+        c_low += 1
+    lp_h, q_h = _block_tables(problem, np.arange(c - c_low))
+    lp_l, q_l = _block_tables(problem, np.arange(c - c_low, c))
+    n_low = lp_l.shape[0]
+    best = math.inf
+    survivors: list[tuple[float, int]] = []
+    for h in range(lp_h.shape[0]):
+        cost = lp_h[h] + lp_l + _neg_xlogx(q_h[:, h, None] + q_l).sum(axis=0)
+        chunk_best = float(cost.min())
+        if chunk_best < best:
+            best = chunk_best
+            survivors = [(co, ix) for co, ix in survivors if co <= best + _EXACT_TOL]
+        keep = np.flatnonzero(cost <= best + _EXACT_TOL)
+        survivors.extend((float(cost[k]), h * n_low + int(k)) for k in keep)
+    return [
+        np.array(np.unravel_index(ix, (b,) * c), dtype=np.int64)
+        for co, ix in survivors
+        if co <= best + _EXACT_TOL
+    ]
 
 
 def oracle_descend(

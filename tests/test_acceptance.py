@@ -185,7 +185,7 @@ def corpus_instance(seed: int):
     shapes = [(3, 4), (4, 3), (2, 6), (3, 3), (2, 5), (4, 2), (2, 4), (3, 2), (2, 3)]
     shape = shapes[int(rng.integers(len(shapes)))]
     cells = shape[0] * shape[1]
-    max_b = max(2, int(2**20 ** (1.0 / cells)))
+    max_b = max(2, int((2**20) ** (1.0 / cells)))
     n_cand = int(rng.integers(2, min(6, max_b) + 1))
     center = rng.uniform(-0.6, 0.6)
     w0 = rng.uniform(0.8, 2.0)

@@ -25,8 +25,6 @@ from nsmml.codebook import (
     DiscreteProblem,
     SizeLimitError,
     _descend,
-    _exhaustive_brute,
-    _exhaustive_dp,
     _penalty_matrix,
     codebook_cost,
     codebook_from_text,
@@ -45,7 +43,7 @@ from nsmml.codebook import (
     transport_cost_bound,
 )
 
-from oracles import oracle_descend, oracle_smml_optima
+from oracles import oracle_brute_optima, oracle_descend, oracle_smml_optima
 
 CFG = ProblemConfig(N=1, J=2)
 SCALE_FREE = PriorSpec.scale_free(CFG)
@@ -263,9 +261,26 @@ class TestExhaustive:
             if k % 2:  # a duplicated candidate makes tied optima
                 penalty = np.concatenate([penalty, penalty[:, :1]], axis=1)
             problems.append(synthetic_problem(np.full(c, 1.0 / c), penalty))
+        # Non-uniform masses: one mass class per cell, one per log-scale
+        # row, and equal masses but for one entry an ulp away (two classes).
+        for k in range(4):
+            c = int(rng.integers(3, 8))
+            penalty = rng.uniform(0, 3, (c, int(rng.integers(2, 5))))
+            if k % 2:
+                penalty = np.concatenate([penalty, penalty[:, :1]], axis=1)
+            problems.append(synthetic_problem(rng.dirichlet(np.ones(c)), penalty))
+        wallace = discretize(CFG, WALLACE, [[-0.8, 0.8], [-0.8, 0.8]], [3, 2],
+                             CandidateSpec(parameters=params))
+        assert np.unique(wallace.mass).size == 3
+        problems.append(wallace)
+        mass = np.full(8, 1.0 / 8)
+        mass[3] = np.nextafter(mass[3], 1.0)
+        ulp = synthetic_problem(mass, rng.uniform(0, 3, (8, 3)))
+        assert np.unique(ulp.mass).size == 2
+        problems.append(ulp)
         for prob in problems:
-            brute = sorted(tuple(a) for a in _exhaustive_brute(prob))
-            dp = sorted(tuple(a) for a in _exhaustive_dp(prob))
+            brute = sorted(tuple(a) for a in oracle_brute_optima(prob))
+            dp = [tuple(o.assign) for o in smml_exhaustive(prob)]
             assert brute == dp and brute
 
     def test_brute_force_matches_enumeration_oracle(self):

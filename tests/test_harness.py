@@ -436,6 +436,10 @@ class TestCli:
             (["smml", "--torus", "8", "--torus-mean", "nan"], "mean_coord must be finite, got nan"),
             (["smml", "--torus", "1000000"], "1000000 cells x 1000000 candidates exceed 268435456 table entries"),
             (["smml", "--cand-extension", "-1", "--resolution", "4"], "extension must be >= 0, got -1.0"),
+            (["smml", "--resolution", "4", "--restarts", "1", "--interior-margin", "-1"],
+             "interior_margin must be >= 1"),
+            (["smml", "--resolution", "4", "--restarts", "1", "--interior-margin", "5"],
+             "interior margin 5 leaves no cells along axis 0"),
             (["smml", "--cand-extension", "1e300"],
              "256 cells x 288230393331581184 candidates exceed 268435456 table entries"),
             # Geometry whose tables or penalty would overflow names its inputs.

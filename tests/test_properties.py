@@ -343,15 +343,23 @@ def test_descent_follows_full_scan_oracle(problem, start, top_k, seed):
 
 @st.composite
 def exact_route_problems(draw):
-    """Small instances for each exact route: any masses within the
-    brute-force limit, or equal masses past it for the count-vector DP."""
+    """Small instances for exact search: any masses on a few cells, or
+    equal masses, or 2-3 distinct mass values, on instances past 2^20
+    assignments."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    branch = draw(st.sampled_from(["dirichlet", "equal", "classes"]))
+    if branch == "dirichlet":
         c, b = draw(st.integers(1, 6)), draw(st.integers(1, 5))
         mass = rng.dirichlet(np.ones(c))
-    else:
+    elif branch == "equal":
         c, b = draw(st.integers(11, 14)), draw(st.integers(4, 5))
         mass = np.full(c, 1.0 / c)
+    else:
+        c, k = draw(st.integers(8, 12)), draw(st.integers(2, 3))
+        b = int(2 ** (20 / c)) + 1 + draw(st.integers(0, 1))  # b**c > 2**20
+        mass = rng.uniform(0.5, 1.5, k)[rng.permutation(np.arange(c) % k)]
+        mass /= mass.sum()
+        assert np.unique(mass).size == k
     return synthetic_problem(mass, rng.uniform(0.0, 3.0, (c, b)))
 
 
@@ -379,16 +387,26 @@ def test_torus_shifts_permute_the_penalty_exactly(problem):
 
 
 def test_scale_free_lattices_pass_the_uniform_mass_gate():
-    # smml_exhaustive takes the count-vector DP only when np.ptp(mass) <= 1e-15.
+    # Bit-identical masses make one mass class, so exact search on a
+    # scale-free lattice counts cells per candidate and nothing more.
     for n, res in ((1, 32), (1, 64), (2, 16), (2, 24)):
         cfg = ProblemConfig(N=n, J=2)
         one = CandidateSpec(parameters=(Parameter(1.0, np.zeros(n)),))
         problem = discretize(cfg, PriorSpec.scale_free(cfg), [[-1.5, 1.5]] * (n + 1), res, one)
         assert problem.n_cells == res ** (n + 1)
-        assert np.ptp(problem.mass) <= 1e-15
+        assert np.unique(problem.mass).size == 1
+
+
+# 5^16 assignments in four mass classes (one per log-scale row).
+WALLACE_44 = discretize(
+    _CFG, PriorSpec.wallace(), [[-1.5, 1.5]] * 2, 4,
+    CandidateSpec(parameters=tuple(Parameter(math.exp(2.0 * ls), [u * math.exp(ls)])
+                                   for ls, u in ((-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1)))),
+)
 
 
 @given(exact_route_problems(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(WALLACE_44, 4, 0)
 def test_exact_local_pointwise_ordering(problem, restarts, seed):
     exact = smml_exhaustive(problem)[0].cost.L
     local = smml_local_search(problem, restarts=restarts, seed=seed).cost.L
