@@ -11,12 +11,12 @@ values.  Costs are in nats.
 
 Two minimizers are provided: exact search by a count-vector dynamic
 program over classes of equal-mass cells, and a deterministic alternating
-local search with restarts.  Audits cover the
-largest region mass, the empirical overlap between optimized codebooks
-and the Ideal Point estimator, and transport of codebooks by lattice
-shifts -- on the periodic (torus) variant, transport along the log-scale
-axis is an exact symmetry, the discrete shadow of the continuum fact that
-scaling a codebook leaves its cost unchanged.
+local search with restarts.  Audits cover the largest region mass, the
+empirical overlap between optimized codebooks and the Ideal Point
+estimator, and transport of codebooks by lattice shifts -- on the
+periodic (torus) variant, transport along the log-scale axis is an exact
+symmetry, the discrete shadow of the continuum fact that scaling a
+codebook leaves its cost unchanged.
 """
 
 from __future__ import annotations

@@ -5,12 +5,13 @@ integrates prior times likelihood by adaptive quadrature, the Hessian
 oracle uses central finite differences, the raw-sample builder lets
 likelihood values be cross-checked against a literal product of normal
 densities, and the codebook oracle enumerates every assignment in pure
-Python.  ``oracle_brute_optima`` is the vectorized brute force that
-``smml_exhaustive`` once used on small instances: it scores every
-assignment from precomputed tables of two cell blocks, so it reaches
-instances the pure-Python enumeration is too slow for.  ``oracle_descend`` is the local-search descent as first written,
-scanning every candidate on every cell visit; the production descent
-must follow the same trajectory bit for bit.
+Python.  ``oracle_brute_optima`` enumerates them vectorized instead,
+scoring every assignment from precomputed tables of two cell blocks, so
+it reaches instances the pure-Python enumeration is too slow for; it was
+the small-instance route of ``smml_exhaustive`` before the count-vector
+DP covered every mass pattern.  ``oracle_descend`` is the local-search
+descent as first written, scanning every candidate on every cell visit;
+the production descent must follow the same trajectory bit for bit.
 """
 
 from __future__ import annotations
