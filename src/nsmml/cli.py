@@ -145,12 +145,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = ProblemConfig(N=args.N, J=args.J)
-    mu = _parse_floats(args.mu)
-    if mu.shape[0] == 1:
-        mu = np.full(cfg.N, mu[0])
-    if mu.shape[0] != cfg.N:
-        raise InvalidConfigError(f"--mu must broadcast to N={cfg.N} groups")
-    data = simulate(cfg, args.sigma2, mu, args.seed)
+    data = simulate(cfg, args.sigma2, _parse_floats(args.mu), args.seed)
     if args.json:
         _emit(render_json("raw-data", {"data": data}), args)
     else:

@@ -56,11 +56,17 @@ def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
 def simulate(cfg: ProblemConfig, sigma2_true: float, mu_true, seed) -> np.ndarray:
     """Draw an ``N x J`` sample with ``x[n, j] ~ Normal(mu_n, sigma2_true)``.
 
+    ``mu_true`` is one finite mean for every group or ``N`` finite means.
     ``seed`` may be an integer or a ``numpy.random.SeedSequence``; output
     is byte-identical for equal seeds.
     """
     _check_positive(sigma2_true, "sigma2_true")
-    mu = np.broadcast_to(np.asarray(mu_true, dtype=float), (cfg.N,))
+    mu = np.atleast_1d(np.asarray(mu_true, dtype=float))
+    if mu.ndim != 1 or mu.shape[0] not in (1, cfg.N):
+        raise InvalidConfigError(f"mu_true must hold 1 or N={cfg.N} means, got shape {mu.shape}")
+    if not np.all(np.isfinite(mu)):
+        raise InvalidConfigError(f"mu_true must be finite, got {mu.tolist()}")
+    mu = np.broadcast_to(mu, (cfg.N,))
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.PCG64(ss))
     z = standard_normal(rng, (cfg.N, cfg.J))

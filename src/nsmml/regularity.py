@@ -512,6 +512,12 @@ def locality_certificate(
     failure raises :class:`CertificateError` carrying the witness point.
     ``seed`` jitters the grid offsets so no sample lands exactly on the
     exempt boundary.
+
+    Log-likelihood gaps are invariant under the scale-translation
+    automorphism, so the margins are scored in ``theta``'s frame, against
+    the certificate at ``(sigma, mu) = (1, 0)``: a large mean or scale
+    neither rounds the gaps away nor overflows them.  Only the reported
+    worst point is mapped back to absolute coordinates.
     """
     _check_param(theta, cfg)
     if c is None:
@@ -538,15 +544,14 @@ def locality_certificate(
     rel_ls = mesh[0].ravel()
     rel_m = np.stack([g.ravel() for g in mesh[1:]], axis=1)
 
-    s = sigma * np.exp(rel_ls)
-    m = theta.mu[None, :] + sigma * rel_m
-    n_points = s.shape[0]
+    rel_s = np.exp(rel_ls)
+    n_points = rel_s.shape[0]
 
     # Exempt region membership (exact, not the covering box).
     sqrt2T = math.sqrt(2.0 * cert.T_margin)
     exempt = (
-        (s / sigma >= cert.delta_prime)
-        & (s / sigma <= cert.delta)
+        (rel_s >= cert.delta_prime)
+        & (rel_s <= cert.delta)
         & np.all(np.abs(rel_m) <= sqrt2T, axis=1)
     )
 
@@ -554,13 +559,15 @@ def locality_certificate(
     n_ext = int(exterior.sum())
     if n_ext == 0:
         raise InvalidConfigError(f"none of the {n_points} grid points lies outside the exempt region")
-    margins = _best_gaps(cert, s, m) - cert.T_margin
+    unit = _build_certificate(Parameter(1.0, np.zeros(cfg.N)), cfg, c)
+    margins = _best_gaps(unit, rel_s, rel_m) - cert.T_margin
     ext_margins = margins[exterior]
     worst_idx_local = int(np.argmin(ext_margins))
     worst_margin = float(ext_margins[worst_idx_local])
     ext_indices = np.flatnonzero(exterior)
     worst_i = ext_indices[worst_idx_local]
-    worst_point = np.concatenate(([s[worst_i] ** 2], m[worst_i]))
+    worst_s = sigma * rel_s[worst_i]
+    worst_point = np.concatenate(([worst_s**2], theta.mu + sigma * rel_m[worst_i]))
 
     report = LocalityReport(
         all_pass=bool(worst_margin > 0.0),

@@ -12,12 +12,15 @@ the small-instance route of ``smml_exhaustive`` before the count-vector
 DP covered every mass pattern.  ``oracle_descend`` is the local-search
 descent as first written, scanning every candidate on every cell visit;
 the production descent must follow the same trajectory bit for bit.
+``descent_steps`` runs either descent to its end and recomputes the cost
+of every step it yields.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 from scipy.integrate import quad
@@ -159,15 +162,15 @@ def oracle_brute_optima(problem: DiscreteProblem) -> list[np.ndarray]:
     ]
 
 
-def oracle_descend(
-    problem: DiscreteProblem, assign: np.ndarray, collect_trace: bool = False
-) -> tuple[np.ndarray, float, list[tuple[float, float]]]:
+def oracle_descend(problem: DiscreteProblem, assign: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
     """Alternating descent to a local optimum.
 
     (a) single-cell reassignment, first improvement in cell index order
     (the best candidate per cell, lowest index among ties); (b) per-region
     candidate re-selection minimizing the region's mass-weighted penalty.
     Every accepted move strictly decreases the incrementally tracked cost.
+    Yields ``(level, assign)`` at the start and after every accepted move,
+    with ``assign`` the live state.
     """
     mass = problem.mass
     pen = problem.penalty
@@ -176,7 +179,7 @@ def oracle_descend(
     assign = assign.astype(np.int64).copy()
     q = np.bincount(assign, weights=mass, minlength=b).astype(float)
     level = float(mass @ pen[np.arange(c), assign]) + _entropy(q)
-    trace: list[tuple[float, float]] = []
+    yield level, assign
 
     for _sweep in range(10_000):
         changed = False
@@ -194,8 +197,7 @@ def oracle_descend(
                 q[j] += mi
                 level += float(delta[j])
                 changed = True
-                if collect_trace:
-                    trace.append((level, codebook_cost(problem, assign).L))
+                yield level, assign
         for r in np.unique(assign):
             cells = assign == r
             region_cost = mass[cells] @ pen[cells]
@@ -211,8 +213,13 @@ def oracle_descend(
                 q[r] = 0.0
                 level += delta
                 changed = True
-                if collect_trace:
-                    trace.append((level, codebook_cost(problem, assign).L))
+                yield level, assign
         if not changed:
             break
-    return assign, level, trace
+
+
+def descent_steps(problem: DiscreteProblem, descent) -> list[tuple[float, float, np.ndarray]]:
+    """Run a descent to its end.  Each yielded step becomes its tracked
+    level, the cost ``codebook_cost`` recomputes from its assignment, and a
+    copy of that assignment."""
+    return [(level, codebook_cost(problem, assign).L, assign.copy()) for level, assign in descent]

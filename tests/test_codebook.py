@@ -43,7 +43,7 @@ from nsmml.codebook import (
     transport_cost_bound,
 )
 
-from oracles import oracle_brute_optima, oracle_descend, oracle_smml_optima
+from oracles import descent_steps, oracle_brute_optima, oracle_descend, oracle_smml_optima
 
 CFG = ProblemConfig(N=1, J=2)
 SCALE_FREE = PriorSpec.scale_free(CFG)
@@ -330,18 +330,16 @@ class TestLocalSearch:
         mass = rng.dirichlet(np.ones(10))
         prob = synthetic_problem(mass, rng.uniform(0, 4, (10, 5)))
         init = rng.integers(0, 5, 10)
-        _, final_level, trace = _descend(prob, init, collect_trace=True)
-        assert trace, "descent accepted no moves"
-        for incremental, recomputed in trace:
+        steps = descent_steps(prob, _descend(prob, init))
+        assert len(steps) > 1, "descent accepted no moves"
+        for incremental, recomputed, _ in steps:
             assert incremental == pytest.approx(recomputed, abs=1e-9)
-        assert final_level == pytest.approx(trace[-1][1], abs=1e-9)
 
     def test_monotone_descent(self):
         rng = np.random.default_rng(9)
         mass = rng.dirichlet(np.ones(12))
         prob = synthetic_problem(mass, rng.uniform(0, 4, (12, 4)))
-        _, _, trace = _descend(prob, rng.integers(0, 4, 12), collect_trace=True)
-        levels = [t[0] for t in trace]
+        levels = [level for level, _ in _descend(prob, rng.integers(0, 4, 12))]
         assert all(b < a for a, b in zip(levels, levels[1:]))
 
     def test_equal_cost_used_and_unused_candidates_take_lower_index(self):
@@ -351,11 +349,10 @@ class TestLocalSearch:
         # unused candidate 0 has the lower index and wins, as in a full scan.
         prob = synthetic_problem([0.5, 1e-40, 0.5], [[0.0, 0.0, 5.0], [0.0, 0.0, 0.0], [5.0, 5.0, 0.0]])
         init = np.array([2, 1, 2])
-        assign, level, trace = _descend(prob, init, collect_trace=True)
-        want_assign, want_level, want_trace = oracle_descend(prob, init, collect_trace=True)
-        assert assign.tolist() == want_assign.tolist() == [0, 0, 2]
-        assert level.hex() == want_level.hex()
-        assert [t[0] for t in trace] == [t[0] for t in want_trace]
+        steps = descent_steps(prob, _descend(prob, init))
+        want = descent_steps(prob, oracle_descend(prob, init))
+        assert steps[-1][2].tolist() == want[-1][2].tolist() == [0, 0, 2]
+        assert [level.hex() for level, _, _ in steps] == [level.hex() for level, _, _ in want]
 
     def test_moved_cell_waits_for_next_sweep(self):
         # Each sweep visits every cell once, in order.  Revisiting a cell
@@ -363,10 +360,9 @@ class TestLocalSearch:
         # rounds to just below zero, and leave the full scan's trajectory.
         prob = synthetic_problem([0.03, 0.29, 0.68], [[1.4, 1.9, 1.0], [1.7, 1.1, 0.2], [0.3, 1.8, 0.3]])
         init = np.array([0, 0, 1])
-        _, level, trace = _descend(prob, init, collect_trace=True)
-        _, want_level, want_trace = oracle_descend(prob, init, collect_trace=True)
-        assert [t[0].hex() for t in trace] == [t[0].hex() for t in want_trace]
-        assert level.hex() == want_level.hex()
+        steps = descent_steps(prob, _descend(prob, init))
+        want = descent_steps(prob, oracle_descend(prob, init))
+        assert [level.hex() for level, _, _ in steps] == [level.hex() for level, _, _ in want]
 
     def test_bounded_by_pointwise_cost(self):
         prob = discretize(CFG, SCALE_FREE, BOX, 8)
@@ -465,6 +461,23 @@ class TestTransport:
         moved = codebook_transport(prob, book, shift)
         bound = transport_cost_bound(prob, shift)
         assert abs(moved.cost.L - book.cost.L) <= bound
+
+    def test_scale_free_log_s_step_is_a_penalty_symmetry(self):
+        # (sigma, mu) -> (a sigma, a mu + b) moves log s by log a, so one
+        # log s step of cells and candidates keeps every entry up to
+        # rounding under the scale-free prior; a Wallace-prior step and a
+        # mean-axis step are no symmetry.
+        def step_change(prior, axis):
+            prob = discretize(CFG, prior, BOX, 16, CandidateSpec(extension=0.5))
+            # Axes: cell log s, cell u, candidate log s, candidate u.
+            pen = prob.penalty.reshape(prob.lattice.shape + prob.lattice.cand_shape)
+            src = np.moveaxis(pen, (axis, axis + 2), (0, 1))[:-1, :-1]
+            dst = np.moveaxis(pen, (axis, axis + 2), (0, 1))[1:, 1:]
+            return np.abs(dst - src) / np.abs(src)
+
+        assert step_change(SCALE_FREE, 0).max() <= 1e-14
+        assert step_change(WALLACE, 0).max() > 1e-3
+        assert step_change(SCALE_FREE, 1).max() > 1e-3
 
     def test_truncated_shift_outside_extension_rejected(self):
         prob = discretize(CFG, SCALE_FREE, BOX, 4, CandidateSpec(extension=0.0))

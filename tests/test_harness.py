@@ -51,6 +51,13 @@ class TestSimulate:
         c = simulate(cfg, 2.0, [0.0, 1.0, -1.0], 100)
         assert not np.array_equal(a, c)
 
+    def test_mean_is_one_or_n_finite_values(self):
+        cfg = ProblemConfig(N=2, J=3)
+        np.testing.assert_array_equal(simulate(cfg, 1.0, 0.5, 4), simulate(cfg, 1.0, [0.5, 0.5], 4))
+        for mu in ([1.0, 2.0, 3.0], [], [[0.0], [1.0]], [0.0, math.nan], math.inf):
+            with pytest.raises(InvalidConfigError, match="mu_true"):
+                simulate(cfg, 1.0, mu, 0)
+
     def test_group_mean_clt_bound(self):
         cfg = ProblemConfig(N=3, J=2)
         mu = np.array([0.5, -1.0, 2.0])
@@ -411,6 +418,9 @@ class TestCli:
             ["estimate", "--J", "2", "--m", "a", "--s2", "1.0"],
             ["estimate", "--raw", str(raw)],
             ["simulate", "--N", "2", "--J", "2", "--mu", "1,a"],
+            ["simulate", "--N", "2", "--J", "2", "--mu", "nan"],
+            ["simulate", "--N", "2", "--J", "2", "--mu", "inf"],
+            ["simulate", "--N", "2", "--J", "2", "--mu", "1,2,3"],
             ["simulate", "--N", "2", "--J", "2", "--mu", "a"],
             ["locality", "--mu", "a,1"],
             ["locality", "--sigma2", "-1"],

@@ -320,6 +320,16 @@ class TestLocalityCertificate:
             _, rep2 = locality_certificate(theta, cfg, seed=int(rng.integers(10**6)))
             assert rep2.v0_bound == rep.v0_bound
             assert rep2.all_pass
+        # Margins are scored in theta's frame, so a huge mean or scale
+        # neither loses the gaps to rounding nor overflows.
+        for theta, extreme_cfg in (
+            (Parameter(1.0, np.array([1e17, 0.0])), cfg),
+            (Parameter(1e306, np.zeros(3)), ProblemConfig(N=3, J=2)),
+        ):
+            _, rep3 = locality_certificate(theta, extreme_cfg)
+            assert rep3.all_pass
+            assert rep3.worst_margin > 0.0
+            assert np.all(np.isfinite(rep3.worst_point))
 
     def test_transport_covariance_of_constants(self):
         cfg = ProblemConfig(N=2, J=2)
