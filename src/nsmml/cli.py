@@ -112,34 +112,27 @@ def _cmd_estimate(args) -> int:
     methods = _parse_methods(args.method)
     prior_names = [p.strip() for p in args.prior.split(",") if p.strip()]
     _check_stat(stat, cfg)
+    header = ["method", "prior_p", "sigma2_hat", "mu_hat"]
     rows = []
     for method in methods:
         priors = [None] if method in PRIOR_FREE_METHODS else [resolve_prior(n, cfg) for n in prior_names]
         # the marginalized estimator is variance-only: no mean estimate to report
-        mu = None if method == METHOD_MARGINALIZED else stat.m
+        mu = None if method == METHOD_MARGINALIZED else [float(v) for v in stat.m]
         for prior in priors:
             sigma2 = SIGMA2_HAT[method](stat.s2, prior, cfg)
             if not math.isfinite(sigma2):
                 raise DegenerateInputError(f"{method} estimate overflows at s2 = {stat.s2!r}")
-            rows.append([method, None if prior is None else prior.p, sigma2, mu])
+            rows.append(dict(zip(header, (method, None if prior is None else prior.p, sigma2, mu))))
 
     if args.json:
-        payload = [
-            {
-                "method": r[0],
-                "prior_p": r[1],
-                "sigma2_hat": r[2],
-                "mu_hat": None if r[3] is None else [float(v) for v in r[3]],
-            }
-            for r in rows
-        ]
-        _emit(render_json("estimates", {"rows": payload}), args)
+        _emit(render_json("estimates", {"rows": rows}), args)
     else:
         table = [
-            [r[0], r[1], r[2], None if r[3] is None else ";".join(repr(float(v)) for v in r[3])]
+            [r["method"], r["prior_p"], r["sigma2_hat"],
+             None if r["mu_hat"] is None else ";".join(map(repr, r["mu_hat"]))]
             for r in rows
         ]
-        _emit(table_to_csv(["method", "prior_p", "sigma2_hat", "mu_hat"], table), args)
+        _emit(table_to_csv(header, table), args)
     return 0
 
 
@@ -207,8 +200,6 @@ def _cmd_regularity(args) -> int:
 def _cmd_locality(args) -> int:
     cfg = ProblemConfig(N=args.N, J=args.J)
     mu = _parse_floats(args.mu) if args.mu else np.zeros(cfg.N)
-    if mu.shape[0] != cfg.N:
-        raise InvalidConfigError(f"--mu must have N={cfg.N} components")
     _check_positive(args.sigma2, "--sigma2")
     theta = Parameter(args.sigma2, mu)
     grid = reg.GridSpec(points_scale=args.points_scale, points_mean=args.points_mean)

@@ -95,7 +95,6 @@ class LatticeInfo:
     hi: np.ndarray
     shape: tuple[int, ...]
     cand_shape: tuple[int, ...] | None
-    cand_origin: tuple[int, ...] | None  # cell-step position of candidate index 0
     stride: int = 1  # axis-0 candidate stride (torus instances)
 
 
@@ -303,14 +302,13 @@ def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidate
             raise InvalidConfigError("explicit candidate list must be nonempty")
         _check_table("cand_sigma2", cand_sigma2, cand_sigma2.shape)
         _check_table("cand_mu", cand_mu, (cand_sigma2.shape[0], cfg.N))
-        cand_shape = cand_origin = None
+        cand_shape = None
         n_candidates = cand_sigma2.shape[0]
     else:
         steps = np.asarray(candidates)
         if steps.shape != (dim,) or steps.dtype.kind != "i" or not np.all(steps >= 0):
             raise InvalidConfigError(f"cand_steps must be {dim} integers >= 0")
         cand_shape = tuple(r + 2 * int(e) for r, e in zip(shape, steps))
-        cand_origin = tuple(-int(e) for e in steps)
         n_candidates = math.prod(cand_shape)
     _check_size(math.prod(shape), n_candidates, dim)
 
@@ -342,7 +340,7 @@ def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidate
         cfg=cfg, prior=prior, mass=mass, cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
         cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=_to_coords(cand_sigma2, cand_mu),
         penalty=_penalty_matrix(cell_s2, cell_m, cand_sigma2, cand_mu, prior, cfg),
-        lattice=LatticeInfo(box[:, 0].copy(), box[:, 1].copy(), shape, cand_shape, cand_origin),
+        lattice=LatticeInfo(box[:, 0].copy(), box[:, 1].copy(), shape, cand_shape),
     )
 
 
@@ -358,11 +356,6 @@ def _torus_penalty(n: int, stride: int, spacing: float, u0: np.ndarray, prior: P
     row = code_penalty_kernel(np.exp(2.0 * delta), sq_dev, 1.0, prior, cfg)
     offsets = np.arange(n)[:, None] - np.arange(0, n, stride)[None, :]
     return row[(offsets + half) % n]
-
-
-def _wrap(x, period):
-    """``x`` wrapped into ``[-period/2, period/2)``, up to rounding."""
-    return (x + 0.5 * period) % period - 0.5 * period
 
 
 @_float_range("log_s_lo, log_s_hi and mean_coord")
@@ -402,8 +395,7 @@ def torus_problem(
     period = log_s_hi - log_s_lo
     if not math.isfinite(period):
         raise InvalidConfigError(f"log_s_hi - log_s_lo must be finite, got {period!r}")
-    dim = cfg.N + 1
-    _check_size(n_cells, n_cells // candidate_stride, dim)
+    _check_size(n_cells, n_cells // candidate_stride, cfg.N + 1)
 
     spacing = period / n_cells
     ls = log_s_lo + spacing * (np.arange(n_cells) + 0.5)
@@ -425,7 +417,6 @@ def torus_problem(
             hi=np.concatenate([[log_s_hi], u0 + 0.5]),
             shape=(n_cells,) + (1,) * cfg.N,
             cand_shape=(n_cells // candidate_stride,) + (1,) * cfg.N,
-            cand_origin=(0,) * dim,
             stride=candidate_stride,
         ),
     )
@@ -623,8 +614,8 @@ def _descend(problem: DiscreteProblem, assign: np.ndarray) -> Iterator[tuple[flo
     c = problem.n_cells
     b = problem.n_candidates
     assign = assign.astype(np.int64).copy()
-    q = np.bincount(assign, weights=mass, minlength=b).astype(float)
-    level = float(mass @ pen[np.arange(c), assign]) + _entropy(q)
+    q = np.bincount(assign, weights=mass, minlength=b)
+    level = codebook_cost(problem, assign).L
     top, top_pen, edge = _least_penalties(pen)
     yield level, assign
 
@@ -780,9 +771,11 @@ class OverlapReport:
 
 
 def _coord_distances(problem: DiscreteProblem, diff: np.ndarray) -> np.ndarray:
-    # Torus instances measure coordinate differences on the circle.
+    # Torus instances measure coordinate differences on the circle, wrapped
+    # into [-period/2, period/2) up to rounding.
     if problem.topology == "torus":
-        diff = _wrap(diff, problem.lattice.hi - problem.lattice.lo)
+        period = problem.lattice.hi - problem.lattice.lo
+        diff = (diff + 0.5 * period) % period - 0.5 * period
     return np.linalg.norm(diff, axis=-1)
 
 
@@ -934,7 +927,7 @@ def problem_to_text(problem: DiscreteProblem) -> str:
                   "cand_sigma2": problem.cand_sigma2, "cand_mu": problem.cand_mu}
     else:
         recipe = {"box": np.stack([lat.lo, lat.hi], axis=1), "resolution": lat.shape,
-                  "cand_steps": [-o for o in lat.cand_origin]}
+                  "cand_steps": [(n - r) // 2 for n, r in zip(lat.cand_shape, lat.shape)]}
     head = {"N": problem.cfg.N, "J": problem.cfg.J, "prior_p": problem.prior.p, "topology": problem.topology}
     return render_json("discrete-problem", {**head, **recipe})
 

@@ -37,6 +37,7 @@ from .model import (
     ProblemConfig,
     SufficientStat,
     _check_param,
+    _check_positive,
     _check_stat,
     code_penalty_R,
 )
@@ -265,8 +266,7 @@ def ideal_group(theta: Parameter, prior: PriorSpec, epsilon: float, cfg: Problem
     through the penalty-minimizing observation, which the region always
     contains.
     """
-    if not epsilon > 0.0:
-        raise InvalidConfigError(f"epsilon must be > 0, got {epsilon!r}")
+    _check_positive(epsilon, "epsilon")
     r_star = penalty_at_ideal_point(theta, prior, cfg)
     center = coords_from_stat(ip_reverse(theta, prior, cfg))
 

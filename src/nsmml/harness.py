@@ -22,6 +22,7 @@ from .model import (
     InvalidConfigError,
     PriorSpec,
     ProblemConfig,
+    _as_mean_vector,
     _check_positive,
     sufficient_stats,
 )
@@ -61,11 +62,9 @@ def simulate(cfg: ProblemConfig, sigma2_true: float, mu_true, seed) -> np.ndarra
     is byte-identical for equal seeds.
     """
     _check_positive(sigma2_true, "sigma2_true")
-    mu = np.atleast_1d(np.asarray(mu_true, dtype=float))
-    if mu.ndim != 1 or mu.shape[0] not in (1, cfg.N):
-        raise InvalidConfigError(f"mu_true must hold 1 or N={cfg.N} means, got shape {mu.shape}")
-    if not np.all(np.isfinite(mu)):
-        raise InvalidConfigError(f"mu_true must be finite, got {mu.tolist()}")
+    mu = _as_mean_vector(mu_true, "mu_true")
+    if mu.shape[0] not in (1, cfg.N):
+        raise InvalidConfigError(f"mu_true must hold 1 or N={cfg.N} means, got {mu.shape[0]}")
     mu = np.broadcast_to(mu, (cfg.N,))
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.PCG64(ss))
@@ -159,21 +158,12 @@ def _true_means(spec: SweepSpec, cfg: ProblemConfig, rng: np.random.Generator) -
     return np.full(cfg.N, float(spec.mu_law.split(":", 1)[1]))
 
 
-def _row_combos(spec: SweepSpec) -> list[tuple[str, object]]:
-    combos: list[tuple[str, object]] = []
-    for method in spec.estimators:
-        if method in PRIOR_FREE_METHODS:
-            combos.append((method, None))
-        else:
-            combos.extend((method, choice) for choice in spec.priors)
-    return combos
-
-
 def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.ndarray]:
     """Per-trial ratios ``sigma2_hat / sigma2_true`` for every estimator x
     prior combination at one group count.  Trial ``t`` uses the substream
     ``SeedSequence((seed, n_groups, t))``; all combinations share the
-    trial's simulated data.
+    trial's simulated data.  Keys follow the spec's estimator order, each
+    method's priors in the spec's order (``None`` for a prior-free method).
     """
     cfg = ProblemConfig(N=n_groups, J=spec.J)
     s2 = np.empty(spec.trials)
@@ -189,7 +179,8 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
         (method, choice): SIGMA2_HAT[method](
             s2, None if choice is None else resolve_prior(choice, cfg), cfg
         ) / spec.sigma2_true
-        for method, choice in _row_combos(spec)
+        for method in spec.estimators
+        for choice in ((None,) if method in PRIOR_FREE_METHODS else spec.priors)
     }
 
 
@@ -197,16 +188,15 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Aggregate mean and standard deviation of per-trial ratios.
 
     Rows appear in deterministic order: group counts ascending, then
-    estimators and priors in the order the spec lists them.  The mean is
-    the mean of per-trial ratios (matching the pointwise consistency
-    statement); the sd is the sample standard deviation (0 for one trial).
+    estimators and priors in the order the spec lists them, one row per
+    distinct estimator x prior pair.  The mean is the mean of per-trial
+    ratios (matching the pointwise consistency statement); the sd is the
+    sample standard deviation (0 for one trial).
     """
     rows: list[SweepRow] = []
     for n_groups in spec.N_list:
         cfg = ProblemConfig(N=n_groups, J=spec.J)
-        ratios = trial_ratios(spec, n_groups)
-        for method, choice in _row_combos(spec):
-            values = ratios[(method, choice)]
+        for (method, choice), values in trial_ratios(spec, n_groups).items():
             prior_p = None if choice is None else resolve_prior(choice, cfg).p
             sd = float(values.std(ddof=1)) if spec.trials > 1 else 0.0
             rows.append(

@@ -62,9 +62,8 @@ class InvalidConfigError(NeymanScottError, ValueError):
 class DegenerateInputError(NeymanScottError, ValueError):
     """An input lies outside the domain where the densities exist.
 
-    Typical causes: ``s2 = 0`` (the marginal diverges there), a
-    non-positive variance, or a prior exponent that drives the gamma
-    function argument non-positive.
+    Typical causes: ``s2 = 0`` (the marginal diverges there) or a
+    non-positive variance.
     """
 
 
@@ -280,8 +279,6 @@ def log_marginal(stat: SufficientStat, prior: PriorSpec, cfg: ProblemConfig) -> 
     suite.  Depends on the statistic only through ``s2``.
     """
     _check_stat(stat, cfg)
-    if cfg.dof + prior.p <= 1.0:
-        raise DegenerateInputError(f"marginal undefined: gamma argument (q-1)/2 <= 0 for p={prior.p}")
     return float(log_marginal_kernel(stat.s2, prior, cfg))
 
 

@@ -23,6 +23,7 @@ constant independent of ``theta``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,6 +36,7 @@ from .model import (
     PriorSpec,
     ProblemConfig,
     SufficientStat,
+    _as_mean_vector,
     _check_param,
     _check_positive,
     _check_stat,
@@ -99,11 +101,9 @@ class Automorphism:
 
     def __post_init__(self) -> None:
         alpha = float(self.alpha)
-        if not (alpha > 0.0 and math.isfinite(alpha)):
-            raise InvalidConfigError(f"alpha must be finite and > 0, got {self.alpha!r}")
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
+        _check_positive(alpha, "alpha")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", _as_mean_vector(self.beta, "beta"))
 
     @property
     def n_groups(self) -> int:
@@ -163,7 +163,8 @@ def check_automorphism(
 
     and reports the worst absolute violation of each condition.  The
     marginal condition's violation is ``|p - (N+1)| * log alpha`` in closed
-    form; the likelihood condition holds identically for this family.
+    form; the likelihood condition holds identically for this family.  An
+    ``alpha`` that moves a sample out of the normal float range is rejected.
     """
     _check_positive(tol, "tol")
     if samples < 1:
@@ -177,12 +178,18 @@ def check_automorphism(
     for _ in range(samples):
         stat = _random_stat(rng, cfg)
         theta = _random_param(rng, cfg)
-        moved = aut.apply_stat(stat)
+        try:
+            with np.errstate(over="raise"):
+                moved, moved_theta = aut.apply_stat(stat), aut.apply_param(theta)
+        except (ArithmeticError, NeymanScottError):
+            moved = None
+        if moved is None or min(moved.s2, moved_theta.sigma2) < sys.float_info.min:
+            raise InvalidConfigError(f"alpha = {aut.alpha!r} moves the sampled statistics out of the float range")
         marginal_gap = stat_log_marginal(stat, prior, cfg) - (
             stat_log_marginal(moved, prior, cfg) + log_jac
         )
         likelihood_gap = stat_log_likelihood(stat, theta, cfg) - (
-            stat_log_likelihood(moved, aut.apply_param(theta), cfg) + log_jac
+            stat_log_likelihood(moved, moved_theta, cfg) + log_jac
         )
         worst_marginal = max(worst_marginal, abs(marginal_gap))
         worst_likelihood = max(worst_likelihood, abs(likelihood_gap))
@@ -324,8 +331,7 @@ def concentration_box(
     every axis, so bisection from the estimate yields a finite box for
     every ``epsilon`` (all admissible priors share the same profile).
     """
-    if not epsilon > 0.0:
-        raise InvalidConfigError(f"epsilon must be > 0, got {epsilon!r}")
+    _check_positive(epsilon, "epsilon")
     _check_stat(stat, cfg)
     center = coords_from_param(ip_estimate(stat, prior, cfg).theta)
 
@@ -422,13 +428,17 @@ class LocalityCertificate:
 # on each side, and as a multiple of its half-width on the mean axes.
 _EXPAND_SCALE = 1.5
 _EXPAND_MEAN = 2.0
+# Most verification points one call scores: about 155 bytes each at N = 3,
+# so about 310 MB; the default grids have 27,648 (N = 2) and 663,552 (N = 3).
+_POINT_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Verification grid: log-spaced in ``s/sigma``, linear in
     ``(m - mu)/sigma``, expanded beyond the exempt box so the sample
-    contains both exempt and exterior points.
+    contains both exempt and exterior points.  It has ``points_scale *
+    points_mean**N`` points, at most ``_POINT_LIMIT``.
     """
 
     points_scale: int = 48
@@ -516,8 +526,10 @@ def locality_certificate(
     Log-likelihood gaps are invariant under the scale-translation
     automorphism, so the margins are scored in ``theta``'s frame, against
     the certificate at ``(sigma, mu) = (1, 0)``: a large mean or scale
-    neither rounds the gaps away nor overflows them.  Only the reported
-    worst point is mapped back to absolute coordinates.
+    neither rounds the gaps away nor overflows them.  Only the certificate
+    at ``theta`` and the reported worst point are in absolute coordinates;
+    a ``theta`` that takes them out of the float range is rejected, naming
+    ``sigma2``.
     """
     _check_param(theta, cfg)
     if c is None:
@@ -525,16 +537,18 @@ def locality_certificate(
     if c < 2 or c * c <= 2 * cfg.nj:
         # delta_prime needs c^2 > 2NJ; every c from find_valid_c has it.
         raise InvalidConfigError(f"c must be >= 2 with c^2 > 2NJ = {2 * cfg.nj}, got {c}")
-    cert = _build_certificate(theta, cfg, c)
+    n_points = grid.points_scale * grid.points_mean**cfg.N
+    if n_points > _POINT_LIMIT:
+        raise InvalidConfigError(f"verification grid has {n_points} points, above the limit {_POINT_LIMIT}")
+    unit = _build_certificate(Parameter(1.0, np.zeros(cfg.N)), cfg, c)
     rng = np.random.default_rng(seed)
-    sigma = theta.sigma
 
     # Grid in relative coordinates: log(s/sigma) and (m - mu)/sigma.
-    ls_lo = math.log(cert.delta_prime) - _EXPAND_SCALE
-    ls_hi = math.log(cert.delta) + _EXPAND_SCALE
+    ls_lo = math.log(unit.delta_prime) - _EXPAND_SCALE
+    ls_hi = math.log(unit.delta) + _EXPAND_SCALE
     jitter = rng.uniform(0.25, 0.75)
     ls_vals = ls_lo + (ls_hi - ls_lo) * (np.arange(grid.points_scale) + jitter) / grid.points_scale
-    half = math.sqrt(2.0 * cert.T_margin) * _EXPAND_MEAN
+    half = math.sqrt(2.0 * unit.T_margin) * _EXPAND_MEAN
     jitter_m = rng.uniform(0.25, 0.75, cfg.N)
     mean_axes = [
         -half + 2.0 * half * (np.arange(grid.points_mean) + jitter_m[n]) / grid.points_mean
@@ -545,35 +559,34 @@ def locality_certificate(
     rel_m = np.stack([g.ravel() for g in mesh[1:]], axis=1)
 
     rel_s = np.exp(rel_ls)
-    n_points = rel_s.shape[0]
 
     # Exempt region membership (exact, not the covering box).
-    sqrt2T = math.sqrt(2.0 * cert.T_margin)
+    sqrt2T = math.sqrt(2.0 * unit.T_margin)
     exempt = (
-        (rel_s >= cert.delta_prime)
-        & (rel_s <= cert.delta)
+        (rel_s >= unit.delta_prime)
+        & (rel_s <= unit.delta)
         & np.all(np.abs(rel_m) <= sqrt2T, axis=1)
     )
-
-    exterior = ~exempt
-    n_ext = int(exterior.sum())
-    if n_ext == 0:
+    n_exempt = int(exempt.sum())
+    if n_exempt == n_points:
         raise InvalidConfigError(f"none of the {n_points} grid points lies outside the exempt region")
-    unit = _build_certificate(Parameter(1.0, np.zeros(cfg.N)), cfg, c)
-    margins = _best_gaps(unit, rel_s, rel_m) - cert.T_margin
-    ext_margins = margins[exterior]
-    worst_idx_local = int(np.argmin(ext_margins))
-    worst_margin = float(ext_margins[worst_idx_local])
-    ext_indices = np.flatnonzero(exterior)
-    worst_i = ext_indices[worst_idx_local]
-    worst_s = sigma * rel_s[worst_i]
-    worst_point = np.concatenate(([worst_s**2], theta.mu + sigma * rel_m[worst_i]))
+    margins = _best_gaps(unit, rel_s, rel_m) - unit.T_margin
+    margins[exempt] = np.inf
+    worst_i = int(np.argmin(margins))
+    worst_margin = float(margins[worst_i])
+    sigma = theta.sigma
+    try:
+        with np.errstate(over="raise"):
+            cert = _build_certificate(theta, cfg, c)
+            worst_point = np.concatenate(([(sigma * rel_s[worst_i]) ** 2], theta.mu + sigma * rel_m[worst_i]))
+    except ArithmeticError:
+        raise InvalidConfigError(f"sigma2 = {theta.sigma2!r} takes the certificate out of the float range") from None
 
     report = LocalityReport(
         all_pass=bool(worst_margin > 0.0),
         n_points=n_points,
-        n_exterior=n_ext,
-        n_exempt=int(exempt.sum()),
+        n_exterior=n_points - n_exempt,
+        n_exempt=n_exempt,
         worst_margin=worst_margin,
         worst_point=worst_point,
         v0_bound=cert.v0_bound,
@@ -616,7 +629,7 @@ def _best_gaps(cert: LocalityCertificate, s: np.ndarray, m: np.ndarray) -> np.nd
     del sq
 
     # Contracted grid: nearest segment center per coordinate.
-    idx = np.clip(np.rint((m - cert.grid_start) / cert.grid_step).astype(int), 0, cert.c - 1)
+    idx = np.clip(np.rint((m - cert.grid_start) / cert.grid_step), 0, cert.c - 1)
     grid_sq = ((m - (cert.grid_start + cert.grid_step * idx)) ** 2).sum(axis=1)
     np.maximum(best, log_likelihood_kernel(s2, grid_sq, cert.grid_sigma**2, cfg), out=best)
     best -= base

@@ -52,14 +52,8 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
     return value
 
 
@@ -73,9 +67,5 @@ def table_to_csv(header: list[str], rows: list[list]) -> str:
     not contain commas (all our tables are numeric or enum-valued)."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(",".join("" if v is None else _fmt_scalar(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _csv_cell(value) -> str:
-    return "" if value is None else _fmt_scalar(value)

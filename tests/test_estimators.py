@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize, minimize_scalar
 
 from nsmml import (
+    InvalidConfigError,
     Parameter,
     PriorSpec,
     ProblemConfig,
@@ -159,6 +160,12 @@ class TestIdealGroup:
         widths = [ideal_group(theta, prior, eps, cfg).widths for eps in (1.0, 0.5, 0.1)]
         for bigger, smaller in zip(widths, widths[1:]):
             assert np.all(smaller < bigger)
+
+    def test_epsilon_must_be_finite_and_positive(self):
+        theta = Parameter(1.0, [0.0])
+        for eps in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InvalidConfigError, match=f"epsilon must be finite and > 0, got {eps!r}"):
+                ideal_group(theta, PriorSpec.wallace(), eps, ProblemConfig(N=1, J=2))
 
 
 class TestWallaceFreeman:

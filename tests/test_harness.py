@@ -168,6 +168,32 @@ class TestRunSweep:
             with pytest.raises(InvalidConfigError):
                 parse_sweep_config(text)
 
+    def test_resolve_prior_forms(self):
+        cfg = ProblemConfig(N=2, J=2)
+        for choice in ("3.5", " 3.5 ", 3.5):
+            assert resolve_prior(choice, cfg) == PriorSpec(3.5)
+        assert resolve_prior(3, cfg) == PriorSpec(3.0)
+        spec = PriorSpec(2.5)
+        assert resolve_prior(spec, cfg) is spec
+        with pytest.raises(InvalidConfigError, match="unknown prior 'bogus'"):
+            resolve_prior("bogus", cfg)
+
+    def test_numeric_prior_and_duplicate_rows(self):
+        spec = parse_sweep_config("J = 2\nN_list = 10\ntrials = 3\nestimators = IP, ML, IP\npriors = wallace, 3.5\n")
+        rows = run_sweep(spec)
+        # One row per distinct estimator x prior pair, in first-listed order.
+        assert [(r.estimator, r.prior_p) for r in rows] == [("IP", 1.0), ("IP", 3.5), ("ML", None)]
+
+    def test_zero_and_fixed_mean_laws_agree(self):
+        # Neither law draws before the sample, and every estimator is
+        # translation equivariant, so the ratios agree up to rounding.
+        base = dict(J=3, N_list=(5,), trials=20, seed=11)
+        zero = trial_ratios(SweepSpec(**base, mu_law="zero"), 5)
+        fixed = trial_ratios(SweepSpec(**base, mu_law="fixed:5"), 5)
+        assert zero.keys() == fixed.keys()
+        for key, ratios in zero.items():
+            np.testing.assert_allclose(fixed[key], ratios, rtol=1e-12, atol=0.0)
+
     def test_config_defaults_and_method_names(self):
         base = "J = 2\nN_list = 10\ntrials = 2\n"
         assert parse_sweep_config(base) == SweepSpec(J=2, N_list=(10,), trials=2)
@@ -213,6 +239,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ML,,1.0,1.0" in out
 
+    def test_estimate_needs_raw_or_statistic(self, tmp_path, capsys):
+        for argv in (["estimate"], ["estimate", "--J", "2", "--m", "1.0"], ["estimate", "--m", "1", "--s2", "1"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: estimate needs either --raw or all of --J/--m/--s2\n"
+        raw = tmp_path / "ragged.csv"
+        raw.write_text("1.0,2.0\n3.0\n")
+        assert main(["estimate", "--raw", str(raw)]) == 2
+        assert capsys.readouterr().err == "error: raw data must be a rectangular numeric matrix\n"
+
     def test_estimate_json(self, capsys):
         assert main(["estimate", "--J", "2", "--m", "0.0", "--s2", "1.0", "--json",
                      "--method", "ip", "--prior", "scale-free"]) == 0
@@ -231,6 +266,34 @@ class TestCli:
         raw = tmp_path / "m.csv"
         raw.write_text(first)
         assert main(["estimate", "--raw", str(raw), "--method", "ml"]) == 0
+
+    def test_simulate_json(self, capsys):
+        argv = ["simulate", "--N", "2", "--J", "3", "--mu", "1,-2", "--seed", "4"]
+        assert main(argv) == 0
+        csv = capsys.readouterr().out
+        assert main([*argv, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report"] == "raw-data"
+        assert payload["data"] == [[float(v) for v in line.split(",")] for line in csv.splitlines()]
+
+    def test_sweep_json_and_prior_names(self, tmp_path, capsys):
+        text = "J = 2\nN_list = 10, 20\ntrials = 3\nseed = 1\npriors = wallace, 3.5\n"
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text(text)
+        assert main(["sweep", "--config", str(cfgfile), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report"] == "sweep"
+        assert payload["rows"] == [dataclasses.asdict(r) for r in run_sweep(parse_sweep_config(text))]
+        assert {r["prior_p"] for r in payload["rows"]} == {None, 1.0, 3.5}
+        cfgfile.write_text(text.replace("3.5", "bogus"))
+        assert main(["sweep", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr() == ("", "error: unknown prior 'bogus'\n")
+
+    def test_smml_exhaustive_readme_example(self, capsys):
+        assert main(["smml", "--torus", "16", "--torus-stride", "2", "--solver", "exhaustive", "--shift", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("L 2.1701103981812238", "n_optimal_codebooks 4", "  delta_L 0.0"):
+            assert line in lines
 
     def test_sweep_csv_and_exit(self, tmp_path, capsys):
         cfgfile = tmp_path / "sweep.cfg"
@@ -463,6 +526,18 @@ class TestCli:
             (["regularity", "--tol", "inf"], "tol must be finite and > 0, got inf"),
             (["regularity", "--check", "comprehensiveness", "--tol", "0"], "tol must be finite and > 0, got 0.0"),
             (["regularity", "--check", "automorphism", "--tol", "nan"], "tol must be finite and > 0, got nan"),
+            # Locality and automorphism inputs that leave the float range,
+            # an oversized grid and a mean of the wrong length are named.
+            (["locality", "--N", "2", "--J", "2", "--sigma2", "1e308"],
+             "sigma2 = 1e+308 takes the certificate out of the float range"),
+            (["locality", "--N", "2", "--J", "2", "--points-scale", "3000", "--points-mean", "3000"],
+             "verification grid has 27000000000 points, above the limit 2000000"),
+            (["locality", "--N", "2", "--J", "2", "--mu", "1"], "parameter has 1 means but the configuration has N=2"),
+            (["regularity", "--check", "automorphism", "--alpha", "1e200"],
+             "alpha = 1e+200 moves the sampled statistics out of the float range"),
+            (["regularity", "--check", "automorphism", "--alpha", "1e-300"],
+             "alpha = 1e-300 moves the sampled statistics out of the float range"),
+            (["regularity", "--check", "automorphism", "--beta", "inf"], "beta must be finite"),
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

@@ -1,6 +1,9 @@
 """Automorphism, homogeneity, concentration and locality tests."""
 
 import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +27,9 @@ from nsmml import (
     transitivity_witness,
 )
 from nsmml.regularity import (
+    _POINT_LIMIT,
     Automorphism,
+    CertificateError,
     LocalityConstructionError,
     _build_certificate,
 )
@@ -69,6 +74,24 @@ class TestCheckAutomorphism:
         assert not rep.marginal_ok
         assert rep.likelihood_ok
         assert rep.max_marginal_violation == pytest.approx(predicted, abs=1e-9)
+
+    def test_inputs_outside_float_range_rejected(self):
+        cfg = ProblemConfig(N=2, J=2)
+        prior = PriorSpec.scale_free(cfg)
+        # alpha^2 overflows; alpha^2 * s2 overflows; alpha^2 underflows to
+        # zero; alpha^2 * s2 underflows to a subnormal.
+        for alpha in (1e200, 1e154, 1e-300, 1e-160):
+            with pytest.raises(InvalidConfigError, match=re.escape(f"alpha = {alpha!r} moves the sampled statistics")):
+                check_automorphism(Automorphism(alpha, np.zeros(2)), prior, cfg)
+        for beta in ([math.inf, 0.0], [0.0, math.nan]):
+            with pytest.raises(InvalidConfigError, match="beta must be finite"):
+                Automorphism(2.0, beta)
+        for alpha in (math.inf, 0.0):
+            with pytest.raises(InvalidConfigError, match="alpha must be finite and > 0"):
+                Automorphism(alpha, np.zeros(2))
+        # Inside the range the scale-free check still passes.
+        rep = check_automorphism(Automorphism(1e150, np.zeros(2)), prior, cfg)
+        assert rep.marginal_ok and rep.likelihood_ok
 
 
 class TestTransitivityWitness:
@@ -202,6 +225,13 @@ class TestConcentrationBox:
             inside_t = level(aut.apply_param(theta), aut.apply_stat(stat)) < eps
             assert inside == inside_t
 
+    def test_epsilon_must_be_finite_and_positive(self):
+        cfg = ProblemConfig(N=1, J=2)
+        stat = SufficientStat([0.0], 1.0)
+        for eps in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InvalidConfigError, match=f"epsilon must be finite and > 0, got {eps!r}"):
+                concentration_box(stat, PriorSpec.wallace(), eps, cfg)
+
     def test_nesting_in_epsilon(self):
         cfg = ProblemConfig(N=1, J=2)
         prior = PriorSpec.wallace()
@@ -307,6 +337,38 @@ class TestLocalityCertificate:
         cfg = ProblemConfig(N=2, J=2)
         with pytest.raises(InvalidConfigError, match="exempt"):
             locality_certificate(Parameter(1.0, np.zeros(2)), cfg, grid=GridSpec(1, 1))
+
+    def test_grid_capped_before_allocation(self):
+        cfg = ProblemConfig(N=2, J=2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidConfigError, match="27000000000 points, above the limit"):
+                locality_certificate(Parameter(1.0, np.zeros(2)), cfg, grid=GridSpec(3000, 3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # The default grids: 27,648 points at N = 2 and 663,552 at N = 3.
+        assert GridSpec().points_scale * GridSpec().points_mean**3 <= _POINT_LIMIT
+
+    def test_theta_outside_float_range_rejected(self):
+        cfg = ProblemConfig(N=2, J=2)
+        # At 1e308 the inflated competitor (e*sigma)^2 overflows; at 1.6e307
+        # only the worst point does, at s/sigma = 3.47.
+        for sigma2 in (1e308, 1.6e307):
+            with pytest.raises(InvalidConfigError, match=re.escape(f"sigma2 = {sigma2!r} takes the certificate out")):
+                locality_certificate(Parameter(sigma2, np.zeros(2)), cfg)
+        _, rep = locality_certificate(Parameter(1e307, np.zeros(2)), cfg)
+        assert rep.all_pass and np.all(np.isfinite(rep.worst_point))
+
+    def test_huge_c_scores_without_warning(self):
+        # Nearest grid-centre indices near 1e21 stay floats: no cast warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                locality_certificate(Parameter(1.0, np.zeros(2)), ProblemConfig(N=2, J=2), c=10**21)
+            except CertificateError:
+                pass
 
     def test_verification_passes_and_v0_theta_free(self):
         cfg = ProblemConfig(N=2, J=2)
