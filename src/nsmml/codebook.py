@@ -481,10 +481,12 @@ def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
     assignments and at most 12 candidates meets it (a code space of at most
     ``2**60``), whatever its masses.  Among the builders' instances of at most
     ``2**20`` assignments, only 2x2 lattices with 20-32 candidates (28-32
-    when masses are uniform) do not.  The DP gives up past
-    ``_DP_STATE_LIMIT`` states in a layer.  Returns every assignment whose
-    cost is within ``_EXACT_TOL`` of the global minimum, sorted
-    lexicographically.
+    when masses are uniform) do not.  States are pruned against the cheaper
+    of two codebooks read off the cost table, so no heuristic runs: every
+    cell on the candidate of least total cost, and every cell on its own
+    least-cost candidate.  The DP gives up past ``_DP_STATE_LIMIT`` states
+    in a layer.  Returns every assignment whose cost is within
+    ``_EXACT_TOL`` of the global minimum, sorted lexicographically.
     """
     c = problem.n_cells
     b = problem.n_candidates
@@ -500,12 +502,9 @@ def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
     digits = np.tile(size + 1, b)
     radix = np.cumprod(np.concatenate(([1], digits[:-1]))).reshape(b, -1).T
     w = problem.mass[:, None] * problem.penalty  # per-cell assignment costs
-    suffix_min = np.zeros(c + 1)
-    mins = w.min(axis=1)
-    for i in range(c - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + mins[i]
-
-    ub = smml_local_search(problem, restarts=2, seed=0).cost.L
+    suffix_min = np.append(np.cumsum(w.min(axis=1)[::-1])[::-1], 0.0)
+    pointwise_q = np.bincount(w.argmin(axis=1), weights=problem.mass, minlength=b)
+    ub = min(w.sum(axis=0).min(), suffix_min[0] + _entropy(pointwise_q))
 
     # Layer i: sorted codes of the count vectors reachable from the first i
     # cells, and the least partial L_P of reaching each.

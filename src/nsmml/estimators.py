@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (
     DegenerateInputError,
@@ -207,6 +206,8 @@ def _expand_to_level(profile, t0: float, step: float, level: float) -> float:
         hi = t0 + 2.0 * (hi - t0)
     else:
         raise DegenerateInputError(f"no level crossing found within {_MAX_DOUBLINGS} bracket doublings")
+    from scipy.optimize import brentq  # imported here: loading scipy.optimize slows every import
+
     return brentq(lambda t: profile(t) - level, min(lo, hi), max(lo, hi), xtol=1e-12, rtol=1e-12)
 
 

@@ -164,7 +164,11 @@ def check_automorphism(
     and reports the worst absolute violation of each condition.  The
     marginal condition's violation is ``|p - (N+1)| * log alpha`` in closed
     form; the likelihood condition holds identically for this family.  An
-    ``alpha`` that moves a sample out of the normal float range is rejected.
+    ``alpha`` that moves a sample out of the normal float range is rejected,
+    and so is an automorphism under which rounding the moved means alone
+    could move a likelihood gap by ``tol`` or more: the moved deviation
+    ``alpha (m - mu)`` is read off two means each rounded by up to a
+    spacing, so a ``beta`` that dwarfs it leaves a gap that measures rounding.
     """
     _check_positive(tol, "tol")
     if samples < 1:
@@ -185,6 +189,15 @@ def check_automorphism(
             moved = None
         if moved is None or min(moved.s2, moved_theta.sigma2) < sys.float_info.min:
             raise InvalidConfigError(f"alpha = {aut.alpha!r} moves the sampled statistics out of the float range")
+        with np.errstate(all="ignore"):  # an overflow or a zero variance counts as unresolvable
+            spacing = np.abs(np.spacing(moved.m)) + np.abs(np.spacing(moved_theta.mu))
+            deviation = aut.alpha * np.abs(stat.m - theta.mu)
+            rounding = cfg.J * np.sum((deviation + spacing) * spacing) / moved_theta.sigma2
+        if not rounding < tol:
+            raise InvalidConfigError(
+                f"alpha = {aut.alpha!r} and beta = {aut.beta.tolist()!r} leave the moved means too coarse: "
+                f"rounding them can move a likelihood gap by {rounding:.3g}, not below tol = {tol!r}"
+            )
         marginal_gap = stat_log_marginal(stat, prior, cfg) - (
             stat_log_marginal(moved, prior, cfg) + log_jac
         )
@@ -529,7 +542,7 @@ def locality_certificate(
     neither rounds the gaps away nor overflows them.  Only the certificate
     at ``theta`` and the reported worst point are in absolute coordinates;
     a ``theta`` that takes them out of the float range is rejected, naming
-    ``sigma2``.
+    ``sigma2``, and a ``c`` whose bound ``v0`` leaves it, naming ``c``.
     """
     _check_param(theta, cfg)
     if c is None:
@@ -540,7 +553,12 @@ def locality_certificate(
     n_points = grid.points_scale * grid.points_mean**cfg.N
     if n_points > _POINT_LIMIT:
         raise InvalidConfigError(f"verification grid has {n_points} points, above the limit {_POINT_LIMIT}")
-    unit = _build_certificate(Parameter(1.0, np.zeros(cfg.N)), cfg, c)
+    try:
+        unit = _build_certificate(Parameter(1.0, np.zeros(cfg.N)), cfg, c)
+    except ArithmeticError:
+        unit = None
+    if unit is None or not math.isfinite(unit.v0_bound):
+        raise InvalidConfigError(f"c = {c} takes the certificate out of the float range")
     rng = np.random.default_rng(seed)
 
     # Grid in relative coordinates: log(s/sigma) and (m - mu)/sigma.

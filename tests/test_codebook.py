@@ -310,11 +310,34 @@ class TestExhaustive:
         def no_search(*args, **kwargs):
             raise AssertionError("search started before the precondition check")
 
-        monkeypatch.setattr("nsmml.codebook.smml_local_search", no_search)
+        # The search computes the entropy of its bounding codebook before its
+        # first layer.
+        monkeypatch.setattr("nsmml.codebook._entropy", no_search)
         rng = np.random.default_rng(14)
         prob = synthetic_problem(np.full(40, 1.0 / 40), rng.uniform(0, 1, (40, 12)))
         with pytest.raises(SizeLimitError, match="int64"):
             smml_exhaustive(prob)
+
+    def test_exact_search_runs_no_local_search(self, monkeypatch):
+        # The DP bounds itself from its own cost table; the heuristic it is
+        # the oracle for never runs.
+        def no_heuristic(*args, **kwargs):
+            raise AssertionError("the exact search ran the local search")
+
+        monkeypatch.setattr("nsmml.codebook.smml_local_search", no_heuristic)
+        monkeypatch.setattr("nsmml.codebook._descend", no_heuristic)
+        ring = smml_exhaustive(torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2))
+        assert ["".join(map(str, o.assign)) for o in ring] == [
+            "0004444444400000", "1111155555555111", "2222222666666662", "7333333337777777"
+        ]
+        assert all(o.cost.L == 2.1701103981812238 for o in ring)
+        # Wallace masses: four mass classes, and an optimum of three regions.
+        params = tuple(Parameter(math.exp(2 * ls), [u * math.exp(ls)]) for ls in (-1.2, 1.2) for u in (-1.2, 1.2))
+        prob = discretize(CFG, WALLACE, BOX, [4, 4], CandidateSpec(parameters=params + (Parameter(1.0, [0.0]),)))
+        assert np.unique(prob.mass).size == 4
+        lattice = smml_exhaustive(prob)
+        assert ["".join(map(str, o.assign)) for o in lattice] == ["4444444424432233"]
+        assert lattice[0].cost.L == 3.7898899481891126
 
 
 class TestLocalSearch:

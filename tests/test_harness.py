@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -448,6 +451,15 @@ class TestCli:
                      "--torus-stride", "2", "--shift", "4", "--json", "--seed", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["transport"]["delta_L"]) < 1e-12
+        assert "bound" not in payload["transport"]
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # A fresh interpreter: other tests import scipy.optimize themselves.
+        src = str(Path(cbk.__file__).resolve().parents[1])
+        code = "import sys, nsmml; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "False\n"
 
     def test_env_seed_and_outdir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NSMML_SEED", "17")
@@ -538,6 +550,18 @@ class TestCli:
             (["regularity", "--check", "automorphism", "--alpha", "1e-300"],
              "alpha = 1e-300 moves the sampled statistics out of the float range"),
             (["regularity", "--check", "automorphism", "--beta", "inf"], "beta must be finite"),
+            # A c whose exempt-region bound leaves the float range is named;
+            # so is a true symmetry whose moved means round too coarsely for tol.
+            (["locality", "--N", "20", "--J", "2", "--c", "1000000000000000000000", "--points-mean", "1"],
+             "c = 1000000000000000000000 takes the certificate out of the float range"),
+            (["regularity", "--check", "automorphism", "--beta", "1e6"],
+             "alpha = 2.0 and beta = [1000000.0, 1000000.0] leave the moved means too coarse"),
+            (["regularity", "--check", "automorphism", "--alpha", "1e-5"],
+             "alpha = 1e-05 and beta = [0.7, 0.7] leave the moved means too coarse"),
+            (["regularity", "--check", "automorphism", "--alpha", "1e-100"],
+             "alpha = 1e-100 and beta = [0.7, 0.7] leave the moved means too coarse"),
+            (["regularity", "--check", "automorphism", "--beta", "1e300"],
+             "alpha = 2.0 and beta = [1e+300, 1e+300] leave the moved means too coarse"),
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

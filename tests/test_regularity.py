@@ -93,6 +93,22 @@ class TestCheckAutomorphism:
         rep = check_automorphism(Automorphism(1e150, np.zeros(2)), prior, cfg)
         assert rep.marginal_ok and rep.likelihood_ok
 
+    def test_rounding_of_moved_means_rejected(self):
+        # A true symmetry whose moved means round by more than tol allows in
+        # a likelihood gap is refused, not reported as failing.
+        cfg = ProblemConfig(N=2, J=2)
+        prior = PriorSpec.scale_free(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha, beta in ((2.0, 1e5), (2.0, 1e6), (1e-5, 0.7), (1e-100, 0.7), (2.0, 1e300)):
+                aut = Automorphism(alpha, np.full(2, beta))
+                message = f"alpha = {alpha!r} and beta = {[beta, beta]!r} leave the moved means too coarse"
+                with pytest.raises(InvalidConfigError, match=re.escape(message) + ".*tol = 1e-09"):
+                    check_automorphism(aut, prior, cfg)
+            for alpha, beta in ((2.0, 0.7), (1e150, 0.7), (2.0, 1e3), (1e-4, 0.7)):
+                rep = check_automorphism(Automorphism(alpha, np.full(2, beta)), prior, cfg)
+                assert rep.marginal_ok and rep.likelihood_ok
+
 
 class TestTransitivityWitness:
     def test_identity(self):
@@ -360,6 +376,13 @@ class TestLocalityCertificate:
                 locality_certificate(Parameter(sigma2, np.zeros(2)), cfg)
         _, rep = locality_certificate(Parameter(1e307, np.zeros(2)), cfg)
         assert rep.all_pass and np.all(np.isfinite(rep.worst_point))
+
+    def test_c_outside_float_range_rejected(self):
+        # v0 near 1e429 at N = 20, and a c that no float holds.
+        for n, c in ((20, 10**21), (2, 10**400)):
+            with pytest.raises(InvalidConfigError, match=f"c = {c} takes the certificate out of the float range"):
+                locality_certificate(Parameter(1.0, np.zeros(n)), ProblemConfig(N=n, J=2), c=c,
+                                     grid=GridSpec(points_mean=1))
 
     def test_huge_c_scores_without_warning(self):
         # Nearest grid-centre indices near 1e21 stay floats: no cast warning.
