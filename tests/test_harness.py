@@ -556,12 +556,8 @@ class TestCli:
              "c = 1000000000000000000000 takes the certificate out of the float range"),
             (["regularity", "--check", "automorphism", "--beta", "1e6"],
              "alpha = 2.0 and beta = [1000000.0, 1000000.0] leave the moved means too coarse"),
-            (["regularity", "--check", "automorphism", "--alpha", "1e-5"],
-             "alpha = 1e-05 and beta = [0.7, 0.7] leave the moved means too coarse"),
             (["regularity", "--check", "automorphism", "--alpha", "1e-100"],
              "alpha = 1e-100 and beta = [0.7, 0.7] leave the moved means too coarse"),
-            (["regularity", "--check", "automorphism", "--beta", "1e300"],
-             "alpha = 2.0 and beta = [1e+300, 1e+300] leave the moved means too coarse"),
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

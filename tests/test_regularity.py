@@ -94,8 +94,8 @@ class TestCheckAutomorphism:
         assert rep.marginal_ok and rep.likelihood_ok
 
     def test_rounding_of_moved_means_rejected(self):
-        # A true symmetry whose moved means round by more than tol allows in
-        # a likelihood gap is refused, not reported as failing.
+        # A true symmetry whose moved means round too coarsely to resolve tol
+        # is refused as malformed input, not reported as a failing check.
         cfg = ProblemConfig(N=2, J=2)
         prior = PriorSpec.scale_free(cfg)
         with warnings.catch_warnings():
