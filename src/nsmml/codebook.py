@@ -463,6 +463,7 @@ def pointwise_assignment(problem: DiscreteProblem) -> np.ndarray:
 
 _EXACT_TOL = 1e-12  # codebooks within this cost of the minimum are all optimal
 _DP_STATE_LIMIT = 4_000_000  # most count vectors in one layer of the exact DP
+_DP_BEAM = 64  # count vectors per layer in the bounding pass of the exact DP
 
 
 def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
@@ -481,12 +482,22 @@ def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
     assignments and at most 12 candidates meets it (a code space of at most
     ``2**60``), whatever its masses.  Among the builders' instances of at most
     ``2**20`` assignments, only 2x2 lattices with 20-32 candidates (28-32
-    when masses are uniform) do not.  States are pruned against the cheaper
-    of two codebooks read off the cost table, so no heuristic runs: every
-    cell on the candidate of least total cost, and every cell on its own
-    least-cost candidate.  The DP gives up past ``_DP_STATE_LIMIT`` states
-    in a layer.  Returns every assignment whose cost is within
-    ``_EXACT_TOL`` of the global minimum, sorted lexicographically.
+    when masses are uniform) do not.
+
+    A state is pruned when a lower bound on the cost of every completion
+    exceeds the cost of a known codebook.  The bound adds to the state's
+    partial ``L_P`` each later cell's least cost and the least entropy of
+    any completion of its region masses, which puts all later mass on the
+    largest region.  The known codebooks come from the cost table and the
+    search itself, so no heuristic runs: every cell on the candidate of
+    least total cost, every cell on its own least-cost candidate, and the
+    best codebook of a first pass of this DP that keeps only the
+    ``_DP_BEAM`` states of least bound per layer.  The bound never decreases
+    along an assignment, so every state on the way to a codebook within
+    ``_EXACT_TOL`` of the minimum is kept with its least partial ``L_P``.
+    The DP gives up past ``_DP_STATE_LIMIT`` states in a layer.  Returns
+    every assignment whose cost is within ``_EXACT_TOL`` of the global
+    minimum, sorted lexicographically.
     """
     c = problem.n_cells
     b = problem.n_candidates
@@ -505,36 +516,66 @@ def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
     suffix_min = np.append(np.cumsum(w.min(axis=1)[::-1])[::-1], 0.0)
     pointwise_q = np.bincount(w.argmin(axis=1), weights=problem.mass, minlength=b)
     ub = min(w.sum(axis=0).min(), suffix_min[0] + _entropy(pointwise_q))
+    # f(x) = -x log x is concave, so the cells after cell i change the
+    # entropy of the region masses by at least f(total) - f(mass of 0..i).
+    prefix = np.cumsum(problem.mass)
+    later_entropy = _neg_xlogx(prefix[-1]) - _neg_xlogx(prefix)
 
-    # Layer i: sorted codes of the count vectors reachable from the first i
-    # cells, and the least partial L_P of reaching each.
-    codes = np.zeros(1, dtype=np.int64)
-    vals = np.zeros(1)
-    layers = [(codes, vals)]
-    for i in range(c):
+    def region_entropy(codes: np.ndarray) -> np.ndarray:
+        # Region masses q_j = sum_k n_kj * weight[k], decoded one candidate
+        # at a time so that no (states, classes, candidates) array is built.
+        out = np.zeros(codes.shape[0])
+        for j in range(b):
+            q = np.zeros(codes.shape[0])
+            for k in range(size.shape[0]):
+                q += codes // radix[k, j] % (size[k] + 1) * weight[k]
+            out += _neg_xlogx(q)
+        return out
+
+    def extend(codes: np.ndarray, vals: np.ndarray, i: int, ub: float):
+        """Sorted count vectors after cell i, least partial L_P of reaching
+        each and its cost bound, kept where the bound is within ub."""
+        limit = ub + _EXACT_TOL - suffix_min[i + 1]
         # One sorted run per candidate, so the stable (merge) sort is cheap.
         codes = (radix[cls[i]][:, None] + codes[None, :]).ravel()
         vals = (w[i][:, None] + vals[None, :]).ravel()
-        keep = vals <= ub + _EXACT_TOL - suffix_min[i + 1]
+        keep = vals <= limit
         codes, vals = codes[keep], vals[keep]
         order = np.argsort(codes, kind="stable")
         codes, vals = codes[order], vals[order]
         starts = np.flatnonzero(np.diff(codes, prepend=-1))
         codes, vals = codes[starts], np.minimum.reduceat(vals, starts)
+        bound = vals + region_entropy(codes) + later_entropy[i]
+        keep = bound <= limit
+        return codes[keep], vals[keep], bound[keep]
+
+    # Bounding pass: the same DP, keeping the _DP_BEAM states of least bound.
+    codes = np.zeros(1, dtype=np.int64)
+    vals = np.zeros(1)
+    for i in range(c):
+        codes, vals, bound = extend(codes, vals, i, ub)
+        if not codes.shape[0]:
+            break
+        if codes.shape[0] > _DP_BEAM:
+            kept = np.sort(np.argpartition(bound, _DP_BEAM)[:_DP_BEAM])
+            codes, vals, bound = codes[kept], vals[kept], bound[kept]
+    else:
+        ub = min(ub, bound.min())  # after the last cell the bound is the cost
+
+    # Layer i: sorted codes of the count vectors reachable from the first i
+    # cells within the bound, and the least partial L_P of reaching each.
+    codes = np.zeros(1, dtype=np.int64)
+    vals = np.zeros(1)
+    layers = [(codes, vals)]
+    for i in range(c):
+        codes, vals, _ = extend(codes, vals, i, ub)
         if codes.shape[0] > _DP_STATE_LIMIT:
             raise SizeLimitError(f"count-vector DP exceeded {_DP_STATE_LIMIT} states at layer {i + 1}")
         if not codes.shape[0]:
             raise SizeLimitError("count-vector DP pruned every state; upper bound inconsistent")
         layers.append((codes, vals))
 
-    # Region masses q_j = sum_k n_kj * weight[k], decoded one candidate at
-    # a time so that no (states, classes, candidates) array is built.
-    entropy = np.zeros(codes.shape[0])
-    for j in range(b):
-        q = np.zeros(codes.shape[0])
-        for k in range(size.shape[0]):
-            q += codes // radix[k, j] % (size[k] + 1) * weight[k]
-        entropy += _neg_xlogx(q)
+    entropy = region_entropy(codes)
     best = float((vals + entropy).min())
     target = best + _EXACT_TOL - entropy
     final = vals <= target

@@ -339,6 +339,31 @@ class TestExhaustive:
         assert ["".join(map(str, o.assign)) for o in lattice] == ["4444444424432233"]
         assert lattice[0].cost.L == 3.7898899481891126
 
+    def test_exact_bound_keeps_ring16_layers_small(self, monkeypatch):
+        # The cost-table bound alone keeps about 245,000 of the 245,157 count
+        # vectors of 16 cells on 8 candidates; the entropy term of the bound
+        # and the bounding pass leave fewer than 10,000 per layer.
+        monkeypatch.setattr("nsmml.codebook._DP_STATE_LIMIT", 10_000)
+        ring = smml_exhaustive(torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2))
+        assert len(ring) == 4
+        assert all(o.cost.L == 2.1701103981812238 for o in ring)
+
+    @pytest.mark.parametrize("beam", [1, 10**6])
+    def test_every_tied_optimum_survives_any_bounding_pass(self, monkeypatch, beam):
+        # A one-state beam leaves the cost-table bound nearly alone; a beam
+        # wider than any layer makes the bound the minimum itself, so tied
+        # optima sit exactly at the pruning threshold.
+        monkeypatch.setattr("nsmml.codebook._DP_BEAM", beam)
+        rng = np.random.default_rng(15)
+        for k in range(12):
+            c = int(rng.integers(2, 6))
+            mass = np.full(c, 1.0 / c) if k % 2 else rng.dirichlet(np.ones(c))
+            penalty = np.repeat(rng.uniform(0, 3, (c, int(rng.integers(2, 4)))), 2, axis=1)
+            optima = [tuple(int(v) for v in o.assign)
+                      for o in smml_exhaustive(synthetic_problem(mass, penalty))]
+            assert optima == oracle_smml_optima(mass, penalty)
+            assert len(optima) >= 2
+
 
 class TestLocalSearch:
     def test_deterministic_given_seed(self):
