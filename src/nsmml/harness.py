@@ -145,9 +145,10 @@ def resolve_prior(choice, cfg: ProblemConfig) -> PriorSpec:
     if name in ("scale-free", "scale_free", "scalefree"):
         return PriorSpec.scale_free(cfg)
     try:
-        return PriorSpec(float(name))
+        p = float(name)
     except ValueError:
         raise InvalidConfigError(f"unknown prior {choice!r}") from None
+    return PriorSpec(p)
 
 
 def _true_means(spec: SweepSpec, cfg: ProblemConfig, rng: np.random.Generator) -> np.ndarray:

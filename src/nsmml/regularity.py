@@ -393,17 +393,17 @@ _GRID_LIMIT = 200_000  # most competitor grid points a certificate lists
 class LocalityCertificate:
     """Competitor family certifying locality at ``theta``.
 
-    ``theta_list`` consists of ``k = 2N + 1 + c^N`` parameters: the ``2N``
-    mean-shifted points (one coordinate moved by ``+-sigma*sqrt(2T)``), the
-    inflated point ``(e*sigma, mu)``, and a ``c^N`` grid of points with
-    scale ``sqrt(2NJ)*sigma/c`` and means on the per-coordinate ``c``
-    segment centers.  The grid is stored implicitly (``grid_sigma`` plus
-    per-coordinate centers as ``start/step/count``); ``materialize_grid``
-    expands it when ``c^N`` is small enough to enumerate.
+    The family has ``k = 2N + 1 + c^N`` parameters: the ``2N`` mean-shifted
+    points (one coordinate moved by ``+-sigma*sqrt(2T)``), the inflated
+    point ``(e*sigma, mu)``, and a ``c^N`` grid of points with scale
+    ``sqrt(2NJ)*sigma/c`` and means on the per-coordinate ``c`` segment
+    centers.  The certificate holds ``theta`` and the constants, which
+    depend only on ``(N, J, c)``; ``theta_list`` derives the competitors
+    from ``theta`` when ``c^N`` is small enough to enumerate.
 
     ``v0_bound`` bounds the scaled probability of the exempt region, where
     domination is not asserted (``delta_prime <= s/sigma <= delta`` and
-    ``|m_n - mu_n| <= sigma*sqrt(2T)``); it depends only on ``(N, J, c)``.
+    ``|m_n - mu_n| <= sigma*sqrt(2T)``).
     """
 
     theta: Parameter
@@ -413,28 +413,34 @@ class LocalityCertificate:
     T_margin: float
     delta: float
     delta_prime: float
-    explicit_thetas: list[Parameter]
-    grid_sigma: float
-    grid_start: np.ndarray
-    grid_step: np.ndarray
     v0_bound: float
 
-    def materialize_grid(self) -> list[Parameter]:
+    def theta_list(self) -> list[Parameter]:
+        """The ``k`` competitors: mean shifts, inflated point, then the grid."""
         count = self.c**self.cfg.N
         if count > _GRID_LIMIT:
             raise InvalidConfigError(f"grid has {count} points, above the materialization limit {_GRID_LIMIT}")
-        axes = [self.grid_start[n] + self.grid_step[n] * np.arange(self.c) for n in range(self.cfg.N)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        mus = np.stack([g.ravel() for g in mesh], axis=1)
-        return [Parameter(self.grid_sigma**2, mu) for mu in mus]
+        sigma, mu = self.theta.sigma, self.theta.mu
+        shift = sigma * math.sqrt(2.0 * self.T_margin)
+        units = np.eye(self.cfg.N)
+        thetas = [Parameter(self.theta.sigma2, mu + sign * shift * e) for e in units for sign in (1.0, -1.0)]
+        inflated, grid = self._variances(sigma)
+        thetas.append(Parameter(inflated, mu))
+        step = 2.0 * shift / self.c
+        axes = [mu[n] - shift + step * (np.arange(self.c) + 0.5) for n in range(self.cfg.N)]
+        centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.cfg.N)
+        return thetas + [Parameter(grid, center) for center in centers]
 
-    def theta_list(self) -> list[Parameter]:
-        return self.explicit_thetas + self.materialize_grid()
+    def _variances(self, sigma: float) -> tuple[float, float]:
+        """The inflated point's and the grid's variance at scale ``sigma``."""
+        return (math.e * sigma) ** 2, (math.sqrt(2.0 * self.cfg.nj) * sigma / self.c) ** 2
 
     def best_log_likelihood_gap(self, stat: SufficientStat) -> float:
         """``max_i log f(x | theta_i) - log f(x | theta)`` over all k competitors."""
         _check_stat(stat, self.cfg)
-        return float(_best_gaps(self, np.array([stat.s]), stat.m[None, :])[0])
+        sigma = self.theta.sigma
+        rel_m = (stat.m - self.theta.mu) / sigma
+        return float(_best_gaps(self, np.array([stat.s / sigma]), rel_m[None, :])[0])
 
 
 # How far the verification grid reaches past the exempt box: in log(s/sigma)
@@ -482,41 +488,15 @@ class LocalityReport:
 
 def _build_certificate(theta: Parameter, cfg: ProblemConfig, c: int) -> LocalityCertificate:
     T = cfg.N * math.log(c + 1.0)
-    sigma = theta.sigma
-    shift = sigma * math.sqrt(2.0 * T)
     # delta: the inflated-scale chain dominates once s/sigma exceeds it;
     # delta_prime: the contracted grid dominates below it.  Both are the
     # tightest values satisfying the construction's sufficient conditions.
     delta = math.sqrt((T + cfg.nj) / ((1.0 - math.exp(-2.0)) * 0.5 * cfg.nj))
     delta_prime = math.sqrt(0.25 * T / ((c * c / (2.0 * cfg.nj) - 1.0) * 0.5 * cfg.nj))
-
-    explicit = []
-    for n in range(cfg.N):
-        for sign in (1.0, -1.0):
-            mu = theta.mu.copy()
-            mu[n] += sign * shift
-            explicit.append(Parameter(theta.sigma2, mu))
-    explicit.append(Parameter((math.e * sigma) ** 2, theta.mu.copy()))
-
-    step = 2.0 * shift / c
-    grid_start = theta.mu - shift + 0.5 * step
-    grid_step = np.full(cfg.N, step)
-    grid_sigma = math.sqrt(2.0 * cfg.nj) * sigma / c
-
     v0 = (2.0 * math.sqrt(2.0 * T)) ** cfg.N * math.log(delta / delta_prime) / delta_prime**cfg.N
     return LocalityCertificate(
-        theta=theta,
-        cfg=cfg,
-        c=c,
-        k=2 * cfg.N + 1 + c**cfg.N,
-        T_margin=T,
-        delta=delta,
-        delta_prime=delta_prime,
-        explicit_thetas=explicit,
-        grid_sigma=grid_sigma,
-        grid_start=grid_start,
-        grid_step=grid_step,
-        v0_bound=v0,
+        theta=theta, cfg=cfg, c=c, k=2 * cfg.N + 1 + c**cfg.N,
+        T_margin=T, delta=delta, delta_prime=delta_prime, v0_bound=v0,
     )
 
 
@@ -537,12 +517,14 @@ def locality_certificate(
     exempt boundary.
 
     Log-likelihood gaps are invariant under the scale-translation
-    automorphism, so the margins are scored in ``theta``'s frame, against
-    the certificate at ``(sigma, mu) = (1, 0)``: a large mean or scale
-    neither rounds the gaps away nor overflows them.  Only the certificate
-    at ``theta`` and the reported worst point are in absolute coordinates;
-    a ``theta`` that takes them out of the float range is rejected, naming
-    ``sigma2``, and a ``c`` whose bound ``v0`` leaves it, naming ``c``.
+    automorphism, so the margins are scored in ``theta``'s frame, at the
+    relative coordinates ``(s/sigma, (m - mu)/sigma)``: a large mean or
+    scale neither rounds the gaps away nor overflows them.  Only the
+    competitors' variances and the reported worst point are in absolute
+    coordinates; a ``theta`` that takes the largest, ``(e*sigma)^2``, past
+    the float range or the grid's ``(sqrt(2NJ)*sigma/c)^2`` or the worst
+    point's below the normal range is rejected, naming ``sigma2``, and a
+    ``c`` whose bound ``v0`` leaves the float range, naming ``c``.
     """
     _check_param(theta, cfg)
     if c is None:
@@ -554,19 +536,20 @@ def locality_certificate(
     if n_points > _POINT_LIMIT:
         raise InvalidConfigError(f"verification grid has {n_points} points, above the limit {_POINT_LIMIT}")
     try:
-        unit = _build_certificate(Parameter(1.0, np.zeros(cfg.N)), cfg, c)
+        cert = _build_certificate(theta, cfg, c)
     except ArithmeticError:
-        unit = None
-    if unit is None or not math.isfinite(unit.v0_bound):
+        cert = None
+    if cert is None or not math.isfinite(cert.v0_bound):
         raise InvalidConfigError(f"c = {c} takes the certificate out of the float range")
     rng = np.random.default_rng(seed)
 
     # Grid in relative coordinates: log(s/sigma) and (m - mu)/sigma.
-    ls_lo = math.log(unit.delta_prime) - _EXPAND_SCALE
-    ls_hi = math.log(unit.delta) + _EXPAND_SCALE
+    ls_lo = math.log(cert.delta_prime) - _EXPAND_SCALE
+    ls_hi = math.log(cert.delta) + _EXPAND_SCALE
     jitter = rng.uniform(0.25, 0.75)
     ls_vals = ls_lo + (ls_hi - ls_lo) * (np.arange(grid.points_scale) + jitter) / grid.points_scale
-    half = math.sqrt(2.0 * unit.T_margin) * _EXPAND_MEAN
+    sqrt2T = math.sqrt(2.0 * cert.T_margin)
+    half = sqrt2T * _EXPAND_MEAN
     jitter_m = rng.uniform(0.25, 0.75, cfg.N)
     mean_axes = [
         -half + 2.0 * half * (np.arange(grid.points_mean) + jitter_m[n]) / grid.points_mean
@@ -575,30 +558,30 @@ def locality_certificate(
     mesh = np.meshgrid(ls_vals, *mean_axes, indexing="ij")
     rel_ls = mesh[0].ravel()
     rel_m = np.stack([g.ravel() for g in mesh[1:]], axis=1)
-
     rel_s = np.exp(rel_ls)
 
     # Exempt region membership (exact, not the covering box).
-    sqrt2T = math.sqrt(2.0 * unit.T_margin)
     exempt = (
-        (rel_s >= unit.delta_prime)
-        & (rel_s <= unit.delta)
+        (rel_s >= cert.delta_prime)
+        & (rel_s <= cert.delta)
         & np.all(np.abs(rel_m) <= sqrt2T, axis=1)
     )
     n_exempt = int(exempt.sum())
     if n_exempt == n_points:
         raise InvalidConfigError(f"none of the {n_points} grid points lies outside the exempt region")
-    margins = _best_gaps(unit, rel_s, rel_m) - unit.T_margin
+    margins = _best_gaps(cert, rel_s, rel_m) - cert.T_margin
     margins[exempt] = np.inf
     worst_i = int(np.argmin(margins))
     worst_margin = float(margins[worst_i])
     sigma = theta.sigma
     try:
         with np.errstate(over="raise"):
-            cert = _build_certificate(theta, cfg, c)
             worst_point = np.concatenate(([(sigma * rel_s[worst_i]) ** 2], theta.mu + sigma * rel_m[worst_i]))
+            variances = (*cert._variances(sigma), worst_point[0])
     except ArithmeticError:
-        raise InvalidConfigError(f"sigma2 = {theta.sigma2!r} takes the certificate out of the float range") from None
+        variances = None
+    if variances is None or min(variances) < sys.float_info.min:
+        raise InvalidConfigError(f"sigma2 = {theta.sigma2!r} takes the certificate out of the float range")
 
     report = LocalityReport(
         all_pass=bool(worst_margin > 0.0),
@@ -607,12 +590,7 @@ def locality_certificate(
         n_exempt=n_exempt,
         worst_margin=worst_margin,
         worst_point=worst_point,
-        v0_bound=cert.v0_bound,
-        c=cert.c,
-        k=cert.k,
-        T_margin=cert.T_margin,
-        delta=cert.delta,
-        delta_prime=cert.delta_prime,
+        **{name: getattr(cert, name) for name in ("v0_bound", "c", "k", "T_margin", "delta", "delta_prime")},
     )
     if not report.all_pass:
         raise CertificateError(
@@ -625,30 +603,31 @@ def locality_certificate(
 
 def _best_gaps(cert: LocalityCertificate, s: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``max_i log f(x | theta_i) - log f(x | theta)`` at each observation
-    ``(s[k], m[k])``.  The best mean shift moves the coordinate farthest
-    from ``mu`` and the best grid point is the nearest segment center, so
-    neither family is enumerated.
+    given in ``theta``'s frame, ``(s[k], m[k]) = (s/sigma, (m - mu)/sigma)``,
+    where ``theta`` is ``(1, 0)`` and the gaps are unchanged.  The best mean
+    shift moves the coordinate farthest from zero and the best grid point
+    is the nearest segment center, so neither family is enumerated.
     """
     cfg = cert.cfg
-    theta = cert.theta
     s2 = s**2
-    d = m - theta.mu[None, :]
-    sq = (d**2).sum(axis=1)
-    base = log_likelihood_kernel(s2, sq, theta.sigma2, cfg)
+    sq = (m**2).sum(axis=1)
+    base = log_likelihood_kernel(s2, sq, 1.0, cfg)
+    inflated, grid = cert._variances(1.0)
 
     # Mean-shifted competitors: best over coordinate and sign.
-    shift = theta.sigma * math.sqrt(2.0 * cert.T_margin)
-    best = (cfg.J * shift / theta.sigma2) * np.abs(d).max(axis=1) - 0.5 * cfg.J * shift**2 / theta.sigma2
+    shift = math.sqrt(2.0 * cert.T_margin)
+    best = (cfg.J * shift) * np.abs(m).max(axis=1) - 0.5 * cfg.J * shift**2
     best += base
-    del d
 
     # Inflated-scale competitor.
-    np.maximum(best, log_likelihood_kernel(s2, sq, cert.explicit_thetas[-1].sigma2, cfg), out=best)
+    np.maximum(best, log_likelihood_kernel(s2, sq, inflated, cfg), out=best)
     del sq
 
     # Contracted grid: nearest segment center per coordinate.
-    idx = np.clip(np.rint((m - cert.grid_start) / cert.grid_step), 0, cert.c - 1)
-    grid_sq = ((m - (cert.grid_start + cert.grid_step * idx)) ** 2).sum(axis=1)
-    np.maximum(best, log_likelihood_kernel(s2, grid_sq, cert.grid_sigma**2, cfg), out=best)
+    step = 2.0 * shift / cert.c
+    start = 0.5 * step - shift
+    idx = np.clip(np.rint((m - start) / step), 0, cert.c - 1)
+    grid_sq = ((m - (start + step * idx)) ** 2).sum(axis=1)
+    np.maximum(best, log_likelihood_kernel(s2, grid_sq, grid, cfg), out=best)
     best -= base
     return best

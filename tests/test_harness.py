@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -180,6 +181,10 @@ class TestRunSweep:
         assert resolve_prior(spec, cfg) is spec
         with pytest.raises(InvalidConfigError, match="unknown prior 'bogus'"):
             resolve_prior("bogus", cfg)
+        # A number that is not an admissible exponent names the rule, not "unknown".
+        for choice, shown in (("0.5", "0.5"), (" nan", "nan"), ("1e400", "inf"), (0.5, "0.5")):
+            with pytest.raises(InvalidConfigError, match=re.escape(f"prior exponent p must satisfy p >= 1, got {shown}")):
+                resolve_prior(choice, cfg)
 
     def test_numeric_prior_and_duplicate_rows(self):
         spec = parse_sweep_config("J = 2\nN_list = 10\ntrials = 3\nestimators = IP, ML, IP\npriors = wallace, 3.5\n")
@@ -362,6 +367,10 @@ class TestCli:
         assert main(["locality", "--N", "2", "--J", "2", "--c", "120"]) == 0
         out = capsys.readouterr().out
         assert "all_pass true" in out
+        # Tiny variances whose grid and worst point stay normal floats pass.
+        for flags in (["--c", "120", "--sigma2", "1e-303"], ["--sigma2", "1e-300"]):
+            assert main(["locality", "--N", "2", "--J", "2", *flags]) == 0
+            assert "all_pass true" in capsys.readouterr().out
         assert main(["locality", "--N", "1", "--J", "2"]) == 1
         assert "requires N >= 2" in capsys.readouterr().err
 
@@ -395,6 +404,17 @@ class TestCli:
         argv = ["regularity", "--prior", prior, "--N", "2", "--J", "2", "--seed", "0"]
         assert main([*argv, "--out", str(out)]) == code
         assert out.read_bytes() == (DATA / f"regularity_{prior}.txt").read_bytes()
+
+    @pytest.mark.parametrize("name, flags", [
+        ("N2_J2", ["--N", "2", "--J", "2"]),
+        ("N3_J2", ["--N", "3", "--J", "2"]),
+        ("N2_J3_mu1e17", ["--N", "2", "--J", "3", "--sigma2", "2.5", "--mu", "1e17,0"]),
+        ("N2_J2_json", ["--N", "2", "--J", "2", "--json"]),
+    ])
+    def test_locality_report_pinned(self, tmp_path, name, flags):
+        out = tmp_path / "report.txt"
+        assert main(["locality", *flags, "--seed", "0", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"locality_{name}.txt").read_bytes()
 
     def test_smml_cli_roundtrip(self, tmp_path, capsys):
         problem_file = tmp_path / "prob.json"
@@ -533,6 +553,8 @@ class TestCli:
              "log_s_hi - log_s_lo must be finite, got inf"),
             (["smml", "--torus", "8", "--torus-mean", "1e200"],
              "log_s_lo, log_s_hi and mean_coord take the tables out of the float range"),
+            (["estimate", "--J", "2", "--m", "1", "--s2", "1", "--prior", "0.5"],
+             "prior exponent p must satisfy p >= 1, got 0.5"),
             (["regularity", "--tol", "nan"], "tol must be finite and > 0, got nan"),
             (["regularity", "--check", "homogeneity", "--tol", "-1"], "tol must be finite and > 0, got -1.0"),
             (["regularity", "--tol", "inf"], "tol must be finite and > 0, got inf"),
@@ -542,6 +564,11 @@ class TestCli:
             # an oversized grid and a mean of the wrong length are named.
             (["locality", "--N", "2", "--J", "2", "--sigma2", "1e308"],
              "sigma2 = 1e+308 takes the certificate out of the float range"),
+            # The contracted grid's variance (sqrt(2NJ) sigma / c)^2 must stay normal.
+            (["locality", "--N", "2", "--J", "2", "--c", "120", "--sigma2", "5e-324"],
+             "sigma2 = 5e-324 takes the certificate out of the float range"),
+            (["locality", "--N", "2", "--J", "2", "--c", "120", "--sigma2", "1e-310"],
+             "sigma2 = 1e-310 takes the certificate out of the float range"),
             (["locality", "--N", "2", "--J", "2", "--points-scale", "3000", "--points-mean", "3000"],
              "verification grid has 27000000000 points, above the limit 2000000"),
             (["locality", "--N", "2", "--J", "2", "--mu", "1"], "parameter has 1 means but the configuration has N=2"),

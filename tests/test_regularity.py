@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -318,12 +319,20 @@ class TestLocalityCertificate:
         cert = _build_certificate(theta, cfg, 25)
         assert cert.k == 2 * cfg.N + 1 + 25**cfg.N
         assert cert.T_margin == pytest.approx(cfg.N * math.log(26.0))
-        assert len(cert.explicit_thetas) == 2 * cfg.N + 1
-        assert len(cert.theta_list()) == cert.k
+        thetas = cert.theta_list()
+        assert len(thetas) == cert.k
+        # 2N + 1 explicit points: the mean shifts at theta's scale, then the
+        # inflated point; the c^N grid points follow
+        explicit, grid = thetas[: 2 * cfg.N + 1], thetas[2 * cfg.N + 1 :]
+        assert [t.sigma2 for t in explicit[:-1]] == [theta.sigma2] * (2 * cfg.N)
+        assert explicit[-1].sigma2 == pytest.approx(math.e**2 * theta.sigma2)
+        assert len(grid) == 25**cfg.N
         # grid sigma and mean segments follow the construction
-        assert cert.grid_sigma == pytest.approx(math.sqrt(2 * cfg.nj) * theta.sigma / 25)
+        assert grid[0].sigma2 == pytest.approx((math.sqrt(2 * cfg.nj) * theta.sigma / 25) ** 2)
         span = 2 * theta.sigma * math.sqrt(2 * cert.T_margin)
-        assert cert.grid_step[0] == pytest.approx(span / 25)
+        centers = np.unique([t.mu[0] for t in grid])
+        assert len(centers) == 25
+        assert np.diff(centers).mean() == pytest.approx(span / 25)
 
     def test_grid_max_matches_enumeration(self):
         cfg = ProblemConfig(N=2, J=2)
@@ -376,6 +385,14 @@ class TestLocalityCertificate:
                 locality_certificate(Parameter(sigma2, np.zeros(2)), cfg)
         _, rep = locality_certificate(Parameter(1e307, np.zeros(2)), cfg)
         assert rep.all_pass and np.all(np.isfinite(rep.worst_point))
+        # At the low end the contracted grid's variance (sqrt(2NJ) sigma / c)^2
+        # must stay a normal float, so every certified family can be listed.
+        for sigma2 in (5e-324, 1e-310):
+            with pytest.raises(InvalidConfigError, match=re.escape(f"sigma2 = {sigma2!r} takes the certificate out")):
+                locality_certificate(Parameter(sigma2, np.zeros(2)), cfg, c=120)
+        cert, rep = locality_certificate(Parameter(1e-303, np.zeros(2)), cfg, c=120)
+        assert rep.all_pass and rep.worst_point[0] >= sys.float_info.min
+        assert min(t.sigma2 for t in cert.theta_list()) >= sys.float_info.min
 
     def test_c_outside_float_range_rejected(self):
         # v0 near 1e429 at N = 20, and a c that no float holds.
@@ -425,4 +442,5 @@ class TestLocalityCertificate:
         assert c2.v0_bound == c1.v0_bound
         assert c2.T_margin == c1.T_margin
         # all construction lengths are multiples of sigma
-        assert c2.grid_sigma == pytest.approx(aut.alpha * c1.grid_sigma)
+        grid1, grid2 = c1.theta_list()[-1], c2.theta_list()[-1]
+        assert grid2.sigma2 == pytest.approx(aut.alpha**2 * grid1.sigma2)
