@@ -213,6 +213,9 @@ def _float_range(inputs: str):
             raise InvalidConfigError(f"{inputs} take the tables out of the float range ({exc})") from None
 
 
+_BLOCK = 2**16  # float64 entries (512 KB) per row block of a penalty build's temporaries
+
+
 def _penalty_matrix(
     cell_s2: np.ndarray,
     cell_m: np.ndarray,
@@ -227,14 +230,28 @@ def _penalty_matrix(
     cancels when means are large against their differences: entries drift
     from ``code_penalty_R`` by up to about 5e-8 relative at means near 1e4
     and by several nats at 1e8.
+
+    Build order: the matrix is allocated once, as the cross term ``2 m.mu``
+    of a single BLAS product, and overwritten in place one block of whole
+    rows (about ``_BLOCK`` entries) at a time with ``|m|^2 + |mu|^2`` minus
+    the cross term, clipped at zero, then the kernel.  The elementwise
+    steps keep the order of a one-shot build, so every entry has the same
+    bits, and the temporaries are block-sized rather than matrix-sized.
+    The product stays one call: OpenBLAS picks its kernel path by row
+    count, so a product split by rows can round differently wherever an
+    entry sums ``N >= 2`` products; it changed entries of 5^4 and 6^4
+    lattices, and of every ``N >= 2`` lattice built in one-row blocks.
     """
-    sq = (
-        (cell_m**2).sum(axis=1)[:, None]
-        + (cand_mu**2).sum(axis=1)[None, :]
-        - 2.0 * cell_m @ cand_mu.T
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return code_penalty_kernel(cell_s2[:, None], sq, cand_sigma2[None, :], prior, cfg)
+    m_sq = (cell_m**2).sum(axis=1)
+    mu_sq = (cand_mu**2).sum(axis=1)
+    out = 2.0 * cell_m @ cand_mu.T
+    step = max(1, _BLOCK // out.shape[1])
+    for lo in range(0, out.shape[0], step):
+        blk = slice(lo, lo + step)
+        sq = m_sq[blk, None] + mu_sq[None, :] - out[blk]
+        np.maximum(sq, 0.0, out=sq)
+        out[blk] = code_penalty_kernel(cell_s2[blk, None], sq, cand_sigma2[None, :], prior, cfg)
+    return out
 
 
 def _axis_masses(lo: float, hi: float, res: int, kappa: float) -> np.ndarray:
@@ -354,8 +371,14 @@ def _torus_penalty(n: int, stride: int, spacing: float, u0: np.ndarray, prior: P
     delta = spacing * np.arange(-half, n - half)
     sq_dev = float((u0**2).sum()) * (np.exp(delta) - 1.0) ** 2
     row = code_penalty_kernel(np.exp(2.0 * delta), sq_dev, 1.0, prior, cfg)
-    offsets = np.arange(n)[:, None] - np.arange(0, n, stride)[None, :]
-    return row[(offsets + half) % n]
+    cols = np.arange(0, n, stride)
+    out = np.empty((n, cols.shape[0]))
+    step = max(1, _BLOCK // cols.shape[0])
+    for lo in range(0, n, step):  # row blocks bound the offset table
+        idx = np.arange(lo + half, min(lo + step, n) + half)[:, None] - cols[None, :]
+        idx %= n
+        np.take(row, idx, out=out[lo : lo + step])
+    return out
 
 
 @_float_range("log_s_lo, log_s_hi and mean_coord")
@@ -629,7 +652,9 @@ def _least_penalties(pen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return top, np.take_along_axis(pen, top, axis=1), edge
 
 
-def _descend(problem: DiscreteProblem, assign: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
+def _descend(
+    problem: DiscreteProblem, assign: np.ndarray, least: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> Iterator[tuple[float, np.ndarray]]:
     """Alternating descent to a local optimum, as a generator of its moves.
 
     (a) single-cell reassignment, first improvement in cell index order
@@ -647,7 +672,9 @@ def _descend(problem: DiscreteProblem, assign: np.ndarray) -> Iterator[tuple[flo
     comes from an exact scan of the row when the list cannot settle it.
     Cells that would not move are skipped a block at a time.  The moves,
     their order and the yielded levels are those of a scan of every
-    candidate on every visit, bit for bit.
+    candidate on every visit, bit for bit.  ``least`` is
+    ``_least_penalties(problem.penalty)``, built once per search and
+    shared by its restarts.
     """
     mass = problem.mass
     pen = problem.penalty
@@ -656,7 +683,7 @@ def _descend(problem: DiscreteProblem, assign: np.ndarray) -> Iterator[tuple[flo
     assign = assign.astype(np.int64).copy()
     q = np.bincount(assign, weights=mass, minlength=b)
     level = codebook_cost(problem, assign).L
-    top, top_pen, edge = _least_penalties(pen)
+    top, top_pen, edge = least
     yield level, assign
 
     def best_moves(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -755,7 +782,8 @@ def smml_local_search(problem: DiscreteProblem, restarts: int = 4, seed: int = 0
     rng = np.random.default_rng(seed)
     starts = [pointwise_assignment(problem)]
     starts += [rng.integers(0, problem.n_candidates, problem.n_cells) for _ in range(restarts - 1)]
-    finals = [deque(_descend(problem, init), maxlen=1).pop() for init in starts]
+    least = _least_penalties(problem.penalty)
+    finals = [deque(_descend(problem, init, least), maxlen=1).pop() for init in starts]
     _, assign = min(finals, key=lambda final: final[0])  # the earliest restart wins ties
     return make_codebook(problem, assign)
 

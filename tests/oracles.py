@@ -13,7 +13,10 @@ DP covered every mass pattern.  ``oracle_descend`` is the local-search
 descent as first written, scanning every candidate on every cell visit;
 the production descent must follow the same trajectory bit for bit.
 ``descent_steps`` runs either descent to its end and recomputes the cost
-of every step it yields.
+of every step it yields.  ``oracle_penalty_matrix`` and
+``oracle_torus_penalty`` build a penalty matrix in one shot, as first
+written; the production builders fill it a row block at a time and must
+match them bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from collections.abc import Iterator
 import numpy as np
 from scipy.integrate import quad
 
-from nsmml import ProblemConfig, SufficientStat, sufficient_stats
+from nsmml import PriorSpec, ProblemConfig, SufficientStat, sufficient_stats
 from nsmml.codebook import _EXACT_TOL, DiscreteProblem, _entropy, _neg_xlogx, codebook_cost
+from nsmml.model import code_penalty_kernel
 
 
 def oracle_log_marginal(stat: SufficientStat, p: float, cfg: ProblemConfig) -> float:
@@ -98,6 +102,38 @@ def log_normal_pdf_product(data: np.ndarray, sigma2: float, mu: np.ndarray) -> f
             z = (data[n, j] - mu[n]) ** 2 / (2.0 * sigma2)
             total += -0.5 * math.log(2.0 * math.pi * sigma2) - z
     return total
+
+
+def oracle_penalty_matrix(
+    cell_s2: np.ndarray,
+    cell_m: np.ndarray,
+    cand_sigma2: np.ndarray,
+    cand_mu: np.ndarray,
+    prior: PriorSpec,
+    cfg: ProblemConfig,
+) -> np.ndarray:
+    """Every ``R`` entry of cells against candidates, in whole-matrix
+    temporaries."""
+    sq = (
+        (cell_m**2).sum(axis=1)[:, None]
+        + (cand_mu**2).sum(axis=1)[None, :]
+        - 2.0 * cell_m @ cand_mu.T
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return code_penalty_kernel(cell_s2[:, None], sq, cand_sigma2[None, :], prior, cfg)
+
+
+def oracle_torus_penalty(
+    n: int, stride: int, spacing: float, u0: np.ndarray, prior: PriorSpec, cfg: ProblemConfig
+) -> np.ndarray:
+    """The torus circulant gathered through one offset table the size of the
+    matrix."""
+    half = n // 2
+    delta = spacing * np.arange(-half, n - half)
+    sq_dev = float((u0**2).sum()) * (np.exp(delta) - 1.0) ** 2
+    row = code_penalty_kernel(np.exp(2.0 * delta), sq_dev, 1.0, prior, cfg)
+    offsets = np.arange(n)[:, None] - np.arange(0, n, stride)[None, :]
+    return row[(offsets + half) % n]
 
 
 def oracle_smml_optima(mass, penalty, tol: float = 1e-12) -> list[tuple[int, ...]]:

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,9 @@ from nsmml.codebook import (
     CodebookCost,
     DiscreteProblem,
     SizeLimitError,
+    _BLOCK,
     _descend,
+    _least_penalties,
     _penalty_matrix,
     codebook_cost,
     codebook_from_text,
@@ -43,7 +46,14 @@ from nsmml.codebook import (
     transport_cost_bound,
 )
 
-from oracles import descent_steps, oracle_brute_optima, oracle_descend, oracle_smml_optima
+from oracles import (
+    descent_steps,
+    oracle_brute_optima,
+    oracle_descend,
+    oracle_penalty_matrix,
+    oracle_smml_optima,
+    oracle_torus_penalty,
+)
 
 CFG = ProblemConfig(N=1, J=2)
 SCALE_FREE = PriorSpec.scale_free(CFG)
@@ -179,6 +189,91 @@ class TestDiscretize:
             discretize(CFG, SCALE_FREE, BOX, 1)
         with pytest.raises(InvalidConfigError):
             discretize(CFG, SCALE_FREE, [[0.0, 0.0], [-1.0, 1.0]], 4)
+
+
+class TestPenaltyBuild:
+    """The builders fill the penalty matrix in place a block of whole rows
+    (about ``_BLOCK`` entries) at a time: the bits and the float-range
+    checks are those of a one-shot build, and the peak allocation stays
+    near the matrix's own size."""
+
+    @pytest.mark.parametrize(
+        "n, prior, resolution, spec",
+        [
+            (1, SCALE_FREE, 16, CandidateSpec()),
+            (1, WALLACE, [13, 10], CandidateSpec()),
+            (2, PriorSpec(2.0), 5, CandidateSpec()),
+            (2, WALLACE, 6, CandidateSpec()),
+            (3, PriorSpec(4.0), [3, 3, 3, 4], CandidateSpec()),
+            # 74,088 candidates: one row per block, where a product split by
+            # rows would round differently.
+            (2, PriorSpec(3.0), 2, CandidateSpec(extension=10.0)),
+            (1, WALLACE, [40, 30], CandidateSpec(parameters=[
+                Parameter(s2, [mu]) for s2, mu in np.random.default_rng(16).uniform([0.1, -3], [10, 3], (3000, 2))
+            ])),
+        ],
+    )
+    def test_lattice_penalty_matches_one_shot_build(self, n, prior, resolution, spec):
+        cfg = ProblemConfig(N=n, J=2)
+        prob = discretize(cfg, prior, [[-1.5, 1.5]] * (n + 1), resolution, spec)
+        step = max(1, _BLOCK // prob.n_candidates)
+        # Several blocks, the last of them partial unless blocks are one row.
+        assert prob.n_cells > step and (prob.n_cells % step != 0 or step == 1)
+        want = oracle_penalty_matrix(prob.cell_s2, prob.cell_m, prob.cand_sigma2, prob.cand_mu, prior, cfg)
+        assert np.array_equal(prob.penalty, want)
+
+    @pytest.mark.parametrize("n_cells, stride", [(1024, 1), (1000, 2), (2000, 4)])
+    def test_torus_penalty_matches_one_shot_build(self, n_cells, stride):
+        cfg = ProblemConfig(N=2, J=2)
+        prior = PriorSpec.scale_free(cfg)
+        tor = torus_problem(cfg, prior, n_cells, -2.0, 2.0, 0.7, stride)
+        assert tor.n_cells > _BLOCK // tor.n_candidates
+        want = oracle_torus_penalty(n_cells, stride, 4.0 / n_cells, np.full(2, 0.7), prior, cfg)
+        assert np.array_equal(tor.penalty, want)
+
+    @staticmethod
+    def traced_peak(build):
+        tracemalloc.start()
+        try:
+            problem = build()
+            return problem, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n, res", [(1, 32), (2, 8)])
+    def test_lattice_build_peak_near_penalty_size(self, n, res):
+        # A one-shot build peaks at about three times the penalty's bytes;
+        # of the allowed quarter above it, the finiteness check's boolean
+        # mask takes an eighth.
+        cfg = ProblemConfig(N=n, J=2)
+        prior = PriorSpec.scale_free(cfg)
+        box = [[-1.5, 1.5]] * (n + 1)
+        prob, peak = self.traced_peak(lambda: discretize(cfg, prior, box, res))
+        assert peak <= 1.25 * prob.penalty.nbytes
+        loaded, peak = self.traced_peak(lambda: problem_from_text(problem_to_text(prob)))
+        assert peak <= 1.25 * loaded.penalty.nbytes
+        assert np.array_equal(loaded.penalty, prob.penalty)
+
+    def test_torus_build_peak_near_penalty_size(self):
+        tor, peak = self.traced_peak(lambda: torus_problem(CFG, SCALE_FREE, 1024))
+        assert peak <= 1.25 * tor.penalty.nbytes
+
+    def test_overflow_in_last_row_block_is_malformed_input(self):
+        # 512 cells against 512 candidates.  Only cells 454-511, at the top
+        # of the log-scale axis, take s^2 / sigma^2 past e^709, and they all
+        # fall in the last of four row blocks.
+        step = _BLOCK // 512
+        assert -(-512 // step) == 4 and 454 // step == 3
+        box = [[-200.0, 200.0], [-1.5, 1.5]]
+        message = "box and candidates take the tables out of the float range (overflow encountered in divide)"
+        spec = CandidateSpec(extension=0.0)
+        text = edited(problem_to_text(discretize(CFG, SCALE_FREE, BOX, [256, 2], spec)), box=box)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError, match=re.escape(message)):
+                discretize(CFG, SCALE_FREE, box, [256, 2], spec)
+            with pytest.raises(InvalidConfigError, match=re.escape(message)):
+                problem_from_text(text)
 
 
 class TestCodebookCost:
@@ -378,7 +473,7 @@ class TestLocalSearch:
         mass = rng.dirichlet(np.ones(10))
         prob = synthetic_problem(mass, rng.uniform(0, 4, (10, 5)))
         init = rng.integers(0, 5, 10)
-        steps = descent_steps(prob, _descend(prob, init))
+        steps = descent_steps(prob, _descend(prob, init, _least_penalties(prob.penalty)))
         assert len(steps) > 1, "descent accepted no moves"
         for incremental, recomputed, _ in steps:
             assert incremental == pytest.approx(recomputed, abs=1e-9)
@@ -387,7 +482,8 @@ class TestLocalSearch:
         rng = np.random.default_rng(9)
         mass = rng.dirichlet(np.ones(12))
         prob = synthetic_problem(mass, rng.uniform(0, 4, (12, 4)))
-        levels = [level for level, _ in _descend(prob, rng.integers(0, 4, 12))]
+        init = rng.integers(0, 4, 12)
+        levels = [level for level, _ in _descend(prob, init, _least_penalties(prob.penalty))]
         assert all(b < a for a, b in zip(levels, levels[1:]))
 
     def test_equal_cost_used_and_unused_candidates_take_lower_index(self):
@@ -397,7 +493,7 @@ class TestLocalSearch:
         # unused candidate 0 has the lower index and wins, as in a full scan.
         prob = synthetic_problem([0.5, 1e-40, 0.5], [[0.0, 0.0, 5.0], [0.0, 0.0, 0.0], [5.0, 5.0, 0.0]])
         init = np.array([2, 1, 2])
-        steps = descent_steps(prob, _descend(prob, init))
+        steps = descent_steps(prob, _descend(prob, init, _least_penalties(prob.penalty)))
         want = descent_steps(prob, oracle_descend(prob, init))
         assert steps[-1][2].tolist() == want[-1][2].tolist() == [0, 0, 2]
         assert [level.hex() for level, _, _ in steps] == [level.hex() for level, _, _ in want]
@@ -408,9 +504,20 @@ class TestLocalSearch:
         # rounds to just below zero, and leave the full scan's trajectory.
         prob = synthetic_problem([0.03, 0.29, 0.68], [[1.4, 1.9, 1.0], [1.7, 1.1, 0.2], [0.3, 1.8, 0.3]])
         init = np.array([0, 0, 1])
-        steps = descent_steps(prob, _descend(prob, init))
+        steps = descent_steps(prob, _descend(prob, init, _least_penalties(prob.penalty)))
         want = descent_steps(prob, oracle_descend(prob, init))
         assert [level.hex() for level, _, _ in steps] == [level.hex() for level, _, _ in want]
+
+    def test_least_penalty_lists_built_once_per_search(self, monkeypatch):
+        calls = []
+
+        def counted(pen):
+            calls.append(pen.shape)
+            return _least_penalties(pen)
+
+        monkeypatch.setattr("nsmml.codebook._least_penalties", counted)
+        smml_local_search(discretize(CFG, SCALE_FREE, BOX, 8), restarts=4)
+        assert calls == [(64, 576)]
 
     def test_bounded_by_pointwise_cost(self):
         prob = discretize(CFG, SCALE_FREE, BOX, 8)

@@ -31,6 +31,7 @@ from nsmml.codebook import (
     _TOP_K,
     CandidateSpec,
     _descend,
+    _least_penalties,
     codebook_cost,
     codebook_transport,
     codebook_from_text,
@@ -333,7 +334,7 @@ def test_descent_follows_full_scan_oracle(problem, start, top_k, seed):
         init = np.full(problem.n_cells, rng.integers(problem.n_candidates))
     # Shorter least-penalty lists leave more visits to the exact row scan.
     with mock.patch("nsmml.codebook._TOP_K", top_k):
-        steps = descent_steps(problem, _descend(problem, init))
+        steps = descent_steps(problem, _descend(problem, init, _least_penalties(problem.penalty)))
     want = descent_steps(problem, oracle_descend(problem, init))
     # The same accepted moves in the same order, and the same bits.
     assert [level.hex() for level, _, _ in steps] == [level.hex() for level, _, _ in want]
