@@ -456,12 +456,14 @@ def _entropy(q: np.ndarray) -> float:
 
 
 def _check_assign(problem: DiscreteProblem, assign: np.ndarray) -> np.ndarray:
-    assign = np.asarray(assign, dtype=int)
+    assign = np.asarray(assign)
+    if assign.dtype.kind not in "iu":  # a float index would be truncated
+        raise InvalidConfigError(f"assignment must hold integer candidate indices, not {assign.dtype}")
     if assign.shape != (problem.n_cells,):
         raise InvalidConfigError("assignment must map every cell to a candidate")
     if assign.min() < 0 or assign.max() >= problem.n_candidates:
         raise InvalidConfigError("assignment indexes a candidate that does not exist")
-    return assign
+    return assign.astype(np.int64, copy=False)
 
 
 def codebook_cost(problem: DiscreteProblem, assign: np.ndarray) -> CodebookCost:
@@ -487,6 +489,7 @@ def pointwise_assignment(problem: DiscreteProblem) -> np.ndarray:
 _EXACT_TOL = 1e-12  # codebooks within this cost of the minimum are all optimal
 _DP_STATE_LIMIT = 4_000_000  # most count vectors in one layer of the exact DP
 _DP_BEAM = 64  # count vectors per layer in the bounding pass of the exact DP
+_EMIT_CAP = 100_000  # most partial optima per layer of the exact DP's walk back
 
 
 def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
@@ -507,20 +510,25 @@ def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
     ``2**20`` assignments, only 2x2 lattices with 20-32 candidates (28-32
     when masses are uniform) do not.
 
-    A state is pruned when a lower bound on the cost of every completion
-    exceeds the cost of a known codebook.  The bound adds to the state's
-    partial ``L_P`` each later cell's least cost and the least entropy of
-    any completion of its region masses, which puts all later mass on the
-    largest region.  The known codebooks come from the cost table and the
-    search itself, so no heuristic runs: every cell on the candidate of
-    least total cost, every cell on its own least-cost candidate, and the
-    best codebook of a first pass of this DP that keeps only the
-    ``_DP_BEAM`` states of least bound per layer.  The bound never decreases
-    along an assignment, so every state on the way to a codebook within
-    ``_EXACT_TOL`` of the minimum is kept with its least partial ``L_P``.
-    The DP gives up past ``_DP_STATE_LIMIT`` states in a layer.  Returns
-    every assignment whose cost is within ``_EXACT_TOL`` of the global
-    minimum, sorted lexicographically.
+    A state carries its code, least partial ``L_P`` and region entropy:
+    cell ``i`` on candidate ``j`` adds ``mass_i * penalty_ij`` and
+    ``f(q_j + mass_i) - f(q_j)``, with ``f(x) = -x log x`` and ``q_j`` the
+    parent's region mass on ``j``.  Children are formed one candidate at a
+    time and pruned as they are formed, when a lower bound on every
+    completion's cost exceeds the cost of a known codebook: each later
+    cell's least cost plus the least entropy change, all later mass on the
+    largest region (``f`` is concave).  The known codebooks need no
+    heuristic: every cell on the candidate of least total cost, every cell
+    on its own least-cost candidate, and the best of a first pass of this
+    DP that keeps the ``_DP_BEAM`` states of least partial cost per layer.
+    The bound never decreases along an assignment, so every state on the
+    way to a codebook within ``_EXACT_TOL`` of the minimum is kept with its
+    least partial ``L_P``.  Carried entropies differ from a direct sum only
+    in the last bits, far inside that slack, and :func:`make_codebook`
+    recomputes every returned cost.  The DP gives up past ``_DP_STATE_LIMIT``
+    states in a layer or ``_EMIT_CAP`` partial optima in the walk back.
+    Returns every assignment within ``_EXACT_TOL`` of the global minimum,
+    sorted lexicographically.
     """
     c = problem.n_cells
     b = problem.n_candidates
@@ -544,70 +552,60 @@ def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
     prefix = np.cumsum(problem.mass)
     later_entropy = _neg_xlogx(prefix[-1]) - _neg_xlogx(prefix)
 
-    def region_entropy(codes: np.ndarray) -> np.ndarray:
-        # Region masses q_j = sum_k n_kj * weight[k], decoded one candidate
-        # at a time so that no (states, classes, candidates) array is built.
-        out = np.zeros(codes.shape[0])
+    def extend(codes: np.ndarray, vals: np.ndarray, ents: np.ndarray, i: int, ub: float):
+        """Sorted count vectors after cell i, least partial L_P and entropy, within ub."""
+        limit = ub + _EXACT_TOL - suffix_min[i + 1] - later_entropy[i]
+        rest = codes
+        runs = []
         for j in range(b):
-            q = np.zeros(codes.shape[0])
+            # The parents' region masses on candidate j, from their class digits.
+            q = 0.0
             for k in range(size.shape[0]):
-                q += codes // radix[k, j] % (size[k] + 1) * weight[k]
-            out += _neg_xlogx(q)
-        return out
-
-    def extend(codes: np.ndarray, vals: np.ndarray, i: int, ub: float):
-        """Sorted count vectors after cell i, least partial L_P of reaching
-        each and its cost bound, kept where the bound is within ub."""
-        limit = ub + _EXACT_TOL - suffix_min[i + 1]
+                rest, digit = np.divmod(rest, size[k] + 1)
+                q = q + digit * weight[k]
+            h = _neg_xlogx(np.concatenate((q + problem.mass[i], q))).reshape(2, -1)
+            child_vals = vals + w[i, j]
+            child_ents = ents + (h[0] - h[1])
+            keep = child_vals + child_ents <= limit
+            runs.append((codes[keep] + radix[cls[i], j], child_vals[keep], child_ents[keep]))
         # One sorted run per candidate, so the stable (merge) sort is cheap.
-        codes = (radix[cls[i]][:, None] + codes[None, :]).ravel()
-        vals = (w[i][:, None] + vals[None, :]).ravel()
-        keep = vals <= limit
-        codes, vals = codes[keep], vals[keep]
+        codes, vals, ents = (np.concatenate(parts) for parts in zip(*runs))
         order = np.argsort(codes, kind="stable")
-        codes, vals = codes[order], vals[order]
+        codes, vals, ents = codes[order], vals[order], ents[order]
         starts = np.flatnonzero(np.diff(codes, prepend=-1))
-        codes, vals = codes[starts], np.minimum.reduceat(vals, starts)
-        bound = vals + region_entropy(codes) + later_entropy[i]
-        keep = bound <= limit
-        return codes[keep], vals[keep], bound[keep]
+        return codes[starts], np.minimum.reduceat(vals, starts), ents[starts]
 
-    # Bounding pass: the same DP, keeping the _DP_BEAM states of least bound.
-    codes = np.zeros(1, dtype=np.int64)
-    vals = np.zeros(1)
+    # Bounding pass: the same DP, keeping the _DP_BEAM states of least cost.
+    root = np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1)
+    codes, vals, ents = root
     for i in range(c):
-        codes, vals, bound = extend(codes, vals, i, ub)
+        codes, vals, ents = extend(codes, vals, ents, i, ub)
         if not codes.shape[0]:
             break
         if codes.shape[0] > _DP_BEAM:
-            kept = np.sort(np.argpartition(bound, _DP_BEAM)[:_DP_BEAM])
-            codes, vals, bound = codes[kept], vals[kept], bound[kept]
+            kept = np.sort(np.argpartition(vals + ents, _DP_BEAM)[:_DP_BEAM])
+            codes, vals, ents = codes[kept], vals[kept], ents[kept]
     else:
-        ub = min(ub, bound.min())  # after the last cell the bound is the cost
+        ub = min(ub, (vals + ents).min())
 
     # Layer i: sorted codes of the count vectors reachable from the first i
     # cells within the bound, and the least partial L_P of reaching each.
-    codes = np.zeros(1, dtype=np.int64)
-    vals = np.zeros(1)
+    codes, vals, ents = root
     layers = [(codes, vals)]
     for i in range(c):
-        codes, vals, _ = extend(codes, vals, i, ub)
+        codes, vals, ents = extend(codes, vals, ents, i, ub)
         if codes.shape[0] > _DP_STATE_LIMIT:
             raise SizeLimitError(f"count-vector DP exceeded {_DP_STATE_LIMIT} states at layer {i + 1}")
         if not codes.shape[0]:
             raise SizeLimitError("count-vector DP pruned every state; upper bound inconsistent")
         layers.append((codes, vals))
 
-    entropy = region_entropy(codes)
-    best = float((vals + entropy).min())
-    target = best + _EXACT_TOL - entropy
+    target = (vals + ents).min() + _EXACT_TOL - ents
     final = vals <= target
 
     # Walk back from every optimal final state, one layer at a time, keeping
     # the steps whose prefix can still complete within the target.
-    emit_cap = 100_000
-    front = codes[final]
-    target = target[final]
+    front, target = codes[final], target[final]
     used = np.zeros(front.shape[0])
     picks = np.empty((front.shape[0], c), dtype=np.int64)
     for i in range(c, 0, -1):
@@ -622,7 +620,7 @@ def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
             & (prev_vals[pos] + nused <= target[:, None] + 1e-15)
         )
         rows, js = np.nonzero(ok)
-        if rows.shape[0] > emit_cap:
+        if rows.shape[0] > _EMIT_CAP:
             raise SizeLimitError("too many optimal codebooks to enumerate")
         picks = picks[rows]
         picks[:, i - 1] = js
@@ -774,16 +772,17 @@ def smml_local_search(problem: DiscreteProblem, restarts: int = 4, seed: int = 0
     """Best local optimum over ``restarts`` descents.
 
     Restart 0 starts from the pointwise penalty-minimizing assignment (so
-    the result never costs more than it); later restarts start from
-    seeded uniform-random assignments.  Deterministic given ``seed``.
+    the result never costs more than it); each later restart draws a
+    seeded uniform-random start as it begins, and only the best local
+    optimum so far is kept.  Deterministic given ``seed``.
     """
     if restarts < 1:
         raise InvalidConfigError("restarts must be >= 1")
     rng = np.random.default_rng(seed)
-    starts = [pointwise_assignment(problem)]
-    starts += [rng.integers(0, problem.n_candidates, problem.n_cells) for _ in range(restarts - 1)]
     least = _least_penalties(problem.penalty)
-    finals = [deque(_descend(problem, init, least), maxlen=1).pop() for init in starts]
+    starts = (rng.integers(0, problem.n_candidates, problem.n_cells) if r else pointwise_assignment(problem)
+              for r in range(restarts))
+    finals = (deque(_descend(problem, init, least), maxlen=1).pop() for init in starts)
     _, assign = min(finals, key=lambda final: final[0])  # the earliest restart wins ties
     return make_codebook(problem, assign)
 

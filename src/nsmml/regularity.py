@@ -386,9 +386,6 @@ def find_valid_c(cfg: ProblemConfig) -> int:
     raise LocalityConstructionError(f"no valid c found up to {_C_MAX}")
 
 
-_GRID_LIMIT = 200_000  # most competitor grid points a certificate lists
-
-
 @dataclass(frozen=True)
 class LocalityCertificate:
     """Competitor family certifying locality at ``theta``.
@@ -398,8 +395,10 @@ class LocalityCertificate:
     point ``(e*sigma, mu)``, and a ``c^N`` grid of points with scale
     ``sqrt(2NJ)*sigma/c`` and means on the per-coordinate ``c`` segment
     centers.  The certificate holds ``theta`` and the constants, which
-    depend only on ``(N, J, c)``; ``theta_list`` derives the competitors
-    from ``theta`` when ``c^N`` is small enough to enumerate.
+    depend only on ``(N, J, c)``; in ``theta``'s frame, where ``theta`` is
+    ``(1, 0)``, the competitors depend on the constants alone.  Nothing
+    enumerates them: ``best_log_likelihood_gap`` takes the best mean shift
+    and the nearest grid center in closed form.
 
     ``v0_bound`` bounds the scaled probability of the exempt region, where
     domination is not asserted (``delta_prime <= s/sigma <= delta`` and
@@ -414,22 +413,6 @@ class LocalityCertificate:
     delta: float
     delta_prime: float
     v0_bound: float
-
-    def theta_list(self) -> list[Parameter]:
-        """The ``k`` competitors: mean shifts, inflated point, then the grid."""
-        count = self.c**self.cfg.N
-        if count > _GRID_LIMIT:
-            raise InvalidConfigError(f"grid has {count} points, above the materialization limit {_GRID_LIMIT}")
-        sigma, mu = self.theta.sigma, self.theta.mu
-        shift = sigma * math.sqrt(2.0 * self.T_margin)
-        units = np.eye(self.cfg.N)
-        thetas = [Parameter(self.theta.sigma2, mu + sign * shift * e) for e in units for sign in (1.0, -1.0)]
-        inflated, grid = self._variances(sigma)
-        thetas.append(Parameter(inflated, mu))
-        step = 2.0 * shift / self.c
-        axes = [mu[n] - shift + step * (np.arange(self.c) + 0.5) for n in range(self.cfg.N)]
-        centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.cfg.N)
-        return thetas + [Parameter(grid, center) for center in centers]
 
     def _variances(self, sigma: float) -> tuple[float, float]:
         """The inflated point's and the grid's variance at scale ``sigma``."""

@@ -16,7 +16,9 @@ the production descent must follow the same trajectory bit for bit.
 of every step it yields.  ``oracle_penalty_matrix`` and
 ``oracle_torus_penalty`` build a penalty matrix in one shot, as first
 written; the production builders fill it a row block at a time and must
-match them bit for bit.
+match them bit for bit.  ``theta_list`` lists a locality certificate's
+competitors one by one, in ``theta``'s frame, where ``best_log_likelihood_gap``
+finds the best of them in closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections.abc import Iterator
 import numpy as np
 from scipy.integrate import quad
 
-from nsmml import PriorSpec, ProblemConfig, SufficientStat, sufficient_stats
+from nsmml import Parameter, PriorSpec, ProblemConfig, SufficientStat, sufficient_stats
 from nsmml.codebook import _EXACT_TOL, DiscreteProblem, _entropy, _neg_xlogx, codebook_cost
 from nsmml.model import code_penalty_kernel
 
@@ -259,3 +261,25 @@ def descent_steps(problem: DiscreteProblem, descent) -> list[tuple[float, float,
     level, the cost ``codebook_cost`` recomputes from its assignment, and a
     copy of that assignment."""
     return [(level, codebook_cost(problem, assign).L, assign.copy()) for level, assign in descent]
+
+
+_GRID_LIMIT = 200_000  # most competitor grid points theta_list lists
+
+
+def theta_list(cert) -> list[Parameter]:
+    """The ``k`` competitors of a locality certificate in ``theta``'s frame,
+    where ``theta`` is ``(1, 0)``: the mean shifts, the inflated point, then
+    the ``c^N`` grid.  Score them against a statistic mapped into the same
+    frame, ``(m - mu) / sigma`` and ``s^2 / sigma^2``; likelihood gaps do
+    not change, and a mean far larger than ``sigma`` loses no shift to
+    rounding."""
+    n, c = cert.cfg.N, cert.c
+    if c**n > _GRID_LIMIT:
+        raise ValueError(f"grid has {c**n} points, above the listing limit {_GRID_LIMIT}")
+    shift = math.sqrt(2.0 * cert.T_margin)
+    thetas = [Parameter(1.0, sign * shift * e) for e in np.eye(n) for sign in (1.0, -1.0)]
+    thetas.append(Parameter(math.e**2, np.zeros(n)))
+    axis = -shift + 2.0 * shift / c * (np.arange(c) + 0.5)
+    centers = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    grid = (math.sqrt(2.0 * cert.cfg.nj) / c) ** 2
+    return thetas + [Parameter(grid, center) for center in centers]

@@ -307,6 +307,20 @@ class TestCodebookCost:
         assert cost.L_E == pytest.approx(l_e, abs=1e-12)
         assert cost.L == pytest.approx(l_p + l_e, abs=1e-12)
 
+    @pytest.mark.parametrize("assign", [[0.6] * 8, [0.0] * 8, [math.nan] * 8, ["1"] * 8, [True] * 8])
+    def test_non_integer_assignment_rejected_by_name(self, assign):
+        # A fractional index was truncated to candidate 0, a NaN escaped as
+        # a bare ValueError and a string was parsed; each now names its type.
+        prob = synthetic_problem(np.full(8, 1.0 / 8), np.ones((8, 2)))
+        message = f"assignment must hold integer candidate indices, not {np.asarray(assign).dtype}"
+        book = Codebook(np.asarray(assign), CodebookCost(0.0, 0.0, 0.0))
+        for call in (lambda: make_codebook(prob, assign), lambda: codebook_cost(prob, assign),
+                     lambda: region_mass_audit(prob, book)):
+            with pytest.raises(InvalidConfigError, match=re.escape(message)):
+                call()
+        for ints in (np.ones(8, dtype=np.uint8), np.ones(8, dtype=np.int32), [1] * 8):
+            assert make_codebook(prob, ints).assign.dtype == np.int64
+
 
 class TestExhaustive:
     def test_single_cell_all_minimizers(self):
@@ -443,6 +457,28 @@ class TestExhaustive:
         assert len(ring) == 4
         assert all(o.cost.L == 2.1701103981812238 for o in ring)
 
+    def test_too_many_optima_refused(self, monkeypatch):
+        # Two regions, each on any of three copies of its column: nine tied
+        # optima, more than the walk back may list under a cap of four.
+        prob = synthetic_problem(np.full(6, 1.0 / 6), np.repeat([[0.0, 9.0]] * 3 + [[9.0, 0.0]] * 3, 3, axis=1))
+        assert len(smml_exhaustive(prob)) == 9
+        monkeypatch.setattr("nsmml.codebook._EMIT_CAP", 4)
+        with pytest.raises(SizeLimitError, match="too many optimal codebooks to enumerate"):
+            smml_exhaustive(prob)
+
+    def test_torus20_solve_peak(self):
+        # Children are pruned before they are concatenated, so no layer's
+        # full expansion is built: the solve peaked at 65 MB when it was.
+        prob = torus_problem(CFG, SCALE_FREE, 20, candidate_stride=2)
+        tracemalloc.start()
+        try:
+            optima = smml_exhaustive(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(optima) == 5 and optima[0].cost.L == 2.1609924954703033
+        assert peak <= 50 * 2**20
+
     @pytest.mark.parametrize("beam", [1, 10**6])
     def test_every_tied_optimum_survives_any_bounding_pass(self, monkeypatch, beam):
         # A one-state beam leaves the cost-table bound nearly alone; a beam
@@ -507,6 +543,21 @@ class TestLocalSearch:
         steps = descent_steps(prob, _descend(prob, init, _least_penalties(prob.penalty)))
         want = descent_steps(prob, oracle_descend(prob, init))
         assert [level.hex() for level, _, _ in steps] == [level.hex() for level, _, _ in want]
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4, 5])
+    def test_result_is_first_best_of_individual_descents(self, restarts):
+        # Starts are drawn one at a time from the seeded stream, and the
+        # earliest of equally good local optima wins.
+        prob = discretize(CFG, SCALE_FREE, BOX, 6)
+        rng = np.random.default_rng(3)
+        starts = [pointwise_assignment(prob)]
+        starts += [rng.integers(0, prob.n_candidates, prob.n_cells) for _ in range(restarts - 1)]
+        least = _least_penalties(prob.penalty)
+        finals = [list(_descend(prob, init, least))[-1] for init in starts]
+        _, assign = finals[[f[0] for f in finals].index(min(f[0] for f in finals))]
+        book = smml_local_search(prob, restarts=restarts, seed=3)
+        assert book.assign.tobytes() == assign.tobytes()
+        assert book.cost == make_codebook(prob, assign).cost
 
     def test_least_penalty_lists_built_once_per_search(self, monkeypatch):
         calls = []

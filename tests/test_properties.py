@@ -60,7 +60,7 @@ from nsmml.estimators import (
 )
 from nsmml.model import code_penalty_kernel
 
-from oracles import descent_steps, oracle_descend
+from oracles import descent_steps, oracle_brute_optima, oracle_descend
 from test_codebook import synthetic_problem
 
 
@@ -412,3 +412,26 @@ def test_exact_local_pointwise_ordering(problem, restarts, seed):
     local = smml_local_search(problem, restarts=restarts, seed=seed).cost.L
     pointwise = codebook_cost(problem, pointwise_assignment(problem)).L
     assert exact - 1e-12 <= local <= pointwise + 1e-12
+
+
+@st.composite
+def exact_dp_problems(draw):
+    """Instances of up to 5^7 assignments: uniform masses, two mass classes
+    one ulp apart, or one class per cell; often with a duplicated column, so
+    that optima tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, b = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    masses = draw(st.sampled_from(["uniform", "ulp", "per cell"]))
+    mass = rng.dirichlet(np.ones(c)) if masses == "per cell" else np.full(c, 1.0 / c)
+    if masses == "ulp":
+        mass[rng.integers(c)] = np.nextafter(1.0 / c, 1.0)
+    penalty = rng.uniform(0.0, 3.0, (c, b))
+    if draw(st.booleans()):
+        penalty = np.concatenate([penalty, penalty[:, rng.integers(b), None]], axis=1)
+    return synthetic_problem(mass, penalty)
+
+
+@given(exact_dp_problems())
+def test_exact_search_returns_the_brute_force_optima(problem):
+    exact = [o.assign.tolist() for o in smml_exhaustive(problem)]
+    assert exact == sorted(a.tolist() for a in oracle_brute_optima(problem))

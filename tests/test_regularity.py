@@ -35,6 +35,8 @@ from nsmml.regularity import (
     _build_certificate,
 )
 
+from oracles import theta_list
+
 
 def random_thetas(rng, n, count):
     return [Parameter(math.exp(rng.normal()), rng.normal(0, 2, n)) for _ in range(count)]
@@ -319,32 +321,36 @@ class TestLocalityCertificate:
         cert = _build_certificate(theta, cfg, 25)
         assert cert.k == 2 * cfg.N + 1 + 25**cfg.N
         assert cert.T_margin == pytest.approx(cfg.N * math.log(26.0))
-        thetas = cert.theta_list()
+        thetas = theta_list(cert)  # in theta's frame, where theta is (1, 0)
         assert len(thetas) == cert.k
         # 2N + 1 explicit points: the mean shifts at theta's scale, then the
         # inflated point; the c^N grid points follow
         explicit, grid = thetas[: 2 * cfg.N + 1], thetas[2 * cfg.N + 1 :]
-        assert [t.sigma2 for t in explicit[:-1]] == [theta.sigma2] * (2 * cfg.N)
-        assert explicit[-1].sigma2 == pytest.approx(math.e**2 * theta.sigma2)
+        assert [t.sigma2 for t in explicit[:-1]] == [1.0] * (2 * cfg.N)
+        assert explicit[-1].sigma2 == pytest.approx(math.e**2)
         assert len(grid) == 25**cfg.N
         # grid sigma and mean segments follow the construction
-        assert grid[0].sigma2 == pytest.approx((math.sqrt(2 * cfg.nj) * theta.sigma / 25) ** 2)
-        span = 2 * theta.sigma * math.sqrt(2 * cert.T_margin)
+        assert grid[0].sigma2 == pytest.approx((math.sqrt(2 * cfg.nj) / 25) ** 2)
+        span = 2 * math.sqrt(2 * cert.T_margin)
         centers = np.unique([t.mu[0] for t in grid])
         assert len(centers) == 25
         assert np.diff(centers).mean() == pytest.approx(span / 25)
 
     def test_grid_max_matches_enumeration(self):
         cfg = ProblemConfig(N=2, J=2)
-        theta = Parameter(1.21, np.array([0.3, -0.2]))
-        cert = _build_certificate(theta, cfg, 5)
-        rng = np.random.default_rng(15)
-        for _ in range(50):
-            stat = SufficientStat(rng.normal(0, 2, 2), math.exp(rng.normal()))
-            explicit = max(
-                log_likelihood(stat, th, cfg) for th in cert.theta_list()
-            ) - log_likelihood(stat, theta, cfg)
-            assert cert.best_log_likelihood_gap(stat) == pytest.approx(explicit, abs=1e-12)
+        unit = Parameter(1.0, np.zeros(2))
+        # At a mean of 1e17 the mean shifts round back onto mu in absolute
+        # floats; a listing there missed the gap by up to 2.15 nats.
+        for theta in (Parameter(1.21, [0.3, -0.2]), Parameter(1.0, [1e17, 0.0])):
+            cert = _build_certificate(theta, cfg, 5)
+            rng = np.random.default_rng(15)
+            for _ in range(50):
+                stat = SufficientStat(theta.mu + rng.normal(0, 2, 2), math.exp(rng.normal()))
+                rel = SufficientStat((stat.m - theta.mu) / theta.sigma, stat.s2 / theta.sigma2)
+                explicit = max(
+                    log_likelihood(rel, th, cfg) for th in theta_list(cert)
+                ) - log_likelihood(rel, unit, cfg)
+                assert cert.best_log_likelihood_gap(stat) == pytest.approx(explicit, abs=1e-12)
 
     def test_small_c_rejected(self):
         # delta_prime needs c^2 > 2NJ: equality divides by zero, below it the
@@ -392,7 +398,7 @@ class TestLocalityCertificate:
                 locality_certificate(Parameter(sigma2, np.zeros(2)), cfg, c=120)
         cert, rep = locality_certificate(Parameter(1e-303, np.zeros(2)), cfg, c=120)
         assert rep.all_pass and rep.worst_point[0] >= sys.float_info.min
-        assert min(t.sigma2 for t in cert.theta_list()) >= sys.float_info.min
+        assert min(t.sigma2 for t in theta_list(cert)) * cert.theta.sigma2 >= sys.float_info.min
 
     def test_c_outside_float_range_rejected(self):
         # v0 near 1e429 at N = 20, and a c that no float holds.
@@ -442,5 +448,5 @@ class TestLocalityCertificate:
         assert c2.v0_bound == c1.v0_bound
         assert c2.T_margin == c1.T_margin
         # all construction lengths are multiples of sigma
-        grid1, grid2 = c1.theta_list()[-1], c2.theta_list()[-1]
-        assert grid2.sigma2 == pytest.approx(aut.alpha**2 * grid1.sigma2)
+        grid1, grid2 = theta_list(c1)[-1], theta_list(c2)[-1]
+        assert grid2.sigma2 * c2.theta.sigma2 == pytest.approx(aut.alpha**2 * grid1.sigma2 * c1.theta.sigma2)
