@@ -3,7 +3,9 @@
 Random numbers come from numpy's PCG64 generator; Gaussian variates are
 produced by the deterministic inverse-CDF transform (``ndtri`` applied to
 centered 53-bit uniforms), so a seed pins the byte-exact output across
-runs and platforms.  Each sweep trial draws from its own substream,
+runs and platforms.  ``ndtri`` is imported from ``scipy.special`` only
+when normals are sampled, so the non-sampling commands never load scipy.
+Each sweep trial draws from its own substream,
 ``SeedSequence((seed, N, trial))``, which makes every emitted row
 independently recomputable and lets trials run in any order (or in
 parallel) without changing the aggregate.
@@ -15,7 +17,6 @@ import math
 from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import (
     DegenerateInputError,
@@ -50,6 +51,8 @@ def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     or 1, and the whole transform is a fixed deterministic function of the
     generator stream.
     """
+    from scipy.special import ndtri  # imported here: loading scipy.special slows every import
+
     k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
     return ndtri((2.0 * k + 1.0) / float(1 << 54))
 

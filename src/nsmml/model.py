@@ -17,8 +17,11 @@ on ``(0, inf) x R^N``.  ``p = 1`` is the Wallace prior (uniform means,
 Jeffreys prior of this model.  The proportionality constant of ``h`` is
 fixed at exactly 1 so that scaled quantities are reproducible run to run.
 
-All densities and penalties live in the log domain; gamma factors go
-through ``scipy.special.gammaln``.  Every function here is pure and safe
+All densities and penalties live in the log domain.  Gamma factors go
+through ``_lgamma``, a scalar port of Cephes ``lgam`` (Moshier, 1989), the
+routine ``scipy.special.gammaln`` wraps; it keeps that routine's operation
+order, and the test suite checks the two agree bit for bit.  So importing
+this module loads no part of scipy.  Every function here is pure and safe
 for concurrent use.
 """
 
@@ -28,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "NeymanScottError",
@@ -49,6 +51,17 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# Cephes lgam's coefficients.  _LGAM_C's leading 1.0 makes _polevl act as
+# Cephes's p1evl: 1.0 * x + c is exactly x + c.
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LGAM_MAX = 2.556348e305  # Cephes MAXLGM: log Gamma overflows above it
+_LOG_SQRT_2PI = 0.91893853320467274178
 
 
 class NeymanScottError(Exception):
@@ -228,6 +241,50 @@ def sufficient_stats(data: np.ndarray, cfg: ProblemConfig) -> SufficientStat:
     return SufficientStat(m=m, s2=s2)
 
 
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule, leading coefficient first."""
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _lgamma(x: float) -> np.float64:
+    """``log Gamma(x)`` for ``x >= 0.5``, with the bits of ``scipy.special.gammaln``.
+
+    Every caller passes half an integer degree of freedom plus a prior
+    exponent, so Cephes's reflection and pole branches are left out.  The
+    result is ``np.float64``, as the ufunc's was: the regularity report
+    prints comparisons of these values as numpy bools.
+    """
+    if x < 13.0:
+        # Recur into [2, 3), then a rational approximation there.
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return np.float64(math.log(z))
+        x = x + (p - 2.0)
+        return np.float64(math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C))
+    if x > _LGAM_MAX:
+        return np.float64(math.inf)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return np.float64(q)
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        q += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333) / x
+    else:
+        q += _polevl(p, _LGAM_A) / x
+    return np.float64(q)
+
+
 def log_likelihood_kernel(s2, sq_dev, sigma2, cfg: ProblemConfig):
     """Broadcasting :func:`log_likelihood`; ``sq_dev`` is ``sum_n (m_n - mu_n)^2``."""
     # One expression, so numpy reuses the temporaries of large operands.
@@ -242,7 +299,7 @@ def log_marginal_kernel(s2, prior: PriorSpec, cfg: ProblemConfig):
         - 0.5 * cfg.N * math.log(cfg.J)
         - math.log(2.0)
         + 0.5 * (1.0 - q) * np.log(0.5 * cfg.nj * s2)
-        + gammaln(0.5 * (q - 1.0))
+        + _lgamma(0.5 * (q - 1.0))
     )
 
 
@@ -328,7 +385,7 @@ def stat_log_jacobian(stat: SufficientStat, cfg: ProblemConfig) -> float:
         + (0.5 * nu - 1.0) * math.log(cfg.nj * stat.s2)
         + 0.5 * cfg.N * math.log(cfg.J)
         + 0.5 * nu * math.log(math.pi)
-        - gammaln(0.5 * nu)
+        - _lgamma(0.5 * nu)
     )
 
 

@@ -474,12 +474,30 @@ class TestCli:
         assert "bound" not in payload["transport"]
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # A fresh interpreter: other tests import scipy.optimize themselves.
+        # A fresh interpreter: other tests import scipy themselves.  Neither
+        # the import nor a non-sampling command loads any scipy module;
+        # simulate, which samples, loads scipy.special and still runs.
         src = str(Path(cbk.__file__).resolve().parents[1])
-        code = "import sys, nsmml; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout == "False\n"
+        commands = [["smml", "--resolution", "4", "--restarts", "1"],
+                    ["estimate", "--J", "2", "--m", "1,2", "--s2", "0.5", "--method", "all"],
+                    ["regularity"], ["locality"], ["simulate", "--N", "2", "--J", "2", "--seed", "0"]]
+        code = "\n".join([
+            "import contextlib, io, json, sys",
+            "import nsmml",
+            "def scipy_modules():",
+            "    return sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')",
+            "seen = [[0, scipy_modules()]]",
+            "from nsmml.cli import main",
+            "for argv in json.loads(sys.argv[1]):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        seen.append([main(argv), scipy_modules()])",
+            "print(json.dumps(seen))",
+        ])
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        seen = json.loads(out.stdout)
+        assert seen[:-1] == [[0, []]] * len(commands)
+        assert seen[-1][0] == 0 and "scipy.special" in seen[-1][1]
 
     def test_env_seed_and_outdir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NSMML_SEED", "17")

@@ -19,7 +19,7 @@ from nsmml import (
     stat_log_jacobian,
     sufficient_stats,
 )
-from nsmml.model import LOG_2PI
+from nsmml.model import _LGAM_MAX, LOG_2PI, _lgamma
 
 from oracles import fd_hessian, log_normal_pdf_product, oracle_log_marginal, raw_sample_with_stats
 
@@ -95,6 +95,29 @@ class TestLogLikelihood:
             log_likelihood(SufficientStat([0.0], 0.0), Parameter(1.0, [0.0]), cfg)
         with pytest.raises(DegenerateInputError):
             Parameter(0.0, [0.0])
+
+
+class TestLgamma:
+    def test_matches_scipy_gammaln_bit_for_bit(self):
+        from scipy.special import gammaln
+
+        rng = np.random.default_rng(17)
+        edges = np.array([0.5, 2.0, 3.0, 13.0, 1000.0, 1.0e8, _LGAM_MAX])
+        x = np.concatenate([
+            0.5 * np.arange(1, 20001),  # half-integers 0.5 - 10^4
+            np.exp(rng.uniform(math.log(0.5), math.log(1e300), 50_000)),
+            edges,
+            np.nextafter(edges[1:], -np.inf),
+            np.nextafter(edges, np.inf),
+        ])
+        ported = [_lgamma(float(v)) for v in x]
+        # np.float64 from every branch, as the ufunc returned: the regularity
+        # report prints comparisons of these values as numpy bools.
+        assert {type(v) for v in ported} == {np.float64}
+        ported = np.array(ported)
+        np.testing.assert_array_equal(ported.view(np.int64), gammaln(x).view(np.int64))
+        # Past Cephes's MAXLGM both overflow to inf.
+        assert ported[-1] == math.inf
 
 
 class TestLogMarginal:
