@@ -27,14 +27,15 @@ from .model import (
     Parameter,
     ProblemConfig,
     SufficientStat,
+    _check_int,
     _check_positive,
     _check_stat,
     sufficient_stats,
 )
-from .estimators import METHOD_MARGINALIZED, PRIOR_FREE_METHODS, SIGMA2_HAT, method_from_name
+from .estimators import METHOD_MARGINALIZED, SIGMA2_HAT, method_from_name
 from . import codebook as cbk
 from . import regularity as reg
-from .harness import parse_sweep_config, resolve_prior, rows_to_csv, run_sweep, simulate
+from .harness import _method_priors, parse_sweep_config, resolve_prior, rows_to_csv, run_sweep, simulate
 from .reporting import render_json, render_report, table_to_csv
 
 
@@ -44,6 +45,11 @@ def _default_seed() -> int:
         return int(text)
     except ValueError:
         raise InvalidConfigError(f"NSMML_SEED must be an integer, got {text!r}") from None
+
+
+def _given(args, *names: str) -> dict:
+    """The options among ``names`` given on the command line; the rest keep the library's defaults."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _resolve_out(path: str | None, outdir: str | None) -> Path | None:
@@ -114,15 +120,13 @@ def _cmd_estimate(args) -> int:
     _check_stat(stat, cfg)
     header = ["method", "prior_p", "sigma2_hat", "mu_hat"]
     rows = []
-    for method in methods:
-        priors = [None] if method in PRIOR_FREE_METHODS else [resolve_prior(n, cfg) for n in prior_names]
+    for method, _, prior in _method_priors(methods, prior_names, cfg):
+        sigma2 = SIGMA2_HAT[method](stat.s2, prior, cfg)
+        if not math.isfinite(sigma2):
+            raise DegenerateInputError(f"{method} estimate overflows at s2 = {stat.s2!r}")
         # the marginalized estimator is variance-only: no mean estimate to report
         mu = None if method == METHOD_MARGINALIZED else [float(v) for v in stat.m]
-        for prior in priors:
-            sigma2 = SIGMA2_HAT[method](stat.s2, prior, cfg)
-            if not math.isfinite(sigma2):
-                raise DegenerateInputError(f"{method} estimate overflows at s2 = {stat.s2!r}")
-            rows.append(dict(zip(header, (method, None if prior is None else prior.p, sigma2, mu))))
+        rows.append(dict(zip(header, (method, None if prior is None else prior.p, sigma2, mu))))
 
     if args.json:
         _emit(render_json("estimates", {"rows": rows}), args)
@@ -172,19 +176,19 @@ def _cmd_regularity(args) -> int:
 
     if "homogeneity" in checks:
         thetas = [reg._random_param(rng, cfg) for _ in range(args.samples)]
-        res = reg.homogeneity_check(prior, cfg, thetas, tol=args.tol)
+        res = reg.homogeneity_check(prior, cfg, thetas, **_given(args, "tol"))
         report["homogeneity"] = res.to_dict()
         if not res.is_homogeneous:
             failed.append("homogeneity")
     if "comprehensiveness" in checks:
         stats = [reg._random_stat(rng, cfg) for _ in range(args.samples)]
-        res = reg.comprehensiveness_check(prior, cfg, stats, tol=args.tol)
+        res = reg.comprehensiveness_check(prior, cfg, stats, **_given(args, "tol"))
         report["comprehensiveness"] = res.to_dict()
         if not res.is_comprehensive:
             failed.append("comprehensiveness")
     if "automorphism" in checks:
         aut = reg.Automorphism(args.alpha, np.full(cfg.N, args.beta))
-        res = reg.check_automorphism(aut, prior, cfg, samples=args.samples, seed=args.seed, tol=args.tol)
+        res = reg.check_automorphism(aut, prior, cfg, samples=args.samples, seed=args.seed, **_given(args, "tol"))
         report["automorphism"] = {"alpha": args.alpha, "beta": args.beta, **dataclasses.asdict(res)}
         if not (res.marginal_ok and res.likelihood_ok):
             failed.append("automorphism")
@@ -202,7 +206,7 @@ def _cmd_locality(args) -> int:
     mu = _parse_floats(args.mu) if args.mu else np.zeros(cfg.N)
     _check_positive(args.sigma2, "--sigma2")
     theta = Parameter(args.sigma2, mu)
-    grid = reg.GridSpec(points_scale=args.points_scale, points_mean=args.points_mean)
+    grid = reg.GridSpec(**_given(args, "points_scale", "points_mean"))
     try:
         cert, rep = reg.locality_certificate(theta, cfg, c=args.c, grid=grid, seed=args.seed)
     except reg.CertificateError as exc:
@@ -221,13 +225,7 @@ def _build_smml_problem(args) -> cbk.DiscreteProblem:
     prior = resolve_prior(args.prior, cfg)
     if args.torus:
         return cbk.torus_problem(
-            cfg,
-            prior,
-            args.torus,
-            log_s_lo=args.log_s_lo,
-            log_s_hi=args.log_s_hi,
-            mean_coord=args.torus_mean,
-            candidate_stride=args.torus_stride,
+            cfg, prior, args.torus, **_given(args, "log_s_lo", "log_s_hi", "mean_coord", "candidate_stride")
         )
     w = args.box_half_width
     box = np.array([[-w, w]] * (cfg.N + 1))
@@ -236,7 +234,7 @@ def _build_smml_problem(args) -> cbk.DiscreteProblem:
         prior,
         box,
         args.resolution,
-        cbk.CandidateSpec(extension=args.cand_extension),
+        cbk.CandidateSpec(**_given(args, "extension")),
     )
 
 
@@ -247,7 +245,7 @@ def _cmd_smml(args) -> int:
         book = optima[0]
         n_optima = len(optima)
     else:
-        book = cbk.smml_local_search(problem, restarts=args.restarts, seed=args.seed)
+        book = cbk.smml_local_search(problem, seed=args.seed, **_given(args, "restarts"))
         n_optima = None
 
     audit = cbk.region_mass_audit(problem, book)
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", default="all", choices=["all", "homogeneity", "comprehensiveness", "automorphism"])
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     p.add_argument("--alpha", type=float, default=2.0, help="automorphism scale")
     p.add_argument("--beta", type=float, default=0.7, help="automorphism translation (per coordinate)")
     _add_common(p)
@@ -340,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, default=None, help="grid constant (default: smallest valid)")
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--mu", default="", help="comma-separated center means (default zeros)")
-    p.add_argument("--points-scale", type=int, default=48)
-    p.add_argument("--points-mean", type=int, default=24)
+    p.add_argument("--points-scale", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--points-mean", type=int, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_locality)
@@ -352,14 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", default="scale-free")
     p.add_argument("--box-half-width", type=float, default=1.5)
     p.add_argument("--resolution", type=int, default=16)
-    p.add_argument("--cand-extension", type=float, default=1.0)
+    p.add_argument("--cand-extension", type=float, dest="extension", metavar="CAND_EXTENSION",
+                   default=argparse.SUPPRESS)
     p.add_argument("--torus", type=int, default=0, help="build a scale-circle torus with this many cells")
-    p.add_argument("--torus-stride", type=int, default=1)
-    p.add_argument("--torus-mean", type=float, default=0.0)
-    p.add_argument("--log-s-lo", type=float, default=-2.0)
-    p.add_argument("--log-s-hi", type=float, default=2.0)
+    p.add_argument("--torus-stride", type=int, dest="candidate_stride", metavar="TORUS_STRIDE",
+                   default=argparse.SUPPRESS)
+    p.add_argument("--torus-mean", type=float, dest="mean_coord", metavar="TORUS_MEAN", default=argparse.SUPPRESS)
+    p.add_argument("--log-s-lo", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--log-s-hi", type=float, default=argparse.SUPPRESS)
     p.add_argument("--solver", default="local", choices=["local", "exhaustive"])
-    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--interior-margin", type=int, default=0, help="report Ideal-Point overlap with this margin")
     p.add_argument("--shift", default="", help="transport the codebook by this lattice shift (comma ints)")
@@ -379,10 +379,7 @@ def main(argv=None) -> int:
         # sweep resolves its own default (a config file may set the seed),
         # and SweepSpec checks it.
         if hasattr(args, "seed") and args.command != "sweep":
-            if args.seed is None:
-                args.seed = _default_seed()
-            if args.seed < 0:
-                raise InvalidConfigError(f"seed must be >= 0, got {args.seed}")
+            args.seed = _check_int(_default_seed() if args.seed is None else args.seed, "seed", 0)
         return args.func(args)
     except (InvalidConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,6 +39,7 @@ from .model import (
     PriorSpec,
     ProblemConfig,
     SufficientStat,
+    _check_int,
     code_penalty_kernel,
 )
 from .reporting import render_json
@@ -279,7 +280,7 @@ def discretize(
     sit on the matching lattice (same spacing, aligned with the cell
     centers) extended beyond the box, unless an explicit list is given.
     """
-    res = np.broadcast_to(np.asarray(resolution, dtype=int), (cfg.N + 1,))
+    res = np.asarray(resolution) if np.ndim(resolution) else np.full(cfg.N + 1, resolution)
     spec = candidate_spec if candidate_spec is not None else CandidateSpec()
     if spec.parameters is not None:
         candidates = (np.array([p.sigma2 for p in spec.parameters]), np.array([p.mu for p in spec.parameters]))
@@ -288,8 +289,9 @@ def discretize(
             raise InvalidConfigError(f"extension must be finite, got {spec.extension!r}")
         if spec.extension < 0.0:
             raise InvalidConfigError(f"extension must be >= 0, got {spec.extension!r}")
-        # More than _TABLE_LIMIT steps exceed the table limit on their own.
-        candidates = [min(round(spec.extension * int(r)), _TABLE_LIMIT) for r in res]
+        # More than _TABLE_LIMIT steps exceed the table limit on their own.  A
+        # resolution that is not integer is rejected before the steps are read.
+        candidates = [min(round(spec.extension * r), _TABLE_LIMIT) if isinstance(r, int) else 0 for r in res.tolist()]
     return _discretize(cfg, prior, box, res, candidates)
 
 
@@ -310,7 +312,7 @@ def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidate
     if not np.all(box[:, 1] > box[:, 0]):
         raise InvalidConfigError("box must be nondegenerate (hi > lo per axis)")
     res = np.asarray(resolution)
-    if res.shape != (dim,) or res.dtype.kind != "i" or not np.all(res >= 2):
+    if res.shape != (dim,) or res.dtype.kind not in "iu" or not np.all(res >= 2):
         raise InvalidConfigError(f"resolution must be {dim} integers >= 2")
     shape = tuple(int(r) for r in res)
     if isinstance(candidates, tuple):
@@ -406,9 +408,9 @@ def torus_problem(
     """
     if not prior.is_scale_free(cfg):
         raise InvalidConfigError("torus instances require the scale-free prior (uniform masses)")
-    if n_cells < 2:
-        raise InvalidConfigError("n_cells must be >= 2")
-    if candidate_stride < 1 or n_cells % candidate_stride != 0:
+    n_cells = _check_int(n_cells, "n_cells", 2)
+    candidate_stride = _check_int(candidate_stride, "candidate_stride", 1)
+    if n_cells % candidate_stride != 0:
         raise InvalidConfigError("candidate_stride must divide n_cells")
     for name, value in (("log_s_lo", log_s_lo), ("log_s_hi", log_s_hi), ("mean_coord", mean_coord)):
         if not math.isfinite(value):
@@ -776,9 +778,8 @@ def smml_local_search(problem: DiscreteProblem, restarts: int = 4, seed: int = 0
     seeded uniform-random start as it begins, and only the best local
     optimum so far is kept.  Deterministic given ``seed``.
     """
-    if restarts < 1:
-        raise InvalidConfigError("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
+    restarts = _check_int(restarts, "restarts", 1)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     least = _least_penalties(problem.penalty)
     starts = (rng.integers(0, problem.n_candidates, problem.n_cells) if r else pointwise_assignment(problem)
               for r in range(restarts))
@@ -858,8 +859,7 @@ def smml_ip_overlap(
     diameter (the maximum pairwise cell-center distance within the region,
     with a 1e-9 slack for exact-lattice coincidences).
     """
-    if interior_margin < 1:
-        raise InvalidConfigError("interior_margin must be >= 1")
+    interior_margin = _check_int(interior_margin, "interior_margin", 1)
     if problem.lattice is None:
         raise InvalidConfigError("overlap report requires a lattice-discretized problem")
     assign = _check_assign(problem, codebook.assign)
@@ -893,14 +893,13 @@ def smml_ip_overlap(
 
 def _shift_vector(problem: DiscreteProblem, lattice_shift) -> np.ndarray:
     dim = problem.cfg.N + 1
-    if np.isscalar(lattice_shift):
-        shift = np.zeros(dim, dtype=int)
-        shift[0] = int(lattice_shift)
-    else:
-        shift = np.asarray(lattice_shift, dtype=int)
-        if shift.shape != (dim,):
-            raise InvalidConfigError(f"lattice shift must have {dim} components")
-    return shift
+    shift = np.asarray(lattice_shift)
+    if shift.dtype.kind not in "iu":  # a fractional shift would be truncated
+        raise InvalidConfigError(f"lattice shift must hold integers, not {shift.dtype}")
+    shift = np.pad(shift[None], (0, dim - 1)) if shift.ndim == 0 else shift
+    if shift.shape != (dim,):
+        raise InvalidConfigError(f"lattice shift must have {dim} components")
+    return shift.astype(np.int64, copy=False)
 
 
 def codebook_transport(problem: DiscreteProblem, codebook: Codebook, lattice_shift) -> Codebook:
@@ -1018,13 +1017,13 @@ def _load_report(text: str, kind: str) -> dict:
     return data
 
 
-def _json_array(data: dict, key: str, kinds: str = "if") -> np.ndarray:
-    """``data[key]`` as an array of a numpy dtype kind in ``kinds``; integer
-    fields pass ``"i"``, so a stored 2.5 is rejected rather than truncated."""
+def _json_array(data: dict, key: str) -> np.ndarray:
+    """``data[key]`` as a float array.  Count fields are passed on as stored,
+    and the builders reject a stored 2.5 rather than truncate it."""
     arr = np.asarray(data[key])
-    if arr.dtype.kind not in kinds:
-        raise InvalidConfigError(f"{key} must hold {'integers' if kinds == 'i' else 'numbers'}")
-    return arr.astype(float) if "f" in kinds else arr
+    if arr.dtype.kind not in "if":
+        raise InvalidConfigError(f"{key} must hold numbers")
+    return arr.astype(float)
 
 
 @_parsing("discrete-problem")
@@ -1043,14 +1042,13 @@ def problem_from_text(text: str) -> DiscreteProblem:
     cfg = ProblemConfig(N=data["N"], J=data["J"])
     prior = PriorSpec(_json_array(data, "prior_p").item())
     if recipe == "torus":
-        ints = {key: _json_array(data, key, "i").item() for key in ("n_cells", "candidate_stride")}
         floats = {key: _json_array(data, key).item() for key in ("log_s_lo", "log_s_hi", "mean_coord")}
-        return torus_problem(cfg, prior, **ints, **floats)
+        return torus_problem(cfg, prior, data["n_cells"], **floats, candidate_stride=data["candidate_stride"])
     if recipe == "truncated":
-        candidates = _json_array(data, "cand_steps", "i")
+        candidates = data["cand_steps"]
     else:
         candidates = (_json_array(data, "cand_sigma2"), _json_array(data, "cand_mu"))
-    return _discretize(cfg, prior, _json_array(data, "box"), _json_array(data, "resolution", "i"), candidates)
+    return _discretize(cfg, prior, _json_array(data, "box"), data["resolution"], candidates)
 
 
 def codebook_to_text(codebook: Codebook) -> str:
@@ -1060,7 +1058,7 @@ def codebook_to_text(codebook: Codebook) -> str:
 @_parsing("codebook")
 def codebook_from_text(text: str, problem: DiscreteProblem) -> Codebook:
     data = _load_report(text, "codebook")
-    cb = make_codebook(problem, _json_array(data, "assign", "i"))
+    cb = make_codebook(problem, data["assign"])
     for key, recomputed in dataclasses.asdict(cb.cost).items():
         value = _json_array(data, key).item()
         if not abs(recomputed - value) <= 1e-9:  # rejects nan too

@@ -24,6 +24,7 @@ from .model import (
     PriorSpec,
     ProblemConfig,
     _as_mean_vector,
+    _check_int,
     _check_positive,
     sufficient_stats,
 )
@@ -69,8 +70,7 @@ def simulate(cfg: ProblemConfig, sigma2_true: float, mu_true, seed) -> np.ndarra
     if mu.shape[0] not in (1, cfg.N):
         raise InvalidConfigError(f"mu_true must hold 1 or N={cfg.N} means, got {mu.shape[0]}")
     mu = np.broadcast_to(mu, (cfg.N,))
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.PCG64(ss))
+    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence) else _check_int(seed, "seed", 0))
     z = standard_normal(rng, (cfg.N, cfg.J))
     return mu[:, None] + math.sqrt(sigma2_true) * z
 
@@ -99,14 +99,10 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        n_list = tuple(int(n) for n in self.N_list)
-        if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[0] < 1:
+        n_list = tuple(_check_int(n, "N_list", 1) for n in self.N_list)
+        if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise InvalidConfigError("N_list must be strictly increasing positive integers")
-        if self.trials < 1:
-            raise InvalidConfigError("trials must be >= 1")
         _check_positive(self.sigma2_true, "sigma2_true")
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.estimators or any(e not in SIGMA2_HAT for e in self.estimators):
             raise InvalidConfigError(f"estimators must be a nonempty subset of {sorted(SIGMA2_HAT)}")
         if self.mu_law.startswith("fixed:"):
@@ -121,9 +117,9 @@ class SweepSpec:
         object.__setattr__(self, "N_list", n_list)
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "priors", tuple(self.priors))
-        object.__setattr__(self, "J", int(self.J))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "J", _check_int(self.J, "J", 2))
+        object.__setattr__(self, "trials", _check_int(self.trials, "trials", 1))
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -154,6 +150,23 @@ def resolve_prior(choice, cfg: ProblemConfig) -> PriorSpec:
     return PriorSpec(p)
 
 
+def _method_priors(methods, choices, cfg: ProblemConfig) -> list[tuple[str, object, PriorSpec | None]]:
+    """``(method, choice, prior)`` per distinct method and prior exponent, in
+    first-listed order, ``choice`` the exponent's first spelling, or
+    ``(method, None, None)`` for a prior-free method.  Choices are resolved
+    only when a listed method needs a prior, and must not be empty then."""
+    methods = list(dict.fromkeys(methods))
+    needing = [m for m in methods if m not in PRIOR_FREE_METHODS]
+    if needing and not choices:
+        raise InvalidConfigError(f"no prior given for {', '.join(needing)}")
+    distinct: dict[float, tuple] = {}
+    for choice in choices if needing else ():
+        prior = resolve_prior(choice, cfg)
+        distinct.setdefault(prior.p, (choice, prior))
+    free = [(None, None)]
+    return [(m, *pair) for m in methods for pair in (free if m in PRIOR_FREE_METHODS else distinct.values())]
+
+
 def _true_means(spec: SweepSpec, cfg: ProblemConfig, rng: np.random.Generator) -> np.ndarray:
     if spec.mu_law == "zero":
         return np.zeros(cfg.N)
@@ -167,25 +180,20 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
     prior combination at one group count.  Trial ``t`` uses the substream
     ``SeedSequence((seed, n_groups, t))``; all combinations share the
     trial's simulated data.  Keys follow the spec's estimator order, each
-    method's priors in the spec's order (``None`` for a prior-free method).
+    method's priors in the spec's order (``None`` for a prior-free method),
+    one key per distinct exponent under its first spelling.
     """
     cfg = ProblemConfig(N=n_groups, J=spec.J)
+    pairs = _method_priors(spec.estimators, spec.priors, cfg)
     s2 = np.empty(spec.trials)
     for t in range(spec.trials):
-        ss = np.random.SeedSequence((spec.seed, n_groups, t))
-        rng = np.random.Generator(np.random.PCG64(ss))
+        rng = np.random.default_rng((spec.seed, n_groups, t))
         mu = _true_means(spec, cfg, rng)
         data = mu[:, None] + math.sqrt(spec.sigma2_true) * standard_normal(rng, (cfg.N, cfg.J))
         s2[t] = sufficient_stats(data, cfg).s2
     if np.any(s2 <= 0.0):
         raise DegenerateInputError("s2 must be > 0 in every trial (the marginal diverges at s2 = 0)")
-    return {
-        (method, choice): SIGMA2_HAT[method](
-            s2, None if choice is None else resolve_prior(choice, cfg), cfg
-        ) / spec.sigma2_true
-        for method in spec.estimators
-        for choice in ((None,) if method in PRIOR_FREE_METHODS else spec.priors)
-    }
+    return {(method, choice): SIGMA2_HAT[method](s2, prior, cfg) / spec.sigma2_true for method, choice, prior in pairs}
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -193,7 +201,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     Rows appear in deterministic order: group counts ascending, then
     estimators and priors in the order the spec lists them, one row per
-    distinct estimator x prior pair.  The mean is the mean of per-trial
+    distinct estimator x prior exponent.  The mean is the mean of per-trial
     ratios (matching the pointwise consistency statement); the sd is the
     sample standard deviation (0 for one trial).
     """
@@ -203,16 +211,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         for (method, choice), values in trial_ratios(spec, n_groups).items():
             prior_p = None if choice is None else resolve_prior(choice, cfg).p
             sd = float(values.std(ddof=1)) if spec.trials > 1 else 0.0
-            rows.append(
-                SweepRow(
-                    N=n_groups,
-                    estimator=method,
-                    prior_p=prior_p,
-                    mean_ratio=float(values.mean()),
-                    sd_ratio=sd,
-                    trials=spec.trials,
-                )
-            )
+            rows.append(SweepRow(n_groups, method, prior_p, float(values.mean()), sd, spec.trials))
     return rows
 
 

@@ -92,12 +92,8 @@ class ProblemConfig:
     J: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
-            raise InvalidConfigError(f"N must be an integer >= 1, got {self.N!r}")
-        if not (isinstance(self.J, (int, np.integer)) and self.J >= 2):
-            raise InvalidConfigError(f"J must be an integer >= 2, got {self.J!r}")
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "J", int(self.J))
+        object.__setattr__(self, "N", _check_int(self.N, "N", 1))
+        object.__setattr__(self, "J", _check_int(self.J, "J", 2))
 
     @property
     def nj(self) -> int:
@@ -207,6 +203,16 @@ def _check_positive(value, name: str) -> None:
     """Reject a value that is not finite and > 0, naming it and its value."""
     if not (value > 0.0 and math.isfinite(value)):
         raise InvalidConfigError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _check_int(value, name: str, least: int) -> int:
+    """``value`` as a Python ``int``; a bool, any other non-integer, or a
+    value below ``least`` is rejected, naming it and its value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidConfigError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def _check_stat(stat: SufficientStat, cfg: ProblemConfig) -> None:

@@ -38,6 +38,7 @@ from .model import (
     SufficientStat,
     _as_mean_vector,
     _check_param,
+    _check_int,
     _check_positive,
     _check_stat,
     code_penalty_R,
@@ -72,6 +73,8 @@ __all__ = [
     "GridSpec",
     "locality_certificate",
 ]
+
+_TOL = 1e-9  # default tolerance of the property checks
 
 
 class LocalityConstructionError(NeymanScottError):
@@ -151,7 +154,7 @@ def check_automorphism(
     cfg: ProblemConfig,
     samples: int = 100,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = _TOL,
 ) -> AutomorphismReport:
     """Test whether ``(U, T)`` preserves the scaled marginal and the
     likelihood on random ``(stat, theta)`` pairs.
@@ -171,11 +174,10 @@ def check_automorphism(
     spacing, so a ``beta`` that dwarfs it leaves a gap that measures rounding.
     """
     _check_positive(tol, "tol")
-    if samples < 1:
-        raise InvalidConfigError("samples must be >= 1")
+    samples = _check_int(samples, "samples", 1)
     if aut.n_groups != cfg.N:
         raise InvalidConfigError("automorphism translation length does not match N")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     log_jac = aut.log_jacobian(cfg)
     worst_marginal = 0.0
     worst_likelihood = 0.0
@@ -276,7 +278,7 @@ def homogeneity_check(
     prior: PriorSpec,
     cfg: ProblemConfig,
     thetas: list[Parameter],
-    tol: float = 1e-9,
+    tol: float = _TOL,
 ) -> HomogeneityReport:
     """Is the minimal penalty ``R*_theta`` constant over parameters?
 
@@ -305,7 +307,7 @@ def comprehensiveness_check(
     prior: PriorSpec,
     cfg: ProblemConfig,
     stats: list[SufficientStat],
-    tol: float = 1e-9,
+    tol: float = _TOL,
 ) -> ComprehensivenessReport:
     """Is the minimal penalty over parameters constant over observations?
 
@@ -447,10 +449,8 @@ class GridSpec:
     points_mean: int = 24
 
     def __post_init__(self) -> None:
-        if self.points_scale < 1 or self.points_mean < 1:
-            raise InvalidConfigError(
-                f"grid point counts must be >= 1, got {self.points_scale} x {self.points_mean}"
-            )
+        object.__setattr__(self, "points_scale", _check_int(self.points_scale, "points_scale", 1))
+        object.__setattr__(self, "points_mean", _check_int(self.points_mean, "points_mean", 1))
 
 
 @dataclass(frozen=True)
@@ -510,11 +510,10 @@ def locality_certificate(
     ``c`` whose bound ``v0`` leaves the float range, naming ``c``.
     """
     _check_param(theta, cfg)
-    if c is None:
-        c = find_valid_c(cfg)
-    if c < 2 or c * c <= 2 * cfg.nj:
+    c = find_valid_c(cfg) if c is None else _check_int(c, "c", 2)
+    if c * c <= 2 * cfg.nj:
         # delta_prime needs c^2 > 2NJ; every c from find_valid_c has it.
-        raise InvalidConfigError(f"c must be >= 2 with c^2 > 2NJ = {2 * cfg.nj}, got {c}")
+        raise InvalidConfigError(f"c must have c^2 > 2NJ = {2 * cfg.nj}, got {c}")
     n_points = grid.points_scale * grid.points_mean**cfg.N
     if n_points > _POINT_LIMIT:
         raise InvalidConfigError(f"verification grid has {n_points} points, above the limit {_POINT_LIMIT}")
@@ -524,7 +523,7 @@ def locality_certificate(
         cert = None
     if cert is None or not math.isfinite(cert.v0_bound):
         raise InvalidConfigError(f"c = {c} takes the certificate out of the float range")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
 
     # Grid in relative coordinates: log(s/sigma) and (m - mu)/sigma.
     ls_lo = math.log(cert.delta_prime) - _EXPAND_SCALE

@@ -187,6 +187,8 @@ class TestDiscretize:
     def test_empty_or_degenerate_grid_rejected(self):
         with pytest.raises(InvalidConfigError):
             discretize(CFG, SCALE_FREE, BOX, 1)
+        with pytest.raises(InvalidConfigError, match="resolution must be 2 integers"):
+            discretize(CFG, SCALE_FREE, BOX, [4, 4, 4])
         with pytest.raises(InvalidConfigError):
             discretize(CFG, SCALE_FREE, [[0.0, 0.0], [-1.0, 1.0]], 4)
 

@@ -1,5 +1,6 @@
 """Simulation moments, sweep bookkeeping, config parsing, and the CLI."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -32,6 +33,7 @@ from nsmml.cli import main
 from nsmml.reporting import render_json
 
 DATA = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SWEEP_CONFIG = """\
 # consistency dichotomy at J = 2
@@ -47,6 +49,21 @@ seed = 777
 
 
 class TestSimulate:
+    def test_readme_library_example(self):
+        # Run the README's block statement by statement, keeping the value
+        # of each bare expression, and check what its comments say.
+        block = README.read_text().split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        namespace, values = {}, []
+        for stmt in ast.parse(block).body:
+            if isinstance(stmt, ast.Expr):
+                values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+            else:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+        ml, ip_wallace, ip_scale_free = values
+        assert ml == pytest.approx(0.5, abs=0.05)
+        assert ip_wallace == pytest.approx(1.0, abs=0.1)
+        assert ip_scale_free == ml
+
     def test_deterministic_given_seed(self):
         cfg = ProblemConfig(N=3, J=4)
         a = simulate(cfg, 2.0, [0.0, 1.0, -1.0], 99)
@@ -187,10 +204,17 @@ class TestRunSweep:
                 resolve_prior(choice, cfg)
 
     def test_numeric_prior_and_duplicate_rows(self):
-        spec = parse_sweep_config("J = 2\nN_list = 10\ntrials = 3\nestimators = IP, ML, IP\npriors = wallace, 3.5\n")
+        text = "J = 2\nN_list = 10\ntrials = 3\nestimators = IP, ML, IP\npriors = wallace, 1, 3.5, 1.0\n"
+        spec = parse_sweep_config(text)
         rows = run_sweep(spec)
-        # One row per distinct estimator x prior pair, in first-listed order.
+        # One row per distinct estimator x prior exponent, in first-listed
+        # order, keyed by the exponent's first spelling.
         assert [(r.estimator, r.prior_p) for r in rows] == [("IP", 1.0), ("IP", 3.5), ("ML", None)]
+        assert list(trial_ratios(spec, 10)) == [("IP", "wallace"), ("IP", "3.5"), ("ML", None)]
+        # An empty prior list is malformed when a listed method needs a prior.
+        assert [r.estimator for r in run_sweep(parse_sweep_config(text + "priors =\nestimators = ML\n"))] == ["ML"]
+        with pytest.raises(InvalidConfigError, match="^no prior given for IP$"):
+            run_sweep(parse_sweep_config(text + "priors =\n"))
 
     def test_zero_and_fixed_mean_laws_agree(self):
         # Neither law draws before the sample, and every estimator is
@@ -216,6 +240,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "method,prior_p,sigma2_hat,mu_hat"
         assert out.splitlines()[1] == "IP,1.0,2.0,1.0"
+        # Repeated methods and spellings of one exponent give one row.
+        assert main(["estimate", "--J", "2", "--m", "1.0", "--s2", "1.0",
+                     "--prior", "wallace,1,1.0", "--method", "ip,IP"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_estimate_method_names_case_insensitive(self, capsys):
         argv = ["estimate", "--J", "3", "--m", "1.0,-2.0", "--s2", "0.5"]
@@ -451,6 +479,16 @@ class TestCli:
         capsys.readouterr()
         assert main(["smml", "--load-problem", str(problem_file)]) == 2
         assert capsys.readouterr().err.startswith("error: 10000000000 cells x ")
+        # A stored count that is not an integer is malformed, not truncated.
+        for flags, field, value in ((["--torus", "8"], "n_cells", 8.0),
+                                    (["--resolution", "4"], "resolution", [4.5, 4])):
+            assert main(["smml", *flags, "--save-problem", str(problem_file)]) == 0
+            data = json.loads(problem_file.read_text())
+            data[field] = value
+            problem_file.write_text(json.dumps(data))
+            capsys.readouterr()
+            assert main(["smml", "--load-problem", str(problem_file)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {field} must ")
 
     def test_smml_seven_table_problem_file_exit_two(self, tmp_path, capsys):
         # A report that stores the cell and candidate tables instead of the
@@ -521,7 +559,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         body = "J = 2\nN_list = 10\ntrials = 2\n"
         for config in ("J = x\nN_list = 10\ntrials = 2\n", "J = 2\nN_list = 10, a\ntrials = 2\n",
-                       body + "mu_law = fixed:abc\n", body + "sigma2true = 4\n"):
+                       body + "mu_law = fixed:abc\n", body + "sigma2true = 4\n", body + "priors =\n"):
             bad.write_text(config)
             assert main(["sweep", "--config", str(bad)]) == 2
             assert capsys.readouterr().err.startswith("error: ")
@@ -573,6 +611,7 @@ class TestCli:
              "log_s_lo, log_s_hi and mean_coord take the tables out of the float range"),
             (["estimate", "--J", "2", "--m", "1", "--s2", "1", "--prior", "0.5"],
              "prior exponent p must satisfy p >= 1, got 0.5"),
+            (["estimate", "--J", "2", "--m", "1", "--s2", "1", "--prior", ""], "no prior given for IP, WF"),
             (["regularity", "--tol", "nan"], "tol must be finite and > 0, got nan"),
             (["regularity", "--check", "homogeneity", "--tol", "-1"], "tol must be finite and > 0, got -1.0"),
             (["regularity", "--tol", "inf"], "tol must be finite and > 0, got inf"),

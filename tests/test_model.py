@@ -16,9 +16,13 @@ from nsmml import (
     fisher_log_sqrt_det,
     log_likelihood,
     log_marginal,
+    simulate,
     stat_log_jacobian,
     sufficient_stats,
 )
+from nsmml import codebook as cbk
+from nsmml import regularity as reg
+from nsmml.harness import SweepSpec
 from nsmml.model import _LGAM_MAX, LOG_2PI, _lgamma
 
 from oracles import fd_hessian, log_normal_pdf_product, oracle_log_marginal, raw_sample_with_stats
@@ -63,6 +67,65 @@ class TestSufficientStats:
             ProblemConfig(N=0, J=2)
         with pytest.raises(InvalidConfigError):
             PriorSpec(0.5)
+
+
+_CFG1, _CFG2 = ProblemConfig(N=1, J=2), ProblemConfig(N=2, J=2)
+_SF1 = PriorSpec.scale_free(_CFG1)
+_AUT = reg.Automorphism(2.0, np.zeros(1))
+_THETA2, _GRID = Parameter(1.0, np.zeros(2)), reg.GridSpec(4, 4)
+
+
+def _instance():
+    problem = cbk.discretize(_CFG1, _SF1, [[-1.5, 1.5]] * 2, 4)
+    return problem, cbk.make_codebook(problem, cbk.pointwise_assignment(problem))
+
+
+# (entry point, parameter, least value or None for no bound, call taking the value)
+COUNT_ARGUMENTS = [
+    ("ProblemConfig", "N", 1, lambda v: ProblemConfig(N=v, J=2)),
+    ("ProblemConfig", "J", 2, lambda v: ProblemConfig(N=1, J=v)),
+    ("SweepSpec", "J", 2, lambda v: SweepSpec(J=v, N_list=(10,), trials=1)),
+    ("SweepSpec", "N_list", 1, lambda v: SweepSpec(J=2, N_list=(v,), trials=1)),
+    ("SweepSpec", "trials", 1, lambda v: SweepSpec(J=2, N_list=(10,), trials=v)),
+    ("SweepSpec", "seed", 0, lambda v: SweepSpec(J=2, N_list=(10,), trials=1, seed=v)),
+    ("simulate", "seed", 0, lambda v: simulate(_CFG1, 1.0, 0.0, v)),
+    ("check_automorphism", "seed", 0, lambda v: reg.check_automorphism(_AUT, _SF1, _CFG1, samples=1, seed=v)),
+    ("check_automorphism", "samples", 1, lambda v: reg.check_automorphism(_AUT, _SF1, _CFG1, samples=v)),
+    ("locality_certificate", "seed", 0, lambda v: reg.locality_certificate(_THETA2, _CFG2, grid=_GRID, seed=v)),
+    ("locality_certificate", "c", 2, lambda v: reg.locality_certificate(_THETA2, _CFG2, c=v, grid=_GRID)),
+    ("GridSpec", "points_scale", 1, lambda v: reg.GridSpec(points_scale=v)),
+    ("GridSpec", "points_mean", 1, lambda v: reg.GridSpec(points_mean=v)),
+    ("discretize", "resolution", 2, lambda v: cbk.discretize(_CFG1, _SF1, [[-1.5, 1.5]] * 2, v)),
+    ("discretize-axis", "resolution", 2, lambda v: cbk.discretize(_CFG1, _SF1, [[-1.5, 1.5]] * 2, [4, v])),
+    ("torus_problem", "n_cells", 2, lambda v: cbk.torus_problem(_CFG1, _SF1, v)),
+    ("torus_problem", "candidate_stride", 1, lambda v: cbk.torus_problem(_CFG1, _SF1, 8, candidate_stride=v)),
+    ("smml_local_search", "seed", 0, lambda v: cbk.smml_local_search(_instance()[0], restarts=1, seed=v)),
+    ("smml_local_search", "restarts", 1, lambda v: cbk.smml_local_search(_instance()[0], restarts=v)),
+    ("smml_ip_overlap", "interior_margin", 1, lambda v: cbk.smml_ip_overlap(*_instance(), interior_margin=v)),
+    ("codebook_transport", "lattice shift", None, lambda v: cbk.codebook_transport(*_instance(), v)),
+    ("codebook_transport-vector", "lattice shift", None, lambda v: cbk.codebook_transport(*_instance(), [v, v])),
+]
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("name, least, call", [case[1:] for case in COUNT_ARGUMENTS],
+                             ids=[f"{case[0]}-{case[1]}" for case in COUNT_ARGUMENTS])
+    def test_non_integer_or_small_count_rejected_by_name(self, name, least, call):
+        # A fraction was truncated, a bool counted as 0 or 1, a string was
+        # parsed or escaped as a bare TypeError, and a negative seed escaped
+        # as numpy's bare ValueError; each now names its parameter.
+        for value in (2.5, True, "3", np.float64(3.0), *(() if least is None else (least - 1,))):
+            with pytest.raises(InvalidConfigError, match=f"^{name} must "):
+                call(value)
+
+    def test_numpy_integer_stored_as_int(self):
+        tor = cbk.torus_problem(_CFG1, _SF1, np.int64(8), candidate_stride=np.int64(2))
+        assert tor.lattice.shape == (8, 1) and tor.lattice.stride == 2
+        assert all(type(v) is int for v in (*tor.lattice.shape, *tor.lattice.cand_shape, tor.lattice.stride))
+        lattice = cbk.discretize(_CFG1, _SF1, [[-1.5, 1.5]] * 2, np.uint8(4)).lattice
+        assert lattice.shape == (4, 4) and all(type(v) is int for v in lattice.shape + lattice.cand_shape)
+        spec = SweepSpec(J=np.int64(2), N_list=(np.int32(10),), trials=np.uint8(3), seed=np.int64(4))
+        assert all(type(v) is int for v in (spec.J, *spec.N_list, spec.trials, spec.seed))
 
 
 class TestLogLikelihood:
