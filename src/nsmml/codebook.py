@@ -39,6 +39,7 @@ from .model import (
     PriorSpec,
     ProblemConfig,
     SufficientStat,
+    _BLOCK,
     _check_int,
     code_penalty_kernel,
 )
@@ -214,9 +215,6 @@ def _float_range(inputs: str):
             raise InvalidConfigError(f"{inputs} take the tables out of the float range ({exc})") from None
 
 
-_BLOCK = 2**16  # float64 entries (512 KB) per row block of a penalty build's temporaries
-
-
 def _penalty_matrix(
     cell_s2: np.ndarray,
     cell_m: np.ndarray,
@@ -324,7 +322,7 @@ def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidate
         cand_shape = None
         n_candidates = cand_sigma2.shape[0]
     else:
-        steps = np.asarray(candidates)
+        steps = _int_array(candidates, "cand_steps")
         if steps.shape != (dim,) or steps.dtype.kind != "i" or not np.all(steps >= 0):
             raise InvalidConfigError(f"cand_steps must be {dim} integers >= 0")
         cand_shape = tuple(r + 2 * int(e) for r, e in zip(shape, steps))
@@ -457,8 +455,19 @@ def _entropy(q: np.ndarray) -> float:
     return float(_neg_xlogx(q).sum())
 
 
+def _int_array(value, name: str) -> np.ndarray:
+    """``value`` as an array, rejecting a bool inside a list by ``name``:
+    numpy reads ``[True, 0]`` as the integers ``[1, 0]``.  An array that
+    already has an integer dtype is not scanned."""
+    arr = np.asarray(value)
+    if arr.dtype.kind in "iu" and not isinstance(value, np.ndarray):
+        if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(value, dtype=object).flat)):
+            raise InvalidConfigError(f"{name} must hold integers, not bools")
+    return arr
+
+
 def _check_assign(problem: DiscreteProblem, assign: np.ndarray) -> np.ndarray:
-    assign = np.asarray(assign)
+    assign = _int_array(assign, "assignment")
     if assign.dtype.kind not in "iu":  # a float index would be truncated
         raise InvalidConfigError(f"assignment must hold integer candidate indices, not {assign.dtype}")
     if assign.shape != (problem.n_cells,):
@@ -893,7 +902,7 @@ def smml_ip_overlap(
 
 def _shift_vector(problem: DiscreteProblem, lattice_shift) -> np.ndarray:
     dim = problem.cfg.N + 1
-    shift = np.asarray(lattice_shift)
+    shift = _int_array(lattice_shift, "lattice shift")
     if shift.dtype.kind not in "iu":  # a fractional shift would be truncated
         raise InvalidConfigError(f"lattice shift must hold integers, not {shift.dtype}")
     shift = np.pad(shift[None], (0, dim - 1)) if shift.ndim == 0 else shift

@@ -14,6 +14,7 @@ parallel) without changing the aggregate.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
@@ -23,10 +24,11 @@ from .model import (
     InvalidConfigError,
     PriorSpec,
     ProblemConfig,
+    _BLOCK,
     _as_mean_vector,
     _check_int,
     _check_positive,
-    sufficient_stats,
+    sufficient_stats_kernel,
 )
 from .estimators import PRIOR_FREE_METHODS, SIGMA2_HAT, method_from_name
 from .reporting import table_to_csv
@@ -45,6 +47,18 @@ __all__ = [
 ]
 
 
+def _draw_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
+
+
+def _normal_from_bits(k: np.ndarray) -> np.ndarray:
+    """Standard normals ``ndtri((2k + 1) / 2^54)`` from integers ``k`` on
+    ``[0, 2^53)``: the centered uniforms never hit 0 or 1."""
+    from scipy.special import ndtri  # imported here: loading scipy.special slows every import
+
+    return ndtri((2.0 * k + 1.0) / float(1 << 54))
+
+
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard normals via inverse CDF on centered 53-bit uniforms.
 
@@ -52,10 +66,7 @@ def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     or 1, and the whole transform is a fixed deterministic function of the
     generator stream.
     """
-    from scipy.special import ndtri  # imported here: loading scipy.special slows every import
-
-    k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
-    return ndtri((2.0 * k + 1.0) / float(1 << 54))
+    return _normal_from_bits(_draw_bits(rng, shape))
 
 
 def simulate(cfg: ProblemConfig, sigma2_true: float, mu_true, seed) -> np.ndarray:
@@ -99,13 +110,17 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("N_list", "estimators", "priors"):
+            value = getattr(self, name)
+            if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+                raise InvalidConfigError(f"{name} must be a sequence, got {value!r}")
         n_list = tuple(_check_int(n, "N_list", 1) for n in self.N_list)
         if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise InvalidConfigError("N_list must be strictly increasing positive integers")
         _check_positive(self.sigma2_true, "sigma2_true")
         if not self.estimators or any(e not in SIGMA2_HAT for e in self.estimators):
             raise InvalidConfigError(f"estimators must be a nonempty subset of {sorted(SIGMA2_HAT)}")
-        if self.mu_law.startswith("fixed:"):
+        if isinstance(self.mu_law, str) and self.mu_law.startswith("fixed:"):
             try:
                 finite = math.isfinite(float(self.mu_law[len("fixed:"):]))
             except ValueError:
@@ -167,12 +182,18 @@ def _method_priors(methods, choices, cfg: ProblemConfig) -> list[tuple[str, obje
     return [(m, *pair) for m in methods for pair in (free if m in PRIOR_FREE_METHODS else distinct.values())]
 
 
-def _true_means(spec: SweepSpec, cfg: ProblemConfig, rng: np.random.Generator) -> np.ndarray:
-    if spec.mu_law == "zero":
-        return np.zeros(cfg.N)
+def _law_means(spec: SweepSpec, z: np.ndarray):
+    """The true means of ``spec.mu_law``, from the standard normals ``z``
+    drawn for them under the normal law (read under no other law)."""
     if spec.mu_law == "normal":
-        return math.sqrt(spec.sigma2_true) * standard_normal(rng, cfg.N)
-    return np.full(cfg.N, float(spec.mu_law.split(":", 1)[1]))
+        return math.sqrt(spec.sigma2_true) * z
+    return 0.0 if spec.mu_law == "zero" else float(spec.mu_law.split(":", 1)[1])
+
+
+def _true_means(spec: SweepSpec, cfg: ProblemConfig, rng: np.random.Generator) -> np.ndarray:
+    """One trial's ``N`` true means, drawn from ``rng`` under the normal law."""
+    z = standard_normal(rng, cfg.N) if spec.mu_law == "normal" else None
+    return np.broadcast_to(_law_means(spec, z), (cfg.N,))
 
 
 def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.ndarray]:
@@ -182,15 +203,38 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
     trial's simulated data.  Keys follow the spec's estimator order, each
     method's priors in the spec's order (``None`` for a prior-free method),
     one key per distinct exponent under its first spelling.
+
+    Each trial draws its integers from its own substream, the means'
+    first under the normal law, into a buffer of whole trials holding at
+    most ``_BLOCK`` integers (at least one trial); the normal transform
+    and the pooled variance then run once per buffer.  Every step is
+    elementwise or sums within one trial, so a trial's ratios have the
+    bits of a trial simulated alone.
     """
     cfg = ProblemConfig(N=n_groups, J=spec.J)
     pairs = _method_priors(spec.estimators, spec.priors, cfg)
+    n_means = cfg.N if spec.mu_law == "normal" else 0
+    width = n_means + cfg.nj
+    step = max(1, _BLOCK // width)
+    bits = np.empty((min(step, spec.trials), width), dtype=np.int64)
     s2 = np.empty(spec.trials)
-    for t in range(spec.trials):
-        rng = np.random.default_rng((spec.seed, n_groups, t))
-        mu = _true_means(spec, cfg, rng)
-        data = mu[:, None] + math.sqrt(spec.sigma2_true) * standard_normal(rng, (cfg.N, cfg.J))
-        s2[t] = sufficient_stats(data, cfg).s2
+    for lo in range(0, spec.trials, step):
+        blk = bits[: min(step, spec.trials - lo)]
+        for t, row in enumerate(blk, lo):
+            rng = np.random.default_rng((spec.seed, n_groups, t))
+            if n_means:
+                row[:n_means] = _draw_bits(rng, n_means)
+            row[n_means:] = _draw_bits(rng, cfg.nj)
+        z = _normal_from_bits(blk)
+        mu = _law_means(spec, z[:, :n_means, None])
+        data = mu + math.sqrt(spec.sigma2_true) * z[:, n_means:].reshape(-1, cfg.N, cfg.J)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves s2 infinite or nan
+            s2[lo : lo + blk.shape[0]] = sufficient_stats_kernel(data, cfg)[1]
+    if not np.all(np.isfinite(s2)):
+        raise InvalidConfigError(
+            f"sigma2_true = {spec.sigma2_true!r} and mu_law = {spec.mu_law!r} take the group means"
+            " or s2 out of the float range"
+        )
     if np.any(s2 <= 0.0):
         raise DegenerateInputError("s2 must be > 0 in every trial (the marginal diverges at s2 = 0)")
     return {(method, choice): SIGMA2_HAT[method](s2, prior, cfg) / spec.sigma2_true for method, choice, prior in pairs}

@@ -231,6 +231,21 @@ def _check_param(theta: Parameter, cfg: ProblemConfig) -> None:
         )
 
 
+# Float64 entries per block of a blocked loop's temporaries (512 KB): the
+# penalty builds, the sweep's trials and the locality grid all step by it.
+_BLOCK = 2**16
+
+
+def sufficient_stats_kernel(x: np.ndarray, cfg: ProblemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Broadcasting :func:`sufficient_stats`, without its checks: the group
+    means and pooled variances of a stack of ``N x J`` samples, ``x`` of
+    shape ``(..., N, J)``.  Each sample's sums run over its own entries in
+    the order of a lone sample's, so every sample gets the same bits."""
+    m = x.mean(axis=-1)
+    s2 = ((x - m[..., None]) ** 2).sum(axis=(-2, -1)) / cfg.nj
+    return m, s2
+
+
 def sufficient_stats(data: np.ndarray, cfg: ProblemConfig) -> SufficientStat:
     """Reduce an ``N x J`` sample to its sufficient statistic.
 
@@ -242,9 +257,8 @@ def sufficient_stats(data: np.ndarray, cfg: ProblemConfig) -> SufficientStat:
         raise InvalidConfigError(f"data shape {x.shape} does not match (N, J) = ({cfg.N}, {cfg.J})")
     if not np.all(np.isfinite(x)):
         raise InvalidConfigError("data must be finite")
-    m = x.mean(axis=1)
-    s2 = float(((x - m[:, None]) ** 2).sum() / cfg.nj)
-    return SufficientStat(m=m, s2=s2)
+    m, s2 = sufficient_stats_kernel(x, cfg)
+    return SufficientStat(m=m, s2=float(s2))
 
 
 def _polevl(x: float, coef: tuple) -> float:

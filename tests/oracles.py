@@ -18,7 +18,10 @@ of every step it yields.  ``oracle_penalty_matrix`` and
 written; the production builders fill it a row block at a time and must
 match them bit for bit.  ``theta_list`` lists a locality certificate's
 competitors one by one, in ``theta``'s frame, where ``best_log_likelihood_gap``
-finds the best of them in closed form.
+finds the best of them in closed form.  ``oracle_trial_ratios`` simulates
+the sweep one trial at a time and ``oracle_locality_scores`` scores a
+whole locality grid as one mesh, both as first written; the production
+code works a block at a time and must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +35,10 @@ from scipy.integrate import quad
 
 from nsmml import Parameter, PriorSpec, ProblemConfig, SufficientStat, sufficient_stats
 from nsmml.codebook import _EXACT_TOL, DiscreteProblem, _entropy, _neg_xlogx, codebook_cost
-from nsmml.model import code_penalty_kernel
+from nsmml.estimators import SIGMA2_HAT
+from nsmml.harness import _method_priors
+from nsmml.model import code_penalty_kernel, log_likelihood_kernel
+from nsmml.regularity import _EXPAND_MEAN, _EXPAND_SCALE, _build_certificate
 
 
 def oracle_log_marginal(stat: SufficientStat, p: float, cfg: ProblemConfig) -> float:
@@ -283,3 +289,78 @@ def theta_list(cert) -> list[Parameter]:
     centers = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
     grid = (math.sqrt(2.0 * cert.cfg.nj) / c) ** 2
     return thetas + [Parameter(grid, center) for center in centers]
+
+
+def oracle_trial_ratios(spec, n_groups: int) -> dict:
+    """``trial_ratios`` as first written: each trial draws its means and
+    sample from its own substream and reduces them alone."""
+    from scipy.special import ndtri
+
+    def normals(rng, shape):
+        k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
+        return ndtri((2.0 * k + 1.0) / float(1 << 54))
+
+    cfg = ProblemConfig(N=n_groups, J=spec.J)
+    s2 = np.empty(spec.trials)
+    for t in range(spec.trials):
+        rng = np.random.default_rng((spec.seed, n_groups, t))
+        if spec.mu_law == "normal":
+            mu = math.sqrt(spec.sigma2_true) * normals(rng, cfg.N)
+        elif spec.mu_law == "zero":
+            mu = np.zeros(cfg.N)
+        else:
+            mu = np.full(cfg.N, float(spec.mu_law.split(":", 1)[1]))
+        data = mu[:, None] + math.sqrt(spec.sigma2_true) * normals(rng, (cfg.N, cfg.J))
+        s2[t] = ((data - data.mean(axis=1)[:, None]) ** 2).sum() / cfg.nj
+    pairs = _method_priors(spec.estimators, spec.priors, cfg)
+    return {(method, choice): SIGMA2_HAT[method](s2, prior, cfg) / spec.sigma2_true for method, choice, prior in pairs}
+
+
+def oracle_best_gaps(cert, s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The certificate's best likelihood gaps as first written, one row of
+    ``m`` per entry of ``s``, in ``theta``'s frame."""
+    cfg = cert.cfg
+    s2 = s**2
+    sq = (m**2).sum(axis=1)
+    base = log_likelihood_kernel(s2, sq, 1.0, cfg)
+    inflated, grid = cert._variances(1.0)
+    shift = math.sqrt(2.0 * cert.T_margin)
+    best = (cfg.J * shift) * np.abs(m).max(axis=1) - 0.5 * cfg.J * shift**2
+    best += base
+    np.maximum(best, log_likelihood_kernel(s2, sq, inflated, cfg), out=best)
+    step = 2.0 * shift / cert.c
+    start = 0.5 * step - shift
+    idx = np.clip(np.rint((m - start) / step), 0, cert.c - 1)
+    grid_sq = ((m - (start + step * idx)) ** 2).sum(axis=1)
+    np.maximum(best, log_likelihood_kernel(s2, grid_sq, grid, cfg), out=best)
+    best -= base
+    return best
+
+
+def oracle_locality_scores(theta, cfg, c, grid, seed: int, gaps=oracle_best_gaps) -> tuple:
+    """``locality_certificate``'s verification as first written: the whole
+    grid as one mesh, scored by ``gaps`` at once.  Returns the worst margin,
+    the worst point and the exempt and exterior counts."""
+    cert = _build_certificate(theta, cfg, c)
+    rng = np.random.default_rng(seed)
+    ls_lo = math.log(cert.delta_prime) - _EXPAND_SCALE
+    ls_hi = math.log(cert.delta) + _EXPAND_SCALE
+    jitter = rng.uniform(0.25, 0.75)
+    ls_vals = ls_lo + (ls_hi - ls_lo) * (np.arange(grid.points_scale) + jitter) / grid.points_scale
+    sqrt2T = math.sqrt(2.0 * cert.T_margin)
+    half = sqrt2T * _EXPAND_MEAN
+    jitter_m = rng.uniform(0.25, 0.75, cfg.N)
+    mean_axes = [
+        -half + 2.0 * half * (np.arange(grid.points_mean) + jitter_m[n]) / grid.points_mean for n in range(cfg.N)
+    ]
+    mesh = np.meshgrid(ls_vals, *mean_axes, indexing="ij")
+    rel_s = np.exp(mesh[0].ravel())
+    rel_m = np.stack([g.ravel() for g in mesh[1:]], axis=1)
+    exempt = (rel_s >= cert.delta_prime) & (rel_s <= cert.delta) & np.all(np.abs(rel_m) <= sqrt2T, axis=1)
+    margins = gaps(cert, rel_s, rel_m) - cert.T_margin
+    margins[exempt] = np.inf
+    i = int(np.argmin(margins))
+    sigma = theta.sigma
+    worst_point = np.concatenate(([(sigma * rel_s[i]) ** 2], theta.mu + sigma * rel_m[i]))
+    n_exempt = int(exempt.sum())
+    return float(margins[i]), worst_point, n_exempt, rel_s.size - n_exempt

@@ -323,6 +323,21 @@ class TestCodebookCost:
         for ints in (np.ones(8, dtype=np.uint8), np.ones(8, dtype=np.int32), [1] * 8):
             assert make_codebook(prob, ints).assign.dtype == np.int64
 
+    def test_bool_inside_integer_list_rejected_by_name(self):
+        # numpy reads [True, 0] as the integers [1, 0], so no dtype check
+        # sees the bool: an assignment was accepted, a shift moved by one
+        # cell and a problem file loaded.
+        prob = discretize(CFG, SCALE_FREE, BOX, 4, CandidateSpec(extension=1.0))
+        book = make_codebook(prob, pointwise_assignment(prob))
+        with pytest.raises(InvalidConfigError, match="^assignment must hold integers, not bools$"):
+            make_codebook(prob, [True] * 15 + [0])
+        for shift in ([True, 0], [np.True_, 0]):
+            with pytest.raises(InvalidConfigError, match="^lattice shift must hold integers, not bools$"):
+                codebook_transport(prob, book, shift)
+        with pytest.raises(InvalidConfigError, match="^cand_steps must hold integers, not bools$"):
+            problem_from_text(edited(problem_to_text(prob), cand_steps=[True, 0]))
+        assert codebook_transport(prob, book, [1, 0]).assign.shape == (16,)
+
 
 class TestExhaustive:
     def test_single_cell_all_minimizers(self):

@@ -30,7 +30,10 @@ from nsmml import (
 from nsmml import codebook as cbk
 from nsmml.harness import SweepSpec, parse_sweep_config, rows_to_csv, run_sweep, trial_ratios
 from nsmml.cli import main
+from nsmml.model import _BLOCK
 from nsmml.reporting import render_json
+
+from oracles import oracle_trial_ratios
 
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -167,12 +170,46 @@ class TestRunSweep:
         for sigma2 in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(InvalidConfigError, match=f"sigma2_true must be finite and > 0, got {sigma2!r}"):
                 SweepSpec(J=2, N_list=(10,), trials=1, sigma2_true=sigma2)
+        # A bare count or a string is not a list of group counts, nor of
+        # estimators or priors.
+        for n_list in (10, "10"):
+            with pytest.raises(InvalidConfigError, match=f"N_list must be a sequence, got {n_list!r}"):
+                SweepSpec(J=2, N_list=n_list, trials=2)
+        for field, value in (("estimators", 5), ("priors", 3), ("priors", "wallace")):
+            with pytest.raises(InvalidConfigError, match=f"{field} must be a sequence, got {value!r}"):
+                SweepSpec(J=2, N_list=(10,), trials=2, **{field: value})
+        with pytest.raises(InvalidConfigError, match="unknown mu_law 5"):
+            SweepSpec(J=2, N_list=(10,), trials=2, mu_law=5)
 
     def test_trial_ratios_reject_zero_s2(self, monkeypatch):
         # Constant data within every group gives s2 = 0 in every trial.
-        monkeypatch.setattr("nsmml.harness.standard_normal", lambda rng, shape: np.zeros(shape))
+        monkeypatch.setattr("nsmml.harness._normal_from_bits", lambda k: np.zeros(k.shape))
         with pytest.raises(DegenerateInputError):
             trial_ratios(SweepSpec(J=2, N_list=(3,), trials=4), 3)
+
+    @pytest.mark.parametrize("law", ["fixed:1.7e308", "normal"])
+    def test_trial_ratios_reject_overflow(self, law):
+        # Means near the float maximum overflow the group means; a variance
+        # near it overflows the squared deviations.
+        sigma2 = 1.0 if law != "normal" else 1.7e308
+        with pytest.raises(InvalidConfigError, match="out of the float range"):
+            trial_ratios(SweepSpec(J=2, N_list=(3,), trials=4, sigma2_true=sigma2, mu_law=law), 3)
+
+    @pytest.mark.parametrize("block", ["default", "one trial", "three trials"])
+    @pytest.mark.parametrize("law", ["normal", "zero", "fixed:-3.25"])
+    def test_blocked_trials_match_one_trial_at_a_time(self, monkeypatch, law, block):
+        # Trials are drawn into blocks and transformed and reduced a block
+        # at a time; every ratio must keep the bits of a trial run alone,
+        # also in a last block that is only partly filled.
+        for n, j in ((n, j) for n in (1, 3, 50, 2000) for j in (2, 3, 5)):
+            width = n * j + (n if law == "normal" else 0)
+            per_block = {"default": _BLOCK // width, "one trial": 1, "three trials": 3}[block]
+            monkeypatch.setattr("nsmml.harness._BLOCK", per_block * width)
+            trials = 2 * per_block + 1 if 2 <= per_block < 500 else 7
+            spec = SweepSpec(J=j, N_list=(n,), trials=trials, mu_law=law, seed=n + j)
+            got, want = trial_ratios(spec, n), oracle_trial_ratios(spec, n)
+            assert got.keys() == want.keys()
+            assert all(got[key].tobytes() == want[key].tobytes() for key in want), (n, j)
 
     def test_config_parse_errors(self):
         base = "J = 2\nN_list = 10\ntrials = 2\n"

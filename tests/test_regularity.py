@@ -35,7 +35,7 @@ from nsmml.regularity import (
     _build_certificate,
 )
 
-from oracles import theta_list
+from oracles import oracle_locality_scores, theta_list
 
 
 def random_thetas(rng, n, count):
@@ -450,3 +450,68 @@ class TestLocalityCertificate:
         # all construction lengths are multiples of sigma
         grid1, grid2 = theta_list(c1)[-1], theta_list(c2)[-1]
         assert grid2.sigma2 * c2.theta.sigma2 == pytest.approx(aut.alpha**2 * grid1.sigma2 * c1.theta.sigma2)
+
+
+class TestBlockedGrid:
+    """The locality grid is scored a block of whole scale rows at a time;
+    the report must keep the bits of scoring the whole grid as one mesh."""
+
+    CASES = (
+        (Parameter(1.0, np.zeros(2)), ProblemConfig(N=2, J=2), GridSpec(), 0),
+        (Parameter(1.21, [0.3, -0.2]), ProblemConfig(N=2, J=3), GridSpec(31, 17), 4),
+        (Parameter(1.0, [1e17, 0.0]), ProblemConfig(N=2, J=2), GridSpec(), 0),
+        (Parameter(1.0, [1e17, 0.0]), ProblemConfig(N=2, J=3), GridSpec(20, 9), 2),
+        (Parameter(0.02, [5e5, -1e6, 2.0]), ProblemConfig(N=3, J=2), GridSpec(13, 11), 9),
+        (Parameter(1e306, np.zeros(3)), ProblemConfig(N=3, J=2), GridSpec(), 0),
+        (Parameter(3.7, [-1.5, 0.5, 1e6]), ProblemConfig(N=3, J=4), GridSpec(9, 7), 1),
+    )
+
+    @staticmethod
+    def scores(theta, cfg, grid, seed):
+        try:
+            _, rep = locality_certificate(theta, cfg, grid=grid, seed=seed)
+        except CertificateError as exc:
+            rep = exc.report
+        return rep.worst_margin.hex(), rep.worst_point.tobytes(), rep.n_exempt, rep.n_exterior
+
+    @staticmethod
+    def oracle(theta, cfg, grid, seed, **kw):
+        margin, point, n_exempt, n_exterior = oracle_locality_scores(theta, cfg, find_valid_c(cfg), grid, seed, **kw)
+        return margin.hex(), point.tobytes(), n_exempt, n_exterior
+
+    @pytest.mark.parametrize("one_row", [False, True])
+    def test_blocked_grid_matches_whole_grid(self, monkeypatch, one_row):
+        if one_row:
+            monkeypatch.setattr("nsmml.regularity._BLOCK", 1)
+        for theta, cfg, grid, seed in self.CASES:
+            assert self.scores(theta, cfg, grid, seed) == self.oracle(theta, cfg, grid, seed)
+
+    @pytest.mark.parametrize("nan_from", [None, 1.0])
+    def test_first_least_margin_wins_across_blocks(self, monkeypatch, nan_from):
+        # Every exterior margin ties at 0, or, from s/sigma = 1 on, is nan
+        # where the first mean coordinate is positive.  np.argmin over the
+        # whole grid returns the first least margin, or the first nan; one
+        # scale row per block puts the candidates in different blocks.
+        def fake_gaps(cert, s, m):
+            margin = np.zeros(np.broadcast_shapes(np.shape(s), m.shape[:-1]))
+            if nan_from is not None:
+                margin[(s > nan_from) & (m[..., 0] > 0.0)] = np.nan
+            return margin + cert.T_margin
+
+        monkeypatch.setattr("nsmml.regularity._best_gaps", fake_gaps)
+        monkeypatch.setattr("nsmml.regularity._BLOCK", 1)
+        theta, cfg, grid = Parameter(1.0, np.zeros(2)), ProblemConfig(N=2, J=2), GridSpec(12, 6)
+        got = self.scores(theta, cfg, grid, 3)
+        assert got == self.oracle(theta, cfg, grid, 3, gaps=fake_gaps)
+        assert got[0] == ("nan" if nan_from else (0.0).hex())
+
+    def test_default_n3_grid_peak(self):
+        # The whole 663,552-point mesh and its temporaries peaked at about
+        # 100 MB; blocks of whole scale rows need about 3.6 MB.
+        tracemalloc.start()
+        try:
+            locality_certificate(Parameter(1.0, np.zeros(3)), ProblemConfig(N=3, J=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
