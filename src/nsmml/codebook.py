@@ -39,8 +39,8 @@ from .model import (
     PriorSpec,
     ProblemConfig,
     SufficientStat,
-    _BLOCK,
     _check_int,
+    _row_blocks,
     code_penalty_kernel,
 )
 from .reporting import render_json
@@ -232,7 +232,7 @@ def _penalty_matrix(
 
     Build order: the matrix is allocated once, as the cross term ``2 m.mu``
     of a single BLAS product, and overwritten in place one block of whole
-    rows (about ``_BLOCK`` entries) at a time with ``|m|^2 + |mu|^2`` minus
+    rows (``model._row_blocks``) at a time with ``|m|^2 + |mu|^2`` minus
     the cross term, clipped at zero, then the kernel.  The elementwise
     steps keep the order of a one-shot build, so every entry has the same
     bits, and the temporaries are block-sized rather than matrix-sized.
@@ -244,9 +244,7 @@ def _penalty_matrix(
     m_sq = (cell_m**2).sum(axis=1)
     mu_sq = (cand_mu**2).sum(axis=1)
     out = 2.0 * cell_m @ cand_mu.T
-    step = max(1, _BLOCK // out.shape[1])
-    for lo in range(0, out.shape[0], step):
-        blk = slice(lo, lo + step)
+    for blk in _row_blocks(*out.shape):
         sq = m_sq[blk, None] + mu_sq[None, :] - out[blk]
         np.maximum(sq, 0.0, out=sq)
         out[blk] = code_penalty_kernel(cell_s2[blk, None], sq, cand_sigma2[None, :], prior, cfg)
@@ -366,19 +364,14 @@ def _torus_penalty(n: int, stride: int, spacing: float, u0: np.ndarray, prior: P
     # delta = k * spacing: stat (s = e^delta, m = u0 * s) against theta
     # (sigma = 1, mu = u0), where u0 is the mean coordinate shared by every
     # cell.  Entry (i, j) is the row at offset i - stride * j, so a
-    # stride-compatible shift permutes the matrix exactly.
+    # stride-compatible shift permutes the matrix exactly; it is entry
+    # stride * j of window (-i - half) % n of row[-k % n] over k < 2n.
     half = n // 2
     delta = spacing * np.arange(-half, n - half)
     sq_dev = float((u0**2).sum()) * (np.exp(delta) - 1.0) ** 2
     row = code_penalty_kernel(np.exp(2.0 * delta), sq_dev, 1.0, prior, cfg)
-    cols = np.arange(0, n, stride)
-    out = np.empty((n, cols.shape[0]))
-    step = max(1, _BLOCK // cols.shape[0])
-    for lo in range(0, n, step):  # row blocks bound the offset table
-        idx = np.arange(lo + half, min(lo + step, n) + half)[:, None] - cols[None, :]
-        idx %= n
-        np.take(row, idx, out=out[lo : lo + step])
-    return out
+    windows = np.lib.stride_tricks.sliding_window_view(row[-np.arange(2 * n) % n], n)
+    return windows[(-np.arange(n) - half) % n, ::stride]
 
 
 @_float_range("log_s_lo, log_s_hi and mean_coord")
@@ -653,11 +646,10 @@ def _least_penalties(pen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     else:
         top = np.empty((c, _TOP_K), dtype=np.int64)
         edge = np.empty(c)
-        for lo in range(0, c, 64):  # row blocks bound the index array argpartition makes
-            block = pen[lo : lo + 64]
-            part = np.argpartition(block, _TOP_K, axis=1)
-            top[lo : lo + 64] = part[:, :_TOP_K]
-            edge[lo : lo + 64] = np.take_along_axis(block, part[:, _TOP_K, None], axis=1)[:, 0]
+        for blk in _row_blocks(c, b):  # row blocks bound the index array argpartition makes
+            part = np.argpartition(pen[blk], _TOP_K, axis=1)
+            top[blk] = part[:, :_TOP_K]
+            edge[blk] = np.take_along_axis(pen[blk], part[:, _TOP_K, None], axis=1)[:, 0]
     return top, np.take_along_axis(pen, top, axis=1), edge
 
 

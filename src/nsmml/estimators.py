@@ -38,7 +38,9 @@ from .model import (
     _check_param,
     _check_positive,
     _check_stat,
+    _scalar_at,
     code_penalty_R,
+    code_penalty_kernel,
 )
 
 __all__ = [
@@ -149,7 +151,8 @@ def ip_reverse(theta: Parameter, prior: PriorSpec, cfg: ProblemConfig) -> Suffic
 
 def penalty_at_ideal_point(theta: Parameter, prior: PriorSpec, cfg: ProblemConfig) -> float:
     """Minimum of the code penalty of ``theta`` over all observations."""
-    return code_penalty_R(theta, ip_reverse(theta, prior, cfg), prior, cfg)
+    stat = ip_reverse(theta, prior, cfg)
+    return _scalar_at(code_penalty_kernel, "penalty", stat, theta, cfg, prior, inputs="theta and its ideal point")
 
 
 def _from_coords(coords):

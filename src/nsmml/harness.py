@@ -24,10 +24,10 @@ from .model import (
     InvalidConfigError,
     PriorSpec,
     ProblemConfig,
-    _BLOCK,
     _as_mean_vector,
     _check_int,
     _check_positive,
+    _row_blocks,
     sufficient_stats_kernel,
 )
 from .estimators import PRIOR_FREE_METHODS, SIGMA2_HAT, method_from_name
@@ -190,12 +190,6 @@ def _law_means(spec: SweepSpec, z: np.ndarray):
     return 0.0 if spec.mu_law == "zero" else float(spec.mu_law.split(":", 1)[1])
 
 
-def _true_means(spec: SweepSpec, cfg: ProblemConfig, rng: np.random.Generator) -> np.ndarray:
-    """One trial's ``N`` true means, drawn from ``rng`` under the normal law."""
-    z = standard_normal(rng, cfg.N) if spec.mu_law == "normal" else None
-    return np.broadcast_to(_law_means(spec, z), (cfg.N,))
-
-
 def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.ndarray]:
     """Per-trial ratios ``sigma2_hat / sigma2_true`` for every estimator x
     prior combination at one group count.  Trial ``t`` uses the substream
@@ -205,9 +199,9 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
     one key per distinct exponent under its first spelling.
 
     Each trial draws its integers from its own substream, the means'
-    first under the normal law, into a buffer of whole trials holding at
-    most ``_BLOCK`` integers (at least one trial); the normal transform
-    and the pooled variance then run once per buffer.  Every step is
+    first under the normal law, into a buffer of whole trials, one per
+    block of ``model._row_blocks``; the normal transform and the pooled
+    variance then run once per buffer.  Every step is
     elementwise or sums within one trial, so a trial's ratios have the
     bits of a trial simulated alone.
     """
@@ -215,21 +209,19 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
     pairs = _method_priors(spec.estimators, spec.priors, cfg)
     n_means = cfg.N if spec.mu_law == "normal" else 0
     width = n_means + cfg.nj
-    step = max(1, _BLOCK // width)
-    bits = np.empty((min(step, spec.trials), width), dtype=np.int64)
     s2 = np.empty(spec.trials)
-    for lo in range(0, spec.trials, step):
-        blk = bits[: min(step, spec.trials - lo)]
-        for t, row in enumerate(blk, lo):
+    for blk in _row_blocks(spec.trials, width):
+        bits = np.empty((blk.stop - blk.start, width), dtype=np.int64)
+        for t, row in enumerate(bits, blk.start):
             rng = np.random.default_rng((spec.seed, n_groups, t))
             if n_means:
                 row[:n_means] = _draw_bits(rng, n_means)
             row[n_means:] = _draw_bits(rng, cfg.nj)
-        z = _normal_from_bits(blk)
+        z = _normal_from_bits(bits)
         mu = _law_means(spec, z[:, :n_means, None])
         data = mu + math.sqrt(spec.sigma2_true) * z[:, n_means:].reshape(-1, cfg.N, cfg.J)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves s2 infinite or nan
-            s2[lo : lo + blk.shape[0]] = sufficient_stats_kernel(data, cfg)[1]
+            s2[blk] = sufficient_stats_kernel(data, cfg)[1]
     if not np.all(np.isfinite(s2)):
         raise InvalidConfigError(
             f"sigma2_true = {spec.sigma2_true!r} and mu_law = {spec.mu_law!r} take the group means"

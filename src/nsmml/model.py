@@ -28,6 +28,7 @@ for concurrent use.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,8 +233,17 @@ def _check_param(theta: Parameter, cfg: ProblemConfig) -> None:
 
 
 # Float64 entries per block of a blocked loop's temporaries (512 KB): the
-# penalty builds, the sweep's trials and the locality grid all step by it.
+# penalty builds, the least-penalty lists, the sweep's trials and the
+# locality grid all walk _row_blocks.
 _BLOCK = 2**16
+
+
+def _row_blocks(n_rows: int, row_width: int) -> Iterator[slice]:
+    """Slices of whole rows of an ``n_rows x row_width`` array, about
+    ``_BLOCK`` entries each and at least one row."""
+    step = max(1, _BLOCK // row_width)
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
 
 
 def sufficient_stats_kernel(x: np.ndarray, cfg: ProblemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +267,10 @@ def sufficient_stats(data: np.ndarray, cfg: ProblemConfig) -> SufficientStat:
         raise InvalidConfigError(f"data shape {x.shape} does not match (N, J) = ({cfg.N}, {cfg.J})")
     if not np.all(np.isfinite(x)):
         raise InvalidConfigError("data must be finite")
-    m, s2 = sufficient_stats_kernel(x, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow in m or s2 leaves s2 infinite or nan
+        m, s2 = sufficient_stats_kernel(x, cfg)
+    if not math.isfinite(s2):
+        raise InvalidConfigError("data take the group means or s2 out of the float range")
     return SufficientStat(m=m, s2=float(s2))
 
 
@@ -329,6 +342,21 @@ def code_penalty_kernel(s2, sq_dev, sigma2, prior: PriorSpec, cfg: ProblemConfig
     return log_marginal_kernel(s2, prior, cfg) - log_likelihood_kernel(s2, sq_dev, sigma2, cfg)
 
 
+def _scalar_at(kernel, what: str, stat: SufficientStat, theta: Parameter, cfg: ProblemConfig, *args,
+               inputs: str = "stat and theta") -> float:
+    """``kernel(s2, sq_dev, sigma2, *args, cfg)``, the ``what``, at one checked
+    statistic and parameter.  A value that an overflow takes out of the
+    float range is rejected, naming ``inputs``, and numpy prints no warning."""
+    _check_stat(stat, cfg)
+    _check_param(theta, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_dev = float(((stat.m - theta.mu) ** 2).sum())
+        value = float(kernel(stat.s2, sq_dev, theta.sigma2, *args, cfg))
+    if not math.isfinite(value):
+        raise InvalidConfigError(f"{inputs} take the {what} out of the float range")
+    return value
+
+
 def log_likelihood(stat: SufficientStat, theta: Parameter, cfg: ProblemConfig) -> float:
     """Log-density of the raw ``N x J`` sample, via its sufficient statistic.
 
@@ -336,10 +364,7 @@ def log_likelihood(stat: SufficientStat, theta: Parameter, cfg: ProblemConfig) -
     so the value equals the product of the ``N*J`` individual normal
     densities evaluated on any raw sample with these statistics.
     """
-    _check_stat(stat, cfg)
-    _check_param(theta, cfg)
-    sq_dev = float(((stat.m - theta.mu) ** 2).sum())
-    return float(log_likelihood_kernel(stat.s2, sq_dev, theta.sigma2, cfg))
+    return _scalar_at(log_likelihood_kernel, "log-likelihood", stat, theta, cfg)
 
 
 def log_marginal(stat: SufficientStat, prior: PriorSpec, cfg: ProblemConfig) -> float:
@@ -366,10 +391,7 @@ def code_penalty_R(theta: Parameter, stat: SufficientStat, prior: PriorSpec, cfg
     data-encoding cost the region pays for representing its members by the
     single parameter ``theta``.
     """
-    _check_stat(stat, cfg)
-    _check_param(theta, cfg)
-    sq_dev = float(((stat.m - theta.mu) ** 2).sum())
-    return float(code_penalty_kernel(stat.s2, sq_dev, theta.sigma2, prior, cfg))
+    return _scalar_at(code_penalty_kernel, "penalty", stat, theta, cfg, prior)
 
 
 def fisher_log_sqrt_det(theta: Parameter, cfg: ProblemConfig) -> float:

@@ -36,12 +36,12 @@ from .model import (
     PriorSpec,
     ProblemConfig,
     SufficientStat,
-    _BLOCK,
     _as_mean_vector,
     _check_param,
     _check_int,
     _check_positive,
     _check_stat,
+    _row_blocks,
     code_penalty_R,
     log_likelihood_kernel,
     stat_log_likelihood,
@@ -124,7 +124,11 @@ class Automorphism:
         return Automorphism(self.alpha * other.alpha, self.alpha * other.beta + self.beta)
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(1.0 / self.alpha, -self.beta / self.alpha)
+        with np.errstate(over="ignore"):
+            beta = -self.beta / self.alpha
+        if not np.all(np.isfinite(beta)):
+            raise InvalidConfigError(f"alpha = {self.alpha!r} and beta take -beta / alpha out of the float range")
+        return Automorphism(1.0 / self.alpha, beta)
 
     def log_jacobian(self, cfg: ProblemConfig) -> float:
         return (cfg.N + 1) * math.log(self.alpha)
@@ -437,9 +441,9 @@ _EXPAND_MEAN = 2.0
 # (N = 2) and 663,552 (N = 3).  Scored a block of whole scale rows at a
 # time, it bounds the time of one call: at the limit, about 0.05 s at N = 2
 # and 0.12 s at N = 3 (2-core VM, numpy 2.4.6).  Memory stays near 3 MB
-# unless one scale row, points_mean^N points, passes _BLOCK; the limit then
-# bounds that row's block, about 170 bytes a point (0.8 s and 320 MB for
-# one row of 18^5 points at N = 5).
+# unless one scale row, points_mean^N points, fills more than a block of
+# model._row_blocks; the limit then bounds that row's block, about 170
+# bytes a point (0.8 s and 320 MB for one row of 18^5 points at N = 5).
 _POINT_LIMIT = 2_000_000
 
 
@@ -554,20 +558,21 @@ def locality_certificate(
     n_exempt = int(exempt_s.sum()) * int(exempt_m.sum())
     if n_exempt == n_points:
         raise InvalidConfigError(f"none of the {n_points} grid points lies outside the exempt region")
-    # Score a block of whole scale rows (about _BLOCK points) at a time,
-    # carrying the least margin and its first index in row-major order, the
-    # one np.argmin over the whole grid returns, a nan first of all.
+    # Score a block of whole scale rows at a time.  np.argmin over the
+    # blocks' least margins, each at its block's first, picks the first
+    # least margin in row-major order (a nan first of all), as one
+    # np.argmin over the whole grid would.
     n_mean = rel_m.shape[0]
-    step = max(1, _BLOCK // n_mean)
-    for lo in range(0, grid.points_scale, step):
-        rows = slice(lo, lo + step)
+    least, first = [], []
+    for rows in _row_blocks(grid.points_scale, n_mean):
         margins = _best_gaps(cert, rel_s[rows, None], rel_m) - cert.T_margin
         margins[exempt_s[rows, None] & exempt_m] = np.inf
         i = int(np.argmin(margins))
-        margin = float(margins.flat[i])
-        if lo == 0 or not (math.isnan(worst_margin) or margin >= worst_margin):
-            worst_margin, worst_i = margin, lo * n_mean + i
-    worst_row, worst_col = divmod(worst_i, n_mean)
+        least.append(margins.flat[i])
+        first.append(rows.start * n_mean + i)
+    b = int(np.argmin(least))
+    worst_margin = float(least[b])
+    worst_row, worst_col = divmod(first[b], n_mean)
     sigma = theta.sigma
     try:
         with np.errstate(over="raise"):

@@ -15,13 +15,18 @@ the production descent must follow the same trajectory bit for bit.
 ``descent_steps`` runs either descent to its end and recomputes the cost
 of every step it yields.  ``oracle_penalty_matrix`` and
 ``oracle_torus_penalty`` build a penalty matrix in one shot, as first
-written; the production builders fill it a row block at a time and must
-match them bit for bit.  ``theta_list`` lists a locality certificate's
+written; the lattice builder fills it a row block at a time and the torus
+builder copies it from one strided view, and both must match them bit
+for bit.  ``oracle_least_penalties`` lists each cell's least penalties
+with one ``argpartition`` over the whole matrix, where the search works
+a row block at a time.  ``theta_list`` lists a locality certificate's
 competitors one by one, in ``theta``'s frame, where ``best_log_likelihood_gap``
 finds the best of them in closed form.  ``oracle_trial_ratios`` simulates
 the sweep one trial at a time and ``oracle_locality_scores`` scores a
 whole locality grid as one mesh, both as first written; the production
 code works a block at a time and must match them bit for bit.
+``record_blocks`` logs the row blocks a module walks, so a test can
+check that a patched block size took effect.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from nsmml import Parameter, PriorSpec, ProblemConfig, SufficientStat, sufficien
 from nsmml.codebook import _EXACT_TOL, DiscreteProblem, _entropy, _neg_xlogx, codebook_cost
 from nsmml.estimators import SIGMA2_HAT
 from nsmml.harness import _method_priors
-from nsmml.model import code_penalty_kernel, log_likelihood_kernel
+from nsmml.model import _row_blocks, code_penalty_kernel, log_likelihood_kernel
 from nsmml.regularity import _EXPAND_MEAN, _EXPAND_SCALE, _build_certificate
 
 
@@ -142,6 +147,28 @@ def oracle_torus_penalty(
     row = code_penalty_kernel(np.exp(2.0 * delta), sq_dev, 1.0, prior, cfg)
     offsets = np.arange(n)[:, None] - np.arange(0, n, stride)[None, :]
     return row[(offsets + half) % n]
+
+
+def oracle_least_penalties(pen: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's ``k`` least-penalty candidates, their penalties and the
+    ``k``-th order penalty, from one ``argpartition`` of the whole matrix."""
+    part = np.argpartition(pen, k, axis=1)
+    top = part[:, :k]
+    return top, np.take_along_axis(pen, top, axis=1), pen[np.arange(pen.shape[0]), part[:, k]]
+
+
+def record_blocks(monkeypatch, module: str) -> list[slice]:
+    """Make ``module`` walk ``model._row_blocks`` through a wrapper that
+    appends every block it yields to the returned list."""
+    blocks = []
+
+    def recorded(n_rows: int, row_width: int) -> Iterator[slice]:
+        for blk in _row_blocks(n_rows, row_width):
+            blocks.append(blk)
+            yield blk
+
+    monkeypatch.setattr(f"{module}._row_blocks", recorded)
+    return blocks
 
 
 def oracle_smml_optima(mass, penalty, tol: float = 1e-12) -> list[tuple[int, ...]]:

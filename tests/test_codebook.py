@@ -1,5 +1,6 @@
 """Discrete codebook construction, search, audits and serialization."""
 
+import itertools
 import json
 import math
 import re
@@ -25,7 +26,7 @@ from nsmml.codebook import (
     CodebookCost,
     DiscreteProblem,
     SizeLimitError,
-    _BLOCK,
+    _TOP_K,
     _descend,
     _least_penalties,
     _penalty_matrix,
@@ -45,14 +46,17 @@ from nsmml.codebook import (
     torus_problem,
     transport_cost_bound,
 )
+from nsmml.model import _BLOCK
 
 from oracles import (
     descent_steps,
     oracle_brute_optima,
     oracle_descend,
+    oracle_least_penalties,
     oracle_penalty_matrix,
     oracle_smml_optima,
     oracle_torus_penalty,
+    record_blocks,
 )
 
 CFG = ProblemConfig(N=1, J=2)
@@ -194,10 +198,13 @@ class TestDiscretize:
 
 
 class TestPenaltyBuild:
-    """The builders fill the penalty matrix in place a block of whole rows
-    (about ``_BLOCK`` entries) at a time: the bits and the float-range
-    checks are those of a one-shot build, and the peak allocation stays
-    near the matrix's own size."""
+    """The lattice builder fills the penalty matrix in place a block of
+    whole rows (about ``_BLOCK`` entries, from ``model._row_blocks``) at a
+    time, and the torus builder copies it from one strided view of its
+    offset row: the bits and the float-range checks are those of a
+    one-shot build, and the peak allocation stays near the matrix's own
+    size.  The sweep's trials, the locality grid and the local search's
+    least-penalty lists walk the same row blocks."""
 
     @pytest.mark.parametrize(
         "n, prior, resolution, spec",
@@ -224,14 +231,40 @@ class TestPenaltyBuild:
         want = oracle_penalty_matrix(prob.cell_s2, prob.cell_m, prob.cand_sigma2, prob.cand_mu, prior, cfg)
         assert np.array_equal(prob.penalty, want)
 
-    @pytest.mark.parametrize("n_cells, stride", [(1024, 1), (1000, 2), (2000, 4)])
+    @pytest.mark.parametrize(
+        "n_cells, stride",
+        # Every stride up to 5 that divides the ring, on odd and even rings
+        # from 2 cells up, and the rings of 1024 and 2000 cells.
+        [(n, stride) for n in (2, 3, 4, 7, 8, 12, 16, 20, 31, 64, 100, 400, 1000)
+         for stride in range(1, 6) if n % stride == 0] + [(1024, 1), (2000, 4)],
+    )
     def test_torus_penalty_matches_one_shot_build(self, n_cells, stride):
-        cfg = ProblemConfig(N=2, J=2)
-        prior = PriorSpec.scale_free(cfg)
-        tor = torus_problem(cfg, prior, n_cells, -2.0, 2.0, 0.7, stride)
-        assert tor.n_cells > _BLOCK // tor.n_candidates
-        want = oracle_torus_penalty(n_cells, stride, 4.0 / n_cells, np.full(2, 0.7), prior, cfg)
-        assert np.array_equal(tor.penalty, want)
+        for n_groups, mean in itertools.product((1, 2, 3), (0.0, 0.7, 1.3)):
+            cfg = ProblemConfig(N=n_groups, J=2)
+            prior = PriorSpec.scale_free(cfg)
+            tor = torus_problem(cfg, prior, n_cells, -2.0, 2.0, mean, stride)
+            want = oracle_torus_penalty(n_cells, stride, 4.0 / n_cells, np.full(n_groups, mean), prior, cfg)
+            assert tor.penalty.shape == want.shape, (n_groups, mean)
+            assert tor.penalty.tobytes() == want.tobytes(), (n_groups, mean)
+
+    @pytest.mark.parametrize("one_row", [False, True])
+    @pytest.mark.parametrize("n, res", [(1, 16), (2, 8)])
+    def test_least_penalty_lists_match_one_shot_partition(self, monkeypatch, n, res, one_row):
+        # Candidates lie on the cell lattice, so mirrored candidates tie; on
+        # the 8^3 lattice some rows tie at the edge of the list itself.
+        cfg = ProblemConfig(N=n, J=2)
+        pen = discretize(cfg, PriorSpec.scale_free(cfg), [[-1.5, 1.5]] * (n + 1), res).penalty
+        ranked = np.sort(pen, axis=1)
+        assert np.all(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1))
+        assert n == 1 or np.any(ranked[:, _TOP_K - 1] == ranked[:, _TOP_K])
+        if one_row:
+            monkeypatch.setattr("nsmml.model._BLOCK", 1)
+        blocks = record_blocks(monkeypatch, "nsmml.codebook")
+        got, want = _least_penalties(pen), oracle_least_penalties(pen, _TOP_K)
+        c, rows = pen.shape[0], 1 if one_row else _BLOCK // pen.shape[1]
+        assert [blk.stop - blk.start for blk in blocks] == [min(rows, c - lo) for lo in range(0, c, rows)]
+        assert len(blocks) > 1
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     @staticmethod
     def traced_peak(build):

@@ -33,7 +33,7 @@ from nsmml.cli import main
 from nsmml.model import _BLOCK
 from nsmml.reporting import render_json
 
-from oracles import oracle_trial_ratios
+from oracles import oracle_trial_ratios, record_blocks
 
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -113,9 +113,9 @@ class TestRunSweep:
         cfg = ProblemConfig(N=1, J=2)
         ss = np.random.SeedSequence((5, 1, 0))
         rng = np.random.Generator(np.random.PCG64(ss))
-        from nsmml.harness import standard_normal, _true_means
+        from nsmml.harness import standard_normal
 
-        mu = _true_means(spec, cfg, rng)
+        mu = standard_normal(rng, cfg.N)
         data = mu[:, None] + standard_normal(rng, (1, 2))
         stat = sufficient_stats(data, cfg)
         by_key = {(r.estimator, r.prior_p): r for r in rows}
@@ -204,10 +204,13 @@ class TestRunSweep:
         for n, j in ((n, j) for n in (1, 3, 50, 2000) for j in (2, 3, 5)):
             width = n * j + (n if law == "normal" else 0)
             per_block = {"default": _BLOCK // width, "one trial": 1, "three trials": 3}[block]
-            monkeypatch.setattr("nsmml.harness._BLOCK", per_block * width)
+            monkeypatch.setattr("nsmml.model._BLOCK", per_block * width)
             trials = 2 * per_block + 1 if 2 <= per_block < 500 else 7
             spec = SweepSpec(J=j, N_list=(n,), trials=trials, mu_law=law, seed=n + j)
+            blocks = record_blocks(monkeypatch, "nsmml.harness")
             got, want = trial_ratios(spec, n), oracle_trial_ratios(spec, n)
+            sizes = [min(per_block, trials - lo) for lo in range(0, trials, per_block)]
+            assert [blk.stop - blk.start for blk in blocks] == sizes
             assert got.keys() == want.keys()
             assert all(got[key].tobytes() == want[key].tobytes() for key in want), (n, j)
 
@@ -311,6 +314,15 @@ class TestCli:
         assert main(["estimate", "--raw", str(raw), "--method", "ml"]) == 0
         out = capsys.readouterr().out
         assert "ML,,1.0,1.0" in out
+
+    def test_estimate_raw_overflow_is_malformed_input(self, tmp_path, capsys):
+        # The squared deviations of this row overflow; numpy must not warn.
+        raw = tmp_path / "huge.csv"
+        raw.write_text("1e200,-1e200\n")
+        assert main(["estimate", "--raw", str(raw)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: data take the group means or s2 out of the float range\n"
+        assert "RuntimeWarning" not in err and "encountered" not in err
 
     def test_estimate_needs_raw_or_statistic(self, tmp_path, capsys):
         for argv in (["estimate"], ["estimate", "--J", "2", "--m", "1.0"], ["estimate", "--m", "1", "--s2", "1"]):

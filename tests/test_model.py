@@ -60,6 +60,12 @@ class TestSufficientStats:
         with pytest.raises(InvalidConfigError):
             sufficient_stats(np.zeros((2, 2)), cfg)
 
+    @pytest.mark.parametrize("row", [[1e200, -1e200], [1.7e308, 1.7e308]])
+    def test_overflow_rejected_by_name(self, row):
+        # The squared deviations, or the group mean itself, overflow.
+        with pytest.raises(InvalidConfigError, match="^data take the group means or s2 out of the float range$"):
+            sufficient_stats(np.array([row]), ProblemConfig(N=1, J=2))
+
     def test_config_invariants(self):
         with pytest.raises(InvalidConfigError):
             ProblemConfig(N=1, J=1)
@@ -151,6 +157,12 @@ class TestLogLikelihood:
         data = raw_sample_with_stats(stat.m, stat.s2, cfg)
         direct = log_normal_pdf_product(data, theta.sigma2, theta.mu)
         assert log_likelihood(stat, theta, cfg) == pytest.approx(direct, abs=1e-10)
+
+    def test_overflow_rejected_by_name(self):
+        # The squared mean deviation overflows, and the value would be -inf.
+        cfg = ProblemConfig(N=2, J=2)
+        with pytest.raises(InvalidConfigError, match="^stat and theta take the log-likelihood out of the float range$"):
+            log_likelihood(SufficientStat([1e200, 0.0], 1.0), Parameter(1e-200, [-1e200, 0.0]), cfg)
 
     def test_degenerate_inputs_rejected(self):
         cfg = ProblemConfig(N=1, J=2)
@@ -251,6 +263,13 @@ def expanded_penalty(theta, stat, prior, cfg):
 
 
 class TestCodePenalty:
+    def test_overflow_rejected_by_name(self):
+        # The squared mean deviation overflows, and the value would be inf.
+        cfg = ProblemConfig(N=2, J=2)
+        theta, stat = Parameter(1e-200, [-1e200, 0.0]), SufficientStat([1e200, 0.0], 1.0)
+        with pytest.raises(InvalidConfigError, match="^stat and theta take the penalty out of the float range$"):
+            code_penalty_R(theta, stat, PriorSpec.scale_free(cfg), cfg)
+
     def test_group_permutation_invariance(self):
         cfg = ProblemConfig(N=3, J=2)
         prior = PriorSpec.scale_free(cfg)

@@ -25,6 +25,7 @@ from nsmml import (
     ip_estimate,
     locality_certificate,
     log_likelihood,
+    penalty_at_ideal_point,
     transitivity_witness,
 )
 from nsmml.regularity import (
@@ -34,8 +35,9 @@ from nsmml.regularity import (
     LocalityConstructionError,
     _build_certificate,
 )
+from nsmml.model import _BLOCK
 
-from oracles import oracle_locality_scores, theta_list
+from oracles import oracle_locality_scores, record_blocks, theta_list
 
 
 def random_thetas(rng, n, count):
@@ -148,6 +150,12 @@ class TestTransitivityWitness:
         assert back.sigma2 == pytest.approx(1.0)
         np.testing.assert_allclose(back.mu, src.mu, atol=1e-12)
 
+    def test_inverse_out_of_float_range_rejected_by_name(self):
+        # -beta / alpha overflows.
+        message = r"^alpha = 1e-300 and beta take -beta / alpha out of the float range$"
+        with pytest.raises(InvalidConfigError, match=message):
+            Automorphism(1e-300, [1e300, 0.0]).inverse()
+
 
 class TestHomogeneity:
     def test_scale_free_constant(self):
@@ -166,6 +174,16 @@ class TestHomogeneity:
         diff = rep.r_star_values[1] - rep.r_star_values[0]
         assert diff == pytest.approx(0.5 * cfg.N * math.log(4.0), abs=1e-12)
         assert rep.drift["max_residual"] < 1e-9
+
+    def test_penalty_out_of_float_range_rejected_by_name(self):
+        # At sigma2 = 1e308 the likelihood's N*J*s2 overflows and its
+        # quotient by 2*sigma2 is inf / inf: the penalty would be nan.
+        cfg = ProblemConfig(N=2, J=2)
+        message = "^theta and its ideal point take the penalty out of the float range$"
+        with pytest.raises(InvalidConfigError, match=message):
+            penalty_at_ideal_point(Parameter(1e308, [0.0, 0.0]), PriorSpec.scale_free(cfg), cfg)
+        with pytest.raises(InvalidConfigError, match=message):
+            homogeneity_check(PriorSpec.scale_free(cfg), cfg, [Parameter(1.0, [0.0, 0.0]), Parameter(1e308, [0.0, 0.0])])
 
     def test_translation_family_constant_for_every_prior(self):
         cfg = ProblemConfig(N=2, J=2)
@@ -482,9 +500,13 @@ class TestBlockedGrid:
     @pytest.mark.parametrize("one_row", [False, True])
     def test_blocked_grid_matches_whole_grid(self, monkeypatch, one_row):
         if one_row:
-            monkeypatch.setattr("nsmml.regularity._BLOCK", 1)
+            monkeypatch.setattr("nsmml.model._BLOCK", 1)
+        blocks = record_blocks(monkeypatch, "nsmml.regularity")
         for theta, cfg, grid, seed in self.CASES:
+            blocks.clear()
             assert self.scores(theta, cfg, grid, seed) == self.oracle(theta, cfg, grid, seed)
+            n, rows = grid.points_scale, 1 if one_row else max(1, _BLOCK // grid.points_mean**cfg.N)
+            assert [blk.stop - blk.start for blk in blocks] == [min(rows, n - lo) for lo in range(0, n, rows)]
 
     @pytest.mark.parametrize("nan_from", [None, 1.0])
     def test_first_least_margin_wins_across_blocks(self, monkeypatch, nan_from):
@@ -499,9 +521,11 @@ class TestBlockedGrid:
             return margin + cert.T_margin
 
         monkeypatch.setattr("nsmml.regularity._best_gaps", fake_gaps)
-        monkeypatch.setattr("nsmml.regularity._BLOCK", 1)
+        monkeypatch.setattr("nsmml.model._BLOCK", 1)
+        blocks = record_blocks(monkeypatch, "nsmml.regularity")
         theta, cfg, grid = Parameter(1.0, np.zeros(2)), ProblemConfig(N=2, J=2), GridSpec(12, 6)
         got = self.scores(theta, cfg, grid, 3)
+        assert [blk.stop - blk.start for blk in blocks] == [1] * 12
         assert got == self.oracle(theta, cfg, grid, 3, gaps=fake_gaps)
         assert got[0] == ("nan" if nan_from else (0.0).hex())
 
