@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
-    DegenerateInputError,
     InvalidConfigError,
     NeymanScottError,
     Parameter,
@@ -29,10 +27,9 @@ from .model import (
     SufficientStat,
     _check_int,
     _check_positive,
-    _check_stat,
     sufficient_stats,
 )
-from .estimators import METHOD_MARGINALIZED, SIGMA2_HAT, method_from_name
+from .estimators import METHOD_MARGINALIZED, SIGMA2_HAT, _sigma2_hat, method_from_name
 from . import codebook as cbk
 from . import regularity as reg
 from .harness import _method_priors, parse_sweep_config, resolve_prior, rows_to_csv, run_sweep, simulate
@@ -117,13 +114,10 @@ def _cmd_estimate(args) -> int:
 
     methods = _parse_methods(args.method)
     prior_names = [p.strip() for p in args.prior.split(",") if p.strip()]
-    _check_stat(stat, cfg)
     header = ["method", "prior_p", "sigma2_hat", "mu_hat"]
     rows = []
     for method, _, prior in _method_priors(methods, prior_names, cfg):
-        sigma2 = SIGMA2_HAT[method](stat.s2, prior, cfg)
-        if not math.isfinite(sigma2):
-            raise DegenerateInputError(f"{method} estimate overflows at s2 = {stat.s2!r}")
+        sigma2 = _sigma2_hat(method, stat, prior, cfg)
         # the marginalized estimator is variance-only: no mean estimate to report
         mu = None if method == METHOD_MARGINALIZED else [float(v) for v in stat.m]
         rows.append(dict(zip(header, (method, None if prior is None else prior.p, sigma2, mu))))

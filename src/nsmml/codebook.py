@@ -40,6 +40,7 @@ from .model import (
     ProblemConfig,
     SufficientStat,
     _check_int,
+    _float_range,
     _row_blocks,
     code_penalty_kernel,
 )
@@ -202,19 +203,6 @@ def _check_size(cells: int, candidates: int, dim: int) -> None:
         raise InvalidConfigError(f"{cells} cells x {candidates} candidates exceed {_TABLE_LIMIT} table entries")
 
 
-@contextmanager
-def _float_range(inputs: str):
-    """Reject a build, naming ``inputs``, at its first floating-point
-    overflow, invalid operation or log of zero, so no table or penalty
-    leaves the float range and numpy prints no warning; usable as a
-    decorator."""
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        try:
-            yield
-        except FloatingPointError as exc:
-            raise InvalidConfigError(f"{inputs} take the tables out of the float range ({exc})") from None
-
-
 def _penalty_matrix(
     cell_s2: np.ndarray,
     cell_m: np.ndarray,
@@ -291,7 +279,7 @@ def discretize(
     return _discretize(cfg, prior, box, res, candidates)
 
 
-@_float_range("box and candidates")
+@_float_range("box and candidates take the tables out of the float range")
 def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidates) -> DiscreteProblem:
     """The truncated problem on ``box`` at ``resolution`` cells per axis.
 
@@ -374,7 +362,7 @@ def _torus_penalty(n: int, stride: int, spacing: float, u0: np.ndarray, prior: P
     return windows[(-np.arange(n) - half) % n, ::stride]
 
 
-@_float_range("log_s_lo, log_s_hi and mean_coord")
+@_float_range("log_s_lo, log_s_hi and mean_coord take the tables out of the float range")
 def torus_problem(
     cfg: ProblemConfig,
     prior: PriorSpec,

@@ -24,6 +24,7 @@ these closed forms live in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,9 +39,9 @@ from .model import (
     _check_param,
     _check_positive,
     _check_stat,
-    _scalar_at,
+    _float_range,
+    _in_range,
     code_penalty_R,
-    code_penalty_kernel,
 )
 
 __all__ = [
@@ -115,10 +116,16 @@ class Estimate:
             raise InvalidConfigError(f"unknown estimator method {self.method!r}")
 
 
-def _estimate(method: str, stat: SufficientStat, prior: PriorSpec | None, cfg: ProblemConfig) -> Estimate:
+def _sigma2_hat(method: str, stat: SufficientStat, prior: PriorSpec | None, cfg: ProblemConfig) -> float:
+    """The ``method``'s variance estimate at one checked statistic; one that
+    leaves the float range, or underflows to 0, is rejected naming ``s2``."""
     _check_stat(stat, cfg)
-    sigma2 = SIGMA2_HAT[method](stat.s2, prior, cfg)
-    return Estimate(Parameter(sigma2, stat.m.copy()), method, prior)
+    with _float_range("s2 = {!r} takes the {} estimate out of the float range", stat.s2, method):
+        return _in_range(SIGMA2_HAT[method](stat.s2, prior, cfg), math.ulp(0.0))
+
+
+def _estimate(method: str, stat: SufficientStat, prior: PriorSpec | None, cfg: ProblemConfig) -> Estimate:
+    return Estimate(Parameter(_sigma2_hat(method, stat, prior, cfg), stat.m.copy()), method, prior)
 
 
 def ml_estimate(stat: SufficientStat, cfg: ProblemConfig) -> Estimate:
@@ -146,13 +153,14 @@ def ip_reverse(theta: Parameter, prior: PriorSpec, cfg: ProblemConfig) -> Suffic
     with :func:`ip_estimate` gives the identity on parameters.
     """
     _check_param(theta, cfg)
-    return SufficientStat(theta.mu.copy(), theta.sigma2 * _ip_shrinkage(prior, cfg))
+    with _float_range("theta and the prior take the ideal point out of the float range"):
+        return SufficientStat(theta.mu.copy(), _in_range(theta.sigma2 * _ip_shrinkage(prior, cfg)))
 
 
 def penalty_at_ideal_point(theta: Parameter, prior: PriorSpec, cfg: ProblemConfig) -> float:
     """Minimum of the code penalty of ``theta`` over all observations."""
-    stat = ip_reverse(theta, prior, cfg)
-    return _scalar_at(code_penalty_kernel, "penalty", stat, theta, cfg, prior, inputs="theta and its ideal point")
+    with _float_range("theta and its ideal point take the penalty out of the float range"):
+        return code_penalty_R(theta, ip_reverse(theta, prior, cfg), prior, cfg)
 
 
 def _from_coords(coords):
@@ -171,24 +179,28 @@ def _to_coords(scale2, means):
 
 def stat_from_coords(coords: np.ndarray) -> SufficientStat:
     """Observation from ``(log s, m/s)`` coordinates."""
-    s2, m = _from_coords(coords)
+    with _float_range("coords take the statistic out of the float range"):
+        s2, m = _from_coords(coords)
     return SufficientStat(m, s2)
 
 
 def coords_from_stat(stat: SufficientStat) -> np.ndarray:
     """``(log s, m/s)`` coordinates of an observation."""
-    return _to_coords(stat.s2, stat.m)
+    with _float_range("stat takes its coordinates out of the float range"):
+        return _to_coords(stat.s2, stat.m)
 
 
 def param_from_coords(coords: np.ndarray) -> Parameter:
     """Parameter from ``(log sigma, mu/sigma)`` coordinates."""
-    sigma2, mu = _from_coords(coords)
+    with _float_range("coords take the parameter out of the float range"):
+        sigma2, mu = _from_coords(coords)
     return Parameter(sigma2, mu)
 
 
 def coords_from_param(theta: Parameter) -> np.ndarray:
     """``(log sigma, mu/sigma)`` coordinates of a parameter."""
-    return _to_coords(theta.sigma2, theta.mu)
+    with _float_range("theta takes its coordinates out of the float range"):
+        return _to_coords(theta.sigma2, theta.mu)
 
 
 _INITIAL_STEP = 0.25  # first bracket step of a level crossing, in coordinate units
@@ -303,5 +315,4 @@ def marginalized_sigma2_ml(stat: SufficientStat, cfg: ProblemConfig) -> float:
     prior on ``mu``): maximizes ``sigma^(-N(J-1)) exp(-N*J*s2 / (2 sigma^2))``,
     giving ``J * s2 / (J - 1)`` for every ``N``.
     """
-    _check_stat(stat, cfg)
-    return SIGMA2_HAT[METHOD_MARGINALIZED](stat.s2, None, cfg)
+    return _sigma2_hat(METHOD_MARGINALIZED, stat, None, cfg)

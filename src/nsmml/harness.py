@@ -27,6 +27,7 @@ from .model import (
     _as_mean_vector,
     _check_int,
     _check_positive,
+    _float_range,
     _row_blocks,
     sufficient_stats_kernel,
 )
@@ -210,6 +211,7 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
     n_means = cfg.N if spec.mu_law == "normal" else 0
     width = n_means + cfg.nj
     s2 = np.empty(spec.trials)
+    out_of_range = "sigma2_true = {!r} and mu_law = {!r} take the group means or s2 out of the float range"
     for blk in _row_blocks(spec.trials, width):
         bits = np.empty((blk.stop - blk.start, width), dtype=np.int64)
         for t, row in enumerate(bits, blk.start):
@@ -219,17 +221,15 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
             row[n_means:] = _draw_bits(rng, cfg.nj)
         z = _normal_from_bits(bits)
         mu = _law_means(spec, z[:, :n_means, None])
-        data = mu + math.sqrt(spec.sigma2_true) * z[:, n_means:].reshape(-1, cfg.N, cfg.J)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves s2 infinite or nan
+        with _float_range(out_of_range, spec.sigma2_true, spec.mu_law):
+            data = mu + math.sqrt(spec.sigma2_true) * z[:, n_means:].reshape(-1, cfg.N, cfg.J)
             s2[blk] = sufficient_stats_kernel(data, cfg)[1]
-    if not np.all(np.isfinite(s2)):
-        raise InvalidConfigError(
-            f"sigma2_true = {spec.sigma2_true!r} and mu_law = {spec.mu_law!r} take the group means"
-            " or s2 out of the float range"
-        )
     if np.any(s2 <= 0.0):
         raise DegenerateInputError("s2 must be > 0 in every trial (the marginal diverges at s2 = 0)")
-    return {(method, choice): SIGMA2_HAT[method](s2, prior, cfg) / spec.sigma2_true for method, choice, prior in pairs}
+    with _float_range(out_of_range, spec.sigma2_true, spec.mu_law):
+        return {
+            (method, choice): SIGMA2_HAT[method](s2, prior, cfg) / spec.sigma2_true for method, choice, prior in pairs
+        }
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:

@@ -27,6 +27,8 @@ for concurrent use.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -216,6 +218,48 @@ def _check_int(value, name: str, least: int) -> int:
     return int(value)
 
 
+class _float_range:
+    """Reject a computation on caller values at its first floating-point
+    overflow, invalid operation or division by zero with
+    ``InvalidConfigError(message.format(*args))``, so no inf or nan comes
+    back and numpy prints no warning; also a decorator.  A guard inside
+    another leaves the error to the outer one, at the caller's inputs."""
+
+    __slots__ = ("message", "args", "outer")
+    _active = contextvars.ContextVar("_float_range", default=False)
+
+    def __init__(self, message: str, *args) -> None:
+        self.message, self.args, self.outer = message, args, None
+
+    def __enter__(self) -> None:
+        if not self._active.get():
+            self.outer = self._active.set(True), np.errstate(over="raise", invalid="raise", divide="raise")
+            self.outer[1].__enter__()
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if self.outer:
+            self.outer[1].__exit__(kind, exc, tb)
+            self._active.reset(self.outer[0])
+            if isinstance(exc, ArithmeticError):
+                raise InvalidConfigError(self.message.format(*self.args)) from None
+
+    def __call__(self, func):
+        @functools.wraps(func)
+        def guarded(*args, **kwargs):
+            with _float_range(self.message, *self.args):
+                return func(*args, **kwargs)
+
+        return guarded
+
+
+def _in_range(value: float, least: float = -math.inf) -> float:
+    """``value`` if finite and at least ``least``, else an ``ArithmeticError``
+    for the enclosing guard: Python floats overflow to inf without raising."""
+    if not (math.isfinite(value) and value >= least):
+        raise ArithmeticError(f"{value!r} is out of range")
+    return value
+
+
 def _check_stat(stat: SufficientStat, cfg: ProblemConfig) -> None:
     if stat.n_groups != cfg.N:
         raise InvalidConfigError(
@@ -246,6 +290,12 @@ def _row_blocks(n_rows: int, row_width: int) -> Iterator[slice]:
         yield slice(lo, min(lo + step, n_rows))
 
 
+def _line_blocks(n_points: int, line: int) -> Iterator[slice]:
+    """Slices of ``range(n_points)`` in whole lines of ``line`` points, about
+    ``_BLOCK`` points each: a row too wide for one block, cut into blocks."""
+    return (slice(b.start * line, b.stop * line) for b in _row_blocks(n_points // line, line))
+
+
 def sufficient_stats_kernel(x: np.ndarray, cfg: ProblemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Broadcasting :func:`sufficient_stats`, without its checks: the group
     means and pooled variances of a stack of ``N x J`` samples, ``x`` of
@@ -267,10 +317,8 @@ def sufficient_stats(data: np.ndarray, cfg: ProblemConfig) -> SufficientStat:
         raise InvalidConfigError(f"data shape {x.shape} does not match (N, J) = ({cfg.N}, {cfg.J})")
     if not np.all(np.isfinite(x)):
         raise InvalidConfigError("data must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow in m or s2 leaves s2 infinite or nan
+    with _float_range("data take the group means or s2 out of the float range"):
         m, s2 = sufficient_stats_kernel(x, cfg)
-    if not math.isfinite(s2):
-        raise InvalidConfigError("data take the group means or s2 out of the float range")
     return SufficientStat(m=m, s2=float(s2))
 
 
@@ -342,19 +390,14 @@ def code_penalty_kernel(s2, sq_dev, sigma2, prior: PriorSpec, cfg: ProblemConfig
     return log_marginal_kernel(s2, prior, cfg) - log_likelihood_kernel(s2, sq_dev, sigma2, cfg)
 
 
-def _scalar_at(kernel, what: str, stat: SufficientStat, theta: Parameter, cfg: ProblemConfig, *args,
-               inputs: str = "stat and theta") -> float:
+def _scalar_at(kernel, what: str, stat: SufficientStat, theta: Parameter, cfg: ProblemConfig, *args) -> float:
     """``kernel(s2, sq_dev, sigma2, *args, cfg)``, the ``what``, at one checked
-    statistic and parameter.  A value that an overflow takes out of the
-    float range is rejected, naming ``inputs``, and numpy prints no warning."""
+    statistic and parameter, guarded by :func:`_float_range`."""
     _check_stat(stat, cfg)
     _check_param(theta, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _float_range("stat and theta take the {} out of the float range", what):
         sq_dev = float(((stat.m - theta.mu) ** 2).sum())
-        value = float(kernel(stat.s2, sq_dev, theta.sigma2, *args, cfg))
-    if not math.isfinite(value):
-        raise InvalidConfigError(f"{inputs} take the {what} out of the float range")
-    return value
+        return _in_range(float(kernel(stat.s2, sq_dev, theta.sigma2, *args, cfg)))
 
 
 def log_likelihood(stat: SufficientStat, theta: Parameter, cfg: ProblemConfig) -> float:
@@ -381,7 +424,8 @@ def log_marginal(stat: SufficientStat, prior: PriorSpec, cfg: ProblemConfig) -> 
     suite.  Depends on the statistic only through ``s2``.
     """
     _check_stat(stat, cfg)
-    return float(log_marginal_kernel(stat.s2, prior, cfg))
+    with _float_range("stat and prior take the log-marginal out of the float range"):
+        return _in_range(float(log_marginal_kernel(stat.s2, prior, cfg)))
 
 
 def code_penalty_R(theta: Parameter, stat: SufficientStat, prior: PriorSpec, cfg: ProblemConfig) -> float:
@@ -421,14 +465,15 @@ def stat_log_jacobian(stat: SufficientStat, cfg: ProblemConfig) -> float:
     """
     _check_stat(stat, cfg)
     nu = cfg.dof
-    return (
-        math.log(2.0 * cfg.nj)
-        + 0.5 * math.log(stat.s2)
-        + (0.5 * nu - 1.0) * math.log(cfg.nj * stat.s2)
-        + 0.5 * cfg.N * math.log(cfg.J)
-        + 0.5 * nu * math.log(math.pi)
-        - _lgamma(0.5 * nu)
-    )
+    with _float_range("stat takes the log-Jacobian out of the float range"):
+        return _in_range(
+            math.log(2.0 * cfg.nj)
+            + 0.5 * math.log(stat.s2)
+            + (0.5 * nu - 1.0) * math.log(cfg.nj * stat.s2)
+            + 0.5 * cfg.N * math.log(cfg.J)
+            + 0.5 * nu * math.log(math.pi)
+            - _lgamma(0.5 * nu)
+        )
 
 
 def stat_log_likelihood(stat: SufficientStat, theta: Parameter, cfg: ProblemConfig) -> float:

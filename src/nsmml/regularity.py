@@ -41,6 +41,9 @@ from .model import (
     _check_int,
     _check_positive,
     _check_stat,
+    _float_range,
+    _in_range,
+    _line_blocks,
     _row_blocks,
     code_penalty_R,
     log_likelihood_kernel,
@@ -76,6 +79,7 @@ __all__ = [
 ]
 
 _TOL = 1e-9  # default tolerance of the property checks
+_MOVES = "alpha = {!r} and beta take {} out of the float range"
 
 
 class LocalityConstructionError(NeymanScottError):
@@ -114,21 +118,21 @@ class Automorphism:
         return self.beta.shape[0]
 
     def apply_stat(self, stat: SufficientStat) -> SufficientStat:
-        return SufficientStat(self.alpha * stat.m + self.beta, self.alpha**2 * stat.s2)
+        with _float_range(_MOVES, self.alpha, "the statistic"):
+            return SufficientStat(self.alpha * stat.m + self.beta, _in_range(self.alpha**2 * stat.s2))
 
     def apply_param(self, theta: Parameter) -> Parameter:
-        return Parameter(self.alpha**2 * theta.sigma2, self.alpha * theta.mu + self.beta)
+        with _float_range(_MOVES, self.alpha, "the parameter"):  # a variance that underflows to 0 leaves it too
+            return Parameter(_in_range(self.alpha**2 * theta.sigma2, math.ulp(0.0)), self.alpha * theta.mu + self.beta)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """The automorphism acting as ``self`` after ``other``."""
-        return Automorphism(self.alpha * other.alpha, self.alpha * other.beta + self.beta)
+        with _float_range(_MOVES, self.alpha, "the composition"):
+            return Automorphism(_in_range(self.alpha * other.alpha), self.alpha * other.beta + self.beta)
 
     def inverse(self) -> "Automorphism":
-        with np.errstate(over="ignore"):
-            beta = -self.beta / self.alpha
-        if not np.all(np.isfinite(beta)):
-            raise InvalidConfigError(f"alpha = {self.alpha!r} and beta take -beta / alpha out of the float range")
-        return Automorphism(1.0 / self.alpha, beta)
+        with _float_range(_MOVES, self.alpha, "-beta / alpha"):
+            return Automorphism(_in_range(1.0 / self.alpha), -self.beta / self.alpha)
 
     def log_jacobian(self, cfg: ProblemConfig) -> float:
         return (cfg.N + 1) * math.log(self.alpha)
@@ -184,33 +188,31 @@ def check_automorphism(
         raise InvalidConfigError("automorphism translation length does not match N")
     rng = np.random.default_rng(_check_int(seed, "seed", 0))
     log_jac = aut.log_jacobian(cfg)
+    too_coarse = (
+        f"alpha = {aut.alpha!r} and beta = {aut.beta.tolist()!r} leave the moved means too coarse: "
+        f"rounding them can move a likelihood gap by {{:.3g}}, not below tol = {tol!r}"
+    )
     worst_marginal = 0.0
     worst_likelihood = 0.0
     for _ in range(samples):
         stat = _random_stat(rng, cfg)
         theta = _random_param(rng, cfg)
-        try:
-            with np.errstate(over="raise"):
-                moved, moved_theta = aut.apply_stat(stat), aut.apply_param(theta)
-        except (ArithmeticError, NeymanScottError):
-            moved = None
-        if moved is None or min(moved.s2, moved_theta.sigma2) < sys.float_info.min:
-            raise InvalidConfigError(f"alpha = {aut.alpha!r} moves the sampled statistics out of the float range")
-        with np.errstate(all="ignore"):  # an overflow or a zero variance counts as unresolvable
+        with _float_range("alpha = {!r} moves the sampled statistics out of the float range", aut.alpha):
+            moved, moved_theta = aut.apply_stat(stat), aut.apply_param(theta)
+            _in_range(min(moved.s2, moved_theta.sigma2), sys.float_info.min)
+        with _float_range(too_coarse, math.inf):
             spacing = np.abs(np.spacing(moved.m)) + np.abs(np.spacing(moved_theta.mu))
             deviation = aut.alpha * np.abs(stat.m - theta.mu)
             rounding = cfg.J * np.sum((deviation + spacing) * spacing) / moved_theta.sigma2
         if not rounding < tol:
-            raise InvalidConfigError(
-                f"alpha = {aut.alpha!r} and beta = {aut.beta.tolist()!r} leave the moved means too coarse: "
-                f"rounding them can move a likelihood gap by {rounding:.3g}, not below tol = {tol!r}"
+            raise InvalidConfigError(too_coarse.format(rounding))
+        with _float_range("alpha = {!r} and the prior take the sampled densities out of the float range", aut.alpha):
+            marginal_gap = stat_log_marginal(stat, prior, cfg) - (
+                stat_log_marginal(moved, prior, cfg) + log_jac
             )
-        marginal_gap = stat_log_marginal(stat, prior, cfg) - (
-            stat_log_marginal(moved, prior, cfg) + log_jac
-        )
-        likelihood_gap = stat_log_likelihood(stat, theta, cfg) - (
-            stat_log_likelihood(moved, moved_theta, cfg) + log_jac
-        )
+            likelihood_gap = stat_log_likelihood(stat, theta, cfg) - (
+                stat_log_likelihood(moved, moved_theta, cfg) + log_jac
+            )
         worst_marginal = max(worst_marginal, abs(marginal_gap))
         worst_likelihood = max(worst_likelihood, abs(likelihood_gap))
     return AutomorphismReport(
@@ -438,12 +440,10 @@ class LocalityCertificate:
 _EXPAND_SCALE = 1.5
 _EXPAND_MEAN = 2.0
 # Most verification points one call scores; the default grids have 27,648
-# (N = 2) and 663,552 (N = 3).  Scored a block of whole scale rows at a
-# time, it bounds the time of one call: at the limit, about 0.05 s at N = 2
-# and 0.12 s at N = 3 (2-core VM, numpy 2.4.6).  Memory stays near 3 MB
-# unless one scale row, points_mean^N points, fills more than a block of
-# model._row_blocks; the limit then bounds that row's block, about 170
-# bytes a point (0.8 s and 320 MB for one row of 18^5 points at N = 5).
+# (N = 2) and 663,552 (N = 3).  It bounds the time of one call: at the limit,
+# about 0.05 s at N = 2 and 0.12 s at N = 3, and 0.64 s for one scale row of
+# 18^5 points at N = 5 (2-core VM, numpy 2.4.6).  Scored in tiles, a grid
+# takes at most about 12 MB (3 MB at the defaults).
 _POINT_LIMIT = 2_000_000
 
 
@@ -514,10 +514,8 @@ def locality_certificate(
     relative coordinates ``(s/sigma, (m - mu)/sigma)``: a large mean or
     scale neither rounds the gaps away nor overflows them.  Only the
     competitors' variances and the reported worst point are in absolute
-    coordinates; a ``theta`` that takes the largest, ``(e*sigma)^2``, past
-    the float range or the grid's ``(sqrt(2NJ)*sigma/c)^2`` or the worst
-    point's below the normal range is rejected, naming ``sigma2``, and a
-    ``c`` whose bound ``v0`` leaves the float range, naming ``c``.
+    coordinates; the float-range guard names ``sigma2`` when one leaves the
+    normal range, and ``c`` when the bound ``v0`` leaves the float range.
     """
     _check_param(theta, cfg)
     c = find_valid_c(cfg) if c is None else _check_int(c, "c", 2)
@@ -527,12 +525,9 @@ def locality_certificate(
     n_points = grid.points_scale * grid.points_mean**cfg.N
     if n_points > _POINT_LIMIT:
         raise InvalidConfigError(f"verification grid has {n_points} points, above the limit {_POINT_LIMIT}")
-    try:
+    with _float_range("c = {} takes the certificate out of the float range", c):
         cert = _build_certificate(theta, cfg, c)
-    except ArithmeticError:
-        cert = None
-    if cert is None or not math.isfinite(cert.v0_bound):
-        raise InvalidConfigError(f"c = {c} takes the certificate out of the float range")
+        _in_range(cert.v0_bound)
     rng = np.random.default_rng(_check_int(seed, "seed", 0))
 
     # Grid in relative coordinates: log(s/sigma) and (m - mu)/sigma, one
@@ -549,39 +544,36 @@ def locality_certificate(
         for n in range(cfg.N)
     ]
     rel_s = np.exp(ls_vals)
-    rel_m = np.stack([g.ravel() for g in np.meshgrid(*mean_axes, indexing="ij")], axis=1)
 
     # Exempt region membership (exact, not the covering box): a scale row
     # inside [delta', delta] crossed with a mean point inside the shift box.
     exempt_s = (rel_s >= cert.delta_prime) & (rel_s <= cert.delta)
-    exempt_m = np.all(np.abs(rel_m) <= sqrt2T, axis=1)
-    n_exempt = int(exempt_s.sum()) * int(exempt_m.sum())
+    n_exempt = int(exempt_s.sum()) * math.prod(int((np.abs(a) <= sqrt2T).sum()) for a in mean_axes)
     if n_exempt == n_points:
         raise InvalidConfigError(f"none of the {n_points} grid points lies outside the exempt region")
-    # Score a block of whole scale rows at a time.  np.argmin over the
-    # blocks' least margins, each at its block's first, picks the first
-    # least margin in row-major order (a nan first of all), as one
-    # np.argmin over the whole grid would.
-    n_mean = rel_m.shape[0]
+    # Score tiles of about _BLOCK points: blocks of whole scale rows, or lines
+    # of a wider row's mean points.  np.argmin over the tiles' least margins,
+    # each at its tile's first, picks the first least margin in row-major
+    # order (a nan first of all), as one np.argmin over the whole grid would.
+    n_mean = grid.points_mean**cfg.N
     least, first = [], []
     for rows in _row_blocks(grid.points_scale, n_mean):
-        margins = _best_gaps(cert, rel_s[rows, None], rel_m) - cert.T_margin
-        margins[exempt_s[rows, None] & exempt_m] = np.inf
-        i = int(np.argmin(margins))
-        least.append(margins.flat[i])
-        first.append(rows.start * n_mean + i)
+        for cols in _line_blocks(n_mean, grid.points_mean):
+            rel_m = _mean_points(mean_axes, cols)
+            margins = _best_gaps(cert, rel_s[rows, None], rel_m) - cert.T_margin
+            margins[exempt_s[rows, None] & np.all(np.abs(rel_m) <= sqrt2T, axis=1)] = np.inf
+            i = int(np.argmin(margins))
+            least.append(margins.flat[i])
+            row, col = divmod(i, rel_m.shape[0])
+            first.append((rows.start + row) * n_mean + cols.start + col)
     b = int(np.argmin(least))
     worst_margin = float(least[b])
     worst_row, worst_col = divmod(first[b], n_mean)
     sigma = theta.sigma
-    try:
-        with np.errstate(over="raise"):
-            worst_point = np.concatenate(([(sigma * rel_s[worst_row]) ** 2], theta.mu + sigma * rel_m[worst_col]))
-            variances = (*cert._variances(sigma), worst_point[0])
-    except ArithmeticError:
-        variances = None
-    if variances is None or min(variances) < sys.float_info.min:
-        raise InvalidConfigError(f"sigma2 = {theta.sigma2!r} takes the certificate out of the float range")
+    with _float_range("sigma2 = {!r} takes the certificate out of the float range", theta.sigma2):
+        worst_m = _mean_points(mean_axes, slice(worst_col, worst_col + 1))[0]
+        worst_point = np.concatenate(([(sigma * rel_s[worst_row]) ** 2], theta.mu + sigma * worst_m))
+        _in_range(min(*cert._variances(sigma), worst_point[0]), sys.float_info.min)
 
     report = LocalityReport(
         all_pass=bool(worst_margin > 0.0),
@@ -599,6 +591,12 @@ def locality_certificate(
             report,
         )
     return cert, report
+
+
+def _mean_points(axes: list, cols: slice) -> np.ndarray:
+    """Points ``cols`` of the row-major mesh of the mean ``axes``, one a row."""
+    idx = np.unravel_index(np.arange(cols.start, cols.stop), [a.size for a in axes])
+    return np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
 
 
 def _best_gaps(cert: LocalityCertificate, s: np.ndarray, m: np.ndarray) -> np.ndarray:

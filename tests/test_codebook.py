@@ -300,7 +300,7 @@ class TestPenaltyBuild:
         step = _BLOCK // 512
         assert -(-512 // step) == 4 and 454 // step == 3
         box = [[-200.0, 200.0], [-1.5, 1.5]]
-        message = "box and candidates take the tables out of the float range (overflow encountered in divide)"
+        message = "box and candidates take the tables out of the float range"
         spec = CandidateSpec(extension=0.0)
         text = edited(problem_to_text(discretize(CFG, SCALE_FREE, BOX, [256, 2], spec)), box=box)
         with warnings.catch_warnings():

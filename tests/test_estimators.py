@@ -1,6 +1,7 @@
 """Estimator closed forms, optimizer cross-checks, and equivariance."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,42 @@ class TestIdealPointReverse:
             back = ip_estimate(ip_reverse(theta, prior, cfg), prior, cfg).theta
             assert back.sigma2 == pytest.approx(theta.sigma2, rel=1e-10)
             np.testing.assert_allclose(back.mu, theta.mu, rtol=1e-10, atol=1e-12)
+
+    def test_overflow_rejected_by_name(self):
+        # The shrinkage (N(J-1) + p - 1) / (NJ) = 2.75 takes s2 past the float maximum.
+        theta, prior, cfg = Parameter(1.7e308, [0.0, 0.0]), PriorSpec(10.0), ProblemConfig(N=2, J=2)
+        for call, inputs, what in ((ip_reverse, "theta and the prior", "ideal point"),
+                                   (penalty_at_ideal_point, "theta and its ideal point", "penalty")):
+            with pytest.raises(InvalidConfigError, match=f"^{inputs} take the {what} out of the float range$"):
+                call(theta, prior, cfg)
+
+
+class TestEstimateOverflow:
+    """Every estimator goes through one guarded lookup of SIGMA2_HAT, which
+    rejects an estimate that leaves the float range by naming s2."""
+
+    STAT, CFG = SufficientStat([0.0], 1e308), ProblemConfig(N=1, J=2)
+
+    @pytest.mark.parametrize("method, call", [
+        ("IP", lambda stat, cfg: ip_estimate(stat, PriorSpec.wallace(), cfg)),
+        ("WF", lambda stat, cfg: wf_estimate(stat, PriorSpec.wallace(), cfg)),
+        ("MARGINALIZED_SIGMA2", marginalized_sigma2_ml),
+    ])
+    def test_overflow_rejected_by_name(self, method, call):
+        # J/(J-1) * 1e308 and the Wallace IP's 2 * 1e308 are not finite floats.
+        message = f"s2 = 1e+308 takes the {method} estimate out of the float range"
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+            call(self.STAT, self.CFG)
+
+    def test_underflow_rejected_by_name(self):
+        # A huge prior exponent shrinks a tiny s2 to zero.
+        with pytest.raises(InvalidConfigError, match=re.escape("s2 = 1e-320 takes the IP estimate out")):
+            ip_estimate(SufficientStat([0.0], 1e-320), PriorSpec(1e300), self.CFG)
+
+    def test_in_range_unchanged(self):
+        assert ml_estimate(self.STAT, self.CFG).theta.sigma2 == 1e308
+        assert ip_estimate(self.STAT, PriorSpec.scale_free(self.CFG), self.CFG).theta.sigma2 == 1e308
+        assert marginalized_sigma2_ml(SufficientStat([0.0], 8e307), self.CFG) == 1.6e308
 
 
 class TestIdealGroup:

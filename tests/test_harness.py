@@ -303,10 +303,17 @@ class TestCli:
         for method in ("all", "marginalized", "ip"):
             assert main(["estimate", "--J", "2", "--m", "1.0", "--s2", "0", "--method", method]) == 1
             assert "s2 must be > 0" in capsys.readouterr().err
-            # J/(J-1) * 1e308 is not a finite float.
+            # J/(J-1) * 1e308 is not a finite float: malformed input that names s2.
             assert main(["estimate", "--J", "2", "--m", "1.0", "--s2", "1e308", "--method", method,
-                         "--prior", "wallace"]) == 1
-            assert "overflows" in capsys.readouterr().err
+                         "--prior", "wallace"]) == 2
+            assert "error: s2 = 1e+308 takes the" in capsys.readouterr().err
+
+    def test_estimate_overflow_is_malformed_input(self, capsys):
+        # The first row, IP under the Wallace prior, is 2 * 1e308; numpy must not warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--J", "2", "--m", "0", "--s2", "1e308"]) == 2
+        assert capsys.readouterr() == ("", "error: s2 = 1e+308 takes the IP estimate out of the float range\n")
 
     def test_estimate_from_raw_matches_stat_route(self, tmp_path, capsys):
         raw = tmp_path / "data.csv"

@@ -1,10 +1,13 @@
 """Core density, penalty and Fisher-information tests."""
 
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsmml
 from nsmml import (
     DegenerateInputError,
     InvalidConfigError,
@@ -18,12 +21,13 @@ from nsmml import (
     log_marginal,
     simulate,
     stat_log_jacobian,
+    stat_log_marginal,
     sufficient_stats,
 )
 from nsmml import codebook as cbk
 from nsmml import regularity as reg
 from nsmml.harness import SweepSpec
-from nsmml.model import _LGAM_MAX, LOG_2PI, _lgamma
+from nsmml.model import _LGAM_MAX, LOG_2PI, _float_range, _lgamma
 
 from oracles import fd_hessian, log_normal_pdf_product, oracle_log_marginal, raw_sample_with_stats
 
@@ -73,6 +77,18 @@ class TestSufficientStats:
             ProblemConfig(N=0, J=2)
         with pytest.raises(InvalidConfigError):
             PriorSpec(0.5)
+
+
+def test_one_float_range_guard():
+    # model._float_range is the one place that sets numpy's error state.
+    calls = [
+        (path.name, line)
+        for path in sorted(Path(nsmml.__file__).parent.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if "np.errstate" in line
+    ]
+    assert [name for name, _ in calls] == ["model.py"]
+    assert calls[0][1].strip() in inspect.getsource(_float_range)
 
 
 _CFG1, _CFG2 = ProblemConfig(N=1, J=2), ProblemConfig(N=2, J=2)
@@ -234,6 +250,13 @@ class TestLogMarginal:
         cfg = ProblemConfig(N=1, J=2)
         with pytest.raises(DegenerateInputError):
             log_marginal(SufficientStat([0.0], 0.0), PriorSpec.wallace(), cfg)
+
+    @pytest.mark.parametrize("density", [log_marginal, stat_log_marginal])
+    def test_overflow_rejected_by_name(self, density):
+        # Past Cephes's MAXLGM the gamma factor of p = 1e306 is inf.
+        cfg = ProblemConfig(N=1, J=2)
+        with pytest.raises(InvalidConfigError, match="^stat and prior take the log-marginal out of the float range$"):
+            density(SufficientStat([0.0], 1e10), PriorSpec(1e306), cfg)
 
 
 def expanded_penalty(theta, stat, prior, cfg):
@@ -426,6 +449,12 @@ class TestStatSpaceDensities:
 
         total, _ = dblquad(density, -np.inf, np.inf, 0.0, np.inf, epsabs=1e-10, epsrel=1e-9)
         assert total == pytest.approx(1.0, rel=1e-6)
+
+    def test_jacobian_overflow_rejected_by_name(self):
+        # N*J*s2 overflows, and the value would be nan (0 * log inf at N = J = 2).
+        for cfg in (ProblemConfig(N=2, J=2), ProblemConfig(N=2, J=3)):
+            with pytest.raises(InvalidConfigError, match="^stat takes the log-Jacobian out of the float range$"):
+                stat_log_jacobian(SufficientStat([0.0, 0.0], 1e308), cfg)
 
     def test_jacobian_depends_only_on_s(self):
         cfg = ProblemConfig(N=2, J=2)

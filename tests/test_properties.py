@@ -1,5 +1,7 @@
 """Property tests: the estimator table, the penalty kernel and the
-coordinate kernels against their scalar wrappers, the Ideal Point as the
+coordinate kernels against their scalar wrappers, the public scalar API
+on extreme finite inputs (a finite value or a NeymanScottError, never a
+warning), the Ideal Point as the
 minimizer of the code penalty, the sweep config parser under fuzzed text,
 problem and codebook round trips through their JSON reports, intact and
 fuzzed, the local-search descent against its full-scan oracle, exact <=
@@ -9,22 +11,30 @@ requires of scale-free lattices."""
 
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from nsmml import (
+    Automorphism,
     InvalidConfigError,
+    NeymanScottError,
     Parameter,
     PriorSpec,
     ProblemConfig,
     SufficientStat,
     code_penalty_R,
     ip_estimate,
+    ip_reverse,
+    log_likelihood,
+    log_marginal,
     marginalized_sigma2_ml,
     ml_estimate,
     parse_sweep_config,
+    penalty_at_ideal_point,
+    sufficient_stats,
     wf_estimate,
 )
 from nsmml.codebook import (
@@ -93,6 +103,62 @@ def test_table_equals_scalar_wrappers_bit_for_bit(problem, values):
         expected = [scalar[method](SufficientStat(m, v)) for v in values]
         assert column.tobytes() == np.array(expected).tobytes(), method
     np.testing.assert_array_equal(SIGMA2_HAT[METHOD_WF](s2, prior, cfg), SIGMA2_HAT[METHOD_IP](s2, prior, cfg))
+
+
+magnitudes = st.floats(1e-300, 1e300)
+signed = st.one_of(magnitudes, magnitudes.map(lambda x: -x))
+
+
+def _finite_numbers(value) -> list:
+    """Every number a scalar-API result holds."""
+    if isinstance(value, SufficientStat):
+        return [value.s2, *value.m]
+    if isinstance(value, Parameter):
+        return [value.sigma2, *value.mu]
+    if isinstance(value, Automorphism):
+        return [value.alpha, *value.beta]
+    if hasattr(value, "theta"):
+        return _finite_numbers(value.theta)
+    return list(np.ravel(value))
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(ProblemConfig(N=n, J=2)),
+    st.floats(1.0, 1e300).map(PriorSpec),
+    st.lists(signed, min_size=2 * n, max_size=2 * n).map(lambda x: np.reshape(x, (n, 2))),
+    st.builds(SufficientStat, st.lists(signed, min_size=n, max_size=n), magnitudes),
+    st.builds(Parameter, magnitudes, st.lists(signed, min_size=n, max_size=n)),
+    st.builds(Automorphism, magnitudes, st.lists(signed, min_size=n, max_size=n)),
+)))
+def test_scalar_api_returns_finite_or_rejects_extreme_inputs(case):
+    cfg, prior, data, stat, theta, aut = case
+    calls = {
+        "sufficient_stats": lambda: sufficient_stats(data, cfg),
+        "log_likelihood": lambda: log_likelihood(stat, theta, cfg),
+        "log_marginal": lambda: log_marginal(stat, prior, cfg),
+        "code_penalty_R": lambda: code_penalty_R(theta, stat, prior, cfg),
+        "ml_estimate": lambda: ml_estimate(stat, cfg),
+        "ip_estimate": lambda: ip_estimate(stat, prior, cfg),
+        "wf_estimate": lambda: wf_estimate(stat, prior, cfg),
+        "marginalized_sigma2_ml": lambda: marginalized_sigma2_ml(stat, cfg),
+        "ip_reverse": lambda: ip_reverse(theta, prior, cfg),
+        "penalty_at_ideal_point": lambda: penalty_at_ideal_point(theta, prior, cfg),
+        "stat_from_coords": lambda: stat_from_coords(np.array([data[0, 0], *stat.m])),
+        "coords_from_stat": lambda: coords_from_stat(stat),
+        "param_from_coords": lambda: param_from_coords(np.array([data[0, 1], *theta.mu])),
+        "coords_from_param": lambda: coords_from_param(theta),
+        "apply_stat": lambda: aut.apply_stat(stat),
+        "apply_param": lambda: aut.apply_param(theta),
+        "inverse": lambda: aut.inverse(),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = call()
+            except NeymanScottError:
+                continue
+        assert all(math.isfinite(v) for v in _finite_numbers(value)), name
 
 
 @given(

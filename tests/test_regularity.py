@@ -35,7 +35,7 @@ from nsmml.regularity import (
     LocalityConstructionError,
     _build_certificate,
 )
-from nsmml.model import _BLOCK
+from nsmml.model import _BLOCK, _line_blocks
 
 from oracles import oracle_locality_scores, record_blocks, theta_list
 
@@ -155,6 +155,18 @@ class TestTransitivityWitness:
         message = r"^alpha = 1e-300 and beta take -beta / alpha out of the float range$"
         with pytest.raises(InvalidConfigError, match=message):
             Automorphism(1e-300, [1e300, 0.0]).inverse()
+
+    def test_action_out_of_float_range_rejected_by_name(self):
+        # alpha * m and alpha^2 overflow; alpha^2 * sigma2 underflows to 0.
+        for alpha, action, arg, what in (
+            (1e300, "apply_stat", SufficientStat([1e10, 0.0], 1.0), "the statistic"),
+            (1e200, "apply_param", Parameter(1e200, [0.0, 0.0]), "the parameter"),
+            (1e-300, "apply_param", Parameter(1.0, [0.0, 0.0]), "the parameter"),
+            (1e200, "compose", Automorphism(1e200, [0.0, 0.0]), "the composition"),
+        ):
+            message = f"alpha = {alpha!r} and beta take {what} out of the float range"
+            with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+                getattr(Automorphism(alpha, [0.0, 0.0]), action)(arg)
 
 
 class TestHomogeneity:
@@ -471,8 +483,9 @@ class TestLocalityCertificate:
 
 
 class TestBlockedGrid:
-    """The locality grid is scored a block of whole scale rows at a time;
-    the report must keep the bits of scoring the whole grid as one mesh."""
+    """The locality grid is scored in tiles, blocks of whole scale rows or
+    lines of a wider row's mean points; the report must keep the bits of
+    scoring the whole grid as one mesh."""
 
     CASES = (
         (Parameter(1.0, np.zeros(2)), ProblemConfig(N=2, J=2), GridSpec(), 0),
@@ -528,6 +541,32 @@ class TestBlockedGrid:
         assert [blk.stop - blk.start for blk in blocks] == [1] * 12
         assert got == self.oracle(theta, cfg, grid, 3, gaps=fake_gaps)
         assert got[0] == ("nan" if nan_from else (0.0).hex())
+
+    def test_wide_row_scored_in_line_tiles(self, monkeypatch):
+        # One scale row of 17^4 = 83,521 mean points passes a block, so each
+        # row is cut into tiles of whole 17-point lines of about _BLOCK points.
+        tiles = []
+
+        def recorded(n_points, line):
+            for cols in _line_blocks(n_points, line):
+                tiles.append(cols)
+                yield cols
+
+        monkeypatch.setattr("nsmml.regularity._line_blocks", recorded)
+        theta, cfg, grid = Parameter(0.7, [0.2, -1.0, 3.0, 0.0]), ProblemConfig(N=4, J=2), GridSpec(2, 17)
+        assert self.scores(theta, cfg, grid, 5) == self.oracle(theta, cfg, grid, 5)
+        step = _BLOCK // 17 * 17
+        assert [(t.start, t.stop) for t in tiles] == [(0, step), (step, 17**4)] * 2
+
+    def test_wide_row_grid_peak(self):
+        # 1,889,568 points in one scale row: scored whole, it peaked at 335 MB.
+        tracemalloc.start()
+        try:
+            locality_certificate(Parameter(1.0, np.zeros(5)), ProblemConfig(N=5, J=2), grid=GridSpec(1, 18))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_default_n3_grid_peak(self):
         # The whole 663,552-point mesh and its temporaries peaked at about
