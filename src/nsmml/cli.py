@@ -25,8 +25,8 @@ from .model import (
     Parameter,
     ProblemConfig,
     SufficientStat,
+    _check_float,
     _check_int,
-    _check_positive,
     sufficient_stats,
 )
 from .estimators import METHOD_MARGINALIZED, SIGMA2_HAT, _sigma2_hat, method_from_name
@@ -198,8 +198,7 @@ def _cmd_regularity(args) -> int:
 def _cmd_locality(args) -> int:
     cfg = ProblemConfig(N=args.N, J=args.J)
     mu = _parse_floats(args.mu) if args.mu else np.zeros(cfg.N)
-    _check_positive(args.sigma2, "--sigma2")
-    theta = Parameter(args.sigma2, mu)
+    theta = Parameter(_check_float(args.sigma2, "--sigma2", 0, strict=True), mu)
     grid = reg.GridSpec(**_given(args, "points_scale", "points_mean"))
     try:
         cert, rep = reg.locality_certificate(theta, cfg, c=args.c, grid=grid, seed=args.seed)

@@ -39,6 +39,8 @@ from .model import (
     PriorSpec,
     ProblemConfig,
     SufficientStat,
+    _check_array,
+    _check_float,
     _check_int,
     _float_range,
     _row_blocks,
@@ -140,35 +142,24 @@ class DiscreteProblem:
     lattice: LatticeInfo | None = None
 
     def __post_init__(self) -> None:
-        self.mass = np.asarray(self.mass, dtype=float)
-        self._check_tables()
-        if not np.all(np.isfinite(self.penalty)):
-            raise InvalidConfigError("penalty matrix must be finite")
-        if self.penalty.shape != (self.n_cells, self.n_candidates):
-            raise InvalidConfigError("penalty shape does not match cells x candidates")
-        if self.topology not in ("truncated", "torus"):
-            raise InvalidConfigError(f"unknown topology {self.topology!r}")
-
-    def _check_tables(self) -> None:
-        """Reject a cell or candidate table, by name, when its shape is
-        wrong or an entry is not finite (or, for masses and variances, not
-        positive)."""
-        if self.mass.ndim != 1 or self.mass.size == 0:
-            raise InvalidConfigError("mass must be a nonempty vector")
-        if not np.all(self.mass > 0.0):
-            raise InvalidConfigError("cell masses must be positive")
+        """Reject a table, by name, when its shape is wrong or an entry is not
+        finite (or, for masses and variances, not positive)."""
+        self.mass = _check_table("mass", self.mass, (None,))
         if abs(float(self.mass.sum()) - 1.0) > 1e-12:
             raise InvalidConfigError("cell masses must sum to 1 within 1e-12")
-        c, b, dim = self.n_cells, self.cand_sigma2.shape[0], self.cfg.N + 1
+        self.cand_sigma2 = _check_table("cand_sigma2", self.cand_sigma2, (None,))
+        c, b, dim = self.n_cells, self.n_candidates, self.cfg.N + 1
         for name, shape in (
             ("cell_s2", (c,)),
             ("cell_m", (c, dim - 1)),
             ("cell_coords", (c, dim)),
-            ("cand_sigma2", (b,)),
             ("cand_mu", (b, dim - 1)),
             ("cand_coords", (b, dim)),
+            ("penalty", (c, b)),
         ):
-            _check_table(name, getattr(self, name), shape)
+            setattr(self, name, _check_table(name, getattr(self, name), shape))
+        if self.topology not in ("truncated", "torus"):
+            raise InvalidConfigError(f"unknown topology {self.topology!r}")
 
     @property
     def n_cells(self) -> int:
@@ -179,19 +170,18 @@ class DiscreteProblem:
         return self.cand_sigma2.shape[0]
 
     def candidate_parameter(self, j: int) -> Parameter:
-        return Parameter(float(self.cand_sigma2[j]), self.cand_mu[j].copy())
+        return Parameter(self.cand_sigma2[j], self.cand_mu[j].copy())
 
     def cell_stat(self, i: int) -> SufficientStat:
-        return SufficientStat(self.cell_m[i].copy(), float(self.cell_s2[i]))
+        return SufficientStat(self.cell_m[i].copy(), self.cell_s2[i])
 
 
-def _check_table(name: str, table: np.ndarray, shape: tuple) -> None:
-    if table.shape != shape:
-        raise InvalidConfigError(f"{name} has shape {table.shape}, expected {shape}")
-    if not np.all(np.isfinite(table)):
-        raise InvalidConfigError(f"{name} must be finite")
-    if name in ("cell_s2", "cand_sigma2") and not np.all(table > 0.0):
+def _check_table(name: str, table, shape: tuple) -> np.ndarray:
+    """``table`` read by ``model._check_array``; masses and variances must be > 0."""
+    table = _check_array(table, name, shape)
+    if name in ("mass", "cell_s2", "cand_sigma2") and not (table > 0.0).all():
         raise InvalidConfigError(f"{name} must be > 0")
+    return table
 
 
 _TABLE_LIMIT = 2**28  # most float64 entries (2 GiB) of a builder's penalty and coordinate tables
@@ -264,18 +254,15 @@ def discretize(
     sit on the matching lattice (same spacing, aligned with the cell
     centers) extended beyond the box, unless an explicit list is given.
     """
-    res = np.asarray(resolution) if np.ndim(resolution) else np.full(cfg.N + 1, resolution)
+    res = _check_array(resolution, "resolution", integer=True)
+    res = np.full(cfg.N + 1, res) if res.ndim == 0 else res
     spec = candidate_spec if candidate_spec is not None else CandidateSpec()
     if spec.parameters is not None:
-        candidates = (np.array([p.sigma2 for p in spec.parameters]), np.array([p.mu for p in spec.parameters]))
+        candidates = ([p.sigma2 for p in spec.parameters], [p.mu for p in spec.parameters])
     else:
-        if not math.isfinite(spec.extension):
-            raise InvalidConfigError(f"extension must be finite, got {spec.extension!r}")
-        if spec.extension < 0.0:
-            raise InvalidConfigError(f"extension must be >= 0, got {spec.extension!r}")
-        # More than _TABLE_LIMIT steps exceed the table limit on their own.  A
-        # resolution that is not integer is rejected before the steps are read.
-        candidates = [min(round(spec.extension * r), _TABLE_LIMIT) if isinstance(r, int) else 0 for r in res.tolist()]
+        extension = _check_float(spec.extension, "extension", 0)
+        # More than _TABLE_LIMIT steps exceed the table limit on their own.
+        candidates = [round(min(extension * r, _TABLE_LIMIT)) for r in res.tolist()]
     return _discretize(cfg, prior, box, res, candidates)
 
 
@@ -288,29 +275,22 @@ def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidate
     cand_mu)`` tables.  Every input is checked before anything is built.
     """
     dim = cfg.N + 1
-    box = np.asarray(box, dtype=float)
-    if box.shape != (dim, 2):
-        raise InvalidConfigError(f"box must have shape ({dim}, 2), got {box.shape}")
-    if not np.all(np.isfinite(box)):
-        raise InvalidConfigError("box must be finite")
-    if not np.all(box[:, 1] > box[:, 0]):
+    box = _check_array(box, "box", (dim, 2))
+    if not (box[:, 1] > box[:, 0]).all():
         raise InvalidConfigError("box must be nondegenerate (hi > lo per axis)")
-    res = np.asarray(resolution)
-    if res.shape != (dim,) or res.dtype.kind not in "iu" or not np.all(res >= 2):
-        raise InvalidConfigError(f"resolution must be {dim} integers >= 2")
+    res = _check_array(resolution, "resolution", (dim,), integer=True)
+    if not (res >= 2).all():
+        raise InvalidConfigError(f"resolution must be >= 2, got {res.tolist()}")
     shape = tuple(int(r) for r in res)
     if isinstance(candidates, tuple):
-        cand_sigma2, cand_mu = (np.asarray(t, dtype=float) for t in candidates)
-        if cand_sigma2.ndim != 1 or cand_sigma2.size == 0:
-            raise InvalidConfigError("explicit candidate list must be nonempty")
-        _check_table("cand_sigma2", cand_sigma2, cand_sigma2.shape)
-        _check_table("cand_mu", cand_mu, (cand_sigma2.shape[0], cfg.N))
+        cand_sigma2 = _check_table("cand_sigma2", candidates[0], (None,))
+        cand_mu = _check_table("cand_mu", candidates[1], (cand_sigma2.shape[0], cfg.N))
         cand_shape = None
         n_candidates = cand_sigma2.shape[0]
     else:
-        steps = _int_array(candidates, "cand_steps")
-        if steps.shape != (dim,) or steps.dtype.kind != "i" or not np.all(steps >= 0):
-            raise InvalidConfigError(f"cand_steps must be {dim} integers >= 0")
+        steps = _check_array(candidates, "cand_steps", (dim,), integer=True)
+        if not (steps >= 0).all():
+            raise InvalidConfigError(f"cand_steps must be >= 0, got {steps.tolist()}")
         cand_shape = tuple(r + 2 * int(e) for r, e in zip(shape, steps))
         n_candidates = math.prod(cand_shape)
     _check_size(math.prod(shape), n_candidates, dim)
@@ -391,19 +371,16 @@ def torus_problem(
     candidate_stride = _check_int(candidate_stride, "candidate_stride", 1)
     if n_cells % candidate_stride != 0:
         raise InvalidConfigError("candidate_stride must divide n_cells")
-    for name, value in (("log_s_lo", log_s_lo), ("log_s_hi", log_s_hi), ("mean_coord", mean_coord)):
-        if not math.isfinite(value):
-            raise InvalidConfigError(f"{name} must be finite, got {value!r}")
-    if not log_s_hi > log_s_lo:
-        raise InvalidConfigError("log-scale range must be nondegenerate")
-    period = log_s_hi - log_s_lo
-    if not math.isfinite(period):
-        raise InvalidConfigError(f"log_s_hi - log_s_lo must be finite, got {period!r}")
+    log_s_lo, log_s_hi, mean_coord = (
+        _check_float(value, name)
+        for name, value in (("log_s_lo", log_s_lo), ("log_s_hi", log_s_hi), ("mean_coord", mean_coord))
+    )
+    period = _check_float(log_s_hi - log_s_lo, "log_s_hi - log_s_lo", 0, strict=True)
     _check_size(n_cells, n_cells // candidate_stride, cfg.N + 1)
 
     spacing = period / n_cells
     ls = log_s_lo + spacing * (np.arange(n_cells) + 0.5)
-    u0 = np.full(cfg.N, float(mean_coord))
+    u0 = np.full(cfg.N, mean_coord)
 
     cell_coords = np.concatenate([ls[:, None], np.tile(u0, (n_cells, 1))], axis=1)
     cell_s2, cell_m = _from_coords(cell_coords)
@@ -436,26 +413,11 @@ def _entropy(q: np.ndarray) -> float:
     return float(_neg_xlogx(q).sum())
 
 
-def _int_array(value, name: str) -> np.ndarray:
-    """``value`` as an array, rejecting a bool inside a list by ``name``:
-    numpy reads ``[True, 0]`` as the integers ``[1, 0]``.  An array that
-    already has an integer dtype is not scanned."""
-    arr = np.asarray(value)
-    if arr.dtype.kind in "iu" and not isinstance(value, np.ndarray):
-        if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(value, dtype=object).flat)):
-            raise InvalidConfigError(f"{name} must hold integers, not bools")
-    return arr
-
-
 def _check_assign(problem: DiscreteProblem, assign: np.ndarray) -> np.ndarray:
-    assign = _int_array(assign, "assignment")
-    if assign.dtype.kind not in "iu":  # a float index would be truncated
-        raise InvalidConfigError(f"assignment must hold integer candidate indices, not {assign.dtype}")
-    if assign.shape != (problem.n_cells,):
-        raise InvalidConfigError("assignment must map every cell to a candidate")
+    assign = _check_array(assign, "assignment", (problem.n_cells,), integer=True)
     if assign.min() < 0 or assign.max() >= problem.n_candidates:
         raise InvalidConfigError("assignment indexes a candidate that does not exist")
-    return assign.astype(np.int64, copy=False)
+    return assign
 
 
 def codebook_cost(problem: DiscreteProblem, assign: np.ndarray) -> CodebookCost:
@@ -869,9 +831,13 @@ def smml_ip_overlap(
 
     diameters = np.zeros(problem.n_candidates)
     for r in np.unique(assign):
+        # Each cell's differences to the whole region, a block of cells at a
+        # time: a max of maxima is exact.
         pts = problem.cell_coords[assign == r]
-        if pts.shape[0] > 1:
-            diameters[r] = float(_coord_distances(problem, pts[:, None, :] - pts[None, :, :]).max())
+        diameters[r] = max(
+            _coord_distances(problem, pts[blk, None, :] - pts[None, :, :]).max()
+            for blk in _row_blocks(pts.shape[0], pts.size)
+        )
 
     idx = np.flatnonzero(interior)
     d_int = dist[idx]
@@ -882,13 +848,11 @@ def smml_ip_overlap(
 
 def _shift_vector(problem: DiscreteProblem, lattice_shift) -> np.ndarray:
     dim = problem.cfg.N + 1
-    shift = _int_array(lattice_shift, "lattice shift")
-    if shift.dtype.kind not in "iu":  # a fractional shift would be truncated
-        raise InvalidConfigError(f"lattice shift must hold integers, not {shift.dtype}")
+    shift = _check_array(lattice_shift, "lattice shift", integer=True)
     shift = np.pad(shift[None], (0, dim - 1)) if shift.ndim == 0 else shift
     if shift.shape != (dim,):
         raise InvalidConfigError(f"lattice shift must have {dim} components")
-    return shift.astype(np.int64, copy=False)
+    return shift
 
 
 def codebook_transport(problem: DiscreteProblem, codebook: Codebook, lattice_shift) -> Codebook:
@@ -1006,15 +970,6 @@ def _load_report(text: str, kind: str) -> dict:
     return data
 
 
-def _json_array(data: dict, key: str) -> np.ndarray:
-    """``data[key]`` as a float array.  Count fields are passed on as stored,
-    and the builders reject a stored 2.5 rather than truncate it."""
-    arr = np.asarray(data[key])
-    if arr.dtype.kind not in "if":
-        raise InvalidConfigError(f"{key} must hold numbers")
-    return arr.astype(float)
-
-
 @_parsing("discrete-problem")
 def problem_from_text(text: str) -> DiscreteProblem:
     data = _load_report(text, "discrete-problem")
@@ -1029,15 +984,11 @@ def problem_from_text(text: str) -> DiscreteProblem:
             f" and lacks keys {sorted(keys - data.keys())}"
         )
     cfg = ProblemConfig(N=data["N"], J=data["J"])
-    prior = PriorSpec(_json_array(data, "prior_p").item())
+    prior = PriorSpec(data["prior_p"])
     if recipe == "torus":
-        floats = {key: _json_array(data, key).item() for key in ("log_s_lo", "log_s_hi", "mean_coord")}
-        return torus_problem(cfg, prior, data["n_cells"], **floats, candidate_stride=data["candidate_stride"])
-    if recipe == "truncated":
-        candidates = data["cand_steps"]
-    else:
-        candidates = (_json_array(data, "cand_sigma2"), _json_array(data, "cand_mu"))
-    return _discretize(cfg, prior, _json_array(data, "box"), data["resolution"], candidates)
+        return torus_problem(cfg, prior, **{key: data[key] for key in _RECIPE_KEYS["torus"]})
+    candidates = data["cand_steps"] if recipe == "truncated" else (data["cand_sigma2"], data["cand_mu"])
+    return _discretize(cfg, prior, data["box"], data["resolution"], candidates)
 
 
 def codebook_to_text(codebook: Codebook) -> str:
@@ -1049,7 +1000,7 @@ def codebook_from_text(text: str, problem: DiscreteProblem) -> Codebook:
     data = _load_report(text, "codebook")
     cb = make_codebook(problem, data["assign"])
     for key, recomputed in dataclasses.asdict(cb.cost).items():
-        value = _json_array(data, key).item()
-        if not abs(recomputed - value) <= 1e-9:  # rejects nan too
+        value = _check_float(data[key], key)
+        if abs(recomputed - value) > 1e-9:
             raise InvalidConfigError(f"stored {key} {value} does not match recomputed {recomputed}")
     return cb

@@ -36,8 +36,9 @@ from .model import (
     PriorSpec,
     ProblemConfig,
     SufficientStat,
+    _check_array,
+    _check_float,
     _check_param,
-    _check_positive,
     _check_stat,
     _float_range,
     _in_range,
@@ -178,10 +179,11 @@ def _to_coords(scale2, means):
 
 
 def stat_from_coords(coords: np.ndarray) -> SufficientStat:
-    """Observation from ``(log s, m/s)`` coordinates."""
+    """Observation from ``(log s, m/s)`` coordinates; an ``s2`` that
+    underflows to 0 leaves the float range too."""
     with _float_range("coords take the statistic out of the float range"):
-        s2, m = _from_coords(coords)
-    return SufficientStat(m, s2)
+        s2, m = _from_coords(_check_array(coords, "coords", (None,)))
+        return SufficientStat(m, _in_range(s2, math.ulp(0.0)))
 
 
 def coords_from_stat(stat: SufficientStat) -> np.ndarray:
@@ -191,10 +193,11 @@ def coords_from_stat(stat: SufficientStat) -> np.ndarray:
 
 
 def param_from_coords(coords: np.ndarray) -> Parameter:
-    """Parameter from ``(log sigma, mu/sigma)`` coordinates."""
+    """Parameter from ``(log sigma, mu/sigma)`` coordinates; a ``sigma2``
+    that underflows to 0 leaves the float range."""
     with _float_range("coords take the parameter out of the float range"):
-        sigma2, mu = _from_coords(coords)
-    return Parameter(sigma2, mu)
+        sigma2, mu = _from_coords(_check_array(coords, "coords", (None,)))
+        return Parameter(_in_range(sigma2, math.ulp(0.0)), mu)
 
 
 def coords_from_param(theta: Parameter) -> np.ndarray:
@@ -282,15 +285,16 @@ def ideal_group(theta: Parameter, prior: PriorSpec, epsilon: float, cfg: Problem
     through the penalty-minimizing observation, which the region always
     contains.
     """
-    _check_positive(epsilon, "epsilon")
-    r_star = penalty_at_ideal_point(theta, prior, cfg)
-    center = coords_from_stat(ip_reverse(theta, prior, cfg))
+    epsilon = _check_float(epsilon, "epsilon", 0, strict=True)
+    with _float_range("theta and epsilon = {!r} take the ideal group out of the float range", epsilon):
+        r_star = penalty_at_ideal_point(theta, prior, cfg)
+        center = coords_from_stat(ip_reverse(theta, prior, cfg))
 
-    def profile_at(coords: np.ndarray) -> float:
-        return code_penalty_R(theta, stat_from_coords(coords), prior, cfg) - r_star
+        def profile_at(coords: np.ndarray) -> float:
+            return code_penalty_R(theta, stat_from_coords(coords), prior, cfg) - r_star
 
-    box = axis_level_box(profile_at, center, epsilon)
-    return IdealGroupRegion(theta, prior, cfg, float(epsilon), r_star, box)
+        box = axis_level_box(profile_at, center, epsilon)
+    return IdealGroupRegion(theta, prior, cfg, epsilon, r_star, box)
 
 
 def wf_estimate(stat: SufficientStat, prior: PriorSpec, cfg: ProblemConfig) -> Estimate:

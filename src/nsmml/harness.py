@@ -24,9 +24,9 @@ from .model import (
     InvalidConfigError,
     PriorSpec,
     ProblemConfig,
-    _as_mean_vector,
+    _check_array,
+    _check_float,
     _check_int,
-    _check_positive,
     _float_range,
     _row_blocks,
     sufficient_stats_kernel,
@@ -74,16 +74,14 @@ def simulate(cfg: ProblemConfig, sigma2_true: float, mu_true, seed) -> np.ndarra
     """Draw an ``N x J`` sample with ``x[n, j] ~ Normal(mu_n, sigma2_true)``.
 
     ``mu_true`` is one finite mean for every group or ``N`` finite means.
-    ``seed`` may be an integer or a ``numpy.random.SeedSequence``; output
-    is byte-identical for equal seeds.
+    Output is byte-identical for equal seeds.
     """
-    _check_positive(sigma2_true, "sigma2_true")
-    mu = _as_mean_vector(mu_true, "mu_true")
+    sigma2_true = _check_float(sigma2_true, "sigma2_true", 0, strict=True)
+    mu = _check_array(mu_true, "mu_true", (None,))
     if mu.shape[0] not in (1, cfg.N):
         raise InvalidConfigError(f"mu_true must hold 1 or N={cfg.N} means, got {mu.shape[0]}")
     mu = np.broadcast_to(mu, (cfg.N,))
-    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence) else _check_int(seed, "seed", 0))
-    z = standard_normal(rng, (cfg.N, cfg.J))
+    z = standard_normal(np.random.default_rng(_check_int(seed, "seed", 0)), (cfg.N, cfg.J))
     return mu[:, None] + math.sqrt(sigma2_true) * z
 
 
@@ -118,16 +116,14 @@ class SweepSpec:
         n_list = tuple(_check_int(n, "N_list", 1) for n in self.N_list)
         if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise InvalidConfigError("N_list must be strictly increasing positive integers")
-        _check_positive(self.sigma2_true, "sigma2_true")
+        object.__setattr__(self, "sigma2_true", _check_float(self.sigma2_true, "sigma2_true", 0, strict=True))
         if not self.estimators or any(e not in SIGMA2_HAT for e in self.estimators):
             raise InvalidConfigError(f"estimators must be a nonempty subset of {sorted(SIGMA2_HAT)}")
         if isinstance(self.mu_law, str) and self.mu_law.startswith("fixed:"):
             try:
-                finite = math.isfinite(float(self.mu_law[len("fixed:"):]))
-            except ValueError:
-                finite = False
-            if not finite:
-                raise InvalidConfigError(f"mu_law {self.mu_law!r} needs a finite number after 'fixed:'")
+                _check_float(float(self.mu_law[len("fixed:"):]), "mu_law")
+            except ValueError:  # also the InvalidConfigError of a value that is not finite
+                raise InvalidConfigError(f"mu_law {self.mu_law!r} needs a finite number after 'fixed:'") from None
         elif self.mu_law not in ("normal", "zero"):
             raise InvalidConfigError(f"unknown mu_law {self.mu_law!r}")
         object.__setattr__(self, "N_list", n_list)
@@ -153,7 +149,7 @@ def resolve_prior(choice, cfg: ProblemConfig) -> PriorSpec:
     if isinstance(choice, PriorSpec):
         return choice
     if isinstance(choice, (int, float)):
-        return PriorSpec(float(choice))
+        return PriorSpec(choice)
     name = str(choice).strip().lower()
     if name == "wallace":
         return PriorSpec.wallace()

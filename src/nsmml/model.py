@@ -121,10 +121,7 @@ class PriorSpec:
     p: float
 
     def __post_init__(self) -> None:
-        p = float(self.p)
-        if not (p >= 1.0 and math.isfinite(p)):
-            raise InvalidConfigError(f"prior exponent p must satisfy p >= 1, got {self.p!r}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _check_float(self.p, "prior exponent p", 1))
 
     @property
     def is_wallace(self) -> bool:
@@ -139,16 +136,7 @@ class PriorSpec:
 
     @classmethod
     def scale_free(cls, cfg: ProblemConfig) -> "PriorSpec":
-        return cls(float(cfg.N + 1))
-
-
-def _as_mean_vector(value, name: str) -> np.ndarray:
-    vec = np.atleast_1d(np.asarray(value, dtype=float))
-    if vec.ndim != 1:
-        raise InvalidConfigError(f"{name} must be a 1-D vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise InvalidConfigError(f"{name} must be finite")
-    return vec
+        return cls(cfg.N + 1)
 
 
 @dataclass(frozen=True)
@@ -163,12 +151,8 @@ class SufficientStat:
     s2: float
 
     def __post_init__(self) -> None:
-        m = _as_mean_vector(self.m, "m")
-        s2 = float(self.s2)
-        if not (s2 >= 0.0 and math.isfinite(s2)):
-            raise InvalidConfigError(f"s2 must be a finite value >= 0, got {self.s2!r}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s2", s2)
+        object.__setattr__(self, "m", _check_array(self.m, "m", (None,)))
+        object.__setattr__(self, "s2", _check_float(self.s2, "s2", 0))
 
     @property
     def n_groups(self) -> int:
@@ -187,11 +171,11 @@ class Parameter:
     mu: np.ndarray
 
     def __post_init__(self) -> None:
-        sigma2 = float(self.sigma2)
-        if not (sigma2 > 0.0 and math.isfinite(sigma2)):
+        sigma2 = _check_float(self.sigma2, "sigma2")
+        if sigma2 <= 0.0:
             raise DegenerateInputError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
         object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "mu", _as_mean_vector(self.mu, "mu"))
+        object.__setattr__(self, "mu", _check_array(self.mu, "mu", (None,)))
 
     @property
     def n_groups(self) -> int:
@@ -202,12 +186,6 @@ class Parameter:
         return math.sqrt(self.sigma2)
 
 
-def _check_positive(value, name: str) -> None:
-    """Reject a value that is not finite and > 0, naming it and its value."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise InvalidConfigError(f"{name} must be finite and > 0, got {value!r}")
-
-
 def _check_int(value, name: str, least: int) -> int:
     """``value`` as a Python ``int``; a bool, any other non-integer, or a
     value below ``least`` is rejected, naming it and its value."""
@@ -216,6 +194,56 @@ def _check_int(value, name: str, least: int) -> int:
     if value < least:
         raise InvalidConfigError(f"{name} must be >= {least}, got {value!r}")
     return int(value)
+
+
+def _check_float(value, name: str, least: float = -math.inf, strict: bool = False) -> float:
+    """``value`` as a Python ``float``: an ``int``, ``float`` or numpy number
+    that is finite and at least ``least`` (above it when ``strict``).  A bool
+    or any other type, and a value out of range, are rejected, naming it and
+    its value."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer)):
+        raise InvalidConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not (math.isfinite(x) and (x > least if strict else x >= least)):
+        bound = "" if least == -math.inf else f" and {'>' if strict else '>='} {least}"
+        raise InvalidConfigError(f"{name} must be finite{bound}, got {value!r}")
+    return x
+
+
+def _check_array(value, name: str, shape: tuple | None = None, integer: bool = False) -> np.ndarray:
+    """``value`` as a finite float64 array, or an int64 one when ``integer``,
+    of ``shape``: an exact shape, ``(None,)`` for a nonempty vector (a scalar
+    reads as a one-entry vector), or ``None`` for any shape.  A ragged,
+    string, object or bool array, and a bool inside an integer list (numpy
+    reads ``[True, 0]`` as ``[1, 0]``), are rejected by name.  A float64
+    array is returned as it is, not copied."""
+    what = "integers" if integer else "numbers"
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        raise InvalidConfigError(f"{name} must be a rectangular array of {what}") from None
+    if arr.dtype.kind not in ("iu" if integer else "iuf"):
+        raise InvalidConfigError(f"{name} must hold {what}, not {arr.dtype}")
+    if integer and not isinstance(value, np.ndarray):
+        if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(value, dtype=object).flat)):
+            raise InvalidConfigError(f"{name} must hold integers, not bools")
+    if shape == (None,):
+        arr = arr.reshape(1) if arr.ndim == 0 else arr
+        if arr.ndim != 1 or arr.size == 0:
+            raise InvalidConfigError(f"{name} must have shape (n,), got {arr.shape}")
+    elif shape is not None and arr.shape != shape:
+        raise InvalidConfigError(f"{name} must have shape {shape}, got {arr.shape}")
+    if integer:
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype != np.float64:
+        with _float_range("{} must be finite", name):  # a long double can overflow
+            arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise InvalidConfigError(f"{name} must be finite")
+    return arr
 
 
 class _float_range:
@@ -312,14 +340,10 @@ def sufficient_stats(data: np.ndarray, cfg: ProblemConfig) -> SufficientStat:
     ``m_n`` is the mean of row ``n``; ``s2`` is the pooled within-group
     variance ``sum_{n,j} (x[n,j] - m_n)^2 / (N*J)``.
     """
-    x = np.asarray(data, dtype=float)
-    if x.shape != (cfg.N, cfg.J):
-        raise InvalidConfigError(f"data shape {x.shape} does not match (N, J) = ({cfg.N}, {cfg.J})")
-    if not np.all(np.isfinite(x)):
-        raise InvalidConfigError("data must be finite")
+    x = _check_array(data, "data", (cfg.N, cfg.J))
     with _float_range("data take the group means or s2 out of the float range"):
         m, s2 = sufficient_stats_kernel(x, cfg)
-    return SufficientStat(m=m, s2=float(s2))
+    return SufficientStat(m=m, s2=s2)
 
 
 def _polevl(x: float, coef: tuple) -> float:

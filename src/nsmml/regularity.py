@@ -36,10 +36,10 @@ from .model import (
     PriorSpec,
     ProblemConfig,
     SufficientStat,
-    _as_mean_vector,
-    _check_param,
+    _check_array,
+    _check_float,
     _check_int,
-    _check_positive,
+    _check_param,
     _check_stat,
     _float_range,
     _in_range,
@@ -108,10 +108,8 @@ class Automorphism:
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        alpha = float(self.alpha)
-        _check_positive(alpha, "alpha")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", _as_mean_vector(self.beta, "beta"))
+        object.__setattr__(self, "alpha", _check_float(self.alpha, "alpha", 0, strict=True))
+        object.__setattr__(self, "beta", _check_array(self.beta, "beta", (None,)))
 
     @property
     def n_groups(self) -> int:
@@ -182,7 +180,7 @@ def check_automorphism(
     ``alpha (m - mu)`` is read off two means each rounded by up to a
     spacing, so a ``beta`` that dwarfs it leaves a gap that measures rounding.
     """
-    _check_positive(tol, "tol")
+    tol = _check_float(tol, "tol", 0, strict=True)
     samples = _check_int(samples, "samples", 1)
     if aut.n_groups != cfg.N:
         raise InvalidConfigError("automorphism translation length does not match N")
@@ -293,7 +291,7 @@ def homogeneity_check(
     log sigma^2`` (slope ``N/2`` under the Wallace prior, zero under the
     scale-free prior) and reports the residual of that law.
     """
-    _check_positive(tol, "tol")
+    tol = _check_float(tol, "tol", 0, strict=True)
     if not thetas:
         raise InvalidConfigError("thetas must be a nonempty sample")
     values = [penalty_at_ideal_point(theta, prior, cfg) for theta in thetas]
@@ -321,7 +319,7 @@ def comprehensiveness_check(
     The closed-form minimizer is the forward Ideal Point estimate.  The
     drift law here is ``R_opt = const + ((N+1-p)/2) * log s^2``.
     """
-    _check_positive(tol, "tol")
+    tol = _check_float(tol, "tol", 0, strict=True)
     if not stats:
         raise InvalidConfigError("stats must be a nonempty sample")
     values = [code_penalty_R(ip_estimate(stat, prior, cfg).theta, stat, prior, cfg) for stat in stats]
@@ -353,16 +351,17 @@ def concentration_box(
     every axis, so bisection from the estimate yields a finite box for
     every ``epsilon`` (all admissible priors share the same profile).
     """
-    _check_positive(epsilon, "epsilon")
+    epsilon = _check_float(epsilon, "epsilon", 0, strict=True)
     _check_stat(stat, cfg)
-    center = coords_from_param(ip_estimate(stat, prior, cfg).theta)
+    with _float_range("stat and epsilon = {!r} take the concentration box out of the float range", epsilon):
+        center = coords_from_param(ip_estimate(stat, prior, cfg).theta)
 
-    def profile_at(coords: np.ndarray) -> float:
-        theta = param_from_coords(coords)
-        return code_penalty_R(theta, stat, prior, cfg) - penalty_at_ideal_point(theta, prior, cfg)
+        def profile_at(coords: np.ndarray) -> float:
+            theta = param_from_coords(coords)
+            return code_penalty_R(theta, stat, prior, cfg) - penalty_at_ideal_point(theta, prior, cfg)
 
-    box = axis_level_box(profile_at, center, epsilon)
-    return ConcentrationBox(center=center, box=box, epsilon=float(epsilon))
+        box = axis_level_box(profile_at, center, epsilon)
+    return ConcentrationBox(center=center, box=box, epsilon=epsilon)
 
 
 _C_MAX = 10**6  # largest grid constant find_valid_c tries

@@ -191,7 +191,7 @@ class TestDiscretize:
     def test_empty_or_degenerate_grid_rejected(self):
         with pytest.raises(InvalidConfigError):
             discretize(CFG, SCALE_FREE, BOX, 1)
-        with pytest.raises(InvalidConfigError, match="resolution must be 2 integers"):
+        with pytest.raises(InvalidConfigError, match=re.escape("resolution must have shape (2,), got (3,)")):
             discretize(CFG, SCALE_FREE, BOX, [4, 4, 4])
         with pytest.raises(InvalidConfigError):
             discretize(CFG, SCALE_FREE, [[0.0, 0.0], [-1.0, 1.0]], 4)
@@ -347,7 +347,7 @@ class TestCodebookCost:
         # A fractional index was truncated to candidate 0, a NaN escaped as
         # a bare ValueError and a string was parsed; each now names its type.
         prob = synthetic_problem(np.full(8, 1.0 / 8), np.ones((8, 2)))
-        message = f"assignment must hold integer candidate indices, not {np.asarray(assign).dtype}"
+        message = f"assignment must hold integers, not {np.asarray(assign).dtype}"
         book = Codebook(np.asarray(assign), CodebookCost(0.0, 0.0, 0.0))
         for call in (lambda: make_codebook(prob, assign), lambda: codebook_cost(prob, assign),
                      lambda: region_mass_audit(prob, book)):
@@ -686,6 +686,24 @@ class TestOverlap:
         moved = codebook_transport(tor, book, 4)
         rep2 = smml_ip_overlap(tor, moved, interior_margin=1)
         np.testing.assert_allclose(np.sort(rep.distances), np.sort(rep2.distances), atol=1e-10)
+
+    def test_one_region_diameter_in_bounded_blocks(self):
+        # One region of 1024 cells.  Its pairwise-difference tensor alone
+        # takes 16.8 MB, and the report peaked at 50 MB when it was built
+        # whole; a block of rows at a time keeps the peak under 4 MB.
+        prob = discretize(CFG, PriorSpec.wallace(), BOX, 32, CandidateSpec(extension=0.5))
+        book = make_codebook(prob, np.zeros(prob.n_cells, dtype=int))
+        tracemalloc.start()
+        try:
+            rep = smml_ip_overlap(prob, book, interior_margin=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        # The diameter of a rectangular lattice joins opposite corners.
+        diameter = np.linalg.norm(prob.cell_coords[-1] - prob.cell_coords[0])
+        assert rep.fraction_within_one_region_diameter == np.mean(rep.distances <= diameter + 1e-9)
+        assert 0.0 < rep.fraction_within_one_region_diameter < 1.0
 
 
 class TestTransport:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,16 @@ class TestIdealGroup:
         for eps in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(InvalidConfigError, match=f"epsilon must be finite and > 0, got {eps!r}"):
                 ideal_group(theta, PriorSpec.wallace(), eps, ProblemConfig(N=1, J=2))
+
+    def test_large_epsilon_names_theta_and_epsilon(self):
+        # The bracket doubles until stat_from_coords underflows s2 to 0, which
+        # named an s2 (or, from the small sigma2, a stat) the caller never gave.
+        message = "theta and epsilon = 1e+300 take the ideal group out of the float range"
+        for theta in (Parameter(1.0, [0.0]), Parameter(1e-300, [1e150])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+                    ideal_group(theta, PriorSpec.wallace(), 1e300, ProblemConfig(N=1, J=2))
 
 
 class TestWallaceFreeman:

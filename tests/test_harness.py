@@ -240,7 +240,7 @@ class TestRunSweep:
             resolve_prior("bogus", cfg)
         # A number that is not an admissible exponent names the rule, not "unknown".
         for choice, shown in (("0.5", "0.5"), (" nan", "nan"), ("1e400", "inf"), (0.5, "0.5")):
-            with pytest.raises(InvalidConfigError, match=re.escape(f"prior exponent p must satisfy p >= 1, got {shown}")):
+            with pytest.raises(InvalidConfigError, match=re.escape(f"prior exponent p must be finite and >= 1, got {shown}")):
                 resolve_prior(choice, cfg)
 
     def test_numeric_prior_and_duplicate_rows(self):
@@ -647,12 +647,12 @@ class TestCli:
         # Non-finite builder inputs, oversized instances and malformed
         # tolerances are named before any arithmetic runs.
         for argv, message in (
-            (["smml", "--cand-extension", "nan"], "extension must be finite, got nan"),
+            (["smml", "--cand-extension", "nan"], "extension must be finite and >= 0, got nan"),
             (["smml", "--box-half-width", "inf"], "box must be finite"),
             (["smml", "--torus", "8", "--log-s-hi", "inf"], "log_s_hi must be finite, got inf"),
             (["smml", "--torus", "8", "--torus-mean", "nan"], "mean_coord must be finite, got nan"),
             (["smml", "--torus", "1000000"], "1000000 cells x 1000000 candidates exceed 268435456 table entries"),
-            (["smml", "--cand-extension", "-1", "--resolution", "4"], "extension must be >= 0, got -1.0"),
+            (["smml", "--cand-extension", "-1", "--resolution", "4"], "extension must be finite and >= 0, got -1.0"),
             (["smml", "--resolution", "4", "--restarts", "1", "--interior-margin", "-1"],
              "interior_margin must be >= 1"),
             (["smml", "--resolution", "4", "--restarts", "1", "--interior-margin", "5"],
@@ -662,11 +662,11 @@ class TestCli:
             # Geometry whose tables or penalty would overflow names its inputs.
             (["smml", "--box-half-width", "400"], "box and candidates take the tables out of the float range"),
             (["smml", "--torus", "8", "--log-s-lo=-1e308", "--log-s-hi=1e308"],
-             "log_s_hi - log_s_lo must be finite, got inf"),
+             "log_s_hi - log_s_lo must be finite and > 0, got inf"),
             (["smml", "--torus", "8", "--torus-mean", "1e200"],
              "log_s_lo, log_s_hi and mean_coord take the tables out of the float range"),
             (["estimate", "--J", "2", "--m", "1", "--s2", "1", "--prior", "0.5"],
-             "prior exponent p must satisfy p >= 1, got 0.5"),
+             "prior exponent p must be finite and >= 1, got 0.5"),
             (["estimate", "--J", "2", "--m", "1", "--s2", "1", "--prior", ""], "no prior given for IP, WF"),
             (["regularity", "--tol", "nan"], "tol must be finite and > 0, got nan"),
             (["regularity", "--check", "homogeneity", "--tol", "-1"], "tol must be finite and > 0, got -1.0"),

@@ -1,7 +1,10 @@
 """Core density, penalty and Fisher-information tests."""
 
+import dataclasses
 import inspect
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +29,9 @@ from nsmml import (
 )
 from nsmml import codebook as cbk
 from nsmml import regularity as reg
+from nsmml.estimators import ideal_group, param_from_coords, stat_from_coords
 from nsmml.harness import SweepSpec
-from nsmml.model import _LGAM_MAX, LOG_2PI, _float_range, _lgamma
+from nsmml.model import _LGAM_MAX, LOG_2PI, _check_array, _check_float, _float_range, _in_range, _lgamma
 
 from oracles import fd_hessian, log_normal_pdf_product, oracle_log_marginal, raw_sample_with_stats
 
@@ -91,10 +95,24 @@ def test_one_float_range_guard():
     assert calls[0][1].strip() in inspect.getsource(_float_range)
 
 
+def test_one_finiteness_rule():
+    # model's two readers and _in_range are the only code that tests finiteness.
+    lines = [
+        (path.name, line.strip())
+        for path in sorted(Path(nsmml.__file__).parent.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if "isfinite" in line
+    ]
+    sources = [inspect.getsource(f) for f in (_check_float, _check_array, _in_range)]
+    assert {name for name, _ in lines} == {"model.py"}
+    assert all(sum(line in source for source in sources) == 1 for _, line in lines)
+
+
 _CFG1, _CFG2 = ProblemConfig(N=1, J=2), ProblemConfig(N=2, J=2)
 _SF1 = PriorSpec.scale_free(_CFG1)
 _AUT = reg.Automorphism(2.0, np.zeros(1))
 _THETA2, _GRID = Parameter(1.0, np.zeros(2)), reg.GridSpec(4, 4)
+_THETA1, _STAT1 = Parameter(1.0, [0.0]), SufficientStat([0.0], 1.0)
 
 
 def _instance():
@@ -148,6 +166,91 @@ class TestCountArguments:
         assert lattice.shape == (4, 4) and all(type(v) is int for v in lattice.shape + lattice.cand_shape)
         spec = SweepSpec(J=np.int64(2), N_list=(np.int32(10),), trials=np.uint8(3), seed=np.int64(4))
         assert all(type(v) is int for v in (spec.J, *spec.N_list, spec.trials, spec.seed))
+
+
+def _with_first(example, value):
+    """``example``, a nested list, with its first number replaced by ``value``."""
+    return [_with_first(example[0], value), *example[1:]] if isinstance(example, list) else value
+
+
+# (entry point, argument, its bound or None, None for a number or an example
+# value for an array, call taking the value)
+FLOAT_ARGUMENTS = [
+    ("PriorSpec", "prior exponent p", ">= 1", None, lambda v: PriorSpec(v)),
+    ("SufficientStat", "s2", ">= 0", None, lambda v: SufficientStat([0.0], v)),
+    ("Parameter", "sigma2", None, None, lambda v: Parameter(v, [0.0])),
+    ("Automorphism", "alpha", "> 0", None, lambda v: reg.Automorphism(v, [0.0])),
+    ("check_automorphism", "tol", "> 0", None, lambda v: reg.check_automorphism(_AUT, _SF1, _CFG1, samples=1, tol=v)),
+    ("homogeneity_check", "tol", "> 0", None, lambda v: reg.homogeneity_check(_SF1, _CFG1, [_THETA1], tol=v)),
+    ("comprehensiveness_check", "tol", "> 0", None,
+     lambda v: reg.comprehensiveness_check(_SF1, _CFG1, [_STAT1], tol=v)),
+    ("ideal_group", "epsilon", "> 0", None, lambda v: ideal_group(_THETA1, _SF1, v, _CFG1)),
+    ("concentration_box", "epsilon", "> 0", None, lambda v: reg.concentration_box(_STAT1, _SF1, v, _CFG1)),
+    ("simulate", "sigma2_true", "> 0", None, lambda v: simulate(_CFG1, v, 0.0, 0)),
+    ("SweepSpec", "sigma2_true", "> 0", None, lambda v: SweepSpec(J=2, N_list=(10,), trials=1, sigma2_true=v)),
+    ("discretize", "extension", ">= 0", None,
+     lambda v: cbk.discretize(_CFG1, _SF1, [[-1.5, 1.5]] * 2, 4, cbk.CandidateSpec(extension=v))),
+    ("torus_problem", "log_s_lo", None, None, lambda v: cbk.torus_problem(_CFG1, _SF1, 8, log_s_lo=v)),
+    ("torus_problem", "log_s_hi", None, None, lambda v: cbk.torus_problem(_CFG1, _SF1, 8, log_s_hi=v)),
+    ("torus_problem", "mean_coord", None, None, lambda v: cbk.torus_problem(_CFG1, _SF1, 8, mean_coord=v)),
+    ("SufficientStat", "m", None, [0.0], lambda v: SufficientStat(v, 1.0)),
+    ("Parameter", "mu", None, [0.0], lambda v: Parameter(1.0, v)),
+    ("Automorphism", "beta", None, [0.0], lambda v: reg.Automorphism(2.0, v)),
+    ("simulate", "mu_true", None, [0.0], lambda v: simulate(_CFG1, 1.0, v, 0)),
+    ("sufficient_stats", "data", None, [[0.0, 1.0]], lambda v: sufficient_stats(v, _CFG1)),
+    ("discretize", "box", None, [[-1.5, 1.5]] * 2, lambda v: cbk.discretize(_CFG1, _SF1, v, 4)),
+    ("stat_from_coords", "coords", None, [0.0, 0.0], stat_from_coords),
+    ("param_from_coords", "coords", None, [0.0, 0.0], param_from_coords),
+    ("DiscreteProblem", "mass", None, [1.0 / 16] * 16, lambda v: dataclasses.replace(_instance()[0], mass=v)),
+    ("DiscreteProblem", "penalty", None, [[0.0] * 144] * 16,
+     lambda v: dataclasses.replace(_instance()[0], penalty=v)),
+]
+
+
+class TestFloatArguments:
+    @pytest.mark.parametrize("name, bound, example, call", [case[1:] for case in FLOAT_ARGUMENTS],
+                             ids=[f"{case[0]}-{case[1]}" for case in FLOAT_ARGUMENTS])
+    def test_malformed_number_rejected_by_name(self, name, bound, example, call):
+        # Each let a bare TypeError or ValueError escape for some of these
+        # values, or took the string "1.5" as a number; each now names itself.
+        values = [None, "1.5", True, np.True_, math.nan, math.inf, -math.inf, 10**400]
+        if example is None:
+            values.append([1.5])
+        else:
+            values += [[example, [example]], ["1.5", "2.5"]]
+            values += [_with_first(example, v) for v in (None, "1.5", math.nan, math.inf, 10**400)]
+        for value in values:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidConfigError, match=f"^{re.escape(name)} must "):
+                    call(value)
+        if bound is not None:
+            op, least = bound.split()
+            for value in (int(least) - 1, -0.5 + int(least), *((int(least),) if op == ">" else ())):
+                message = f"{name} must be finite and {bound}, got {value!r}"
+                with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+                    call(value)
+
+    def test_numbers_stored_as_python_floats(self):
+        stored = {
+            "p": lambda v: PriorSpec(v).p,
+            "s2": lambda v: SufficientStat([0.0], v).s2,
+            "sigma2": lambda v: Parameter(v, [0.0]).sigma2,
+            "alpha": lambda v: reg.Automorphism(v, [0.0]).alpha,
+            "tol": lambda v: reg.check_automorphism(_AUT, _SF1, _CFG1, samples=1, tol=v).tol,
+            "epsilon": lambda v: ideal_group(_THETA1, _SF1, v, _CFG1).epsilon,
+            "box epsilon": lambda v: reg.concentration_box(_STAT1, _SF1, v, _CFG1).epsilon,
+            "sigma2_true": lambda v: SweepSpec(J=2, N_list=(10,), trials=1, sigma2_true=v).sigma2_true,
+        }
+        for value in (2, np.int64(2), np.uint8(2), np.float32(2.5), np.float64(2.5)):
+            for name, read in stored.items():
+                assert type(read(value)) is float and read(value) == float(value), name
+        for value in ([1, 2], np.array([1, 2], dtype=np.int32), np.array([1.0, 2.0], dtype=np.float32)):
+            assert SufficientStat(value, 1.0).m.dtype == np.float64
+        # A scalar mean reads as one group's; a float64 array is kept, not copied.
+        assert Parameter(1.0, 0.5).mu.tolist() == [0.5]
+        means = np.array([0.5, 1.5])
+        assert Parameter(1.0, means).mu is means
 
 
 class TestLogLikelihood:

@@ -281,6 +281,16 @@ class TestConcentrationBox:
             with pytest.raises(InvalidConfigError, match=f"epsilon must be finite and > 0, got {eps!r}"):
                 concentration_box(stat, PriorSpec.wallace(), eps, cfg)
 
+    def test_large_epsilon_names_stat_and_epsilon(self):
+        # The bracket doubles until param_from_coords underflows sigma2 to 0,
+        # which named a sigma2 of 0.0 the caller never gave.
+        message = "stat and epsilon = 1e+300 take the concentration box out of the float range"
+        for stat in (SufficientStat([0.0], 1.0), SufficientStat([1e150], 1e-300)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+                    concentration_box(stat, PriorSpec.wallace(), 1e300, ProblemConfig(N=1, J=2))
+
     def test_nesting_in_epsilon(self):
         cfg = ProblemConfig(N=1, J=2)
         prior = PriorSpec.wallace()
