@@ -170,10 +170,10 @@ class DiscreteProblem:
         return self.cand_sigma2.shape[0]
 
     def candidate_parameter(self, j: int) -> Parameter:
-        return Parameter(self.cand_sigma2[j], self.cand_mu[j].copy())
+        return Parameter(self.cand_sigma2[j], self.cand_mu[j])
 
     def cell_stat(self, i: int) -> SufficientStat:
-        return SufficientStat(self.cell_m[i].copy(), self.cell_s2[i])
+        return SufficientStat(self.cell_m[i], self.cell_s2[i])
 
 
 def _check_table(name: str, table, shape: tuple) -> np.ndarray:

@@ -126,7 +126,7 @@ def _sigma2_hat(method: str, stat: SufficientStat, prior: PriorSpec | None, cfg:
 
 
 def _estimate(method: str, stat: SufficientStat, prior: PriorSpec | None, cfg: ProblemConfig) -> Estimate:
-    return Estimate(Parameter(_sigma2_hat(method, stat, prior, cfg), stat.m.copy()), method, prior)
+    return Estimate(Parameter(_sigma2_hat(method, stat, prior, cfg), stat.m), method, prior)
 
 
 def ml_estimate(stat: SufficientStat, cfg: ProblemConfig) -> Estimate:
@@ -155,7 +155,7 @@ def ip_reverse(theta: Parameter, prior: PriorSpec, cfg: ProblemConfig) -> Suffic
     """
     _check_param(theta, cfg)
     with _float_range("theta and the prior take the ideal point out of the float range"):
-        return SufficientStat(theta.mu.copy(), _in_range(theta.sigma2 * _ip_shrinkage(prior, cfg)))
+        return SufficientStat(theta.mu, _in_range(theta.sigma2 * _ip_shrinkage(prior, cfg)))
 
 
 def penalty_at_ideal_point(theta: Parameter, prior: PriorSpec, cfg: ProblemConfig) -> float:

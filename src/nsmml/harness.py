@@ -1,12 +1,14 @@
 """Simulation and estimator-sweep harness.
 
-Random numbers come from numpy's PCG64 generator; Gaussian variates are
-produced by the deterministic inverse-CDF transform (``ndtri`` applied to
-centered 53-bit uniforms), so a seed pins the byte-exact output across
-runs and platforms.  ``ndtri`` is imported from ``scipy.special`` only
-when normals are sampled, so the non-sampling commands never load scipy.
-Each sweep trial draws from its own substream,
-``SeedSequence((seed, N, trial))``, which makes every emitted row
+Random numbers are the raw 64-bit words of numpy's PCG64 bit generator.
+Each word's top 53 bits ``k`` give one standard normal
+``ndtri((2k + 1) / 2^54)``, the inverse CDF at a centered uniform, so a
+seed pins the byte-exact output across runs and platforms, and across
+numpy releases too: numpy fixes a bit generator's raw stream, not the
+algorithms of ``Generator`` methods.  ``ndtri`` is imported from
+``scipy.special`` only when normals are sampled, so the non-sampling
+commands never load scipy.  Sweep trial ``t`` at ``N`` groups reads the
+stream of ``SeedSequence((seed, N, t))``, which makes every emitted row
 independently recomputable and lets trials run in any order (or in
 parallel) without changing the aggregate.
 """
@@ -29,6 +31,7 @@ from .model import (
     _check_int,
     _float_range,
     _row_blocks,
+    _shown,
     sufficient_stats_kernel,
 )
 from .estimators import PRIOR_FREE_METHODS, SIGMA2_HAT, method_from_name
@@ -48,10 +51,6 @@ __all__ = [
 ]
 
 
-def _draw_bits(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
-
-
 def _normal_from_bits(k: np.ndarray) -> np.ndarray:
     """Standard normals ``ndtri((2k + 1) / 2^54)`` from integers ``k`` on
     ``[0, 2^53)``: the centered uniforms never hit 0 or 1."""
@@ -60,14 +59,16 @@ def _normal_from_bits(k: np.ndarray) -> np.ndarray:
     return ndtri((2.0 * k + 1.0) / float(1 << 54))
 
 
-def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals via inverse CDF on centered 53-bit uniforms.
-
-    ``u = (2k + 1) / 2^54`` for ``k`` uniform on ``[0, 2^53)`` never hits 0
-    or 1, and the whole transform is a fixed deterministic function of the
-    generator stream.
+def standard_normal(rng: np.random.Generator | np.random.PCG64, shape) -> np.ndarray:
+    """Standard normals from the next words of a PCG64 stream, one word
+    each: ``rng`` is a ``Generator`` on PCG64 or the ``PCG64`` itself.
+    ``k``, a word's top 53 bits, is uniform on ``[0, 2^53)``, and the
+    transform is a fixed deterministic function of the stream.
     """
-    return _normal_from_bits(_draw_bits(rng, shape))
+    bitgen = getattr(rng, "bit_generator", rng)
+    if not isinstance(bitgen, np.random.PCG64):  # MT19937, say, has 32-bit words
+        raise InvalidConfigError(f"rng must draw from a PCG64 bit generator, got {type(bitgen).__name__}")
+    return _normal_from_bits(bitgen.random_raw(shape) >> 11)
 
 
 def simulate(cfg: ProblemConfig, sigma2_true: float, mu_true, seed) -> np.ndarray:
@@ -81,7 +82,7 @@ def simulate(cfg: ProblemConfig, sigma2_true: float, mu_true, seed) -> np.ndarra
     if mu.shape[0] not in (1, cfg.N):
         raise InvalidConfigError(f"mu_true must hold 1 or N={cfg.N} means, got {mu.shape[0]}")
     mu = np.broadcast_to(mu, (cfg.N,))
-    z = standard_normal(np.random.default_rng(_check_int(seed, "seed", 0)), (cfg.N, cfg.J))
+    z = standard_normal(np.random.PCG64(_check_int(seed, "seed", 0)), (cfg.N, cfg.J))
     return mu[:, None] + math.sqrt(sigma2_true) * z
 
 
@@ -112,7 +113,7 @@ class SweepSpec:
         for name in ("N_list", "estimators", "priors"):
             value = getattr(self, name)
             if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
-                raise InvalidConfigError(f"{name} must be a sequence, got {value!r}")
+                raise InvalidConfigError(f"{name} must be a sequence, got {_shown(value)}")
         n_list = tuple(_check_int(n, "N_list", 1) for n in self.N_list)
         if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise InvalidConfigError("N_list must be strictly increasing positive integers")
@@ -195,10 +196,10 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
     method's priors in the spec's order (``None`` for a prior-free method),
     one key per distinct exponent under its first spelling.
 
-    Each trial draws its integers from its own substream, the means'
-    first under the normal law, into a buffer of whole trials, one per
-    block of ``model._row_blocks``; the normal transform and the pooled
-    variance then run once per buffer.  Every step is
+    Each trial's row of words, the means' first under the normal law,
+    comes from its own substream into a buffer of whole trials, one per
+    block of ``model._row_blocks``; the shift to 53 bits, the normal
+    transform and the pooled variance then run once per buffer.  Every step is
     elementwise or sums within one trial, so a trial's ratios have the
     bits of a trial simulated alone.
     """
@@ -209,12 +210,10 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
     s2 = np.empty(spec.trials)
     out_of_range = "sigma2_true = {!r} and mu_law = {!r} take the group means or s2 out of the float range"
     for blk in _row_blocks(spec.trials, width):
-        bits = np.empty((blk.stop - blk.start, width), dtype=np.int64)
+        bits = np.empty((blk.stop - blk.start, width), dtype=np.uint64)
         for t, row in enumerate(bits, blk.start):
-            rng = np.random.default_rng((spec.seed, n_groups, t))
-            if n_means:
-                row[:n_means] = _draw_bits(rng, n_means)
-            row[n_means:] = _draw_bits(rng, cfg.nj)
+            row[:] = np.random.PCG64((spec.seed, n_groups, t)).random_raw(width)
+        bits >>= 11  # in place: no second buffer
         z = _normal_from_bits(bits)
         mu = _law_means(spec, z[:, :n_means, None])
         with _float_range(out_of_range, spec.sigma2_true, spec.mu_law):

@@ -151,7 +151,7 @@ class SufficientStat:
     s2: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _check_array(self.m, "m", (None,)))
+        object.__setattr__(self, "m", _check_array(self.m, "m", (None,), own=True))
         object.__setattr__(self, "s2", _check_float(self.s2, "s2", 0))
 
     @property
@@ -175,7 +175,7 @@ class Parameter:
         if sigma2 <= 0.0:
             raise DegenerateInputError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
         object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "mu", _check_array(self.mu, "mu", (None,)))
+        object.__setattr__(self, "mu", _check_array(self.mu, "mu", (None,), own=True))
 
     @property
     def n_groups(self) -> int:
@@ -186,13 +186,26 @@ class Parameter:
         return math.sqrt(self.sigma2)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a message, but Python refuses to print an int of
+    more than 4300 digits (``sys.get_int_max_str_digits``): such an int
+    shows its digit count."""
+    try:
+        return repr(value)
+    except ValueError:
+        n = abs(value)
+        digits = math.floor(math.log10(n)) + 1  # may be off by one near a power of ten
+        digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+        return f"a {'negative ' if value < 0 else ''}{digits}-digit integer"
+
+
 def _check_int(value, name: str, least: int) -> int:
     """``value`` as a Python ``int``; a bool, any other non-integer, or a
     value below ``least`` is rejected, naming it and its value."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        raise InvalidConfigError(f"{name} must be an integer, got {_shown(value)}")
     if value < least:
-        raise InvalidConfigError(f"{name} must be >= {least}, got {value!r}")
+        raise InvalidConfigError(f"{name} must be >= {least}, got {_shown(value)}")
     return int(value)
 
 
@@ -202,24 +215,27 @@ def _check_float(value, name: str, least: float = -math.inf, strict: bool = Fals
     or any other type, and a value out of range, are rejected, naming it and
     its value."""
     if isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer)):
-        raise InvalidConfigError(f"{name} must be a number, got {value!r}")
+        raise InvalidConfigError(f"{name} must be a number, got {_shown(value)}")
     try:
         x = float(value)
     except OverflowError:  # an int past the float range
         x = math.inf
     if not (math.isfinite(x) and (x > least if strict else x >= least)):
         bound = "" if least == -math.inf else f" and {'>' if strict else '>='} {least}"
-        raise InvalidConfigError(f"{name} must be finite{bound}, got {value!r}")
+        raise InvalidConfigError(f"{name} must be finite{bound}, got {_shown(value)}")
     return x
 
 
-def _check_array(value, name: str, shape: tuple | None = None, integer: bool = False) -> np.ndarray:
+def _check_array(
+    value, name: str, shape: tuple | None = None, integer: bool = False, own: bool = False
+) -> np.ndarray:
     """``value`` as a finite float64 array, or an int64 one when ``integer``,
     of ``shape``: an exact shape, ``(None,)`` for a nonempty vector (a scalar
     reads as a one-entry vector), or ``None`` for any shape.  A ragged,
     string, object or bool array, and a bool inside an integer list (numpy
     reads ``[True, 0]`` as ``[1, 0]``), are rejected by name.  A float64
-    array is returned as it is, not copied."""
+    array is returned as it is, not copied, unless ``own`` asks for a
+    read-only float64 copy that no later write to ``value`` can reach."""
     what = "integers" if integer else "numbers"
     try:
         arr = np.asarray(value)
@@ -241,8 +257,12 @@ def _check_array(value, name: str, shape: tuple | None = None, integer: bool = F
     if arr.dtype != np.float64:
         with _float_range("{} must be finite", name):  # a long double can overflow
             arr = arr.astype(np.float64)
+    elif own:
+        arr = arr.copy()
     if not np.isfinite(arr).all():
         raise InvalidConfigError(f"{name} must be finite")
+    if own:
+        arr.setflags(write=False)
     return arr
 
 

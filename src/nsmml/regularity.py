@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -109,7 +110,7 @@ class Automorphism:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _check_float(self.alpha, "alpha", 0, strict=True))
-        object.__setattr__(self, "beta", _check_array(self.beta, "beta", (None,)))
+        object.__setattr__(self, "beta", _check_array(self.beta, "beta", (None,), own=True))
 
     @property
     def n_groups(self) -> int:
@@ -256,6 +257,18 @@ class _DriftReport:
         }
 
 
+def _check_sample(sample, name: str, kind: type) -> list:
+    """``sample`` as a list: any nonempty iterable of ``kind``, a 1-D object
+    array included; anything else is rejected by name."""
+    try:
+        items = list(sample)
+    except TypeError:  # not iterable
+        items = []
+    if not items or not all(isinstance(item, kind) for item in items):
+        raise InvalidConfigError(f"{name} must be a nonempty sequence of {kind.__name__}")
+    return items
+
+
 def _drift_check(values: list, log_scales: list, prior: PriorSpec, cfg: ProblemConfig, tol: float) -> tuple:
     """The verdict, values, spread and drift of a constancy check: is
     ``values`` constant within ``tol``, and how well does the predicted law
@@ -282,7 +295,7 @@ class HomogeneityReport(_DriftReport):
 def homogeneity_check(
     prior: PriorSpec,
     cfg: ProblemConfig,
-    thetas: list[Parameter],
+    thetas: Iterable[Parameter],
     tol: float = _TOL,
 ) -> HomogeneityReport:
     """Is the minimal penalty ``R*_theta`` constant over parameters?
@@ -292,8 +305,7 @@ def homogeneity_check(
     scale-free prior) and reports the residual of that law.
     """
     tol = _check_float(tol, "tol", 0, strict=True)
-    if not thetas:
-        raise InvalidConfigError("thetas must be a nonempty sample")
+    thetas = _check_sample(thetas, "thetas", Parameter)
     values = [penalty_at_ideal_point(theta, prior, cfg) for theta in thetas]
     log_scales = [math.log(theta.sigma2) for theta in thetas]
     return HomogeneityReport(*_drift_check(values, log_scales, prior, cfg, tol), tol)
@@ -311,7 +323,7 @@ class ComprehensivenessReport(_DriftReport):
 def comprehensiveness_check(
     prior: PriorSpec,
     cfg: ProblemConfig,
-    stats: list[SufficientStat],
+    stats: Iterable[SufficientStat],
     tol: float = _TOL,
 ) -> ComprehensivenessReport:
     """Is the minimal penalty over parameters constant over observations?
@@ -320,8 +332,7 @@ def comprehensiveness_check(
     drift law here is ``R_opt = const + ((N+1-p)/2) * log s^2``.
     """
     tol = _check_float(tol, "tol", 0, strict=True)
-    if not stats:
-        raise InvalidConfigError("stats must be a nonempty sample")
+    stats = _check_sample(stats, "stats", SufficientStat)
     values = [code_penalty_R(ip_estimate(stat, prior, cfg).theta, stat, prior, cfg) for stat in stats]
     log_scales = [math.log(stat.s2) for stat in stats]
     return ComprehensivenessReport(*_drift_check(values, log_scales, prior, cfg, tol), tol)

@@ -24,7 +24,10 @@ competitors one by one, in ``theta``'s frame, where ``best_log_likelihood_gap``
 finds the best of them in closed form.  ``oracle_trial_ratios`` simulates
 the sweep one trial at a time and ``oracle_locality_scores`` scores a
 whole locality grid as one mesh, both as first written; the production
-code works a block at a time and must match them bit for bit.
+code works a block at a time and must match them bit for bit.  The
+trials' normals come from ``oracle_trial_normals`` and
+``oracle_standard_normal``, the old sampler, which drew ``Generator.integers``
+on ``[0, 2^53)`` where the production sampler reads the raw PCG64 words.
 ``record_blocks`` logs the row blocks a module walks, so a test can
 check that a patched block size took effect.
 """
@@ -318,26 +321,38 @@ def theta_list(cert) -> list[Parameter]:
     return thetas + [Parameter(grid, center) for center in centers]
 
 
-def oracle_trial_ratios(spec, n_groups: int) -> dict:
-    """``trial_ratios`` as first written: each trial draws its means and
-    sample from its own substream and reduces them alone."""
+def oracle_standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """``harness.standard_normal`` as first written: ``Generator.integers``
+    on ``[0, 2^53)``, then ``ndtri((2k + 1) / 2^54)``."""
     from scipy.special import ndtri
 
-    def normals(rng, shape):
-        k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
-        return ndtri((2.0 * k + 1.0) / float(1 << 54))
+    k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
+    return ndtri((2.0 * k + 1.0) / float(1 << 54))
 
+
+def oracle_trial_normals(spec, n_groups: int, t: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """Trial ``t``'s normals drawn the old way, from a ``Generator`` on its
+    substream ``(seed, N, t)``: the means' ``N`` first under the normal law
+    (``None`` under the others), then the sample's ``N x J``."""
+    rng = np.random.default_rng((spec.seed, n_groups, t))
+    z_mu = oracle_standard_normal(rng, n_groups) if spec.mu_law == "normal" else None
+    return z_mu, oracle_standard_normal(rng, (n_groups, spec.J))
+
+
+def oracle_trial_ratios(spec, n_groups: int) -> dict:
+    """``trial_ratios`` as first written: each trial draws its means and
+    sample the old way (``oracle_trial_normals``) and reduces them alone."""
     cfg = ProblemConfig(N=n_groups, J=spec.J)
     s2 = np.empty(spec.trials)
     for t in range(spec.trials):
-        rng = np.random.default_rng((spec.seed, n_groups, t))
+        z_mu, z = oracle_trial_normals(spec, n_groups, t)
         if spec.mu_law == "normal":
-            mu = math.sqrt(spec.sigma2_true) * normals(rng, cfg.N)
+            mu = math.sqrt(spec.sigma2_true) * z_mu
         elif spec.mu_law == "zero":
             mu = np.zeros(cfg.N)
         else:
             mu = np.full(cfg.N, float(spec.mu_law.split(":", 1)[1]))
-        data = mu[:, None] + math.sqrt(spec.sigma2_true) * normals(rng, (cfg.N, cfg.J))
+        data = mu[:, None] + math.sqrt(spec.sigma2_true) * z
         s2[t] = ((data - data.mean(axis=1)[:, None]) ** 2).sum() / cfg.nj
     pairs = _method_priors(spec.estimators, spec.priors, cfg)
     return {(method, choice): SIGMA2_HAT[method](s2, prior, cfg) / spec.sigma2_true for method, choice, prior in pairs}

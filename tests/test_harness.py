@@ -28,12 +28,13 @@ from nsmml import (
     wf_estimate,
 )
 from nsmml import codebook as cbk
-from nsmml.harness import SweepSpec, parse_sweep_config, rows_to_csv, run_sweep, trial_ratios
+from nsmml import harness
+from nsmml.harness import SweepSpec, parse_sweep_config, rows_to_csv, run_sweep, standard_normal, trial_ratios
 from nsmml.cli import main
 from nsmml.model import _BLOCK
 from nsmml.reporting import render_json
 
-from oracles import oracle_trial_ratios, record_blocks
+from oracles import oracle_standard_normal, oracle_trial_ratios, record_blocks
 
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -213,6 +214,49 @@ class TestRunSweep:
             assert [blk.stop - blk.start for blk in blocks] == sizes
             assert got.keys() == want.keys()
             assert all(got[key].tobytes() == want[key].tobytes() for key in want), (n, j)
+
+    @pytest.mark.parametrize("law", ["normal", "zero", "fixed:-3.25"])
+    def test_trial_ratios_match_generator_integers(self, law):
+        # Trials read the raw PCG64 words where they once drew
+        # Generator.integers(0, 2^53); Lemire's method never rejects on a
+        # power-of-two range, so each integer was the next word >> 11.
+        for seed in (0, 7, 2**40):
+            for n in (1, 10, 100):
+                spec = SweepSpec(J=3, N_list=(n,), trials=6, mu_law=law, seed=seed)
+                got, want = trial_ratios(spec, n), oracle_trial_ratios(spec, n)
+                assert got.keys() == want.keys()
+                assert all(got[key].tobytes() == want[key].tobytes() for key in want), (seed, n)
+                for t in (0, 5):
+                    rng = np.random.default_rng((seed, n, t))
+                    drawn = np.concatenate([rng.integers(0, 1 << 53, size=k, dtype=np.int64) for k in (n, 2 * n)])
+                    words = np.random.PCG64((seed, n, t)).random_raw(3 * n)
+                    assert np.array_equal(words >> 11, drawn), (seed, n, t)
+
+    def test_standard_normal_reads_pcg64_words(self):
+        # Two calls read consecutive words, from a Generator or its bare
+        # PCG64; a bit generator with other words is rejected by name.
+        for seed in (0, 3, 2**40):
+            for rng in (np.random.default_rng(seed), np.random.PCG64(seed)):
+                old = np.random.default_rng(seed)
+                for shape in (1, (4, 3), 7):
+                    got, want = standard_normal(rng, shape), oracle_standard_normal(old, shape)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for rng in (np.random.Generator(np.random.MT19937(0)), np.random.MT19937(0), np.random.PCG64DXSM(0), 0):
+            with pytest.raises(InvalidConfigError, match="^rng must draw from a PCG64 bit generator, got "):
+                standard_normal(rng, 3)
+
+    def test_sampler_builds_no_generator(self):
+        # The sweep and simulate read bit-generator words; no Generator is
+        # built and no bounded-integer sampler, free to change between
+        # numpy releases, is called.
+        tree = ast.parse(Path(harness.__file__).read_text())
+        called = {
+            node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert "random_raw" in called
+        assert called.isdisjoint({"default_rng", "Generator", "integers", "_draw_bits"})
 
     def test_config_parse_errors(self):
         base = "J = 2\nN_list = 10\ntrials = 2\n"

@@ -29,9 +29,9 @@ from nsmml import (
 )
 from nsmml import codebook as cbk
 from nsmml import regularity as reg
-from nsmml.estimators import ideal_group, param_from_coords, stat_from_coords
+from nsmml.estimators import ideal_group, ip_reverse, ml_estimate, param_from_coords, stat_from_coords
 from nsmml.harness import SweepSpec
-from nsmml.model import _LGAM_MAX, LOG_2PI, _check_array, _check_float, _float_range, _in_range, _lgamma
+from nsmml.model import _LGAM_MAX, LOG_2PI, _check_array, _check_float, _float_range, _in_range, _lgamma, _shown
 
 from oracles import fd_hessian, log_normal_pdf_product, oracle_log_marginal, raw_sample_with_stats
 
@@ -153,8 +153,9 @@ class TestCountArguments:
     def test_non_integer_or_small_count_rejected_by_name(self, name, least, call):
         # A fraction was truncated, a bool counted as 0 or 1, a string was
         # parsed or escaped as a bare TypeError, and a negative seed escaped
-        # as numpy's bare ValueError; each now names its parameter.
-        for value in (2.5, True, "3", np.float64(3.0), *(() if least is None else (least - 1,))):
+        # as numpy's bare ValueError; each now names its parameter.  An int
+        # too long for Python to print once failed the message itself.
+        for value in (2.5, True, "3", np.float64(3.0), *(() if least is None else (least - 1, -(10**5000)))):
             with pytest.raises(InvalidConfigError, match=f"^{name} must "):
                 call(value)
 
@@ -166,6 +167,17 @@ class TestCountArguments:
         assert lattice.shape == (4, 4) and all(type(v) is int for v in lattice.shape + lattice.cand_shape)
         spec = SweepSpec(J=np.int64(2), N_list=(np.int32(10),), trials=np.uint8(3), seed=np.int64(4))
         assert all(type(v) is int for v in (spec.J, *spec.N_list, spec.trials, spec.seed))
+
+    def test_huge_integer_shown_by_digit_count(self):
+        # Python prints no int of more than 4300 digits: messages give the
+        # digit count, exact on both sides of a power of ten.
+        for value, shown in [(10**5000, "a 5001-digit integer"), (10**5000 - 1, "a 5000-digit integer"),
+                             (-(10**4300), "a negative 4301-digit integer"), (7, "7"), (1.5, "1.5")]:
+            assert _shown(value) == shown
+        with pytest.raises(InvalidConfigError, match="^N must be >= 1, got a negative 5001-digit integer$"):
+            ProblemConfig(N=-(10**5000), J=2)
+        with pytest.raises(InvalidConfigError, match="^N_list must be a sequence, got a 5001-digit integer$"):
+            SweepSpec(J=2, N_list=10**5000, trials=1)
 
 
 def _with_first(example, value):
@@ -213,7 +225,7 @@ class TestFloatArguments:
     def test_malformed_number_rejected_by_name(self, name, bound, example, call):
         # Each let a bare TypeError or ValueError escape for some of these
         # values, or took the string "1.5" as a number; each now names itself.
-        values = [None, "1.5", True, np.True_, math.nan, math.inf, -math.inf, 10**400]
+        values = [None, "1.5", True, np.True_, math.nan, math.inf, -math.inf, 10**400, 10**5000, -(10**5000)]
         if example is None:
             values.append([1.5])
         else:
@@ -230,6 +242,9 @@ class TestFloatArguments:
                 message = f"{name} must be finite and {bound}, got {value!r}"
                 with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
                     call(value)
+            message = f"{name} must be finite and {bound}, got a negative 5001-digit integer"
+            with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+                call(-(10**5000))
 
     def test_numbers_stored_as_python_floats(self):
         stored = {
@@ -247,10 +262,36 @@ class TestFloatArguments:
                 assert type(read(value)) is float and read(value) == float(value), name
         for value in ([1, 2], np.array([1, 2], dtype=np.int32), np.array([1.0, 2.0], dtype=np.float32)):
             assert SufficientStat(value, 1.0).m.dtype == np.float64
-        # A scalar mean reads as one group's; a float64 array is kept, not copied.
+        # A scalar mean reads as one group's; a float64 array is copied, so
+        # the object holds its own read-only means (test_value_objects_own_their_arrays).
         assert Parameter(1.0, 0.5).mu.tolist() == [0.5]
         means = np.array([0.5, 1.5])
-        assert Parameter(1.0, means).mu is means
+        assert Parameter(1.0, means).mu is not means
+
+    @pytest.mark.parametrize("held", [
+        lambda v: Parameter(1.3, v).mu,
+        lambda v: SufficientStat(v, 0.7).m,
+        lambda v: reg.Automorphism(2.0, v).beta,
+    ], ids=["Parameter", "SufficientStat", "Automorphism"])
+    def test_value_objects_own_their_arrays(self, held):
+        # A checked value object once kept the caller's float64 array, so a
+        # later write reached it unchecked; it now holds a read-only copy.
+        for means in (np.zeros(2), np.zeros(4)[::2], np.zeros((2, 2))[0], np.array(0.0)):
+            array = held(means)
+            means[...] = np.nan
+            assert np.array_equal(array, np.zeros(array.shape)) and not np.shares_memory(array, means)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_objects_built_from_tables_and_objects_share_no_memory(self):
+        # The copies that guarded these against aliasing are gone: the
+        # objects copy for themselves.
+        problem = _instance()[0]
+        theta, stat = problem.candidate_parameter(0), problem.cell_stat(0)
+        assert not np.shares_memory(theta.mu, problem.cand_mu) and not np.shares_memory(stat.m, problem.cell_m)
+        assert not np.shares_memory(ml_estimate(stat, _CFG1).theta.mu, stat.m)
+        assert not np.shares_memory(ip_reverse(theta, _SF1, _CFG1).m, theta.mu)
 
 
 class TestLogLikelihood:

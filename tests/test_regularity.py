@@ -231,6 +231,25 @@ class TestComprehensiveness:
         assert rep.is_comprehensive
 
 
+@pytest.mark.parametrize("check, name, sample", [
+    (homogeneity_check, "thetas", [Parameter(1.0, [0.0, 1.0]), Parameter(4.0, [2.0, -1.0])]),
+    (comprehensiveness_check, "stats", [SufficientStat([0.0, 1.0], 1.0), SufficientStat([2.0, -1.0], 4.0)]),
+])
+def test_drift_checks_read_their_samples(check, name, sample):
+    # A numpy object array once ended in numpy's bare "truth value ...
+    # ambiguous" ValueError and a list of floats in a bare AttributeError.
+    cfg = ProblemConfig(N=2, J=2)
+    prior = PriorSpec.wallace()
+    want = check(prior, cfg, sample)
+    for same in (np.array(sample, dtype=object), tuple(sample), iter(sample)):
+        got = check(prior, cfg, same)
+        assert got.to_dict() == want.to_dict()
+    kind = type(sample[0]).__name__
+    for bad in ([1.0, 2.0], [sample[0], 1.0], [], np.array([], dtype=object), 3.0, None, "ab", np.array([1.0, 2.0])):
+        with pytest.raises(InvalidConfigError, match=f"^{name} must be a nonempty sequence of {kind}$"):
+            check(prior, cfg, bad)
+
+
 class TestConcentrationBox:
     def test_contains_ideal_point_estimate(self):
         cfg = ProblemConfig(N=1, J=3)
