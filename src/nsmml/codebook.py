@@ -9,9 +9,10 @@ scaled-marginal mass (uniform exactly when the prior is scale free), a
 finite candidate-parameter list, and the penalty matrix of exact ``R``
 values.  Costs are in nats.
 
-Two minimizers are provided: exact search by a count-vector dynamic
-program over classes of equal-mass cells, and a deterministic alternating
-local search with restarts.  Audits cover the largest region mass, the
+Two minimizers are provided: exact search, by an arc-partition dynamic
+program on rings that pass a checked convexity condition and otherwise by
+a count-vector dynamic program over classes of equal-mass cells, and a
+deterministic alternating local search with restarts.  Audits cover the largest region mass, the
 empirical overlap between optimized codebooks and the Ideal Point
 estimator, and transport of codebooks by lattice shifts -- on the
 periodic (torus) variant, transport along the log-scale axis is an exact
@@ -443,10 +444,163 @@ def pointwise_assignment(problem: DiscreteProblem) -> np.ndarray:
 _EXACT_TOL = 1e-12  # codebooks within this cost of the minimum are all optimal
 _DP_STATE_LIMIT = 4_000_000  # most count vectors in one layer of the exact DP
 _DP_BEAM = 64  # count vectors per layer in the bounding pass of the exact DP
-_EMIT_CAP = 100_000  # most partial optima per layer of the exact DP's walk back
+_EMIT_CAP = 100_000  # most optima, and most partial optima per layer of the count-vector walk back
 
 
 def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
+    """All globally optimal codebooks: every assignment within ``_EXACT_TOL``
+    of the least cost, sorted lexicographically, each costed by
+    :func:`make_codebook`.
+
+    Two exact routes, chosen from the problem itself.  A ring of uniform
+    masses whose penalty is a circulant, strictly convex over every offset
+    a near-optimal codebook can use (checked by :func:`_arc_stride` in
+    ``O(n b)`` for ``n`` cells and ``b`` candidates), is solved by the
+    arc-partition DP of :func:`_arc_optima` in ``O(stride n (n + b))``
+    time.  Every other instance -- lattices, explicit problems and rings
+    that fail the check -- falls back to the count-vector DP of
+    :func:`_count_vector_optima`, exponential in the worst case.  Both
+    refuse past ``_EMIT_CAP`` optima with :class:`SizeLimitError`; the
+    count-vector DP also refuses past its code range and
+    ``_DP_STATE_LIMIT`` states in a layer.
+    """
+    stride = _arc_stride(problem)
+    return _count_vector_optima(problem) if stride is None else _arc_optima(problem, stride)
+
+
+def _arc_stride(problem: DiscreteProblem) -> int | None:
+    """The candidate stride when :func:`_arc_optima` is exact on ``problem``,
+    else ``None``.
+
+    The sufficient condition, checked in ``O(n b)``:
+
+    (a) the topology is ``"torus"``, every mass equals one ``m``, ``b``
+        divides ``n`` and, with ``s = n / b`` and ``R`` the first penalty
+        column, ``penalty[i, j] == R[(i - s j) % n]`` for every entry.  It
+        is read off the matrix, so a loaded or hand-built torus is checked
+        too.
+    (b) Moving one cell of a codebook onto the least-penalty candidate of
+        its row changes the entropy by at most ``m (1 - log m)``, as
+        ``f(x) = -x log x`` is concave: joining a region gains at most
+        ``f(m)`` and leaving one at most ``f(1 - m) <= m``.  So in a
+        codebook within ``_EXACT_TOL`` of the optimum every cell sits at an
+        offset ``d = i - s j`` with ``R[d]`` at most ``1 - log m +
+        _EXACT_TOL / m`` above the least ``R`` of its residue ``d mod s``:
+        an admissible offset.
+    (c) Lifted to ``[-(n//2), n - n//2)``, the admissible offsets span an
+        interval ``[lo, hi]`` across which every second difference of ``R``
+        exceeds ``_EXACT_TOL / m``.
+
+    Then every codebook within ``_EXACT_TOL`` of the optimum is a cyclic
+    sequence of arcs with one candidate each.  Give cell ``i`` the lifted
+    candidate position ``P_i = i - d_i``, with ``d_i`` its offset in
+    ``[lo, hi]``, and ``P_{i+n} = P_i + n``.  Were ``x < y`` with ``P_x >
+    P_y``, then with ``t = P_x - P_y``, ``u = d_x`` and ``v = d_y`` we have
+    ``v - u = y - x + t > t``, so swapping the two cells' candidates gives
+    them offsets ``u + t`` and ``v - t``, strictly inside ``[u, v]`` with
+    the same sum.  The candidates differ (``0 < t < hi - lo < n``), so the
+    region masses and the entropy stay put, while by (c) ``L_P`` falls by
+    more than ``_EXACT_TOL``: a codebook below the optimum.  So ``P``
+    never decreases, its runs are arcs, and the runs of one period sit at
+    distinct positions in ``[P_0, P_0 + n)``, on distinct candidates
+    (Farr & Wallace 2002; the Monge property on the circle of Delon,
+    Salomon & Sobolevski 2010).  The checks compare stored entries in
+    floating point; (b)'s bound exceeds the true entropy change by at
+    least ``m**2 / 2``, far more than the comparison rounds.
+    """
+    n, b = problem.n_cells, problem.n_candidates
+    mass, pen = problem.mass, problem.penalty
+    if problem.topology != "torus" or n % b or not (mass == mass[0]).all():
+        return None
+    stride, m = n // b, float(mass[0])
+    row = pen[:, 0]
+    # Column j is the row rolled by stride * j: window n - stride * j of the
+    # doubled row, where window n equals window 0.
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row)), n)
+    if not np.array_equal(pen.T, windows[n:0:-stride]):
+        return None
+    least = row.reshape(b, stride).min(axis=0)  # the least entry of row i is least[i % stride]
+    admissible = row <= np.tile(least, b) + (1.0 - math.log(m) + _EXACT_TOL / m)
+    half = n // 2
+    span = np.flatnonzero(np.roll(admissible, half))  # lifted: index k is offset k - half
+    curvature = np.diff(np.roll(row, half)[span[0] : span[-1] + 1], 2)
+    return stride if (curvature > _EXACT_TOL / m).all() else None
+
+
+def _arc_optima(problem: DiscreteProblem, stride: int) -> list[Codebook]:
+    """Every codebook within ``_EXACT_TOL`` of the optimum of a ring that
+    passes :func:`_arc_stride`, by an arc-partition DP.
+
+    With uniform masses ``m`` and a circulant penalty, an arc of ``l``
+    cells whose first cell lies ``e`` cells past its candidate costs
+    ``f(l m) + m (C[e + l] - C[e])``, with ``f(x) = -x log x`` and ``C``
+    the prefix sums of the penalty row doubled; so its least cost over
+    candidates depends only on ``l`` and its start modulo ``stride``.  A
+    table of those least costs and a linear DP over arc ends, on the ring
+    cut at each of the ``stride`` offsets, give the least cost of every
+    cut; every codebook, rotated by a multiple of ``stride``, has a cut at
+    one of them.  The walk back lists every arc sequence and arc candidate
+    within ``_EXACT_TOL`` of the least cost over cuts.  A sequence that
+    puts one candidate on two arcs is costed at least ``2 m log 2`` above
+    its codebook (``f`` is subadditive), so none is listed, and the DP's
+    least cost is the optimum: by the precondition, optima are arcs on
+    distinct candidates.  The listed codebooks are closed under rotation by
+    ``stride`` (an exact symmetry of the arc costs), deduplicated and
+    costed by :func:`make_codebook`.  ``O(stride n (n + b))`` time; the
+    table and the DP hold ``O(stride n + b)`` values, and the arc sums are
+    formed a block of lengths at a time.
+    """
+    n, b = problem.n_cells, problem.n_candidates
+    m = float(problem.mass[0])
+    row = problem.penalty[:, 0]
+    prefix = np.concatenate(([0.0], np.cumsum(np.concatenate((row, row)))))
+    arc_entropy = _neg_xlogx(m * np.arange(n + 1))
+    # least_sum[r, l]: the least penalty sum of an arc of l cells starting at
+    # residue r, over the candidates e = r, r + stride, ... cells behind it.
+    least_sum = np.full((stride, n + 1), np.inf)
+    for blk in _row_blocks(n, n):
+        lengths = np.arange(1, n + 1)[blk]
+        sums = prefix[lengths[:, None] + np.arange(n)] - prefix[:n]
+        least_sum[:, lengths] = sums.reshape(-1, b, stride).min(axis=1).T
+    arc = arc_entropy + m * least_sum
+
+    # total[c, k]: the least cost of the k cells after cut c, in whole arcs.
+    total = np.zeros((stride, n + 1))
+    cuts = np.arange(stride)[:, None]
+    for k in range(1, n + 1):
+        starts = np.arange(k)  # the last arc covers cells starts..k-1 after the cut
+        total[:, k] = (total[:, :k] + arc[(cuts + starts) % stride, k - starts]).min(axis=1)
+
+    target = total[:, n].min() + _EXACT_TOL
+    rotate = (np.arange(n) - stride * np.arange(b)[:, None]) % n
+    books: set[tuple[int, ...]] = set()
+    for c in range(stride):
+        # Depth first from the end: (cells left, cost of the arcs after them,
+        # those arcs as (first cell, length, offset from the candidate)).
+        stack = [(n, 0.0, ())]
+        while stack:
+            k, used, arcs = stack.pop()
+            if k:
+                # An arc whose least cost misses the target misses it on every
+                # candidate, so only the arcs that reach it are costed in full.
+                starts = np.arange(k)
+                for t in np.flatnonzero(total[c, :k] + arc[(c + starts) % stride, k - starts] + used <= target):
+                    length = k - t
+                    offsets = (c + t) % stride + stride * np.arange(b)
+                    cost = arc_entropy[length] + m * (prefix[offsets + length] - prefix[offsets])
+                    for j in np.flatnonzero(total[c, t] + cost + used <= target):
+                        stack.append((t, used + cost[j], arcs + ((c + t, length, offsets[j]),)))
+                continue
+            assign = np.empty(n, dtype=np.int64)
+            for first, length, offset in arcs:
+                assign[(first + np.arange(length)) % n] = (first - offset) % n // stride
+            books.update(map(tuple, ((assign[rotate] + np.arange(b)[:, None]) % b).tolist()))
+            if len(books) > _EMIT_CAP:
+                raise SizeLimitError("too many optimal codebooks to enumerate")
+    return [make_codebook(problem, a) for a in np.array(sorted(books))]
+
+
+def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
     """All globally optimal codebooks, exact by a count-vector dynamic program.
 
     The entropy term depends on an assignment only through its region

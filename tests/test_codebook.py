@@ -1,5 +1,6 @@
 """Discrete codebook construction, search, audits and serialization."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -27,6 +28,8 @@ from nsmml.codebook import (
     DiscreteProblem,
     SizeLimitError,
     _TOP_K,
+    _arc_stride,
+    _count_vector_optima,
     _descend,
     _least_penalties,
     _penalty_matrix,
@@ -485,11 +488,13 @@ class TestExhaustive:
 
         monkeypatch.setattr("nsmml.codebook.smml_local_search", no_heuristic)
         monkeypatch.setattr("nsmml.codebook._descend", no_heuristic)
-        ring = smml_exhaustive(torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2))
-        assert ["".join(map(str, o.assign)) for o in ring] == [
-            "0004444444400000", "1111155555555111", "2222222666666662", "7333333337777777"
-        ]
-        assert all(o.cost.L == 2.1701103981812238 for o in ring)
+        ring16 = torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2)
+        for solve in (smml_exhaustive, _count_vector_optima):  # the arc route, then the count-vector DP
+            ring = solve(ring16)
+            assert ["".join(map(str, o.assign)) for o in ring] == [
+                "0004444444400000", "1111155555555111", "2222222666666662", "7333333337777777"
+            ]
+            assert all(o.cost.L == 2.1701103981812238 for o in ring)
         # Wallace masses: four mass classes, and an optimum of three regions.
         params = tuple(Parameter(math.exp(2 * ls), [u * math.exp(ls)]) for ls in (-1.2, 1.2) for u in (-1.2, 1.2))
         prob = discretize(CFG, WALLACE, BOX, [4, 4], CandidateSpec(parameters=params + (Parameter(1.0, [0.0]),)))
@@ -503,7 +508,7 @@ class TestExhaustive:
         # vectors of 16 cells on 8 candidates; the entropy term of the bound
         # and the bounding pass leave fewer than 10,000 per layer.
         monkeypatch.setattr("nsmml.codebook._DP_STATE_LIMIT", 10_000)
-        ring = smml_exhaustive(torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2))
+        ring = _count_vector_optima(torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2))
         assert len(ring) == 4
         assert all(o.cost.L == 2.1701103981812238 for o in ring)
 
@@ -518,16 +523,77 @@ class TestExhaustive:
 
     def test_torus20_solve_peak(self):
         # Children are pruned before they are concatenated, so no layer's
-        # full expansion is built: the solve peaked at 65 MB when it was.
+        # full expansion is built: the count-vector solve peaked at 65 MB
+        # when it was.
         prob = torus_problem(CFG, SCALE_FREE, 20, candidate_stride=2)
+        tracemalloc.start()
+        try:
+            optima = _count_vector_optima(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(optima) == 5 and optima[0].cost.L == 2.1609924954703033
+        assert peak <= 50 * 2**20
+        assert [o.assign.tolist() for o in smml_exhaustive(prob)] == [o.assign.tolist() for o in optima]
+
+    def test_arc_route_verdicts(self, monkeypatch):
+        # The benchmark's rings pass the precondition and never reach the
+        # count-vector DP.  At mean 1.3 the penalty row is not convex across
+        # the admissible offsets, and a "torus" whose penalty is not
+        # circulant, or a circulant matrix on a truncated topology, is not a
+        # ring.
+        def no_count_vectors(*args, **kwargs):
+            raise AssertionError("a ring that passes took the count-vector DP")
+
+        for n, optima in ((12, 3), (14, 7), (16, 4)):
+            ring = torus_problem(CFG, SCALE_FREE, n, candidate_stride=2)
+            assert _arc_stride(ring) == 2
+            with monkeypatch.context() as patch:
+                patch.setattr("nsmml.codebook._count_vector_optima", no_count_vectors)
+                assert len(smml_exhaustive(ring)) == optima
+        ring = torus_problem(CFG, SCALE_FREE, 12, candidate_stride=2)
+        penalty = ring.penalty.copy()
+        penalty[5, 3] += 1e-9
+        failing = [torus_problem(CFG, SCALE_FREE, 12, mean_coord=1.3, candidate_stride=s) for s in (1, 2)]
+        failing += [dataclasses.replace(ring, penalty=penalty), dataclasses.replace(ring, topology="truncated")]
+
+        def no_arcs(*args, **kwargs):
+            raise AssertionError("a ring that fails took the arc route")
+
+        monkeypatch.setattr("nsmml.codebook._arc_optima", no_arcs)
+        for prob in failing:
+            assert _arc_stride(prob) is None
+            assert [o.assign.tolist() for o in smml_exhaustive(prob)] == [
+                o.assign.tolist() for o in _count_vector_optima(prob)
+            ]
+
+    def test_torus24_ring_pinned(self):
+        # The 4 optima and L, in hex candidate digits, were recorded once
+        # from the count-vector DP (_count_vector_optima), a run of 16-18 s
+        # and 1.15 GB that the arc route replaces.
+        cfg = ProblemConfig(N=2, J=2)
+        prob = torus_problem(cfg, PriorSpec.scale_free(cfg), 24, candidate_stride=2)
         tracemalloc.start()
         try:
             optima = smml_exhaustive(prob)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(optima) == 5 and optima[0].cost.L == 2.1609924954703033
-        assert peak <= 50 * 2**20
+        assert ["".join(f"{a:x}" for a in o.assign) for o in optima] == [
+            "000044444444888888880000", "111111555555559999999911",
+            "2222222266666666aaaaaaaa", "bb3333333377777777bbbbbb",
+        ]
+        assert all(o.cost.L == 2.727997292044347 for o in optima)
+        assert peak <= 2 * 2**20
+
+    def test_arc_route_refuses_too_many_optima(self, monkeypatch):
+        # The 7 optima of the 14-cell ring are one orbit of rotations, so a
+        # cap below 7 is passed only after the rotation closure.
+        ring = torus_problem(CFG, SCALE_FREE, 14, candidate_stride=2)
+        assert len(smml_exhaustive(ring)) == 7
+        monkeypatch.setattr("nsmml.codebook._EMIT_CAP", 6)
+        with pytest.raises(SizeLimitError, match="^too many optimal codebooks to enumerate$"):
+            smml_exhaustive(ring)
 
     @pytest.mark.parametrize("beam", [1, 10**6])
     def test_every_tied_optimum_survives_any_bounding_pass(self, monkeypatch, beam):

@@ -431,6 +431,14 @@ class TestCli:
         for line in ("L 2.1701103981812238", "n_optimal_codebooks 4", "  delta_L 0.0"):
             assert line in lines
 
+    def test_smml_exhaustive_solves_torus24_ring(self, capsys):
+        # The arc route solves in milliseconds a ring that took the
+        # count-vector DP 16-18 s and 1.15 GB.
+        assert main(["smml", "--torus", "24", "--torus-stride", "2", "--N", "2", "--solver", "exhaustive"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("L 2.727997292044347", "n_optimal_codebooks 4"):
+            assert line in lines
+
     def test_sweep_csv_and_exit(self, tmp_path, capsys):
         cfgfile = tmp_path / "sweep.cfg"
         cfgfile.write_text("J = 2\nN_list = 10\ntrials = 3\nseed = 1\n")

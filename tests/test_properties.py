@@ -6,8 +6,9 @@ minimizer of the code penalty, the sweep config parser under fuzzed text,
 problem and codebook round trips through their JSON reports, intact and
 fuzzed, the local-search descent against its full-scan oracle, exact <=
 local <= pointwise costs, torus shifts that permute the penalty bit for
-bit and preserve cost, and the uniform masses that the count-vector DP
-requires of scale-free lattices."""
+bit and preserve cost, the uniform masses that the count-vector DP
+requires of scale-free lattices, and exact search on rings, whose arc
+route returns what the count-vector DP does."""
 
 import json
 import math
@@ -40,6 +41,8 @@ from nsmml import (
 from nsmml.codebook import (
     _TOP_K,
     CandidateSpec,
+    _arc_stride,
+    _count_vector_optima,
     _descend,
     _least_penalties,
     codebook_cost,
@@ -501,3 +504,32 @@ def exact_dp_problems(draw):
 def test_exact_search_returns_the_brute_force_optima(problem):
     exact = [o.assign.tolist() for o in smml_exhaustive(problem)]
     assert exact == sorted(a.tolist() for a in oracle_brute_optima(problem))
+
+
+@st.composite
+def small_rings(draw):
+    """Rings of 2-16 cells at a stride dividing them, with 1-12 candidates
+    drawn evenly (past 12 the count-vector DP takes seconds, and 16
+    candidates overflow its codes), N 1-3, J 2-3, mean coordinate 0-1.5."""
+    candidates = draw(st.integers(1, 12))
+    stride = draw(st.integers(2 if candidates == 1 else 1, 16 // candidates))
+    cells = candidates * stride
+    cfg = ProblemConfig(N=draw(st.integers(1, 3)), J=draw(st.integers(2, 3)))
+    return torus_problem(
+        cfg, PriorSpec.scale_free(cfg), cells, mean_coord=draw(st.floats(0.0, 1.5)), candidate_stride=stride
+    )
+
+
+_CFG_1 = ProblemConfig(N=1, J=2)
+
+
+@given(small_rings())
+@example(torus_problem(_CFG_1, PriorSpec.scale_free(_CFG_1), 12, mean_coord=1.3, candidate_stride=1))
+@example(torus_problem(_CFG_1, PriorSpec.scale_free(_CFG_1), 12, mean_coord=1.3, candidate_stride=2))
+def test_ring_routes_return_the_same_optima(problem):
+    # Rings that pass the precondition take the arc route, the rest fall
+    # back; either way the optima and their L bits are the count-vector DP's.
+    routed, reference = smml_exhaustive(problem), _count_vector_optima(problem)
+    assert _arc_stride(problem) in (None, problem.lattice.stride)
+    assert [o.assign.tolist() for o in routed] == [o.assign.tolist() for o in reference]
+    assert np.array([o.cost.L for o in routed]).tobytes() == np.array([o.cost.L for o in reference]).tobytes()
