@@ -424,7 +424,11 @@ def _check_assign(problem: DiscreteProblem, assign: np.ndarray) -> np.ndarray:
 def codebook_cost(problem: DiscreteProblem, assign: np.ndarray) -> CodebookCost:
     """Cost triple of a total assignment: ``L_P`` is mass-weighted penalty,
     ``L_E`` the entropy of the induced candidate distribution (nats)."""
-    assign = _check_assign(problem, assign)
+    return _codebook_cost(problem, _check_assign(problem, assign))
+
+
+def _codebook_cost(problem: DiscreteProblem, assign: np.ndarray) -> CodebookCost:
+    # codebook_cost of an assignment already read by _check_assign.
     l_p = float(problem.mass @ problem.penalty[np.arange(problem.n_cells), assign])
     q = np.bincount(assign, weights=problem.mass, minlength=problem.n_candidates)
     l_e = _entropy(q)
@@ -433,7 +437,7 @@ def codebook_cost(problem: DiscreteProblem, assign: np.ndarray) -> CodebookCost:
 
 def make_codebook(problem: DiscreteProblem, assign: np.ndarray) -> Codebook:
     assign = _check_assign(problem, assign).copy()
-    return Codebook(assign=assign, cost=codebook_cost(problem, assign))
+    return Codebook(assign=assign, cost=_codebook_cost(problem, assign))
 
 
 def pointwise_assignment(problem: DiscreteProblem) -> np.ndarray:
@@ -621,8 +625,12 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
     A state carries its code, least partial ``L_P`` and region entropy:
     cell ``i`` on candidate ``j`` adds ``mass_i * penalty_ij`` and
     ``f(q_j + mass_i) - f(q_j)``, with ``f(x) = -x log x`` and ``q_j`` the
-    parent's region mass on ``j``.  Children are formed one candidate at a
-    time and pruned as they are formed, when a lower bound on every
+    parent's region mass on ``j``.  Children are formed a block of
+    candidates at a time, from ``model._row_blocks`` over candidates x
+    parent states (one candidate per block once a layer is wider than
+    ``_BLOCK``): one step decodes the parents' region masses on every
+    candidate of the block and makes one entropy call.  Children are
+    pruned as they are formed, when a lower bound on every
     completion's cost exceeds the cost of a known codebook: each later
     cell's least cost plus the least entropy change, all later mass on the
     largest region (``f`` is concave).  The known codebooks need no
@@ -663,19 +671,18 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
     def extend(codes: np.ndarray, vals: np.ndarray, ents: np.ndarray, i: int, ub: float):
         """Sorted count vectors after cell i, least partial L_P and entropy, within ub."""
         limit = ub + _EXACT_TOL - suffix_min[i + 1] - later_entropy[i]
-        rest = codes
         runs = []
-        for j in range(b):
-            # The parents' region masses on candidate j, from their class digits.
+        for blk in _row_blocks(b, codes.shape[0]):
+            # The parents' region masses on each candidate of the block, from
+            # their class digits: one row of children per candidate.
             q = 0.0
             for k in range(size.shape[0]):
-                rest, digit = np.divmod(rest, size[k] + 1)
-                q = q + digit * weight[k]
-            h = _neg_xlogx(np.concatenate((q + problem.mass[i], q))).reshape(2, -1)
-            child_vals = vals + w[i, j]
+                q = q + codes // radix[k, blk, None] % (size[k] + 1) * weight[k]
+            h = _neg_xlogx(np.stack((q + problem.mass[i], q)))
+            child_vals = vals + w[i, blk, None]
             child_ents = ents + (h[0] - h[1])
             keep = child_vals + child_ents <= limit
-            runs.append((codes[keep] + radix[cls[i], j], child_vals[keep], child_ents[keep]))
+            runs.append(((codes + radix[cls[i], blk, None])[keep], child_vals[keep], child_ents[keep]))
         # One sorted run per candidate, so the stable (merge) sort is cheap.
         codes, vals, ents = (np.concatenate(parts) for parts in zip(*runs))
         order = np.argsort(codes, kind="stable")
@@ -769,13 +776,17 @@ def _descend(
     Yields ``(level, assign)`` for a copy of ``assign`` at the start and
     after every accepted move; the last pair is the local optimum.
 
-    A cell visit costs O(candidates in use), not O(candidates).  The move
-    cost to each candidate with nonzero mass (a float residue included) is
-    evaluated in full.  Every other candidate has the same entropy gain
-    ``-m_i log m_i``, so its move cost rises with its penalty: the best of
-    them is the cheapest unused entry of the cell's least-penalty list, or
-    comes from an exact scan of the row when the list cannot settle it.
-    Cells that would not move are skipped a block at a time.  The moves,
+    A cell visit costs O(candidates in use), not O(candidates).  Every
+    column gets the one move cost of cell ``i`` from ``a`` to ``t``,
+    ``m_i (R_it - R_ia) + [f(q_t + m_i) - f(q_t)] + [f(q_a - m_i) -
+    f(q_a)]`` with ``f(x) = -x log x``.  The columns are the cell's
+    least-penalty list and, when that leaves candidates out, every
+    candidate with nonzero mass (a float residue included).  A candidate
+    of no mass gains ``f(m_i)`` whichever it is, so its move cost rises
+    with its penalty: the best left out of the list costs at least the
+    list's floor, and comes from an exact scan of the row when the floor
+    cannot settle it.  Cells that would not move are skipped a block at a
+    time.  The moves,
     their order and the yielded levels are those of a scan of every
     candidate on every visit, bit for bit.  ``least`` is
     ``_least_penalties(problem.penalty)``, built once per search and
@@ -787,60 +798,56 @@ def _descend(
     b = problem.n_candidates
     assign = assign.astype(np.int64).copy()
     q = np.bincount(assign, weights=mass, minlength=b)
-    level = codebook_cost(problem, assign).L
+    level = _codebook_cost(problem, assign).L
     top, top_pen, edge = least
+    partial = top.shape[1] < b  # the lists leave candidates out
     yield level, assign
 
-    def best_moves(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        # The least move cost of each cell in lo:hi against the current
+    def best_moves(lo: int) -> tuple[int, np.ndarray, np.ndarray]:
+        # The end hi of a block of cells from lo, of about 1024 move costs;
+        # the least move cost of each cell in lo:hi against the current
         # state, and its candidate (the lowest index among equal costs).
-        in_use = q != 0.0
-        used = np.flatnonzero(in_use)
-        n, k = hi - lo, used.shape[0]
-        nk = n * k
+        used = (q != 0.0).nonzero()[0] if partial else np.arange(0)
+        hi = min(lo + max(1, 1024 // (used.shape[0] + top.shape[1])), c)
+        n = hi - lo
         a = assign[lo:hi]
         m = mass[lo:hi]
         rows = pen[lo:hi]
+        cand, cand_pen = top[lo:hi], top_pen[lo:hi]
+        if partial:
+            cand = np.concatenate((used[None, :].repeat(n, axis=0), cand), axis=1)
+            cand_pen = np.concatenate((rows[:, used], cand_pen), axis=1)
         pa = rows[np.arange(n), a]
-        q_used, q_a = q[used], q[a]
-        # One call for every entropy term: each used candidate joined by
-        # each cell and alone, each cell's candidate without and with it,
-        # and -m_i log m_i, the gain of joining any unused candidate.
-        h = _neg_xlogx(np.concatenate(((q_used + m[:, None]).ravel(), q_used, q_a - m, q_a, m)))
-        joined, alone = h[:nk].reshape(n, k), h[nk : nk + k]
-        gain_a = h[nk + k : nk + k + n] - h[nk + k + n : nk + k + 2 * n]
-        gain_free = h[nk + k + 2 * n :]
-        # Columns: the used candidates, then each cell's least-penalty list
-        # (its used entries masked, as the shared gain holds only for unused
-        # ones; a cell's own candidate is unused only once it has no mass
-        # left, and then costs -m_i log m_i >= 0).
-        lst = top[lo:hi]
-        cand = np.concatenate((used[None, :].repeat(n, axis=0), lst), axis=1)
-        col_pen = np.concatenate((rows[:, used], top_pen[lo:hi]), axis=1)
-        gain = np.concatenate((joined - alone, gain_free[:, None].repeat(lst.shape[1], axis=1)), axis=1)
-        cost = m[:, None] * (col_pen - pa[:, None]) + gain + gain_a[:, None]
-        cost[np.concatenate((used == a[:, None], in_use[lst]), axis=1)] = np.inf
+        q_t, q_a = q[cand], q[a]
+        nk = q_t.size
+        # One call for every entropy term: each column's candidate joined by
+        # the cell and alone, the cell's candidate without and with it, and
+        # -m_i log m_i, the gain of joining a candidate of no mass.
+        h = _neg_xlogx(np.concatenate(((q_t + m[:, None]).ravel(), q_t.ravel(), q_a - m, q_a, m)))
+        gain = (h[:nk] - h[nk : 2 * nk]).reshape(n, -1)
+        gain_a = h[2 * nk : 2 * nk + n] - h[2 * nk + n : 2 * nk + 2 * n]
+        gain_free = h[2 * nk + 2 * n :]
+        cost = m[:, None] * (cand_pen - pa[:, None]) + gain + gain_a[:, None]
+        cost[cand == a[:, None]] = np.inf
         best = cost.min(axis=1)
         j = np.where(cost == best[:, None], cand, b).min(axis=1)
-        # Unused candidates left out of a list cost at least its floor; where
-        # that does not settle the best, scan the whole row.
-        floor = m * (edge[lo:hi] - pa) + gain_free + gain_a
-        for r in (~(best < floor)).nonzero()[0]:
-            row = m[r] * (rows[r] - pa[r]) + gain_free[r] + gain_a[r]
-            row[used] = cost[r, :k]
-            j[r] = np.argmin(row)
-            best[r] = row[j[r]]
-        return best, j
+        if partial:
+            # Candidates of no mass left out of a list cost at least its
+            # floor; where that does not settle the best, scan the whole row.
+            floor = m * (edge[lo:hi] - pa) + gain_free + gain_a
+            for r in (~(best < floor)).nonzero()[0]:
+                row = m[r] * (rows[r] - pa[r]) + gain_free[r] + gain_a[r]
+                row[cand[r]] = cost[r]
+                j[r] = np.argmin(row)
+                best[r] = row[j[r]]
+        return hi, best, j
 
     for _sweep in range(10_000):
         changed = False
-        # Cells are evaluated a block of about 1024 move costs at a time (one
-        # cell while hundreds of candidates are in use); the cells before a
-        # block's first mover do not move.
+        # The cells before a block's first mover do not move.
         i = 0
         while i < c:
-            hi = min(i + max(1, 1024 // (np.count_nonzero(q) + top.shape[1])), c)
-            costs, targets = best_moves(i, hi)
+            hi, costs, targets = best_moves(i)
             movers = (costs < 0.0).nonzero()[0]
             if not movers.shape[0]:
                 i = hi
@@ -861,9 +868,8 @@ def _descend(
             j = int(np.argmin(region_cost))
             if j == r:
                 continue
-            delta = float(region_cost[j] - region_cost[r]) + float(
-                _neg_xlogx(q[j] + q[r]) - _neg_xlogx(q[j]) - _neg_xlogx(q[r])
-            )
+            h = _neg_xlogx(np.array((q[j] + q[r], q[j], q[r])))
+            delta = float(region_cost[j] - region_cost[r]) + float(h[0] - h[1] - h[2])
             if delta < 0.0:
                 assign[cells] = j
                 q[j] += q[r]
@@ -1003,7 +1009,10 @@ def smml_ip_overlap(
 def _shift_vector(problem: DiscreteProblem, lattice_shift) -> np.ndarray:
     dim = problem.cfg.N + 1
     shift = _check_array(lattice_shift, "lattice shift", integer=True)
-    shift = np.pad(shift[None], (0, dim - 1)) if shift.ndim == 0 else shift
+    if shift.ndim == 0:  # a step along log s alone
+        vector = np.zeros(dim, dtype=np.int64)
+        vector[0] = shift
+        shift = vector
     if shift.shape != (dim,):
         raise InvalidConfigError(f"lattice shift must have {dim} components")
     return shift

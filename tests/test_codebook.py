@@ -536,6 +536,70 @@ class TestExhaustive:
         assert peak <= 50 * 2**20
         assert [o.assign.tolist() for o in smml_exhaustive(prob)] == [o.assign.tolist() for o in optima]
 
+    @staticmethod
+    def class_dp_problems():
+        """The benchmark's three explicit-candidate lattices (a fixed
+        candidate pattern with seeded jitter), a Wallace-prior lattice of
+        four mass classes and an explicit-candidate instance under p = 1."""
+        rng = np.random.default_rng(25)
+        problems = []
+        for shape, b in (((4, 4), 5), ((3, 5), 6), ((4, 4), 6)):
+            log_sigma = np.repeat(np.linspace(-0.45, 0.45, (b + 1) // 2), 2)[:b] + rng.normal(0.0, 0.05, b)
+            coord = np.tile([-0.35, 0.35], (b + 1) // 2)[:b] + rng.normal(0.0, 0.05, b)
+            params = tuple(Parameter(math.exp(2 * ls), [u * math.exp(ls)]) for ls, u in zip(log_sigma, coord))
+            problems.append(discretize(CFG, SCALE_FREE, [[-0.8, 0.8]] * 2, shape, CandidateSpec(parameters=params)))
+        params = tuple(Parameter(math.exp(2 * ls), [u * math.exp(ls)]) for ls in (-1.2, 1.2) for u in (-1.2, 1.2))
+        problems.append(discretize(CFG, WALLACE, BOX, [4, 4], CandidateSpec(parameters=params + (Parameter(1.0, [0.0]),))))
+        params = tuple(Parameter(math.exp(rng.normal(0.2, 0.6)) ** 2, [rng.normal(0.0, 0.6)]) for _ in range(4))
+        problems.append(discretize(ProblemConfig(N=1, J=3), PriorSpec(1.0), [[-0.4, 0.8], [-0.6, 0.6]], [3, 3],
+                                   CandidateSpec(parameters=params)))
+        assert [np.unique(p.mass).size for p in problems] == [1, 1, 1, 4, 3]
+        return problems
+
+    @pytest.mark.parametrize("block", [1, 2**40])
+    def test_candidate_blocks_keep_optima_and_costs(self, monkeypatch, block):
+        # Each DP step forms the children of a block of candidates at once
+        # (model._row_blocks over candidates x parent states): one candidate
+        # per block, or every candidate in one block, must give the optima
+        # and cost bits of the default blocks.
+        problems = self.class_dp_problems()
+        want = [[(o.assign.tobytes(), o.cost.L.hex()) for o in _count_vector_optima(p)] for p in problems]
+        monkeypatch.setattr("nsmml.model._BLOCK", block)
+        for prob, optima in zip(problems, want):
+            blocks = record_blocks(monkeypatch, "nsmml.codebook")
+            assert [(o.assign.tobytes(), o.cost.L.hex()) for o in _count_vector_optima(prob)] == optima
+            assert blocks
+            assert {blk.stop - blk.start for blk in blocks} == {1 if block == 1 else prob.n_candidates}
+
+    def test_wide_layer_peak_does_not_grow_with_candidates(self, monkeypatch):
+        # At _BLOCK = 1024 the widest layers of the ring-16 DP (up to about
+        # 9,600 count vectors) are wider than a block, so their blocks hold
+        # one candidate each.  Six more candidates, each 100 nats above a
+        # column of the ring, never survive the bound, so every layer stays
+        # as it is and so must the peak: 2.26 MiB for both, where blocks of
+        # every candidate at once peak at 6.1 and 10.1 MiB.
+        ring = torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2)
+        wide = dataclasses.replace(
+            ring,
+            penalty=np.concatenate([ring.penalty, ring.penalty[:, :6] + 100.0], axis=1),
+            cand_sigma2=np.concatenate([ring.cand_sigma2, ring.cand_sigma2[:6]]),
+            cand_mu=np.concatenate([ring.cand_mu, ring.cand_mu[:6]]),
+            cand_coords=np.concatenate([ring.cand_coords, ring.cand_coords[:6]]),
+        )
+        monkeypatch.setattr("nsmml.model._BLOCK", 1024)
+        peaks, results = [], []
+        for prob in (ring, wide):
+            blocks = record_blocks(monkeypatch, "nsmml.codebook")
+            tracemalloc.start()
+            try:
+                results.append([(o.assign.tobytes(), o.cost.L.hex()) for o in _count_vector_optima(prob)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert any(blk.stop - blk.start == 1 for blk in blocks)
+        assert results[0] == results[1] and len(results[0]) == 4
+        assert peaks[1] <= 1.05 * peaks[0]
+
     def test_arc_route_verdicts(self, monkeypatch):
         # The benchmark's rings pass the precondition and never reach the
         # count-vector DP.  At mean 1.3 the penalty row is not convex across
@@ -649,6 +713,23 @@ class TestLocalSearch:
         want = descent_steps(prob, oracle_descend(prob, init))
         assert steps[-1][2].tolist() == want[-1][2].tolist() == [0, 0, 2]
         assert [level.hex() for level, _, _ in steps] == [level.hex() for level, _, _ in want]
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_descent_follows_full_scan_on_both_column_layouts(self, partial):
+        # Every move cost has one formula.  With at most _TOP_K candidates
+        # the least-penalty list holds them all and is the only column set;
+        # with more, the used candidates sit beside each cell's list.
+        prob = (discretize(CFG, SCALE_FREE, BOX, 8) if partial else
+                torus_problem(CFG, SCALE_FREE, 24, candidate_stride=2))
+        assert (prob.n_candidates > _TOP_K) == partial
+        least = _least_penalties(prob.penalty)
+        rng = np.random.default_rng(26)
+        for init in (pointwise_assignment(prob), rng.integers(0, prob.n_candidates, prob.n_cells)):
+            steps = descent_steps(prob, _descend(prob, init, least))
+            want = descent_steps(prob, oracle_descend(prob, init))
+            assert len(steps) > 1
+            assert [level.hex() for level, _, _ in steps] == [level.hex() for level, _, _ in want]
+            assert [a.tobytes() for _, _, a in steps] == [a.tobytes() for _, _, a in want]
 
     def test_moved_cell_waits_for_next_sweep(self):
         # Each sweep visits every cell once, in order.  Revisiting a cell

@@ -385,6 +385,20 @@ SCAN_NEEDS_USED = synthetic_problem(
 )
 
 
+# Cell 0 is alone on its pointwise candidate, so leaving it empties the
+# region exactly (q_a - m_i == 0.0), and joining cells 1 and 2 pays.
+ALONE = synthetic_problem([0.2, 0.4, 0.4], [[0.0, 1.0, 3.0], [2.0, 0.0, 3.0], [2.0, 0.0, 3.0]])
+# Masses over 80 e-folds and two triples of equal columns.  From the
+# seed-13 start [5, 5, 4], cell 0 ties between candidates 0, 2 and 3 and
+# takes 0; cell 2 then joins candidate 5, which holds a negative residue
+# of the mass that left it.  Used-candidate sets carried across visits
+# (or read from the assignment) miss moves here.
+SPREAD = synthetic_problem(
+    np.exp(-np.array([0.0, 60.0, 80.0])) / np.exp(-np.array([0.0, 60.0, 80.0])).sum(),
+    [[1.4, 2.6, 1.4, 1.4, 2.6, 2.6], [1.5, 3.5, 0.3, 0.3, 3.5, 3.5], [2.7, 1.4, 3.7, 3.7, 1.4, 1.4]],
+)
+
+
 @settings(max_examples=150)
 @given(
     st.one_of(synthetic_problems(), discretized_problems(), torus_problems()),
@@ -393,6 +407,9 @@ SCAN_NEEDS_USED = synthetic_problem(
     st.integers(0, 2**32 - 1),
 )
 @example(SCAN_NEEDS_USED, "random", 1, 430)
+@example(ALONE, "pointwise", 1, 0)
+@example(ALONE, "pointwise", _TOP_K, 0)
+@example(SPREAD, "random", 2, 13)
 def test_descent_follows_full_scan_oracle(problem, start, top_k, seed):
     rng = np.random.default_rng(seed)
     if start == "pointwise":
