@@ -10,11 +10,14 @@ algorithms of ``Generator`` methods.  ``ndtri`` is imported from
 commands never load scipy.  Sweep trial ``t`` at ``N`` groups reads the
 stream of ``SeedSequence((seed, N, t))``, which makes every emitted row
 independently recomputable and lets trials run in any order (or in
-parallel) without changing the aggregate.
+parallel) without changing the aggregate.  The seeds of a block of trials
+are hashed at once by ``SeedSequence``'s own 32-bit steps on ``uint32``
+columns (:func:`_seed_states`), with the same words as one at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import MISSING, astuple, dataclass, fields
@@ -56,7 +59,10 @@ def _normal_from_bits(k: np.ndarray) -> np.ndarray:
     ``[0, 2^53)``: the centered uniforms never hit 0 or 1."""
     from scipy.special import ndtri  # imported here: loading scipy.special slows every import
 
-    return ndtri((2.0 * k + 1.0) / float(1 << 54))
+    u = np.multiply(k, 2.0)  # one float64 buffer, formed and transformed in place
+    u += 1.0
+    u /= float(1 << 54)
+    return ndtri(u, out=u)
 
 
 def standard_normal(rng: np.random.Generator | np.random.PCG64, shape) -> np.ndarray:
@@ -188,6 +194,83 @@ def _law_means(spec: SweepSpec, z: np.ndarray):
     return 0.0 if spec.mu_law == "zero" else float(spec.mu_law.split(":", 1)[1])
 
 
+# numpy's SeedSequence hash constants, kept as Python ints: uint32 arrays
+# multiplied by them wrap silently, modulo 2^32.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _POOL = 0xFFFFFFFF, 4
+
+
+def _words32(n: int) -> list[int]:
+    """``n``'s 32-bit words, least significant first, at least one."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix step on ``uint32`` arrays: xor the running
+    constant in, advance it by ``mult``, multiply, xor-shift."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ (value >> 16)
+
+
+def _seed_states(seed: int, n_groups: int, trials: range) -> np.ndarray:
+    """``SeedSequence((seed, n_groups, t)).generate_state(4, np.uint64)``
+    for every ``t`` in ``trials``, one row each, by SeedSequence's own steps
+    run on a column of trials at once.  A trial's entropy is the 32-bit
+    words of ``seed``, ``n_groups`` and ``t``, so trials with more words of
+    ``t`` (``t >= 2^32``) are hashed in a block of their own."""
+    n_words = len(_words32(trials[0]))
+    if len(_words32(trials[-1])) > n_words:
+        cut = (1 << 32 * n_words) - trials.start
+        return np.concatenate([_seed_states(seed, n_groups, trials[:cut]), _seed_states(seed, n_groups, trials[cut:])])
+    t = np.arange(trials.start, trials.stop, dtype=np.uint64)
+    entropy = [np.full(len(t), w, dtype=np.uint32) for w in _words32(seed) + _words32(n_groups)]
+    entropy += [(t >> 32 * i).astype(np.uint32) for i in range(n_words)]
+    entropy += [np.zeros(len(t), dtype=np.uint32)] * (_POOL - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([output(pool[i % _POOL]) for i in range(8)], axis=1)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _given_state():
+    """A seed sequence that hands ``PCG64`` a row of :func:`_seed_states`,
+    the 4 words it asks for.  Defined on first use, as ``numpy.random`` is
+    not loaded by ``import nsmml``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return GivenState
+
+
 def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.ndarray]:
     """Per-trial ratios ``sigma2_hat / sigma2_true`` for every estimator x
     prior combination at one group count.  Trial ``t`` uses the substream
@@ -198,8 +281,11 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
 
     Each trial's row of words, the means' first under the normal law,
     comes from its own substream into a buffer of whole trials, one per
-    block of ``model._row_blocks``; the shift to 53 bits, the normal
-    transform and the pooled variance then run once per buffer.  Every step is
+    block of ``model._row_blocks``.  The block's seed words are hashed
+    together (:func:`_seed_states`; trials with ``t >= 2^32`` have one more
+    entropy word and are hashed apart), and each trial's ``PCG64`` takes
+    its 4 words from them.  The shift to 53 bits, the normal transform and
+    the pooled variance then run once per buffer.  Every step is
     elementwise or sums within one trial, so a trial's ratios have the
     bits of a trial simulated alone.
     """
@@ -209,10 +295,12 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
     width = n_means + cfg.nj
     s2 = np.empty(spec.trials)
     out_of_range = "sigma2_true = {!r} and mu_law = {!r} take the group means or s2 out of the float range"
+    given_state, pcg64 = _given_state(), np.random.PCG64
     for blk in _row_blocks(spec.trials, width):
-        bits = np.empty((blk.stop - blk.start, width), dtype=np.uint64)
-        for t, row in enumerate(bits, blk.start):
-            row[:] = np.random.PCG64((spec.seed, n_groups, t)).random_raw(width)
+        states = _seed_states(spec.seed, n_groups, range(blk.start, blk.stop))
+        bits = np.empty((len(states), width), dtype=np.uint64)
+        for row, state in zip(bits, states):
+            row[:] = pcg64(given_state(state)).random_raw(width)
         bits >>= 11  # in place: no second buffer
         z = _normal_from_bits(bits)
         mu = _law_means(spec, z[:, :n_means, None])

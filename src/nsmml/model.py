@@ -348,8 +348,21 @@ def sufficient_stats_kernel(x: np.ndarray, cfg: ProblemConfig) -> tuple[np.ndarr
     """Broadcasting :func:`sufficient_stats`, without its checks: the group
     means and pooled variances of a stack of ``N x J`` samples, ``x`` of
     shape ``(..., N, J)``.  Each sample's sums run over its own entries in
-    the order of a lone sample's, so every sample gets the same bits."""
-    m = x.mean(axis=-1)
+    the order of a lone sample's, so every sample gets the same bits.
+
+    The group means have the bits of ``x.mean(axis=-1)``.  numpy's pairwise
+    sum adds fewer than 8 terms one by one onto 0.0, so for ``J < 8`` the
+    columns are summed that way, a vector add per column (the 0.0 turns an
+    all ``-0.0`` row's sum into 0.0, as numpy's does).  From ``J = 8`` numpy
+    sums in 8-wide blocks, an order only ``mean`` keeps."""
+    j = x.shape[-1]
+    if j < 8:
+        m = x[..., 0] + 0.0
+        for col in range(1, j):
+            m += x[..., col]
+        m /= j
+    else:
+        m = x.mean(axis=-1)
     s2 = ((x - m[..., None]) ** 2).sum(axis=(-2, -1)) / cfg.nj
     return m, s2
 

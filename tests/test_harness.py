@@ -202,7 +202,7 @@ class TestRunSweep:
         # Trials are drawn into blocks and transformed and reduced a block
         # at a time; every ratio must keep the bits of a trial run alone,
         # also in a last block that is only partly filled.
-        for n, j in ((n, j) for n in (1, 3, 50, 2000) for j in (2, 3, 5)):
+        for n, j in ((n, j) for n in (1, 3, 50, 2000) for j in (2, 3, 5, 8)):
             width = n * j + (n if law == "normal" else 0)
             per_block = {"default": _BLOCK // width, "one trial": 1, "three trials": 3}[block]
             monkeypatch.setattr("nsmml.model._BLOCK", per_block * width)
@@ -214,6 +214,24 @@ class TestRunSweep:
             assert [blk.stop - blk.start for blk in blocks] == sizes
             assert got.keys() == want.keys()
             assert all(got[key].tobytes() == want[key].tobytes() for key in want), (n, j)
+
+    def test_seed_states_match_seed_sequence(self):
+        # Trials' PCG64 seed words are hashed a block at a time by
+        # SeedSequence's own steps.  t = 2^32 + 5 adds an entropy word, and
+        # with a 3-word seed and a 2-word N runs the mixing past the pool.
+        given_state = harness._given_state()
+        for seed in (0, 7, 2**31 - 1, 2**40, 2**64 - 1, 2**70 + 5):
+            for n in (1, 10, 20000, 2**33):
+                for t in (0, 1, 2**32 - 1, 2**32 + 5):
+                    got = harness._seed_states(seed, n, range(t, t + 1))
+                    want = np.random.SeedSequence((seed, n, t)).generate_state(4, np.uint64)
+                    assert got.shape == (1, 4) and got.tobytes() == want.tobytes(), (seed, n, t)
+                    raw = np.random.PCG64(given_state(got[0])).random_raw(45)
+                    assert raw.tobytes() == np.random.PCG64((seed, n, t)).random_raw(45).tobytes(), (seed, n, t)
+                # A block of trials, and one across 2^32 (each side hashed alone).
+                for trials in (range(0, 40), range(2**32 - 3, 2**32 + 2)):
+                    want = [np.random.SeedSequence((seed, n, t)).generate_state(4, np.uint64) for t in trials]
+                    assert harness._seed_states(seed, n, trials).tobytes() == np.array(want).tobytes(), (seed, n)
 
     @pytest.mark.parametrize("law", ["normal", "zero", "fixed:-3.25"])
     def test_trial_ratios_match_generator_integers(self, law):
@@ -622,7 +640,8 @@ class TestCli:
     def test_import_leaves_scipy_optimize_unloaded(self):
         # A fresh interpreter: other tests import scipy themselves.  Neither
         # the import nor a non-sampling command loads any scipy module;
-        # simulate, which samples, loads scipy.special and still runs.
+        # simulate, which samples, loads scipy.special and still runs.  The
+        # import leaves numpy.random unloaded too.
         src = str(Path(cbk.__file__).resolve().parents[1])
         commands = [["smml", "--resolution", "4", "--restarts", "1"],
                     ["estimate", "--J", "2", "--m", "1,2", "--s2", "0.5", "--method", "all"],
@@ -630,6 +649,7 @@ class TestCli:
         code = "\n".join([
             "import contextlib, io, json, sys",
             "import nsmml",
+            "numpy_random = 'numpy.random' in sys.modules",
             "def scipy_modules():",
             "    return sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')",
             "seen = [[0, scipy_modules()]]",
@@ -637,11 +657,12 @@ class TestCli:
             "for argv in json.loads(sys.argv[1]):",
             "    with contextlib.redirect_stdout(io.StringIO()):",
             "        seen.append([main(argv), scipy_modules()])",
-            "print(json.dumps(seen))",
+            "print(json.dumps([numpy_random, seen]))",
         ])
         out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        seen = json.loads(out.stdout)
+        numpy_random, seen = json.loads(out.stdout)
+        assert not numpy_random
         assert seen[:-1] == [[0, []]] * len(commands)
         assert seen[-1][0] == 0 and "scipy.special" in seen[-1][1]
 

@@ -32,6 +32,7 @@ from nsmml import regularity as reg
 from nsmml.estimators import ideal_group, ip_reverse, ml_estimate, param_from_coords, stat_from_coords
 from nsmml.harness import SweepSpec
 from nsmml.model import _LGAM_MAX, LOG_2PI, _check_array, _check_float, _float_range, _in_range, _lgamma, _shown
+from nsmml.model import sufficient_stats_kernel
 
 from oracles import fd_hessian, log_normal_pdf_product, oracle_log_marginal, raw_sample_with_stats
 
@@ -62,6 +63,26 @@ class TestSufficientStats:
         stat = sufficient_stats(np.array([[-1.0, 0.0, 1.0]]), cfg)
         assert stat.m == pytest.approx([0.0])
         assert stat.s2 == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("j", range(2, 13))
+    def test_stacked_group_means_keep_the_bits_of_mean(self, j):
+        # The kernel sums J < 8 columns one vector add at a time and calls
+        # mean from J = 8, where numpy sums in 8-wide blocks; either way each
+        # sample of a stack, or of a view into a wider buffer as the sweep
+        # passes, gets its own data.mean(axis=1), -0.0 rows included.
+        cfg = ProblemConfig(N=40, J=j)
+        rng = np.random.default_rng(j)
+        scale = np.array([1e-150, 1e-3, 1.0, 1e3, 1e150])[:, None, None]
+        stack = scale * (rng.normal(0.0, 1.0, (5, cfg.N, j)) + rng.normal(0.0, 3.0, (5, cfg.N, 1)))
+        stack[0, 0], stack[1, 1] = -0.0, np.where(np.arange(j) % 2, 0.0, -0.0)
+        wide = np.zeros((5, 3 + cfg.nj))
+        wide[:, 3:] = stack.reshape(5, -1)
+        for x in (stack, wide[:, 3:].reshape(5, cfg.N, j)):
+            m, s2 = sufficient_stats_kernel(x, cfg)
+            for i, sample in enumerate(stack):
+                mean = sample.mean(axis=1)
+                assert m[i].tobytes() == mean.tobytes(), i
+                assert s2[i].tobytes() == (((sample - mean[:, None]) ** 2).sum() / cfg.nj).tobytes(), i
 
     def test_dimension_mismatch_rejected(self):
         cfg = ProblemConfig(N=2, J=3)
