@@ -464,9 +464,9 @@ def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
     time.  Every other instance -- lattices, explicit problems and rings
     that fail the check -- falls back to the count-vector DP of
     :func:`_count_vector_optima`, exponential in the worst case.  Both
-    refuse past ``_EMIT_CAP`` optima with :class:`SizeLimitError`; the
-    count-vector DP also refuses past its code range and
-    ``_DP_STATE_LIMIT`` states in a layer.
+    refuse past ``_EMIT_CAP`` optima with :class:`SizeLimitError`, the
+    ring route as it counts them, before it expands any; the count-vector
+    DP also past its code range and ``_DP_STATE_LIMIT`` states in a layer.
     """
     stride = _arc_stride(problem)
     return _count_vector_optima(problem) if stride is None else _arc_optima(problem, stride)
@@ -542,17 +542,20 @@ def _arc_optima(problem: DiscreteProblem, stride: int) -> list[Codebook]:
     candidates depends only on ``l`` and its start modulo ``stride``.  A
     table of those least costs and a linear DP over arc ends, on the ring
     cut at each of the ``stride`` offsets, give the least cost of every
-    cut; every codebook, rotated by a multiple of ``stride``, has a cut at
-    one of them.  The walk back lists every arc sequence and arc candidate
-    within ``_EXACT_TOL`` of the least cost over cuts.  A sequence that
-    puts one candidate on two arcs is costed at least ``2 m log 2`` above
-    its codebook (``f`` is subadditive), so none is listed, and the DP's
-    least cost is the optimum: by the precondition, optima are arcs on
-    distinct candidates.  The listed codebooks are closed under rotation by
-    ``stride`` (an exact symmetry of the arc costs), deduplicated and
-    costed by :func:`make_codebook`.  ``O(stride n (n + b))`` time; the
-    table and the DP hold ``O(stride n + b)`` values, and the arc sums are
-    formed a block of lengths at a time.
+    cut.  The walk back lists every arc sequence and arc candidate within
+    ``_EXACT_TOL`` of the least cost over cuts.  A sequence that puts one
+    candidate on two arcs is costed at least ``2 m log 2`` above its
+    codebook (``f`` is subadditive), so none is listed, and the DP's least
+    cost is the optimum: by the precondition, optima are arcs on distinct
+    candidates.  Rotation by a multiple ``s`` of ``stride`` keeps arc costs
+    and starts the arcs of a sequence from cut ``c`` at ``c + s, ..., c + s
+    + n - l``, ``l`` its last arc's length: led by ``c + s`` in ``[0, n)``
+    exactly when ``c + s < l``.  An optimum with least arc start ``a`` and
+    greatest ``p`` has ``l = n - p + a > a``, so these rotations list it
+    once, from cut ``a mod stride``; a one-arc codebook, with no arc start,
+    from cut 0 only.  The optima are counted, and refused past
+    ``_EMIT_CAP``, before one array is filled.  ``O(stride n (n + b))``
+    time; the table and the DP hold ``O(stride n + b)`` values.
     """
     n, b = problem.n_cells, problem.n_candidates
     m = float(problem.mass[0])
@@ -576,8 +579,7 @@ def _arc_optima(problem: DiscreteProblem, stride: int) -> list[Codebook]:
         total[:, k] = (total[:, :k] + arc[(cuts + starts) % stride, k - starts]).min(axis=1)
 
     target = total[:, n].min() + _EXACT_TOL
-    rotate = (np.arange(n) - stride * np.arange(b)[:, None]) % n
-    books: set[tuple[int, ...]] = set()
+    listed, count = [], 0  # (arcs, rows, r) per sequence: rotations by stride * r with c + stride * r < l
     for c in range(stride):
         # Depth first from the end: (cells left, cost of the arcs after them,
         # those arcs as (first cell, length, offset from the candidate)).
@@ -595,13 +597,22 @@ def _arc_optima(problem: DiscreteProblem, stride: int) -> list[Codebook]:
                     for j in np.flatnonzero(total[c, t] + cost + used <= target):
                         stack.append((t, used + cost[j], arcs + ((c + t, length, offsets[j]),)))
                 continue
-            assign = np.empty(n, dtype=np.int64)
-            for first, length, offset in arcs:
-                assign[(first + np.arange(length)) % n] = (first - offset) % n // stride
-            books.update(map(tuple, ((assign[rotate] + np.arange(b)[:, None]) % b).tolist()))
-            if len(books) > _EMIT_CAP:
+            r = np.arange(c, arcs[0][1] if len(arcs) > 1 else 1, stride)[:, None] // stride
+            listed.append((arcs, count + r, r))
+            count += len(r)
+            if count > _EMIT_CAP:
                 raise SizeLimitError("too many optimal codebooks to enumerate")
-    return [make_codebook(problem, a) for a in np.array(sorted(books))]
+    rows = np.empty((count, n), dtype=np.int64)
+    for arcs, at, r in listed:
+        for first, length, offset in arcs:
+            rows[at, (first + stride * r + np.arange(length)) % n] = ((first - offset) % n // stride + r) % b
+    return _emit(problem, rows)
+
+
+def _emit(problem: DiscreteProblem, rows: np.ndarray) -> list[Codebook]:
+    """Codebooks of the valid assignments ``rows`` in lexicographic order, each on a copy of its row."""
+    copies = (rows[i].copy() for i in np.lexsort(rows.T[::-1]))
+    return [Codebook(assign=a, cost=_codebook_cost(problem, a)) for a in copies]
 
 
 def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
@@ -640,11 +651,10 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
     The bound never decreases along an assignment, so every state on the
     way to a codebook within ``_EXACT_TOL`` of the minimum is kept with its
     least partial ``L_P``.  Carried entropies differ from a direct sum only
-    in the last bits, far inside that slack, and :func:`make_codebook`
-    recomputes every returned cost.  The DP gives up past ``_DP_STATE_LIMIT``
-    states in a layer or ``_EMIT_CAP`` partial optima in the walk back.
-    Returns every assignment within ``_EXACT_TOL`` of the global minimum,
-    sorted lexicographically.
+    in the last bits, far inside that slack, and :func:`_emit` recomputes
+    every returned cost and sorts the optima lexicographically.  The DP
+    gives up past ``_DP_STATE_LIMIT`` states in a layer or ``_EMIT_CAP``
+    partial optima in the walk back.
     """
     c = problem.n_cells
     b = problem.n_candidates
@@ -740,7 +750,7 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
         picks = picks[rows]
         picks[:, i - 1] = js
         front, used, target = step[rows, js], nused[rows, js], target[rows]
-    return [make_codebook(problem, a) for a in sorted(picks, key=tuple)]
+    return _emit(problem, picks)
 
 
 _TOP_K = 32  # length of each cell's list of least-penalty candidates

@@ -55,14 +55,14 @@ __all__ = [
 
 
 def _normal_from_bits(k: np.ndarray) -> np.ndarray:
-    """Standard normals ``ndtri((2k + 1) / 2^54)`` from integers ``k`` on
-    ``[0, 2^53)``: the centered uniforms never hit 0 or 1."""
+    """Standard normals ``ndtri((2k + 1) / 2^54)`` from ``k`` on ``[0, 2^53)``:
+    ``2k + 1`` rounds to even from ``k = 2^52``, so the clamp keeps ``u < 1``."""
     from scipy.special import ndtri  # imported here: loading scipy.special slows every import
 
     u = np.multiply(k, 2.0)  # one float64 buffer, formed and transformed in place
     u += 1.0
     u /= float(1 << 54)
-    return ndtri(u, out=u)
+    return ndtri(np.minimum(u, 1.0 - 2.0**-53, out=u), out=u)
 
 
 def standard_normal(rng: np.random.Generator | np.random.PCG64, shape) -> np.ndarray:

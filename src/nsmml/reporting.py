@@ -47,19 +47,9 @@ def render_report(kind: str, data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    return value
-
-
 def render_json(kind: str, data: dict) -> str:
     """Render the same report as a JSON object (deterministic layout)."""
-    return json.dumps({"report": kind, **_jsonable(data)}, indent=2) + "\n"
+    return json.dumps({"report": kind, **data}, indent=2, default=lambda value: value.tolist()) + "\n"
 
 
 def table_to_csv(header: list[str], rows: list[list]) -> str:

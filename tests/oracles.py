@@ -190,6 +190,15 @@ def oracle_smml_optima(mass, penalty, tol: float = 1e-12) -> list[tuple[int, ...
     return sorted(a for a, cost in costs.items() if cost <= best + tol)
 
 
+def closed_under_ring_rotation(assigns, stride: int, n_candidates: int) -> bool:
+    """Whether a set of ring codebooks maps onto itself under rotation by one
+    candidate stride, ``a -> (a[(i - stride) % n] + 1) % n_candidates``."""
+    books = {tuple(int(v) for v in a) for a in assigns}
+    return all(
+        tuple((a[(i - stride) % len(a)] + 1) % n_candidates for i in range(len(a))) in books for a in books
+    )
+
+
 def _block_tables(problem: DiscreteProblem, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mass-weighted penalty ``(b^k,)`` and region masses ``(b, b^k)`` of
     every assignment of ``k`` cells, in lexicographic order (first cell most

@@ -1,6 +1,7 @@
 """Discrete codebook construction, search, audits and serialization."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -52,6 +53,7 @@ from nsmml.codebook import (
 from nsmml.model import _BLOCK
 
 from oracles import (
+    closed_under_ring_rotation,
     descent_steps,
     oracle_brute_optima,
     oracle_descend,
@@ -650,9 +652,32 @@ class TestExhaustive:
         assert all(o.cost.L == 2.727997292044347 for o in optima)
         assert peak <= 2 * 2**20
 
+    def test_tied_ring_lists_each_optimum_once(self):
+        # 100 tied optima, each listed once by its least arc start.  The
+        # sha256 over each assignment's bytes and L's hex was recorded from
+        # the listing that closed a set of tuples under rotation, which
+        # peaked at 61 MiB traced.
+        cfg = ProblemConfig(N=50, J=2)
+        prob = torus_problem(cfg, PriorSpec.scale_free(cfg), 1600, candidate_stride=2)
+        tracemalloc.start()
+        try:
+            optima = smml_exhaustive(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        digest = hashlib.sha256()
+        for o in optima:
+            digest.update(o.assign.tobytes())
+            digest.update(o.cost.L.hex().encode())
+        assert len(optima) == 100
+        assert digest.hexdigest() == "0a765db9fe0bc2a884f7063bc4ada1a5ed30f5af6c8f996451835f7b95d4ca0c"
+        assert peak <= 16 * 2**20
+        assert len({o.assign.tobytes() for o in optima}) == 100
+        assert closed_under_ring_rotation([o.assign for o in optima], 2, prob.n_candidates)
+
     def test_arc_route_refuses_too_many_optima(self, monkeypatch):
         # The 7 optima of the 14-cell ring are one orbit of rotations, so a
-        # cap below 7 is passed only after the rotation closure.
+        # cap below 7 is passed by the count while the optima are listed.
         ring = torus_problem(CFG, SCALE_FREE, 14, candidate_stride=2)
         assert len(smml_exhaustive(ring)) == 7
         monkeypatch.setattr("nsmml.codebook._EMIT_CAP", 6)

@@ -263,6 +263,17 @@ class TestRunSweep:
             with pytest.raises(InvalidConfigError, match="^rng must draw from a PCG64 bit generator, got "):
                 standard_normal(rng, 3)
 
+    def test_top_word_gives_a_finite_normal(self):
+        # 2k + 1 rounds to 2^54 at the top word, so only the clamp keeps that
+        # normal finite; the other words keep the unclamped formula's bits.
+        from scipy.special import ndtri
+
+        k = np.array([0, 2**52, 2**53 - 2, 2**53 - 1], np.uint64)
+        z = harness._normal_from_bits(k)
+        assert np.isfinite(z).all()
+        assert z[-1] == ndtri(1.0 - 2.0**-53) and 8.2 < z[-1] < 8.21
+        assert z[:-1].tobytes() == ndtri((2.0 * k[:-1] + 1.0) / 2.0**54).tobytes()
+
     def test_sampler_builds_no_generator(self):
         # The sweep and simulate read bit-generator words; no Generator is
         # built and no bounded-integer sampler, free to change between

@@ -538,11 +538,16 @@ def small_rings(draw):
 
 
 _CFG_1 = ProblemConfig(N=1, J=2)
+_CFG_2 = ProblemConfig(N=2, J=2)
 
 
 @given(small_rings())
 @example(torus_problem(_CFG_1, PriorSpec.scale_free(_CFG_1), 12, mean_coord=1.3, candidate_stride=1))
 @example(torus_problem(_CFG_1, PriorSpec.scale_free(_CFG_1), 12, mean_coord=1.3, candidate_stride=2))
+# Six one-region optima, and one 4-region optimum that every stride rotation
+# maps to itself: each is listed once only by the arc route's once-only rule.
+@example(torus_problem(_CFG_1, PriorSpec.scale_free(_CFG_1), 12, log_s_lo=-0.5, log_s_hi=0.5, candidate_stride=2))
+@example(torus_problem(_CFG_2, PriorSpec.scale_free(_CFG_2), 8, candidate_stride=2))
 def test_ring_routes_return_the_same_optima(problem):
     # Rings that pass the precondition take the arc route, the rest fall
     # back; either way the optima and their L bits are the count-vector DP's.
