@@ -161,6 +161,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_regularity(args) -> int:
+    samples = _check_int(args.samples, "--samples", 1)
     cfg = ProblemConfig(N=args.N, J=args.J)
     prior = resolve_prior(args.prior, cfg)
     rng = np.random.default_rng(args.seed)
@@ -169,20 +170,20 @@ def _cmd_regularity(args) -> int:
     failed = []
 
     if "homogeneity" in checks:
-        thetas = [reg._random_param(rng, cfg) for _ in range(args.samples)]
+        thetas = [reg._random_param(rng, cfg) for _ in range(samples)]
         res = reg.homogeneity_check(prior, cfg, thetas, **_given(args, "tol"))
         report["homogeneity"] = res.to_dict()
         if not res.is_homogeneous:
             failed.append("homogeneity")
     if "comprehensiveness" in checks:
-        stats = [reg._random_stat(rng, cfg) for _ in range(args.samples)]
+        stats = [reg._random_stat(rng, cfg) for _ in range(samples)]
         res = reg.comprehensiveness_check(prior, cfg, stats, **_given(args, "tol"))
         report["comprehensiveness"] = res.to_dict()
         if not res.is_comprehensive:
             failed.append("comprehensiveness")
     if "automorphism" in checks:
         aut = reg.Automorphism(args.alpha, np.full(cfg.N, args.beta))
-        res = reg.check_automorphism(aut, prior, cfg, samples=args.samples, seed=args.seed, **_given(args, "tol"))
+        res = reg.check_automorphism(aut, prior, cfg, samples=samples, seed=args.seed, **_given(args, "tol"))
         report["automorphism"] = {"alpha": args.alpha, "beta": args.beta, **dataclasses.asdict(res)}
         if not (res.marginal_ok and res.likelihood_ok):
             failed.append("automorphism")

@@ -644,17 +644,20 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
     pruned as they are formed, when a lower bound on every
     completion's cost exceeds the cost of a known codebook: each later
     cell's least cost plus the least entropy change, all later mass on the
-    largest region (``f`` is concave).  The known codebooks need no
-    heuristic: every cell on the candidate of least total cost, every cell
-    on its own least-cost candidate, and the best of a first pass of this
-    DP that keeps the ``_DP_BEAM`` states of least partial cost per layer.
-    The bound never decreases along an assignment, so every state on the
-    way to a codebook within ``_EXACT_TOL`` of the minimum is kept with its
-    least partial ``L_P``.  Carried entropies differ from a direct sum only
-    in the last bits, far inside that slack, and :func:`_emit` recomputes
-    every returned cost and sorts the optima lexicographically.  The DP
-    gives up past ``_DP_STATE_LIMIT`` states in a layer or ``_EMIT_CAP``
-    partial optima in the walk back.
+    largest region (``f`` is concave).  The two known codebooks need no
+    heuristic: every cell on the candidate of least total cost, and the
+    best of a first pass of this DP that keeps the ``_DP_BEAM`` states of
+    least partial cost per layer.  The bound never decreases along an
+    assignment, so every state on the way to a codebook within
+    ``_EXACT_TOL`` of the minimum is kept with its least partial ``L_P``.
+    Carried entropies differ from a direct sum only in the last bits, far
+    inside that slack, and :func:`_emit` recomputes every returned cost and
+    sorts the optima lexicographically.  The walk back needs only exact
+    membership of a step in the previous layer: a step that takes a cell
+    from a zero digit is negative, or borrows and so holds more cells of
+    that cell's class than any state of the previous layer.  The DP gives
+    up past ``_DP_STATE_LIMIT`` states in a layer or ``_EMIT_CAP`` partial
+    optima in the walk back.
     """
     c = problem.n_cells
     b = problem.n_candidates
@@ -671,8 +674,7 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
     radix = np.cumprod(np.concatenate(([1], digits[:-1]))).reshape(b, -1).T
     w = problem.mass[:, None] * problem.penalty  # per-cell assignment costs
     suffix_min = np.append(np.cumsum(w.min(axis=1)[::-1])[::-1], 0.0)
-    pointwise_q = np.bincount(w.argmin(axis=1), weights=problem.mass, minlength=b)
-    ub = min(w.sum(axis=0).min(), suffix_min[0] + _entropy(pointwise_q))
+    ub = w.sum(axis=0).min()
     # f(x) = -x log x is concave, so the cells after cell i change the
     # entropy of the region masses by at least f(total) - f(mass of 0..i).
     prefix = np.cumsum(problem.mass)
@@ -739,11 +741,7 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
         step = front[:, None] - place[None, :]
         pos = np.minimum(np.searchsorted(prev_codes, step), prev_codes.shape[0] - 1)
         nused = used[:, None] + w[i - 1][None, :]
-        ok = (
-            (front[:, None] // place % (size[cls[i - 1]] + 1) > 0)
-            & (prev_codes[pos] == step)
-            & (prev_vals[pos] + nused <= target[:, None] + 1e-15)
-        )
+        ok = (prev_codes[pos] == step) & (prev_vals[pos] + nused <= target[:, None] + 1e-15)
         rows, js = np.nonzero(ok)
         if rows.shape[0] > _EMIT_CAP:
             raise SizeLimitError("too many optimal codebooks to enumerate")

@@ -50,6 +50,7 @@ from nsmml.codebook import (
     torus_problem,
     transport_cost_bound,
 )
+from nsmml.cli import main
 from nsmml.model import _BLOCK
 
 from oracles import (
@@ -474,13 +475,28 @@ class TestExhaustive:
         def no_search(*args, **kwargs):
             raise AssertionError("search started before the precondition check")
 
-        # The search computes the entropy of its bounding codebook before its
-        # first layer.
-        monkeypatch.setattr("nsmml.codebook._entropy", no_search)
+        # The search computes its completion-entropy bound before its first
+        # layer.
+        monkeypatch.setattr("nsmml.codebook._neg_xlogx", no_search)
         rng = np.random.default_rng(14)
         prob = synthetic_problem(np.full(40, 1.0 / 40), rng.uniform(0, 1, (40, 12)))
         with pytest.raises(SizeLimitError, match="int64"):
             smml_exhaustive(prob)
+
+    def test_dp_state_limit_refuses_by_layer(self, monkeypatch, capsys):
+        # Each route to the count-vector DP refuses a layer past the limit,
+        # naming the limit and the layer; the CLI maps it to exit 1.
+        monkeypatch.setattr("nsmml.codebook._DP_STATE_LIMIT", 100)
+        message = "^count-vector DP exceeded 100 states at layer 3$"
+        with pytest.raises(SizeLimitError, match=message):
+            _count_vector_optima(torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2))
+        ring12 = torus_problem(CFG, SCALE_FREE, 12, mean_coord=1.3)
+        assert _arc_stride(ring12) is None
+        with pytest.raises(SizeLimitError, match=message):
+            smml_exhaustive(ring12)
+        assert main(["smml", "--torus", "12", "--torus-mean", "1.3", "--solver", "exhaustive"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: count-vector DP exceeded 100 states at layer 3\n"
 
     def test_exact_search_runs_no_local_search(self, monkeypatch):
         # The DP bounds itself from its own cost table; the heuristic it is
@@ -1078,3 +1094,33 @@ class TestSerialization:
             prob = synthetic_problem(mass, rng.uniform(0, 5, (7, 3)))
             cost = codebook_cost(prob, rng.integers(0, 3, 7))
             assert cost.L == pytest.approx(cost.L_E + cost.L_P, abs=1e-12)
+
+
+class TestRefusals:
+    """Each refusal of a malformed call, by class and message."""
+
+    def test_malformed_calls_refused_by_name(self):
+        prob = discretize(CFG, SCALE_FREE, BOX, 4)
+        book = make_codebook(prob, pointwise_assignment(prob))
+        bare = dataclasses.replace(prob, lattice=None)
+        explicit = discretize(
+            CFG, SCALE_FREE, BOX, 4, CandidateSpec(parameters=[Parameter(1.0, [0.0]), Parameter(2.0, [0.5])])
+        )
+        too_high, negative = book.assign.copy(), book.assign.copy()
+        too_high[0], negative[0] = prob.n_candidates, -1
+        for call, message in (
+            (lambda: dataclasses.replace(prob, mass=prob.mass * 2), "cell masses must sum to 1 within 1e-12"),
+            (lambda: dataclasses.replace(prob, topology="sphere"), "unknown topology 'sphere'"),
+            (lambda: codebook_cost(prob, too_high), "assignment indexes a candidate that does not exist"),
+            (lambda: codebook_cost(prob, negative), "assignment indexes a candidate that does not exist"),
+            (lambda: smml_ip_overlap(bare, book), "overlap report requires a lattice-discretized problem"),
+            (lambda: transport_cost_bound(bare, 1), "transport bound requires a lattice problem"),
+            (lambda: problem_to_text(bare), "only a problem built by discretize or torus_problem can be saved"),
+            (lambda: codebook_transport(prob, book, [1, 0, 0]), "lattice shift must have 2 components"),
+            (
+                lambda: codebook_transport(explicit, make_codebook(explicit, pointwise_assignment(explicit)), 1),
+                "transport requires lattice cells and lattice candidates",
+            ),
+        ):
+            with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+                call()

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import minimize, minimize_scalar
 
 from nsmml import (
+    Estimate,
     InvalidConfigError,
     Parameter,
     PriorSpec,
@@ -33,6 +34,10 @@ def random_stat(rng, n):
 
 
 class TestML:
+    def test_unknown_method_refused(self):
+        with pytest.raises(InvalidConfigError, match="^unknown estimator method 'XX'$"):
+            Estimate(Parameter(1.0, [0.0]), "XX")
+
     def test_paper_value(self):
         cfg = ProblemConfig(N=1, J=2)
         est = ml_estimate(SufficientStat([1.0], 4.0), cfg)

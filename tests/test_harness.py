@@ -528,6 +528,13 @@ class TestCli:
         assert "drift_max_residual" in captured.out
         assert "failed" in captured.err
 
+    @pytest.mark.parametrize("check", ["all", "homogeneity", "comprehensiveness", "automorphism"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_regularity_samples_named(self, check, samples, capsys):
+        assert main(["regularity", "--check", check, "--samples", samples]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --samples must be >= 1, got {samples}\n"
+
     def test_locality_cli(self, capsys):
         assert main(["locality", "--N", "2", "--J", "2", "--c", "120"]) == 0
         out = capsys.readouterr().out

@@ -386,6 +386,11 @@ class TestLogMarginal:
         assert value == pytest.approx(math.log(0.25), abs=1e-12)
         assert value == pytest.approx(oracle_log_marginal(stat, 1.0, cfg), rel=1e-9)
 
+    def test_group_count_must_match_n(self):
+        cfg = ProblemConfig(N=1, J=2)
+        with pytest.raises(InvalidConfigError, match="^stat has 2 group means but the configuration has N=1$"):
+            log_marginal(SufficientStat([0.0, 1.0], 1.0), PriorSpec.scale_free(cfg), cfg)
+
     def test_scale_free_value_quadrature(self):
         cfg = ProblemConfig(N=1, J=2)
         stat = SufficientStat([-0.7], 1.0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from nsmml import (
+    DegenerateInputError,
     GridSpec,
     InvalidConfigError,
     Parameter,
@@ -114,6 +115,11 @@ class TestCheckAutomorphism:
                 rep = check_automorphism(Automorphism(alpha, np.full(2, beta)), prior, cfg)
                 assert rep.marginal_ok and rep.likelihood_ok
 
+    def test_translation_length_must_match_n(self):
+        cfg = ProblemConfig(N=1, J=2)
+        with pytest.raises(InvalidConfigError, match="^automorphism translation length does not match N$"):
+            check_automorphism(Automorphism(2.0, [0.0, 1.0]), PriorSpec.scale_free(cfg), cfg)
+
 
 class TestTransitivityWitness:
     def test_identity(self):
@@ -130,6 +136,12 @@ class TestTransitivityWitness:
         moved = aut.apply_stat(src)
         np.testing.assert_allclose(moved.m, dst.m)
         assert moved.s2 == pytest.approx(dst.s2)
+
+    def test_degenerate_and_mixed_inputs_refused(self):
+        with pytest.raises(DegenerateInputError, match="^source statistic must have s2 > 0$"):
+            transitivity_witness(SufficientStat([0.0], 0.0), SufficientStat([0.0], 1.0))
+        with pytest.raises(InvalidConfigError, match="^src and dst must both be observations or both be parameters$"):
+            transitivity_witness(SufficientStat([0.0], 1.0), Parameter(1.0, [0.0]))
 
     def test_group_closure(self):
         rng = np.random.default_rng(7)
@@ -324,6 +336,12 @@ class TestFindValidC:
     def test_n1_is_infeasible(self):
         with pytest.raises(LocalityConstructionError):
             find_valid_c(ProblemConfig(N=1, J=2))
+
+    def test_search_limit_refused_by_value(self, monkeypatch):
+        # N = J = 2 first passes both inequalities at c = 4103.
+        monkeypatch.setattr("nsmml.regularity._C_MAX", 10)
+        with pytest.raises(LocalityConstructionError, match="^no valid c found up to 10$"):
+            find_valid_c(ProblemConfig(2, 2))
 
     def test_n2_j2_verified_by_substitution(self):
         cfg = ProblemConfig(N=2, J=2)
