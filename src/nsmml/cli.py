@@ -85,8 +85,18 @@ def _parse_methods(text: str) -> list[str]:
     return [method_from_name(name) for name in text.split(",")]
 
 
+def _read_text(source: str, stdin: bool = False) -> str:
+    """The UTF-8 text of file ``source``, or of standard input when ``stdin``
+    allows ``-``; bytes that do not decode are malformed input."""
+    try:
+        data = sys.stdin.buffer.read() if stdin and source == "-" else Path(source).read_bytes()
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise InvalidConfigError(f"{source} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _read_raw_matrix(source: str) -> np.ndarray:
-    text = sys.stdin.read() if source == "-" else Path(source).read_text()
+    text = _read_text(source, stdin=True)
     try:
         rows = [
             [float(v) for v in line.replace(",", " ").split()]
@@ -148,7 +158,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     # Seed precedence: --seed, then the config's seed, then NSMML_SEED.  The
     # last value of a config key wins, so the environment default goes first.
-    text = Path(args.config).read_text()
+    text = _read_text(args.config)
     spec = parse_sweep_config(f"seed = {_default_seed()}\n{text}")
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -214,7 +224,7 @@ def _cmd_locality(args) -> int:
 
 def _build_smml_problem(args) -> cbk.DiscreteProblem:
     if args.load_problem:
-        return cbk.problem_from_text(Path(args.load_problem).read_text())
+        return cbk.problem_from_text(_read_text(args.load_problem))
     cfg = ProblemConfig(N=args.N, J=args.J)
     prior = resolve_prior(args.prior, cfg)
     if args.torus:
@@ -377,6 +387,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}; ask for less", file=sys.stderr)
         return 2
     except NeymanScottError as exc:
         print(f"error: {exc}", file=sys.stderr)

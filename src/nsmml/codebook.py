@@ -125,8 +125,10 @@ class DiscreteProblem:
 
     ``penalty[i][j]`` is the code penalty of representing cell ``i``'s
     statistic by candidate ``j``; masses are positive and sum to one over
-    the truncation box.  Instances are immutable after construction and
-    safe to share.
+    the truncation box.  The tables are writable arrays, but no function
+    here writes to them, so instances are safe to share.  A ``lattice``
+    must match the tables: its axes and cell count, its candidate shape
+    and, on a torus, its stride.
     """
 
     cfg: ProblemConfig
@@ -144,7 +146,8 @@ class DiscreteProblem:
 
     def __post_init__(self) -> None:
         """Reject a table, by name, when its shape is wrong or an entry is not
-        finite (or, for masses and variances, not positive)."""
+        finite (or, for masses and variances, not positive), then a lattice
+        that does not match the tables."""
         self.mass = _check_table("mass", self.mass, (None,))
         if abs(float(self.mass.sum()) - 1.0) > 1e-12:
             raise InvalidConfigError("cell masses must sum to 1 within 1e-12")
@@ -161,6 +164,21 @@ class DiscreteProblem:
             setattr(self, name, _check_table(name, getattr(self, name), shape))
         if self.topology not in ("truncated", "torus"):
             raise InvalidConfigError(f"unknown topology {self.topology!r}")
+        lat = self.lattice
+        if lat is None:
+            return
+        if not (np.shape(lat.lo) == np.shape(lat.hi) == (dim,) and len(lat.shape) == dim):
+            raise InvalidConfigError(f"lattice lo, hi and shape must have {dim} entries")
+        if math.prod(lat.shape) != c:
+            raise InvalidConfigError(f"lattice shape {lat.shape} does not hold the {c} cells")
+        if lat.cand_shape is not None:
+            if len(lat.cand_shape) != dim or math.prod(lat.cand_shape) != b:
+                raise InvalidConfigError(f"lattice cand_shape {lat.cand_shape} does not hold the {b} candidates")
+            if self.topology == "torus" and lat.shape[0] != lat.stride * lat.cand_shape[0]:
+                raise InvalidConfigError(
+                    f"lattice shape[0] {lat.shape[0]} is not stride {lat.stride}"
+                    f" times cand_shape[0] {lat.cand_shape[0]}"
+                )
 
     @property
     def n_cells(self) -> int:
@@ -267,7 +285,6 @@ def discretize(
     return _discretize(cfg, prior, box, res, candidates)
 
 
-@_float_range("box and candidates take the tables out of the float range")
 def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidates) -> DiscreteProblem:
     """The truncated problem on ``box`` at ``resolution`` cells per axis.
 
@@ -275,57 +292,58 @@ def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidate
     the box on each side of each axis, or the explicit ``(cand_sigma2,
     cand_mu)`` tables.  Every input is checked before anything is built.
     """
-    dim = cfg.N + 1
-    box = _check_array(box, "box", (dim, 2))
-    if not (box[:, 1] > box[:, 0]).all():
-        raise InvalidConfigError("box must be nondegenerate (hi > lo per axis)")
-    res = _check_array(resolution, "resolution", (dim,), integer=True)
-    if not (res >= 2).all():
-        raise InvalidConfigError(f"resolution must be >= 2, got {res.tolist()}")
-    shape = tuple(int(r) for r in res)
-    if isinstance(candidates, tuple):
-        cand_sigma2 = _check_table("cand_sigma2", candidates[0], (None,))
-        cand_mu = _check_table("cand_mu", candidates[1], (cand_sigma2.shape[0], cfg.N))
-        cand_shape = None
-        n_candidates = cand_sigma2.shape[0]
-    else:
-        steps = _check_array(candidates, "cand_steps", (dim,), integer=True)
-        if not (steps >= 0).all():
-            raise InvalidConfigError(f"cand_steps must be >= 0, got {steps.tolist()}")
-        cand_shape = tuple(r + 2 * int(e) for r, e in zip(shape, steps))
-        n_candidates = math.prod(cand_shape)
-    _check_size(math.prod(shape), n_candidates, dim)
+    with _float_range("box and candidates take the tables out of the float range"):
+        dim = cfg.N + 1
+        box = _check_array(box, "box", (dim, 2))
+        if not (box[:, 1] > box[:, 0]).all():
+            raise InvalidConfigError("box must be nondegenerate (hi > lo per axis)")
+        res = _check_array(resolution, "resolution", (dim,), integer=True)
+        if not (res >= 2).all():
+            raise InvalidConfigError(f"resolution must be >= 2, got {res.tolist()}")
+        shape = tuple(int(r) for r in res)
+        if isinstance(candidates, tuple):
+            cand_sigma2 = _check_table("cand_sigma2", candidates[0], (None,))
+            cand_mu = _check_table("cand_mu", candidates[1], (cand_sigma2.shape[0], cfg.N))
+            cand_shape = None
+            n_candidates = cand_sigma2.shape[0]
+        else:
+            steps = _check_array(candidates, "cand_steps", (dim,), integer=True)
+            if not (steps >= 0).all():
+                raise InvalidConfigError(f"cand_steps must be >= 0, got {steps.tolist()}")
+            cand_shape = tuple(r + 2 * int(e) for r, e in zip(shape, steps))
+            n_candidates = math.prod(cand_shape)
+        _check_size(math.prod(shape), n_candidates, dim)
 
-    spacing = (box[:, 1] - box[:, 0]) / res
-    centers = [box[d, 0] + spacing[d] * (np.arange(res[d]) + 0.5) for d in range(dim)]
-    mesh = np.meshgrid(*centers, indexing="ij")
-    cell_coords = np.stack([g.ravel() for g in mesh], axis=1)
+        spacing = (box[:, 1] - box[:, 0]) / res
+        centers = [box[d, 0] + spacing[d] * (np.arange(res[d]) + 0.5) for d in range(dim)]
+        mesh = np.meshgrid(*centers, indexing="ij")
+        cell_coords = np.stack([g.ravel() for g in mesh], axis=1)
 
-    kappa = cfg.N + 1.0 - prior.p
-    axis_w = [_axis_masses(box[0, 0], box[0, 1], shape[0], kappa)]
-    axis_w += [np.full(shape[d], spacing[d]) for d in range(1, dim)]
-    mass = axis_w[0]
-    for w in axis_w[1:]:
-        mass = np.multiply.outer(mass, w)
-    mass = mass.ravel()
-    mass = mass / mass.sum()
+        kappa = cfg.N + 1.0 - prior.p
+        axis_w = [_axis_masses(box[0, 0], box[0, 1], shape[0], kappa)]
+        axis_w += [np.full(shape[d], spacing[d]) for d in range(1, dim)]
+        mass = axis_w[0]
+        for w in axis_w[1:]:
+            mass = np.multiply.outer(mass, w)
+        mass = mass.ravel()
+        mass = mass / mass.sum()
 
-    cell_s2, cell_m = _from_coords(cell_coords)
+        cell_s2, cell_m = _from_coords(cell_coords)
 
-    if cand_shape is not None:
-        cand_axes = [
-            box[d, 0] + spacing[d] * (np.arange(cand_shape[d]) - steps[d] + 0.5)
-            for d in range(dim)
-        ]
-        cmesh = np.meshgrid(*cand_axes, indexing="ij")
-        cand_sigma2, cand_mu = _from_coords(np.stack([g.ravel() for g in cmesh], axis=1))
+        if cand_shape is not None:
+            cand_axes = [
+                box[d, 0] + spacing[d] * (np.arange(cand_shape[d]) - steps[d] + 0.5)
+                for d in range(dim)
+            ]
+            cmesh = np.meshgrid(*cand_axes, indexing="ij")
+            cand_sigma2, cand_mu = _from_coords(np.stack([g.ravel() for g in cmesh], axis=1))
 
-    return DiscreteProblem(
-        cfg=cfg, prior=prior, mass=mass, cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
-        cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=_to_coords(cand_sigma2, cand_mu),
-        penalty=_penalty_matrix(cell_s2, cell_m, cand_sigma2, cand_mu, prior, cfg),
-        lattice=LatticeInfo(box[:, 0].copy(), box[:, 1].copy(), shape, cand_shape),
-    )
+        return DiscreteProblem(
+            cfg=cfg, prior=prior, mass=mass, cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
+            cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=_to_coords(cand_sigma2, cand_mu),
+            penalty=_penalty_matrix(cell_s2, cell_m, cand_sigma2, cand_mu, prior, cfg),
+            lattice=LatticeInfo(box[:, 0].copy(), box[:, 1].copy(), shape, cand_shape),
+        )
 
 
 def _torus_penalty(n: int, stride: int, spacing: float, u0: np.ndarray, prior: PriorSpec, cfg: ProblemConfig):
@@ -343,7 +361,6 @@ def _torus_penalty(n: int, stride: int, spacing: float, u0: np.ndarray, prior: P
     return windows[(-np.arange(n) - half) % n, ::stride]
 
 
-@_float_range("log_s_lo, log_s_hi and mean_coord take the tables out of the float range")
 def torus_problem(
     cfg: ProblemConfig,
     prior: PriorSpec,
@@ -366,42 +383,43 @@ def torus_problem(
     ``mean_coord``.  Inputs whose tables or penalty leave the float range
     are rejected by name.
     """
-    if not prior.is_scale_free(cfg):
-        raise InvalidConfigError("torus instances require the scale-free prior (uniform masses)")
-    n_cells = _check_int(n_cells, "n_cells", 2)
-    candidate_stride = _check_int(candidate_stride, "candidate_stride", 1)
-    if n_cells % candidate_stride != 0:
-        raise InvalidConfigError("candidate_stride must divide n_cells")
-    log_s_lo, log_s_hi, mean_coord = (
-        _check_float(value, name)
-        for name, value in (("log_s_lo", log_s_lo), ("log_s_hi", log_s_hi), ("mean_coord", mean_coord))
-    )
-    period = _check_float(log_s_hi - log_s_lo, "log_s_hi - log_s_lo", 0, strict=True)
-    _check_size(n_cells, n_cells // candidate_stride, cfg.N + 1)
+    with _float_range("log_s_lo, log_s_hi and mean_coord take the tables out of the float range"):
+        if not prior.is_scale_free(cfg):
+            raise InvalidConfigError("torus instances require the scale-free prior (uniform masses)")
+        n_cells = _check_int(n_cells, "n_cells", 2)
+        candidate_stride = _check_int(candidate_stride, "candidate_stride", 1)
+        if n_cells % candidate_stride != 0:
+            raise InvalidConfigError("candidate_stride must divide n_cells")
+        log_s_lo, log_s_hi, mean_coord = (
+            _check_float(value, name)
+            for name, value in (("log_s_lo", log_s_lo), ("log_s_hi", log_s_hi), ("mean_coord", mean_coord))
+        )
+        period = _check_float(log_s_hi - log_s_lo, "log_s_hi - log_s_lo", 0, strict=True)
+        _check_size(n_cells, n_cells // candidate_stride, cfg.N + 1)
 
-    spacing = period / n_cells
-    ls = log_s_lo + spacing * (np.arange(n_cells) + 0.5)
-    u0 = np.full(cfg.N, mean_coord)
+        spacing = period / n_cells
+        ls = log_s_lo + spacing * (np.arange(n_cells) + 0.5)
+        u0 = np.full(cfg.N, mean_coord)
 
-    cell_coords = np.concatenate([ls[:, None], np.tile(u0, (n_cells, 1))], axis=1)
-    cell_s2, cell_m = _from_coords(cell_coords)
-    cand_coords = cell_coords[::candidate_stride].copy()
-    cand_sigma2, cand_mu = _from_coords(cand_coords)
+        cell_coords = np.concatenate([ls[:, None], np.tile(u0, (n_cells, 1))], axis=1)
+        cell_s2, cell_m = _from_coords(cell_coords)
+        cand_coords = cell_coords[::candidate_stride].copy()
+        cand_sigma2, cand_mu = _from_coords(cand_coords)
 
-    return DiscreteProblem(
-        cfg=cfg, prior=prior, mass=np.full(n_cells, 1.0 / n_cells),
-        cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
-        cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=cand_coords,
-        penalty=_torus_penalty(n_cells, candidate_stride, spacing, u0, prior, cfg),
-        topology="torus",
-        lattice=LatticeInfo(
-            lo=np.concatenate([[log_s_lo], u0 - 0.5]),
-            hi=np.concatenate([[log_s_hi], u0 + 0.5]),
-            shape=(n_cells,) + (1,) * cfg.N,
-            cand_shape=(n_cells // candidate_stride,) + (1,) * cfg.N,
-            stride=candidate_stride,
-        ),
-    )
+        return DiscreteProblem(
+            cfg=cfg, prior=prior, mass=np.full(n_cells, 1.0 / n_cells),
+            cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
+            cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=cand_coords,
+            penalty=_torus_penalty(n_cells, candidate_stride, spacing, u0, prior, cfg),
+            topology="torus",
+            lattice=LatticeInfo(
+                lo=np.concatenate([[log_s_lo], u0 - 0.5]),
+                hi=np.concatenate([[log_s_hi], u0 + 0.5]),
+                shape=(n_cells,) + (1,) * cfg.N,
+                cand_shape=(n_cells // candidate_stride,) + (1,) * cfg.N,
+                stride=candidate_stride,
+            ),
+        )
 
 
 def _neg_xlogx(x: np.ndarray) -> np.ndarray:
@@ -781,8 +799,10 @@ def _descend(
     (the best candidate per cell, lowest index among ties); (b) per-region
     candidate re-selection minimizing the region's mass-weighted penalty.
     Every accepted move strictly decreases the incrementally tracked cost.
-    Yields ``(level, assign)`` for a copy of ``assign`` at the start and
-    after every accepted move; the last pair is the local optimum.
+    Yields ``(level, assign)`` at the start and after every accepted move;
+    the last pair is the local optimum.  ``assign`` is the descent's own
+    working array, a copy of the start that later moves overwrite, so a
+    caller copies it to keep a step.
 
     A cell visit costs O(candidates in use), not O(candidates).  Every
     column gets the one move cost of cell ``i`` from ``a`` to ``t``,
@@ -804,7 +824,7 @@ def _descend(
     pen = problem.penalty
     c = problem.n_cells
     b = problem.n_candidates
-    assign = assign.astype(np.int64).copy()
+    assign = assign.astype(np.int64)
     q = np.bincount(assign, weights=mass, minlength=b)
     level = _codebook_cost(problem, assign).L
     top, top_pen, edge = least
@@ -1085,8 +1105,6 @@ def transport_cost_bound(problem: DiscreteProblem, lattice_shift) -> float:
     boundary = np.zeros(problem.n_cells, dtype=bool)
     for d, size in enumerate(lat.shape):
         k = abs(int(shift[d]))
-        if k == 0:
-            continue
         boundary |= (multi[:, d] < k) | (multi[:, d] >= size - k)
     spread = float(problem.penalty.max() - problem.penalty.min())
     return float(problem.mass[boundary].sum()) * spread

@@ -287,7 +287,9 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
     its 4 words from them.  The shift to 53 bits, the normal transform and
     the pooled variance then run once per buffer.  Every step is
     elementwise or sums within one trial, so a trial's ratios have the
-    bits of a trial simulated alone.
+    bits of a trial simulated alone.  An ``s2`` of 0 is an underflow, out
+    of the float range, when the trial's data vary within a group, and
+    degenerate data when they do not.
     """
     cfg = ProblemConfig(N=n_groups, J=spec.J)
     pairs = _method_priors(spec.estimators, spec.priors, cfg)
@@ -307,6 +309,9 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
         with _float_range(out_of_range, spec.sigma2_true, spec.mu_law):
             data = mu + math.sqrt(spec.sigma2_true) * z[:, n_means:].reshape(-1, cfg.N, cfg.J)
             s2[blk] = sufficient_stats_kernel(data, cfg)[1]
+            zero = s2[blk] == 0.0
+            if zero.any() and (data[zero] != data[zero][..., :1]).any():
+                raise ArithmeticError("s2 underflows to 0 on data that vary within a group")
     if np.any(s2 <= 0.0):
         raise DegenerateInputError("s2 must be > 0 in every trial (the marginal diverges at s2 = 0)")
     with _float_range(out_of_range, spec.sigma2_true, spec.mu_law):

@@ -28,7 +28,6 @@ for concurrent use.
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -270,8 +269,8 @@ class _float_range:
     """Reject a computation on caller values at its first floating-point
     overflow, invalid operation or division by zero with
     ``InvalidConfigError(message.format(*args))``, so no inf or nan comes
-    back and numpy prints no warning; also a decorator.  A guard inside
-    another leaves the error to the outer one, at the caller's inputs."""
+    back and numpy prints no warning.  A guard inside another leaves the
+    error to the outer one, at the caller's inputs."""
 
     __slots__ = ("message", "args", "outer")
     _active = contextvars.ContextVar("_float_range", default=False)
@@ -290,14 +289,6 @@ class _float_range:
             self._active.reset(self.outer[0])
             if isinstance(exc, ArithmeticError):
                 raise InvalidConfigError(self.message.format(*self.args)) from None
-
-    def __call__(self, func):
-        @functools.wraps(func)
-        def guarded(*args, **kwargs):
-            with _float_range(self.message, *self.args):
-                return func(*args, **kwargs)
-
-        return guarded
 
 
 def _in_range(value: float, least: float = -math.inf) -> float:

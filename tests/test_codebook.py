@@ -595,7 +595,8 @@ class TestExhaustive:
         # one candidate each.  Six more candidates, each 100 nats above a
         # column of the ring, never survive the bound, so every layer stays
         # as it is and so must the peak: 2.26 MiB for both, where blocks of
-        # every candidate at once peak at 6.1 and 10.1 MiB.
+        # every candidate at once peak at 6.1 and 10.1 MiB.  The ring's
+        # lattice no longer fits the widened tables; the DP never reads it.
         ring = torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2)
         wide = dataclasses.replace(
             ring,
@@ -603,6 +604,7 @@ class TestExhaustive:
             cand_sigma2=np.concatenate([ring.cand_sigma2, ring.cand_sigma2[:6]]),
             cand_mu=np.concatenate([ring.cand_mu, ring.cand_mu[:6]]),
             cand_coords=np.concatenate([ring.cand_coords, ring.cand_coords[:6]]),
+            lattice=None,
         )
         monkeypatch.setattr("nsmml.model._BLOCK", 1024)
         peaks, results = [], []
@@ -1124,3 +1126,28 @@ class TestRefusals:
         ):
             with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
                 call()
+
+    def test_mismatched_lattice_refused_by_name(self):
+        # A lattice that does not fit the tables once let plain ValueErrors
+        # out of the audits, and a save-and-load returned a smaller problem.
+        prob = discretize(CFG, SCALE_FREE, BOX, 4)
+        ring = torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2)
+        axes = "lattice lo, hi and shape must have 2 entries"
+        cands = "lattice cand_shape {} does not hold the 144 candidates"
+        for problem, change, message in (
+            (prob, {"lo": np.zeros(3)}, axes),
+            (prob, {"hi": np.zeros(1)}, axes),
+            (prob, {"shape": (4, 4, 1)}, axes),
+            (prob, {"shape": (3, 3)}, "lattice shape (3, 3) does not hold the 16 cells"),
+            (prob, {"cand_shape": (144,)}, cands.format((144,))),
+            (prob, {"cand_shape": (12, 11)}, cands.format((12, 11))),
+            (ring, {"stride": 4}, "lattice shape[0] 16 is not stride 4 times cand_shape[0] 8"),
+        ):
+            with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+                dataclasses.replace(problem, lattice=dataclasses.replace(problem.lattice, **change))
+
+    def test_torus_guard_covers_its_checks(self):
+        # An N past the float range overflows the scale-free test of the
+        # prior, inside the builder's float-range guard.
+        with pytest.raises(InvalidConfigError, match="out of the float range"):
+            torus_problem(ProblemConfig(N=10**400, J=2), WALLACE, 4)

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import minimize, minimize_scalar
 
 from nsmml import (
+    DegenerateInputError,
     Estimate,
     InvalidConfigError,
     Parameter,
@@ -26,6 +27,7 @@ from nsmml import (
     penalty_at_ideal_point,
     wf_estimate,
 )
+from nsmml.estimators import axis_level_box
 from nsmml.regularity import Automorphism
 
 
@@ -219,6 +221,12 @@ class TestIdealGroup:
                 warnings.simplefilter("error")
                 with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
                     ideal_group(theta, PriorSpec.wallace(), 1e300, ProblemConfig(N=1, J=2))
+
+    def test_flat_profile_gives_up_after_bracket_doublings(self):
+        # A profile that never reaches the level ends the bracket search.
+        message = "no level crossing found within 200 bracket doublings"
+        with pytest.raises(DegenerateInputError, match=f"^{re.escape(message)}$"):
+            axis_level_box(lambda coords: 0.0, np.zeros(1), 1.0)
 
 
 class TestWallaceFreeman:

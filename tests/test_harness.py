@@ -196,6 +196,19 @@ class TestRunSweep:
         with pytest.raises(InvalidConfigError, match="out of the float range"):
             trial_ratios(SweepSpec(J=2, N_list=(3,), trials=4, sigma2_true=sigma2, mu_law=law), 3)
 
+    @pytest.mark.parametrize("n, trials, sigma2", [(10, 50, 5e-324), (1, 2000, 1e-320)])
+    def test_trial_ratios_report_underflow_as_float_range(self, n, trials, sigma2):
+        # The squared deviations underflow to s2 = 0 on data that still vary
+        # within their groups: the inputs leave the float range, and the
+        # data are not degenerate.  At N = 1, 1e-315 keeps every s2 > 0.
+        spec = SweepSpec(J=2, N_list=(n,), trials=trials, sigma2_true=sigma2, mu_law="zero")
+        message = f"sigma2_true = {sigma2!r} and mu_law = 'zero' take the group means or s2 out of the float range"
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+            trial_ratios(spec, n)
+        if n == 1:
+            ratios = trial_ratios(dataclasses.replace(spec, sigma2_true=1e-315), n)
+            assert all(np.isfinite(v).all() for v in ratios.values())
+
     @pytest.mark.parametrize("block", ["default", "one trial", "three trials"])
     @pytest.mark.parametrize("law", ["normal", "zero", "fixed:-3.25"])
     def test_blocked_trials_match_one_trial_at_a_time(self, monkeypatch, law, block):
@@ -799,3 +812,48 @@ class TestCli:
     def test_csv_rows_byte_stable(self):
         spec = parse_sweep_config(SWEEP_CONFIG)
         assert rows_to_csv(run_sweep(spec)) == rows_to_csv(run_sweep(spec))
+
+    def test_undecodable_input_exit_two(self, tmp_path, capsys):
+        # Each input file is read as UTF-8 text; one that is not is named.
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xffJ = 2\n")
+        for argv in (["sweep", "--config", str(bad)], ["estimate", "--raw", str(bad)],
+                     ["smml", "--load-problem", str(bad)]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {bad} is not UTF-8 text: invalid start byte at byte 0\n")
+
+    @staticmethod
+    def run_cli(argv, stdin=b""):
+        # The real process, through its exit path.
+        src = str(Path(cbk.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "nsmml.cli", *argv], input=stdin, capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        return done.returncode, done.stdout, done.stderr.decode()
+
+    def test_process_exits_two_with_one_error_line(self):
+        code, out, err = self.run_cli(["estimate", "--J", "2", "--m", "a", "--s2", "1"])
+        assert (code, out, err) == (2, b"", "error: expected comma-separated numbers, got 'a'\n")
+
+    def test_undecodable_stdin_exit_two(self):
+        code, out, err = self.run_cli(["estimate", "--raw", "-"], b"1 2\n\xff 4\n")
+        assert (code, out, err) == (2, b"", "error: - is not UTF-8 text: invalid start byte at byte 4\n")
+
+    def test_sweep_underflow_exit_two(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("J = 2\nN_list = 10\ntrials = 50\nsigma2_true = 5e-324\nmu_law = zero\n")
+        assert main(["sweep", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", "error: sigma2_true = 5e-324 and mu_law = 'zero' take the group means"
+                                           " or s2 out of the float range\n")
+
+    @pytest.mark.parametrize("exc, detail", [
+        (MemoryError("Unable to allocate 14.9 GiB for an array"), ": Unable to allocate 14.9 GiB for an array"),
+        (MemoryError(), ""),
+    ])
+    def test_out_of_memory_exit_two(self, exc, detail, monkeypatch, capsys):
+        # A request too large to allocate is the caller's to shrink.
+        def no_memory(*args):
+            raise exc
+
+        monkeypatch.setattr("nsmml.cli.simulate", no_memory)
+        assert main(["simulate", "--N", "2", "--J", "2"]) == 2
+        assert capsys.readouterr() == ("", f"error: out of memory{detail}; ask for less\n")
