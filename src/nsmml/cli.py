@@ -126,7 +126,7 @@ def _cmd_estimate(args) -> int:
     prior_names = [p.strip() for p in args.prior.split(",") if p.strip()]
     header = ["method", "prior_p", "sigma2_hat", "mu_hat"]
     rows = []
-    for method, _, prior in _method_priors(methods, prior_names, cfg):
+    for method, prior in _method_priors(methods, prior_names, cfg):
         sigma2 = _sigma2_hat(method, stat, prior, cfg)
         # the marginalized estimator is variance-only: no mean estimate to report
         mu = None if method == METHOD_MARGINALIZED else [float(v) for v in stat.m]

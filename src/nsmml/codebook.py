@@ -472,7 +472,7 @@ _EMIT_CAP = 100_000  # most optima, and most partial optima per layer of the cou
 def smml_exhaustive(problem: DiscreteProblem) -> list[Codebook]:
     """All globally optimal codebooks: every assignment within ``_EXACT_TOL``
     of the least cost, sorted lexicographically, each costed by
-    :func:`make_codebook`.
+    :func:`make_codebook` and all on rows of one shared array (:func:`_emit`).
 
     Two exact routes, chosen from the problem itself.  A ring of uniform
     masses whose penalty is a circulant, strictly convex over every offset
@@ -628,9 +628,9 @@ def _arc_optima(problem: DiscreteProblem, stride: int) -> list[Codebook]:
 
 
 def _emit(problem: DiscreteProblem, rows: np.ndarray) -> list[Codebook]:
-    """Codebooks of the valid assignments ``rows`` in lexicographic order, each on a copy of its row."""
-    copies = (rows[i].copy() for i in np.lexsort(rows.T[::-1]))
-    return [Codebook(assign=a, cost=_codebook_cost(problem, a)) for a in copies]
+    """Codebooks of the valid assignments ``rows`` in lexicographic order, each
+    on its row of ``rows``, a view: the codebooks of one call share that array."""
+    return [Codebook(assign=rows[i], cost=_codebook_cost(problem, rows[i])) for i in np.lexsort(rows.T[::-1])]
 
 
 def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:

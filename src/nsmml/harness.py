@@ -169,21 +169,20 @@ def resolve_prior(choice, cfg: ProblemConfig) -> PriorSpec:
     return PriorSpec(p)
 
 
-def _method_priors(methods, choices, cfg: ProblemConfig) -> list[tuple[str, object, PriorSpec | None]]:
-    """``(method, choice, prior)`` per distinct method and prior exponent, in
-    first-listed order, ``choice`` the exponent's first spelling, or
-    ``(method, None, None)`` for a prior-free method.  Choices are resolved
-    only when a listed method needs a prior, and must not be empty then."""
+def _method_priors(methods, choices, cfg: ProblemConfig) -> list[tuple[str, PriorSpec | None]]:
+    """``(method, prior)`` per distinct method and prior exponent, in
+    first-listed order, or ``(method, None)`` for a prior-free method.
+    Choices are resolved only when a listed method needs a prior, and must
+    not be empty then."""
     methods = list(dict.fromkeys(methods))
     needing = [m for m in methods if m not in PRIOR_FREE_METHODS]
     if needing and not choices:
         raise InvalidConfigError(f"no prior given for {', '.join(needing)}")
-    distinct: dict[float, tuple] = {}
+    distinct: dict[float, PriorSpec] = {}
     for choice in choices if needing else ():
         prior = resolve_prior(choice, cfg)
-        distinct.setdefault(prior.p, (choice, prior))
-    free = [(None, None)]
-    return [(m, *pair) for m in methods for pair in (free if m in PRIOR_FREE_METHODS else distinct.values())]
+        distinct.setdefault(prior.p, prior)
+    return [(m, prior) for m in methods for prior in ([None] if m in PRIOR_FREE_METHODS else distinct.values())]
 
 
 def _law_means(spec: SweepSpec, z: np.ndarray):
@@ -271,13 +270,13 @@ def _given_state():
     return GivenState
 
 
-def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.ndarray]:
+def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, float | None], np.ndarray]:
     """Per-trial ratios ``sigma2_hat / sigma2_true`` for every estimator x
     prior combination at one group count.  Trial ``t`` uses the substream
     ``SeedSequence((seed, n_groups, t))``; all combinations share the
-    trial's simulated data.  Keys follow the spec's estimator order, each
-    method's priors in the spec's order (``None`` for a prior-free method),
-    one key per distinct exponent under its first spelling.
+    trial's simulated data.  Keys are ``(method, p)`` in the spec's
+    estimator order, each method's distinct prior exponents ``p`` in the
+    spec's order (``None`` for a prior-free method), as in :class:`SweepRow`.
 
     Each trial's row of words, the means' first under the normal law,
     comes from its own substream into a buffer of whole trials, one per
@@ -287,9 +286,10 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
     its 4 words from them.  The shift to 53 bits, the normal transform and
     the pooled variance then run once per buffer.  Every step is
     elementwise or sums within one trial, so a trial's ratios have the
-    bits of a trial simulated alone.  An ``s2`` of 0 is an underflow, out
-    of the float range, when the trial's data vary within a group, and
-    degenerate data when they do not.
+    bits of a trial simulated alone.  An ``s2`` of 0 is out of the float
+    range when the trial's standard normals vary within a group (the noise
+    underflowed, or rounded away against the means), and degenerate data
+    when they do not.
     """
     cfg = ProblemConfig(N=n_groups, J=spec.J)
     pairs = _method_priors(spec.estimators, spec.priors, cfg)
@@ -307,16 +307,18 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, object], np.
         z = _normal_from_bits(bits)
         mu = _law_means(spec, z[:, :n_means, None])
         with _float_range(out_of_range, spec.sigma2_true, spec.mu_law):
-            data = mu + math.sqrt(spec.sigma2_true) * z[:, n_means:].reshape(-1, cfg.N, cfg.J)
+            noise = z[:, n_means:].reshape(-1, cfg.N, cfg.J)
+            data = mu + math.sqrt(spec.sigma2_true) * noise
             s2[blk] = sufficient_stats_kernel(data, cfg)[1]
             zero = s2[blk] == 0.0
-            if zero.any() and (data[zero] != data[zero][..., :1]).any():
-                raise ArithmeticError("s2 underflows to 0 on data that vary within a group")
+            if zero.any() and (noise[zero] != noise[zero][..., :1]).any():
+                raise ArithmeticError("s2 is 0 on noise that varies within a group")
     if np.any(s2 <= 0.0):
         raise DegenerateInputError("s2 must be > 0 in every trial (the marginal diverges at s2 = 0)")
     with _float_range(out_of_range, spec.sigma2_true, spec.mu_law):
         return {
-            (method, choice): SIGMA2_HAT[method](s2, prior, cfg) / spec.sigma2_true for method, choice, prior in pairs
+            (method, None if prior is None else prior.p): SIGMA2_HAT[method](s2, prior, cfg) / spec.sigma2_true
+            for method, prior in pairs
         }
 
 
@@ -331,9 +333,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     rows: list[SweepRow] = []
     for n_groups in spec.N_list:
-        cfg = ProblemConfig(N=n_groups, J=spec.J)
-        for (method, choice), values in trial_ratios(spec, n_groups).items():
-            prior_p = None if choice is None else resolve_prior(choice, cfg).p
+        for (method, prior_p), values in trial_ratios(spec, n_groups).items():
             sd = float(values.std(ddof=1)) if spec.trials > 1 else 0.0
             rows.append(SweepRow(n_groups, method, prior_p, float(values.mean()), sd, spec.trials))
     return rows

@@ -127,7 +127,7 @@ class PriorSpec:
         return self.p == 1.0
 
     def is_scale_free(self, cfg: ProblemConfig) -> bool:
-        return self.p == cfg.N + 1.0
+        return self.p == cfg.N + 1  # float == int is exact: no float of N is formed
 
     @classmethod
     def wallace(cls) -> "PriorSpec":

@@ -385,10 +385,13 @@ def find_valid_c(cfg: ProblemConfig) -> int:
         c^(4J) / (2NJ)^(2J) >= (c+1)^7        (scale-grid margin)
         (c+1)^N >= c^N + 2N + 2               (e^T >= k + 1)
 
-    Both are evaluated in exact integer arithmetic.  For ``N = 1`` the
-    second inequality reads ``c + 1 >= c + 4`` and has no solution: the
-    construction needs ``N >= 2``, and this is surfaced as an error rather
-    than silently patched.
+    Only the first is evaluated, in exact integer arithmetic, as it implies
+    the second for ``N, J >= 2``: then ``2NJ >= 8``, so at ``c = 2`` the
+    right side of the first is at least ``64^J 3^7 > 16^J``, and it forces
+    ``c >= 3``; then ``(c+1)^N - c^N >= N c^(N-1) + 1 >= 3N + 1 >= 2N + 2``.
+    For ``N = 1`` the second inequality reads ``c + 1 >= c + 4`` and has no
+    solution: the construction needs ``N >= 2``, and this is surfaced as an
+    error rather than silently patched.
     """
     if cfg.N == 1:
         raise LocalityConstructionError(
@@ -397,11 +400,8 @@ def find_valid_c(cfg: ProblemConfig) -> int:
         )
     base = (2 * cfg.nj) ** (2 * cfg.J)
     for c in range(2, _C_MAX + 1):
-        if c ** (4 * cfg.J) < base * (c + 1) ** 7:
-            continue
-        if (c + 1) ** cfg.N < c**cfg.N + 2 * cfg.N + 2:
-            continue
-        return c
+        if c ** (4 * cfg.J) >= base * (c + 1) ** 7:
+            return c
     raise LocalityConstructionError(f"no valid c found up to {_C_MAX}")
 
 

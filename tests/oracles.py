@@ -364,7 +364,10 @@ def oracle_trial_ratios(spec, n_groups: int) -> dict:
         data = mu[:, None] + math.sqrt(spec.sigma2_true) * z
         s2[t] = ((data - data.mean(axis=1)[:, None]) ** 2).sum() / cfg.nj
     pairs = _method_priors(spec.estimators, spec.priors, cfg)
-    return {(method, choice): SIGMA2_HAT[method](s2, prior, cfg) / spec.sigma2_true for method, choice, prior in pairs}
+    return {
+        (method, None if prior is None else prior.p): SIGMA2_HAT[method](s2, prior, cfg) / spec.sigma2_true
+        for method, prior in pairs
+    }
 
 
 def oracle_best_gaps(cert, s: np.ndarray, m: np.ndarray) -> np.ndarray:

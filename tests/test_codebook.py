@@ -693,6 +693,22 @@ class TestExhaustive:
         assert len({o.assign.tobytes() for o in optima}) == 100
         assert closed_under_ring_rotation([o.assign for o in optima], 2, prob.n_candidates)
 
+    def test_tied_optima_share_one_array(self):
+        # The 600 optima of this ring are views of the one array the arc
+        # route filled, so the solve peaks at 1.63 times their assignment
+        # bytes; copying each optimum off that array peaked at 2.10 times.
+        cfg = ProblemConfig(N=100, J=2)
+        prob = torus_problem(cfg, PriorSpec.scale_free(cfg), 1200, candidate_stride=2)
+        tracemalloc.start()
+        try:
+            optima = smml_exhaustive(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        base = optima[0].assign.base
+        assert base is not None and all(o.assign.base is base for o in optima)
+        assert peak <= 1.8 * sum(o.assign.nbytes for o in optima)
+
     def test_arc_route_refuses_too_many_optima(self, monkeypatch):
         # The 7 optima of the 14-cell ring are one orbit of rotations, so a
         # cap below 7 is passed by the count while the optima are listed.
@@ -1147,7 +1163,8 @@ class TestRefusals:
                 dataclasses.replace(problem, lattice=dataclasses.replace(problem.lattice, **change))
 
     def test_torus_guard_covers_its_checks(self):
-        # An N past the float range overflows the scale-free test of the
-        # prior, inside the builder's float-range guard.
-        with pytest.raises(InvalidConfigError, match="out of the float range"):
+        # An N past the float range is compared with the prior's exponent
+        # exactly, with no float of N formed, so the builder refuses the
+        # prior by name rather than reporting an overflow.
+        with pytest.raises(InvalidConfigError, match=r"^torus instances require the scale-free prior \(uniform masses\)$"):
             torus_problem(ProblemConfig(N=10**400, J=2), WALLACE, 4)

@@ -150,7 +150,7 @@ class TestRunSweep:
         target = rows[1]  # IP under the Wallace prior at N = 50
         cfg = ProblemConfig(N=50, J=2)
         prior = resolve_prior("wallace", cfg)
-        vals = trial_ratios(spec, 50)[("IP", "wallace")]
+        vals = trial_ratios(spec, 50)[("IP", 1.0)]
         assert target.mean_ratio == pytest.approx(vals.mean(), rel=1e-15)
         assert target.sd_ratio == pytest.approx(vals.std(ddof=1), rel=1e-12)
 
@@ -208,6 +208,15 @@ class TestRunSweep:
         if n == 1:
             ratios = trial_ratios(dataclasses.replace(spec, sigma2_true=1e-315), n)
             assert all(np.isfinite(v).all() for v in ratios.values())
+
+    def test_trial_ratios_report_rounded_away_noise_as_float_range(self):
+        # 1e10 + 1e-150 z rounds to 1e10, so every group is constant while
+        # the normals drawn for it vary: the inputs leave the float range,
+        # and the draws are not degenerate.
+        spec = SweepSpec(J=2, N_list=(10,), trials=5, sigma2_true=1e-300, mu_law="fixed:1e10")
+        message = "sigma2_true = 1e-300 and mu_law = 'fixed:1e10' take the group means or s2 out of the float range"
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+            trial_ratios(spec, 10)
 
     @pytest.mark.parametrize("block", ["default", "one trial", "three trials"])
     @pytest.mark.parametrize("law", ["normal", "zero", "fixed:-3.25"])
@@ -334,9 +343,9 @@ class TestRunSweep:
         spec = parse_sweep_config(text)
         rows = run_sweep(spec)
         # One row per distinct estimator x prior exponent, in first-listed
-        # order, keyed by the exponent's first spelling.
+        # order, keyed by the exponent.
         assert [(r.estimator, r.prior_p) for r in rows] == [("IP", 1.0), ("IP", 3.5), ("ML", None)]
-        assert list(trial_ratios(spec, 10)) == [("IP", "wallace"), ("IP", "3.5"), ("ML", None)]
+        assert list(trial_ratios(spec, 10)) == [("IP", 1.0), ("IP", 3.5), ("ML", None)]
         # An empty prior list is malformed when a listed method needs a prior.
         assert [r.estimator for r in run_sweep(parse_sweep_config(text + "priors =\nestimators = ML\n"))] == ["ML"]
         with pytest.raises(InvalidConfigError, match="^no prior given for IP$"):
@@ -488,6 +497,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "N,estimator,prior_p,mean_ratio,sd_ratio,trials"
         assert len(out.splitlines()) == 7
+
+    def test_sweep_rounded_away_noise_exit_two(self, tmp_path, capsys):
+        # Noise that rounds away against large means is a float-range
+        # failure of the inputs (exit 2), not degenerate data (exit 1).
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text("J = 2\nN_list = 10\ntrials = 5\nsigma2_true = 1e-300\nmu_law = fixed:1e10\n")
+        assert main(["sweep", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: sigma2_true = 1e-300 and mu_law = 'fixed:1e10' take the group means or s2 out of the float range\n"
+        )
 
     def test_sweep_seed_precedence(self, tmp_path, capsys, monkeypatch):
         # --seed, then the config's seed, then NSMML_SEED.

@@ -3,6 +3,7 @@ coordinate kernels against their scalar wrappers, the public scalar API
 on extreme finite inputs (a finite value or a NeymanScottError, never a
 warning), the Ideal Point as the
 minimizer of the code penalty, the sweep config parser under fuzzed text,
+sweep pairs keyed by prior exponent,
 problem and codebook round trips through their JSON reports, intact and
 fuzzed, the local-search descent against its full-scan oracle, exact <=
 local <= pointwise costs, torus shifts that permute the penalty bit for
@@ -26,6 +27,7 @@ from nsmml import (
     PriorSpec,
     ProblemConfig,
     SufficientStat,
+    SweepSpec,
     code_penalty_R,
     ip_estimate,
     ip_reverse,
@@ -35,7 +37,9 @@ from nsmml import (
     ml_estimate,
     parse_sweep_config,
     penalty_at_ideal_point,
+    run_sweep,
     sufficient_stats,
+    trial_ratios,
     wf_estimate,
 )
 from nsmml.codebook import (
@@ -63,6 +67,7 @@ from nsmml.estimators import (
     METHOD_MARGINALIZED,
     METHOD_ML,
     METHOD_WF,
+    PRIOR_FREE_METHODS,
     SIGMA2_HAT,
     _from_coords,
     _to_coords,
@@ -238,6 +243,24 @@ def test_fuzzed_sweep_config_raises_only_invalid_config(lines):
         parse_sweep_config("\n".join(lines))
     except InvalidConfigError:
         pass
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.sampled_from(["wallace", "1", 1.0, "scale-free", str(n + 1), float(n + 1), "3.5"]), min_size=1, max_size=6,
+    ))),
+    st.lists(st.sampled_from(list(SIGMA2_HAT)), min_size=1, max_size=4),
+)
+def test_sweep_pairs_are_keyed_by_exponent(case, methods):
+    # One key per method and distinct exponent, in first-listed order, and
+    # the sweep's rows name the same pairs; scale-free is p = N + 1.
+    n, priors = case
+    spec = SweepSpec(J=2, N_list=(n,), trials=2, estimators=methods, priors=priors)
+    named = {"wallace": 1.0, "scale-free": n + 1.0}
+    exponents = list(dict.fromkeys(named[p] if p in named else float(p) for p in priors))
+    keys = list(trial_ratios(spec, n))
+    assert keys == [(r.estimator, r.prior_p) for r in run_sweep(spec) if r.N == n]
+    assert keys == [(m, p) for m in dict.fromkeys(methods) for p in ([None] if m in PRIOR_FREE_METHODS else exponents)]
 
 
 PROBLEM_ARRAYS = ("mass", "cell_s2", "cell_m", "cell_coords", "cand_sigma2", "cand_mu", "cand_coords", "penalty")

@@ -356,6 +356,15 @@ class TestFindValidC:
             or (bad + 1) ** cfg.N < bad**cfg.N + 2 * cfg.N + 2
         )
 
+    def test_first_inequality_implies_the_second(self):
+        # find_valid_c tests only the scale-grid margin; the c it returns
+        # satisfies both inequalities, and c - 1 already fails the first.
+        for cfg in (ProblemConfig(N=n, J=j) for n in range(2, 6) for j in range(2, 7)):
+            c = find_valid_c(cfg)
+            assert c ** (4 * cfg.J) >= (2 * cfg.nj) ** (2 * cfg.J) * (c + 1) ** 7, (cfg.N, cfg.J)
+            assert (c + 1) ** cfg.N >= c**cfg.N + 2 * cfg.N + 2, (cfg.N, cfg.J)
+            assert (c - 1) ** (4 * cfg.J) < (2 * cfg.nj) ** (2 * cfg.J) * c**7, (cfg.N, cfg.J)
+
     def test_growth_covers_k_plus_one(self):
         for cfg in (ProblemConfig(2, 2), ProblemConfig(2, 3), ProblemConfig(3, 2)):
             c = find_valid_c(cfg)
