@@ -464,7 +464,7 @@ def pointwise_assignment(problem: DiscreteProblem) -> np.ndarray:
 
 
 _EXACT_TOL = 1e-12  # codebooks within this cost of the minimum are all optimal
-_DP_STATE_LIMIT = 4_000_000  # most count vectors in one layer of the exact DP
+_DP_STATE_LIMIT = 4_000_000  # most children one layer of the exact DP keeps, before duplicates merge
 _DP_BEAM = 64  # count vectors per layer in the bounding pass of the exact DP
 _EMIT_CAP = 100_000  # most optima, and most partial optima per layer of the count-vector walk back
 
@@ -674,8 +674,9 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
     membership of a step in the previous layer: a step that takes a cell
     from a zero digit is negative, or borrows and so holds more cells of
     that cell's class than any state of the previous layer.  The DP gives
-    up past ``_DP_STATE_LIMIT`` states in a layer or ``_EMIT_CAP`` partial
-    optima in the walk back.
+    up past ``_DP_STATE_LIMIT`` states in a layer, counted as the exact
+    pass keeps them, before duplicates merge, so no larger layer is ever
+    built; or past ``_EMIT_CAP`` partial optima in the walk back.
     """
     c = problem.n_cells
     b = problem.n_candidates
@@ -698,10 +699,11 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
     prefix = np.cumsum(problem.mass)
     later_entropy = _neg_xlogx(prefix[-1]) - _neg_xlogx(prefix)
 
-    def extend(codes: np.ndarray, vals: np.ndarray, ents: np.ndarray, i: int, ub: float):
-        """Sorted count vectors after cell i, least partial L_P and entropy, within ub."""
+    def extend(codes: np.ndarray, vals: np.ndarray, ents: np.ndarray, i: int, ub: float, cap: float):
+        """Sorted count vectors after cell i, least partial L_P and entropy,
+        within ub; refused as soon as more than cap children are kept."""
         limit = ub + _EXACT_TOL - suffix_min[i + 1] - later_entropy[i]
-        runs = []
+        runs, kept = [], 0
         for blk in _row_blocks(b, codes.shape[0]):
             # The parents' region masses on each candidate of the block, from
             # their class digits: one row of children per candidate.
@@ -712,6 +714,9 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
             child_vals = vals + w[i, blk, None]
             child_ents = ents + (h[0] - h[1])
             keep = child_vals + child_ents <= limit
+            kept += int(np.count_nonzero(keep))
+            if kept > cap:
+                raise SizeLimitError(f"count-vector DP exceeded {cap} states at layer {i + 1}")
             runs.append(((codes + radix[cls[i], blk, None])[keep], child_vals[keep], child_ents[keep]))
         # One sorted run per candidate, so the stable (merge) sort is cheap.
         codes, vals, ents = (np.concatenate(parts) for parts in zip(*runs))
@@ -724,7 +729,7 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
     root = np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1)
     codes, vals, ents = root
     for i in range(c):
-        codes, vals, ents = extend(codes, vals, ents, i, ub)
+        codes, vals, ents = extend(codes, vals, ents, i, ub, math.inf)
         if not codes.shape[0]:
             break
         if codes.shape[0] > _DP_BEAM:
@@ -738,9 +743,7 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
     codes, vals, ents = root
     layers = [(codes, vals)]
     for i in range(c):
-        codes, vals, ents = extend(codes, vals, ents, i, ub)
-        if codes.shape[0] > _DP_STATE_LIMIT:
-            raise SizeLimitError(f"count-vector DP exceeded {_DP_STATE_LIMIT} states at layer {i + 1}")
+        codes, vals, ents = extend(codes, vals, ents, i, ub, _DP_STATE_LIMIT)
         if not codes.shape[0]:
             raise SizeLimitError("count-vector DP pruned every state; upper bound inconsistent")
         layers.append((codes, vals))

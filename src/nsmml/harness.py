@@ -286,10 +286,11 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, float | None
     its 4 words from them.  The shift to 53 bits, the normal transform and
     the pooled variance then run once per buffer.  Every step is
     elementwise or sums within one trial, so a trial's ratios have the
-    bits of a trial simulated alone.  An ``s2`` of 0 is out of the float
-    range when the trial's standard normals vary within a group (the noise
-    underflowed, or rounded away against the means), and degenerate data
-    when they do not.
+    bits of a trial simulated alone.  A fixed mean whose ulp exceeds
+    ``sqrt(sigma2_true) / 8`` is out of the float range before any draw.
+    An ``s2`` of 0 is out of the float range when the trial's standard
+    normals vary within a group (the noise underflowed, or rounded away
+    against the means), and degenerate data when they do not.
     """
     cfg = ProblemConfig(N=n_groups, J=spec.J)
     pairs = _method_priors(spec.estimators, spec.priors, cfg)
@@ -297,6 +298,11 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, float | None
     width = n_means + cfg.nj
     s2 = np.empty(spec.trials)
     out_of_range = "sigma2_true = {!r} and mu_law = {!r} take the group means or s2 out of the float range"
+    # A fixed mean rounds the data to its ulp u, and their group means more
+    # coarsely, which inflates s2 by a share of order (u / sigma)^2 at any N:
+    # 0.6-1.2% at u = sigma / 8 for J = 2-20.  A larger u is refused.
+    if spec.mu_law != "normal" and math.ulp(_law_means(spec, None)) > math.sqrt(spec.sigma2_true) / 8:
+        raise InvalidConfigError(out_of_range.format(spec.sigma2_true, spec.mu_law))
     given_state, pcg64 = _given_state(), np.random.PCG64
     for blk in _row_blocks(spec.trials, width):
         states = _seed_states(spec.seed, n_groups, range(blk.start, blk.stop))

@@ -329,12 +329,6 @@ def _row_blocks(n_rows: int, row_width: int) -> Iterator[slice]:
         yield slice(lo, min(lo + step, n_rows))
 
 
-def _line_blocks(n_points: int, line: int) -> Iterator[slice]:
-    """Slices of ``range(n_points)`` in whole lines of ``line`` points, about
-    ``_BLOCK`` points each: a row too wide for one block, cut into blocks."""
-    return (slice(b.start * line, b.stop * line) for b in _row_blocks(n_points // line, line))
-
-
 def sufficient_stats_kernel(x: np.ndarray, cfg: ProblemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Broadcasting :func:`sufficient_stats`, without its checks: the group
     means and pooled variances of a stack of ``N x J`` samples, ``x`` of

@@ -22,6 +22,7 @@ constant independent of ``theta``.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from collections.abc import Iterable
@@ -44,7 +45,6 @@ from .model import (
     _check_stat,
     _float_range,
     _in_range,
-    _line_blocks,
     _row_blocks,
     code_penalty_R,
     log_likelihood_kernel,
@@ -392,6 +392,11 @@ def find_valid_c(cfg: ProblemConfig) -> int:
     For ``N = 1`` the second inequality reads ``c + 1 >= c + 4`` and has no
     solution: the construction needs ``N >= 2``, and this is surfaced as an
     error rather than silently patched.
+
+    The first inequality is monotone in ``c``, so bisection finds the least
+    ``c`` in ``range(2, _C_MAX + 1)``: ``c^(4J) / (c+1)^7`` increases, as
+    its log has derivative ``4J/c - 7/(c+1)``, positive when ``4J(c+1) >
+    7c``, which holds for every ``c > 0`` once ``J >= 2``.
     """
     if cfg.N == 1:
         raise LocalityConstructionError(
@@ -399,10 +404,11 @@ def find_valid_c(cfg: ProblemConfig) -> int:
             "(c+1)^N >= c^N + 2N + 2 reduces to c+1 >= c+4, which no c satisfies"
         )
     base = (2 * cfg.nj) ** (2 * cfg.J)
-    for c in range(2, _C_MAX + 1):
-        if c ** (4 * cfg.J) >= base * (c + 1) ** 7:
-            return c
-    raise LocalityConstructionError(f"no valid c found up to {_C_MAX}")
+    tried = range(2, _C_MAX + 1)
+    i = bisect.bisect_left(tried, True, key=lambda c: c ** (4 * cfg.J) >= base * (c + 1) ** 7)
+    if i == len(tried):
+        raise LocalityConstructionError(f"no valid c found up to {_C_MAX}")
+    return tried[i]
 
 
 @dataclass(frozen=True)
@@ -565,20 +571,17 @@ def locality_certificate(
     # of a wider row's mean points.  np.argmin over the tiles' least margins,
     # each at its tile's first, picks the first least margin in row-major
     # order (a nan first of all), as one np.argmin over the whole grid would.
-    n_mean = grid.points_mean**cfg.N
-    least, first = [], []
+    n_mean, line = grid.points_mean**cfg.N, grid.points_mean
+    tiles = []
     for rows in _row_blocks(grid.points_scale, n_mean):
-        for cols in _line_blocks(n_mean, grid.points_mean):
+        for lines in _row_blocks(n_mean // line, line):
+            cols = slice(lines.start * line, lines.stop * line)
             rel_m = _mean_points(mean_axes, cols)
             margins = _best_gaps(cert, rel_s[rows, None], rel_m) - cert.T_margin
             margins[exempt_s[rows, None] & np.all(np.abs(rel_m) <= sqrt2T, axis=1)] = np.inf
-            i = int(np.argmin(margins))
-            least.append(margins.flat[i])
-            row, col = divmod(i, rel_m.shape[0])
-            first.append((rows.start + row) * n_mean + cols.start + col)
-    b = int(np.argmin(least))
-    worst_margin = float(least[b])
-    worst_row, worst_col = divmod(first[b], n_mean)
+            row, col = np.unravel_index(np.argmin(margins), margins.shape)
+            tiles.append((float(margins[row, col]), rows.start + row, cols.start + col))
+    worst_margin, worst_row, worst_col = tiles[int(np.argmin([tile[0] for tile in tiles]))]
     sigma = theta.sigma
     with _float_range("sigma2 = {!r} takes the certificate out of the float range", theta.sigma2):
         worst_m = _mean_points(mean_axes, slice(worst_col, worst_col + 1))[0]

@@ -28,8 +28,8 @@ code works a block at a time and must match them bit for bit.  The
 trials' normals come from ``oracle_trial_normals`` and
 ``oracle_standard_normal``, the old sampler, which drew ``Generator.integers``
 on ``[0, 2^53)`` where the production sampler reads the raw PCG64 words.
-``record_blocks`` logs the row blocks a module walks, so a test can
-check that a patched block size took effect.
+``record_blocks`` logs the row blocks a module walks and each walk's row
+width, so a test can check that a patched block size took effect.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -160,14 +161,23 @@ def oracle_least_penalties(pen: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     return top, np.take_along_axis(pen, top, axis=1), pen[np.arange(pen.shape[0]), part[:, k]]
 
 
-def record_blocks(monkeypatch, module: str) -> list[slice]:
+class Block(NamedTuple):
+    """One block a walk of ``model._row_blocks`` yielded, with the walk's row width."""
+
+    row_width: int
+    start: int
+    stop: int
+
+
+def record_blocks(monkeypatch, module: str) -> list[Block]:
     """Make ``module`` walk ``model._row_blocks`` through a wrapper that
-    appends every block it yields to the returned list."""
+    appends every block it yields, with the walk's ``row_width``, to the
+    returned list."""
     blocks = []
 
     def recorded(n_rows: int, row_width: int) -> Iterator[slice]:
         for blk in _row_blocks(n_rows, row_width):
-            blocks.append(blk)
+            blocks.append(Block(row_width, blk.start, blk.stop))
             yield blk
 
     monkeypatch.setattr(f"{module}._row_blocks", recorded)

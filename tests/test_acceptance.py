@@ -68,9 +68,15 @@ def test_criterion_1_consistency_dichotomy():
     ]
     ok_inc = all(0.48 <= v <= 0.52 for v in inconsistent)
     ok_con = all(0.97 <= v <= 1.03 for v in consistent)
+    # Each mean is c chi2(N) / (2N) averaged over the trials, c = 1 on the
+    # ML side and 2 on the consistent side: exact mean c / 2, and sd
+    # c sqrt(2N) / (2N sqrt(trials)).
+    se = math.sqrt(2 * 2000) / (2 * 2000 * math.sqrt(200))
+    z = [(v - 0.5) / se for v in inconsistent] + [(v / 2 - 0.5) / se for v in consistent]
     report(1, "consistency dichotomy", ok_inc and ok_con,
            f"ML-side means {['%.4f' % v for v in inconsistent]}, "
-           f"consistent-side means {['%.4f' % v for v in consistent]}")
+           f"consistent-side means {['%.4f' % v for v in consistent]}, "
+           f"z against the exact means {['%+.2f' % v for v in z]}")
     assert ok_inc and ok_con
 
 

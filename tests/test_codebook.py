@@ -524,8 +524,9 @@ class TestExhaustive:
     def test_exact_bound_keeps_ring16_layers_small(self, monkeypatch):
         # The cost-table bound alone keeps about 245,000 of the 245,157 count
         # vectors of 16 cells on 8 candidates; the entropy term of the bound
-        # and the bounding pass leave fewer than 10,000 per layer.
-        monkeypatch.setattr("nsmml.codebook._DP_STATE_LIMIT", 10_000)
+        # and the bounding pass leave fewer than 10,000 per layer, formed
+        # from at most 19,580 kept children (the count the limit reads).
+        monkeypatch.setattr("nsmml.codebook._DP_STATE_LIMIT", 20_000)
         ring = _count_vector_optima(torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2))
         assert len(ring) == 4
         assert all(o.cost.L == 2.1701103981812238 for o in ring)
@@ -553,6 +554,25 @@ class TestExhaustive:
         assert len(optima) == 5 and optima[0].cost.L == 2.1609924954703033
         assert peak <= 50 * 2**20
         assert [o.assign.tolist() for o in smml_exhaustive(prob)] == [o.assign.tolist() for o in optima]
+
+    def test_refused_layer_peak_bounded_by_state_limit(self, monkeypatch):
+        # A layer is refused as soon as it keeps more children than the
+        # limit, so a refused solve holds about limit x 24 bytes (code,
+        # value and entropy) of children, with the earlier layers and one
+        # block's temporaries: 3.1 times that at a limit of 16,000 with one
+        # candidate per block.  Checked after the whole layer was built and
+        # sorted, the same solve peaked at 27.6 times.
+        monkeypatch.setattr("nsmml.codebook._DP_STATE_LIMIT", 16_000)
+        monkeypatch.setattr("nsmml.model._BLOCK", 1)
+        ring = torus_problem(CFG, SCALE_FREE, 24, candidate_stride=2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="^count-vector DP exceeded 16000 states at layer 6$"):
+                _count_vector_optima(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 16_000 * 24
 
     @staticmethod
     def class_dp_problems():

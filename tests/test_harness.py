@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from nsmml import (
     DegenerateInputError,
@@ -29,6 +30,7 @@ from nsmml import (
 )
 from nsmml import codebook as cbk
 from nsmml import harness
+from nsmml.estimators import SIGMA2_HAT
 from nsmml.harness import SweepSpec, parse_sweep_config, rows_to_csv, run_sweep, standard_normal, trial_ratios
 from nsmml.cli import main
 from nsmml.model import _BLOCK
@@ -366,6 +368,63 @@ class TestRunSweep:
         assert parse_sweep_config(base) == SweepSpec(J=2, N_list=(10,), trials=2)
         spec = parse_sweep_config(base + "estimators = wf, Marginalized, mL, marginalized_sigma2\n")
         assert spec.estimators == ("WF", "MARGINALIZED_SIGMA2", "ML", "MARGINALIZED_SIGMA2")
+
+
+# Every SIGMA2_HAT form is c * s2, and NJ s2 / sigma2 ~ chi2(N(J - 1)), so
+# every sweep ratio has an exact law.  The gate is fixed before the runs.
+LAW_ALPHA = 1e-6
+
+
+def ml_law_p(spec: SweepSpec, n: int) -> float:
+    """KS p-value of ``NJ * ratio`` of the ML rows against ``chi2(N(J - 1))``."""
+    ratios = trial_ratios(spec, n)[("ML", None)]
+    return stats.kstest(n * spec.J * ratios, stats.chi2(n * (spec.J - 1)).cdf).pvalue
+
+
+class TestSweepLaw:
+    @pytest.mark.parametrize("law", ["zero", "normal", "fixed:1e14"])
+    def test_ml_ratios_follow_chi2(self, law):
+        for n, trials in ((1, 20000), (10, 20000), (100, 5000), (2000, 1000)):
+            if (law, n) == ("fixed:1e14", 1):
+                continue  # refused instead, in the next test
+            spec = SweepSpec(J=2, N_list=(n,), trials=trials, mu_law=law, estimators=("ML",), seed=7)
+            assert ml_law_p(spec, n) >= LAW_ALPHA, (law, n)
+
+    def test_means_that_round_the_noise_are_refused(self, tmp_path, capsys):
+        # The data at a fixed mean are rounded to its ulp: 0.125 at 1e15,
+        # 0.25 at 2e15 and 0.5 at 3e15, which bent the ratios by z = +5.3
+        # and +24.8 (KS p = 2.4e-9 and 1.4e-133).  Past sigma / 8 the sweep
+        # refuses before it draws; 1e15 is accepted and keeps the law.
+        spec = SweepSpec(J=2, N_list=(10,), trials=20000, mu_law="fixed:1e15", estimators=("ML",), seed=7)
+        assert ml_law_p(spec, 10) >= LAW_ALPHA
+        cfgfile = tmp_path / "sweep.cfg"
+        for mean in ("2e15", "3e15"):
+            message = f"sigma2_true = 1.0 and mu_law = 'fixed:{mean}' take the group means or s2 out of the float range"
+            with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+                trial_ratios(dataclasses.replace(spec, mu_law=f"fixed:{mean}"), 10)
+            cfgfile.write_text(f"J = 2\nN_list = 10\ntrials = 5\nmu_law = fixed:{mean}\n")
+            assert main(["sweep", "--config", str(cfgfile)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        # At N = 1 the ulp of 1e14 is sigma / 64, but a trial's two data
+        # round to one value about once in 225 trials: that s2 of 0 on
+        # varying noise is refused too.
+        with pytest.raises(InvalidConfigError, match="fixed:1e14' take the group means or s2 out of the float range"):
+            trial_ratios(dataclasses.replace(spec, N_list=(1,), mu_law="fixed:1e14"), 1)
+
+    def test_readme_sweep_rows_near_exact_mean(self):
+        # Each row's mean ratio is c chi2(nu) / (NJ) averaged over the
+        # trials, nu = N(J - 1): exact mean c (J - 1) / J and sd
+        # c sqrt(2 nu) / (NJ sqrt(trials)).  The largest |z| is about 1.25.
+        spec = parse_sweep_config((DATA / "readme_sweep.cfg").read_text())
+        rows = (DATA / "readme_sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 18
+        for row in rows:
+            n, method, p, mean, _, trials = row.split(",")
+            cfg = ProblemConfig(N=int(n), J=spec.J)
+            c = SIGMA2_HAT[method](1.0, PriorSpec(float(p)) if p else None, cfg)
+            nu = cfg.N * (cfg.J - 1)
+            z = (float(mean) - c * (cfg.J - 1) / cfg.J) / (c * math.sqrt(2 * nu) / (cfg.nj * math.sqrt(int(trials))))
+            assert abs(z) <= 4, row
 
 
 class TestCli:

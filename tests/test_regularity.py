@@ -36,7 +36,7 @@ from nsmml.regularity import (
     LocalityConstructionError,
     _build_certificate,
 )
-from nsmml.model import _BLOCK, _line_blocks
+from nsmml.model import _BLOCK
 
 from oracles import oracle_locality_scores, record_blocks, theta_list
 
@@ -575,7 +575,8 @@ class TestBlockedGrid:
             blocks.clear()
             assert self.scores(theta, cfg, grid, seed) == self.oracle(theta, cfg, grid, seed)
             n, rows = grid.points_scale, 1 if one_row else max(1, _BLOCK // grid.points_mean**cfg.N)
-            assert [blk.stop - blk.start for blk in blocks] == [min(rows, n - lo) for lo in range(0, n, rows)]
+            scale_rows = [blk for blk in blocks if blk.row_width == grid.points_mean**cfg.N]
+            assert [blk.stop - blk.start for blk in scale_rows] == [min(rows, n - lo) for lo in range(0, n, rows)]
 
     @pytest.mark.parametrize("nan_from", [None, 1.0])
     def test_first_least_margin_wins_across_blocks(self, monkeypatch, nan_from):
@@ -594,25 +595,20 @@ class TestBlockedGrid:
         blocks = record_blocks(monkeypatch, "nsmml.regularity")
         theta, cfg, grid = Parameter(1.0, np.zeros(2)), ProblemConfig(N=2, J=2), GridSpec(12, 6)
         got = self.scores(theta, cfg, grid, 3)
-        assert [blk.stop - blk.start for blk in blocks] == [1] * 12
+        assert [blk.stop - blk.start for blk in blocks if blk.row_width == 36] == [1] * 12
         assert got == self.oracle(theta, cfg, grid, 3, gaps=fake_gaps)
         assert got[0] == ("nan" if nan_from else (0.0).hex())
 
     def test_wide_row_scored_in_line_tiles(self, monkeypatch):
         # One scale row of 17^4 = 83,521 mean points passes a block, so each
         # row is cut into tiles of whole 17-point lines of about _BLOCK points.
-        tiles = []
-
-        def recorded(n_points, line):
-            for cols in _line_blocks(n_points, line):
-                tiles.append(cols)
-                yield cols
-
-        monkeypatch.setattr("nsmml.regularity._line_blocks", recorded)
+        blocks = record_blocks(monkeypatch, "nsmml.regularity")
         theta, cfg, grid = Parameter(0.7, [0.2, -1.0, 3.0, 0.0]), ProblemConfig(N=4, J=2), GridSpec(2, 17)
         assert self.scores(theta, cfg, grid, 5) == self.oracle(theta, cfg, grid, 5)
         step = _BLOCK // 17 * 17
-        assert [(t.start, t.stop) for t in tiles] == [(0, step), (step, 17**4)] * 2
+        assert [(b.start, b.stop) for b in blocks if b.row_width == 17**4] == [(0, 1), (1, 2)]
+        tiles = [(b.start * 17, b.stop * 17) for b in blocks if b.row_width == 17]
+        assert tiles == [(0, step), (step, 17**4)] * 2
 
     def test_wide_row_grid_peak(self):
         # 1,889,568 points in one scale row: scored whole, it peaked at 335 MB.
