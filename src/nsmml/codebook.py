@@ -464,7 +464,7 @@ def pointwise_assignment(problem: DiscreteProblem) -> np.ndarray:
 
 
 _EXACT_TOL = 1e-12  # codebooks within this cost of the minimum are all optimal
-_DP_STATE_LIMIT = 4_000_000  # most children one layer of the exact DP keeps, before duplicates merge
+_DP_STATE_LIMIT = 4_000_000  # most count vectors in one layer of the exact DP
 _DP_BEAM = 64  # count vectors per layer in the bounding pass of the exact DP
 _EMIT_CAP = 100_000  # most optima, and most partial optima per layer of the count-vector walk back
 
@@ -674,9 +674,13 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
     membership of a step in the previous layer: a step that takes a cell
     from a zero digit is negative, or borrows and so holds more cells of
     that cell's class than any state of the previous layer.  The DP gives
-    up past ``_DP_STATE_LIMIT`` states in a layer, counted as the exact
-    pass keeps them, before duplicates merge, so no larger layer is ever
-    built; or past ``_EMIT_CAP`` partial optima in the walk back.
+    up past ``_DP_STATE_LIMIT`` distinct states in a layer, or past
+    ``_EMIT_CAP`` partial optima in the walk back.  The exact pass merges
+    the children it has kept whenever they pass the limit, so a layer
+    never holds more than the limit and one block of children; it is
+    refused when the merged children still pass it.  A merge keeps each
+    code's least value and first entropy, as the layer's final merge
+    does, so the merged layer has the bits of one merge.
     """
     c = problem.n_cells
     b = problem.n_candidates
@@ -699,9 +703,19 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
     prefix = np.cumsum(problem.mass)
     later_entropy = _neg_xlogx(prefix[-1]) - _neg_xlogx(prefix)
 
+    def merge(runs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One sorted run of distinct codes, each with its least value and
+        the entropy of its first copy, from runs of sorted codes."""
+        # One sorted run per candidate, so the stable (merge) sort is cheap.
+        codes, vals, ents = (np.concatenate(parts) for parts in zip(*runs))
+        order = np.argsort(codes, kind="stable")
+        codes, vals, ents = codes[order], vals[order], ents[order]
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        return codes[starts], np.minimum.reduceat(vals, starts), ents[starts]
+
     def extend(codes: np.ndarray, vals: np.ndarray, ents: np.ndarray, i: int, ub: float, cap: float):
         """Sorted count vectors after cell i, least partial L_P and entropy,
-        within ub; refused as soon as more than cap children are kept."""
+        within ub; refused once more than cap distinct children are kept."""
         limit = ub + _EXACT_TOL - suffix_min[i + 1] - later_entropy[i]
         runs, kept = [], 0
         for blk in _row_blocks(b, codes.shape[0]):
@@ -714,16 +728,16 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
             child_vals = vals + w[i, blk, None]
             child_ents = ents + (h[0] - h[1])
             keep = child_vals + child_ents <= limit
-            kept += int(np.count_nonzero(keep))
-            if kept > cap:
-                raise SizeLimitError(f"count-vector DP exceeded {cap} states at layer {i + 1}")
             runs.append(((codes + radix[cls[i], blk, None])[keep], child_vals[keep], child_ents[keep]))
-        # One sorted run per candidate, so the stable (merge) sort is cheap.
-        codes, vals, ents = (np.concatenate(parts) for parts in zip(*runs))
-        order = np.argsort(codes, kind="stable")
-        codes, vals, ents = codes[order], vals[order], ents[order]
-        starts = np.flatnonzero(np.diff(codes, prepend=-1))
-        return codes[starts], np.minimum.reduceat(vals, starts), ents[starts]
+            kept += runs[-1][0].shape[0]
+            if kept > cap:
+                # Merge the children kept so far into one run, as the whole
+                # layer would merge them: the layer holds every distinct one.
+                runs = [merge(runs)]
+                kept = runs[0][0].shape[0]
+                if kept > cap:
+                    raise SizeLimitError(f"count-vector DP exceeded {cap} states at layer {i + 1}")
+        return merge(runs)
 
     # Bounding pass: the same DP, keeping the _DP_BEAM states of least cost.
     root = np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1)

@@ -99,7 +99,9 @@ class SweepSpec:
     ``mu_law`` fixes how true means are drawn each trial: ``"normal"``
     (standard normal scaled by the true sigma; the default, immaterial for
     these translation-equivariant estimators), ``"zero"``, or
-    ``"fixed:<value>"`` (a constant, finite mean for every group).
+    ``"fixed:<value>"`` (a constant, finite mean for every group; it never
+    enters ``s2``, so it gives the zero law's ratios, and one whose ulp
+    exceeds ``sqrt(sigma2_true) / 8`` is refused by :func:`trial_ratios`).
     ``estimators`` are method constants, keys of
     :data:`~nsmml.estimators.SIGMA2_HAT`.  ``priors`` entries are
     ``"wallace"``, ``"scale-free"`` or a numeric exponent; ``"scale-free"``
@@ -286,11 +288,12 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, float | None
     its 4 words from them.  The shift to 53 bits, the normal transform and
     the pooled variance then run once per buffer.  Every step is
     elementwise or sums within one trial, so a trial's ratios have the
-    bits of a trial simulated alone.  A fixed mean whose ulp exceeds
-    ``sqrt(sigma2_true) / 8`` is out of the float range before any draw.
-    An ``s2`` of 0 is out of the float range when the trial's standard
-    normals vary within a group (the noise underflowed, or rounded away
-    against the means), and degenerate data when they do not.
+    bits of a trial simulated alone.  Under a fixed or zero mean, ``s2`` is
+    reduced from the noise alone, with the zero law's bits; a fixed mean
+    whose ulp exceeds ``sqrt(sigma2_true) / 8`` is out of the float range
+    before any draw.  An ``s2`` of 0 is out of the float range when the
+    trial's standard normals vary within a group (the noise underflowed),
+    and degenerate data when they do not.
     """
     cfg = ProblemConfig(N=n_groups, J=spec.J)
     pairs = _method_priors(spec.estimators, spec.priors, cfg)
@@ -298,10 +301,11 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, float | None
     width = n_means + cfg.nj
     s2 = np.empty(spec.trials)
     out_of_range = "sigma2_true = {!r} and mu_law = {!r} take the group means or s2 out of the float range"
-    # A fixed mean rounds the data to its ulp u, and their group means more
-    # coarsely, which inflates s2 by a share of order (u / sigma)^2 at any N:
-    # 0.6-1.2% at u = sigma / 8 for J = 2-20.  A larger u is refused.
-    if spec.mu_law != "normal" and math.ulp(_law_means(spec, None)) > math.sqrt(spec.sigma2_true) / 8:
+    # s2 does not depend on the means, and data stored about a fixed mean
+    # round to its ulp u, inflating s2 by a share of order (u / sigma)^2.  So
+    # only the normal law's means enter the data, and a fixed mean that would
+    # store them to fewer than three bits below the noise is refused.
+    if not n_means and math.ulp(_law_means(spec, None)) > math.sqrt(spec.sigma2_true) / 8:
         raise InvalidConfigError(out_of_range.format(spec.sigma2_true, spec.mu_law))
     given_state, pcg64 = _given_state(), np.random.PCG64
     for blk in _row_blocks(spec.trials, width):
@@ -311,10 +315,11 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, float | None
             row[:] = pcg64(given_state(state)).random_raw(width)
         bits >>= 11  # in place: no second buffer
         z = _normal_from_bits(bits)
-        mu = _law_means(spec, z[:, :n_means, None])
         with _float_range(out_of_range, spec.sigma2_true, spec.mu_law):
             noise = z[:, n_means:].reshape(-1, cfg.N, cfg.J)
-            data = mu + math.sqrt(spec.sigma2_true) * noise
+            data = math.sqrt(spec.sigma2_true) * noise
+            if n_means:
+                data += _law_means(spec, z[:, :n_means, None])
             s2[blk] = sufficient_stats_kernel(data, cfg)[1]
             zero = s2[blk] == 0.0
             if zero.any() and (noise[zero] != noise[zero][..., :1]).any():

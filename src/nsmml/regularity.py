@@ -404,11 +404,10 @@ def find_valid_c(cfg: ProblemConfig) -> int:
             "(c+1)^N >= c^N + 2N + 2 reduces to c+1 >= c+4, which no c satisfies"
         )
     base = (2 * cfg.nj) ** (2 * cfg.J)
-    tried = range(2, _C_MAX + 1)
-    i = bisect.bisect_left(tried, True, key=lambda c: c ** (4 * cfg.J) >= base * (c + 1) ** 7)
-    if i == len(tried):
+    least = 2 + bisect.bisect_left(range(2, _C_MAX + 1), True, key=lambda c: c ** (4 * cfg.J) >= base * (c + 1) ** 7)
+    if least > _C_MAX:
         raise LocalityConstructionError(f"no valid c found up to {_C_MAX}")
-    return tried[i]
+    return least
 
 
 @dataclass(frozen=True)

@@ -360,17 +360,14 @@ def oracle_trial_normals(spec, n_groups: int, t: int) -> tuple[np.ndarray | None
 
 def oracle_trial_ratios(spec, n_groups: int) -> dict:
     """``trial_ratios`` as first written: each trial draws its means and
-    sample the old way (``oracle_trial_normals``) and reduces them alone."""
+    sample the old way (``oracle_trial_normals``) and reduces them alone,
+    with a fixed mean left out of ``s2`` as the production code leaves it."""
     cfg = ProblemConfig(N=n_groups, J=spec.J)
     s2 = np.empty(spec.trials)
     for t in range(spec.trials):
         z_mu, z = oracle_trial_normals(spec, n_groups, t)
-        if spec.mu_law == "normal":
-            mu = math.sqrt(spec.sigma2_true) * z_mu
-        elif spec.mu_law == "zero":
-            mu = np.zeros(cfg.N)
-        else:
-            mu = np.full(cfg.N, float(spec.mu_law.split(":", 1)[1]))
+        # A fixed mean never enters s2: it is reduced from the noise alone.
+        mu = math.sqrt(spec.sigma2_true) * z_mu if spec.mu_law == "normal" else np.zeros(cfg.N)
         data = mu[:, None] + math.sqrt(spec.sigma2_true) * z
         s2[t] = ((data - data.mean(axis=1)[:, None]) ** 2).sum() / cfg.nj
     pairs = _method_priors(spec.estimators, spec.priors, cfg)

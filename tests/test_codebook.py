@@ -524,9 +524,8 @@ class TestExhaustive:
     def test_exact_bound_keeps_ring16_layers_small(self, monkeypatch):
         # The cost-table bound alone keeps about 245,000 of the 245,157 count
         # vectors of 16 cells on 8 candidates; the entropy term of the bound
-        # and the bounding pass leave fewer than 10,000 per layer, formed
-        # from at most 19,580 kept children (the count the limit reads).
-        monkeypatch.setattr("nsmml.codebook._DP_STATE_LIMIT", 20_000)
+        # and the bounding pass leave fewer than 10,000 per layer.
+        monkeypatch.setattr("nsmml.codebook._DP_STATE_LIMIT", 10_000)
         ring = _count_vector_optima(torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2))
         assert len(ring) == 4
         assert all(o.cost.L == 2.1701103981812238 for o in ring)
@@ -555,24 +554,39 @@ class TestExhaustive:
         assert peak <= 50 * 2**20
         assert [o.assign.tolist() for o in smml_exhaustive(prob)] == [o.assign.tolist() for o in optima]
 
+    def test_state_limit_counts_distinct_states(self, monkeypatch):
+        # Layer 11 of this ring keeps 19,580 children that merge to 9,640
+        # count vectors, its largest.  The children are merged whenever
+        # they pass the limit, so a limit of 9,640 still solves, with the
+        # bits of an unlimited solve, and 9,639 refuses at that layer.
+        ring = torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2)
+        want = _count_vector_optima(ring)
+        monkeypatch.setattr("nsmml.codebook._DP_STATE_LIMIT", 9_640)
+        got = _count_vector_optima(ring)
+        bits = [(o.assign.tobytes(), o.cost.L.hex()) for o in want]
+        assert [(o.assign.tobytes(), o.cost.L.hex()) for o in got] == bits
+        monkeypatch.setattr("nsmml.codebook._DP_STATE_LIMIT", 9_639)
+        with pytest.raises(SizeLimitError, match="^count-vector DP exceeded 9639 states at layer 11$"):
+            _count_vector_optima(ring)
+
     def test_refused_layer_peak_bounded_by_state_limit(self, monkeypatch):
-        # A layer is refused as soon as it keeps more children than the
-        # limit, so a refused solve holds about limit x 24 bytes (code,
-        # value and entropy) of children, with the earlier layers and one
-        # block's temporaries: 3.1 times that at a limit of 16,000 with one
-        # candidate per block.  Checked after the whole layer was built and
-        # sorted, the same solve peaked at 27.6 times.
+        # A layer merges its kept children whenever they pass the limit, so
+        # it never holds more than the limit and one block of children:
+        # with one candidate per block, a refused solve, earlier layers
+        # included, peaks at 7.0 times the limit's 24 bytes (code, value
+        # and entropy) per state.  Checked after the whole layer was built
+        # and merged, the same solve peaked at 27.6 times.
         monkeypatch.setattr("nsmml.codebook._DP_STATE_LIMIT", 16_000)
         monkeypatch.setattr("nsmml.model._BLOCK", 1)
         ring = torus_problem(CFG, SCALE_FREE, 24, candidate_stride=2)
         tracemalloc.start()
         try:
-            with pytest.raises(SizeLimitError, match="^count-vector DP exceeded 16000 states at layer 6$"):
+            with pytest.raises(SizeLimitError, match="^count-vector DP exceeded 16000 states at layer 7$"):
                 _count_vector_optima(ring)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 16_000 * 24
+        assert peak <= 10 * 16_000 * 24
 
     @staticmethod
     def class_dp_problems():
