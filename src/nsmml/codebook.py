@@ -28,7 +28,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .model import (
     _check_float,
     _check_int,
     _float_range,
+    _in_range,
     _row_blocks,
     code_penalty_kernel,
 )
@@ -101,7 +102,6 @@ class LatticeInfo:
     hi: np.ndarray
     shape: tuple[int, ...]
     cand_shape: tuple[int, ...] | None
-    stride: int = 1  # axis-0 candidate stride (torus instances)
 
 
 @dataclass
@@ -119,49 +119,48 @@ class Codebook:
     cost: CodebookCost
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteProblem:
-    """Finite codebook-optimization instance.
+    """Finite codebook-optimization instance, each fact stored once: cells
+    as ``(log s, m/s)`` coordinates (the frozen instance derives ``cell_s2``
+    and ``cell_m`` from them), candidates as parameters.
 
     ``penalty[i][j]`` is the code penalty of representing cell ``i``'s
     statistic by candidate ``j``; masses are positive and sum to one over
     the truncation box.  The tables are writable arrays, but no function
     here writes to them, so instances are safe to share.  A ``lattice``
     must match the tables: its axes and cell count, its candidate shape
-    and, on a torus, its stride.
+    and, on a torus, a ``cand_shape[0]`` that divides ``shape[0]``.
     """
 
     cfg: ProblemConfig
     prior: PriorSpec
     mass: np.ndarray
-    cell_s2: np.ndarray
-    cell_m: np.ndarray
     cell_coords: np.ndarray
     cand_sigma2: np.ndarray
     cand_mu: np.ndarray
-    cand_coords: np.ndarray
     penalty: np.ndarray
     topology: str = "truncated"
     lattice: LatticeInfo | None = None
+    cell_s2: np.ndarray = field(init=False, repr=False)
+    cell_m: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         """Reject a table, by name, when its shape is wrong or an entry is not
-        finite (or, for masses and variances, not positive), then a lattice
-        that does not match the tables."""
-        self.mass = _check_table("mass", self.mass, (None,))
+        finite (or, for masses and variances, not positive), cell coordinates
+        whose statistics leave the float range, then a mismatched lattice."""
+        object.__setattr__(self, "mass", _check_table("mass", self.mass, (None,)))
         if abs(float(self.mass.sum()) - 1.0) > 1e-12:
             raise InvalidConfigError("cell masses must sum to 1 within 1e-12")
-        self.cand_sigma2 = _check_table("cand_sigma2", self.cand_sigma2, (None,))
+        object.__setattr__(self, "cand_sigma2", _check_table("cand_sigma2", self.cand_sigma2, (None,)))
         c, b, dim = self.n_cells, self.n_candidates, self.cfg.N + 1
-        for name, shape in (
-            ("cell_s2", (c,)),
-            ("cell_m", (c, dim - 1)),
-            ("cell_coords", (c, dim)),
-            ("cand_mu", (b, dim - 1)),
-            ("cand_coords", (b, dim)),
-            ("penalty", (c, b)),
-        ):
-            setattr(self, name, _check_table(name, getattr(self, name), shape))
+        for name, shape in (("cell_coords", (c, dim)), ("cand_mu", (b, dim - 1)), ("penalty", (c, b))):
+            object.__setattr__(self, name, _check_table(name, getattr(self, name), shape))
+        with _float_range("cell_coords take the cell statistics out of the float range"):
+            cell_s2, cell_m = _from_coords(self.cell_coords)
+            _in_range(float(cell_s2.min()), math.ulp(0.0))  # an s2 that underflows to 0
+        object.__setattr__(self, "cell_s2", cell_s2)
+        object.__setattr__(self, "cell_m", cell_m)
         if self.topology not in ("truncated", "torus"):
             raise InvalidConfigError(f"unknown topology {self.topology!r}")
         lat = self.lattice
@@ -174,10 +173,9 @@ class DiscreteProblem:
         if lat.cand_shape is not None:
             if len(lat.cand_shape) != dim or math.prod(lat.cand_shape) != b:
                 raise InvalidConfigError(f"lattice cand_shape {lat.cand_shape} does not hold the {b} candidates")
-            if self.topology == "torus" and lat.shape[0] != lat.stride * lat.cand_shape[0]:
+            if self.topology == "torus" and lat.shape[0] % lat.cand_shape[0]:
                 raise InvalidConfigError(
-                    f"lattice shape[0] {lat.shape[0]} is not stride {lat.stride}"
-                    f" times cand_shape[0] {lat.cand_shape[0]}"
+                    f"lattice cand_shape[0] {lat.cand_shape[0]} does not divide shape[0] {lat.shape[0]}"
                 )
 
     @property
@@ -198,7 +196,7 @@ class DiscreteProblem:
 def _check_table(name: str, table, shape: tuple) -> np.ndarray:
     """``table`` read by ``model._check_array``; masses and variances must be > 0."""
     table = _check_array(table, name, shape)
-    if name in ("mass", "cell_s2", "cand_sigma2") and not (table > 0.0).all():
+    if name in ("mass", "cand_sigma2") and not (table > 0.0).all():
         raise InvalidConfigError(f"{name} must be > 0")
     return table
 
@@ -339,26 +337,31 @@ def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidate
             cand_sigma2, cand_mu = _from_coords(np.stack([g.ravel() for g in cmesh], axis=1))
 
         return DiscreteProblem(
-            cfg=cfg, prior=prior, mass=mass, cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
-            cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=_to_coords(cand_sigma2, cand_mu),
+            cfg=cfg, prior=prior, mass=mass, cell_coords=cell_coords, cand_sigma2=cand_sigma2, cand_mu=cand_mu,
             penalty=_penalty_matrix(cell_s2, cell_m, cand_sigma2, cand_mu, prior, cfg),
             lattice=LatticeInfo(box[:, 0].copy(), box[:, 1].copy(), shape, cand_shape),
         )
 
 
+def _circulant(column: np.ndarray, stride: int) -> np.ndarray:
+    """The ``n x n // stride`` view whose entry ``(i, j)`` is ``column[(i -
+    stride*j) % n]``: column ``j`` is ``column`` rolled by ``stride*j``."""
+    n = column.shape[0]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((column, column)), n)
+    return windows[n:0:-stride].T
+
+
 def _torus_penalty(n: int, stride: int, spacing: float, u0: np.ndarray, prior: PriorSpec, cfg: ProblemConfig):
-    # R of the representative pair at each lattice offset k in [-(n//2), n - n//2),
-    # delta = k * spacing: stat (s = e^delta, m = u0 * s) against theta
-    # (sigma = 1, mu = u0), where u0 is the mean coordinate shared by every
-    # cell.  Entry (i, j) is the row at offset i - stride * j, so a
-    # stride-compatible shift permutes the matrix exactly; it is entry
-    # stride * j of window (-i - half) % n of row[-k % n] over k < 2n.
+    # R of the representative pair at each lattice offset k, lifted into
+    # [-(n//2), n - n//2), at delta = k * spacing: stat (s = e^delta, m = u0 * s)
+    # against theta (sigma = 1, mu = u0), where u0 is the mean coordinate
+    # shared by every cell.  Entry (i, j) is the R at offset i - stride * j,
+    # so a stride-compatible shift permutes the matrix exactly.
     half = n // 2
-    delta = spacing * np.arange(-half, n - half)
+    delta = spacing * ((np.arange(n) + half) % n - half)
     sq_dev = float((u0**2).sum()) * (np.exp(delta) - 1.0) ** 2
-    row = code_penalty_kernel(np.exp(2.0 * delta), sq_dev, 1.0, prior, cfg)
-    windows = np.lib.stride_tricks.sliding_window_view(row[-np.arange(2 * n) % n], n)
-    return windows[(-np.arange(n) - half) % n, ::stride]
+    column = code_penalty_kernel(np.exp(2.0 * delta), sq_dev, 1.0, prior, cfg)
+    return np.ascontiguousarray(_circulant(column, stride))
 
 
 def torus_problem(
@@ -402,14 +405,11 @@ def torus_problem(
         u0 = np.full(cfg.N, mean_coord)
 
         cell_coords = np.concatenate([ls[:, None], np.tile(u0, (n_cells, 1))], axis=1)
-        cell_s2, cell_m = _from_coords(cell_coords)
-        cand_coords = cell_coords[::candidate_stride].copy()
-        cand_sigma2, cand_mu = _from_coords(cand_coords)
+        cand_sigma2, cand_mu = _from_coords(cell_coords[::candidate_stride])
 
         return DiscreteProblem(
-            cfg=cfg, prior=prior, mass=np.full(n_cells, 1.0 / n_cells),
-            cell_s2=cell_s2, cell_m=cell_m, cell_coords=cell_coords,
-            cand_sigma2=cand_sigma2, cand_mu=cand_mu, cand_coords=cand_coords,
+            cfg=cfg, prior=prior, mass=np.full(n_cells, 1.0 / n_cells), cell_coords=cell_coords,
+            cand_sigma2=cand_sigma2, cand_mu=cand_mu,
             penalty=_torus_penalty(n_cells, candidate_stride, spacing, u0, prior, cfg),
             topology="torus",
             lattice=LatticeInfo(
@@ -417,7 +417,6 @@ def torus_problem(
                 hi=np.concatenate([[log_s_hi], u0 + 0.5]),
                 shape=(n_cells,) + (1,) * cfg.N,
                 cand_shape=(n_cells // candidate_stride,) + (1,) * cfg.N,
-                stride=candidate_stride,
             ),
         )
 
@@ -536,10 +535,7 @@ def _arc_stride(problem: DiscreteProblem) -> int | None:
         return None
     stride, m = n // b, float(mass[0])
     row = pen[:, 0]
-    # Column j is the row rolled by stride * j: window n - stride * j of the
-    # doubled row, where window n equals window 0.
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row)), n)
-    if not np.array_equal(pen.T, windows[n:0:-stride]):
+    if not np.array_equal(pen, _circulant(row, stride)):
         return None
     least = row.reshape(b, stride).min(axis=0)  # the least entry of row i is least[i % stride]
     admissible = row <= np.tile(least, b) + (1.0 - math.log(m) + _EXACT_TOL / m)
@@ -787,6 +783,10 @@ def _count_vector_optima(problem: DiscreteProblem) -> list[Codebook]:
 
 
 _TOP_K = 32  # length of each cell's list of least-penalty candidates
+# Move costs per window of the local search's cell scan, the one blocked
+# loop not cut by model._row_blocks: after a window's first mover the rest
+# of the window is scored again, so a window stays far below _BLOCK.
+_MOVE_WINDOW = 1024
 
 
 def _least_penalties(pen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -830,7 +830,7 @@ def _descend(
     of no mass gains ``f(m_i)`` whichever it is, so its move cost rises
     with its penalty: the best left out of the list costs at least the
     list's floor, and comes from an exact scan of the row when the floor
-    cannot settle it.  Cells that would not move are skipped a block at a
+    cannot settle it.  Cells that would not move are skipped a window at a
     time.  The moves,
     their order and the yielded levels are those of a scan of every
     candidate on every visit, bit for bit.  ``least`` is
@@ -849,11 +849,11 @@ def _descend(
     yield level, assign
 
     def best_moves(lo: int) -> tuple[int, np.ndarray, np.ndarray]:
-        # The end hi of a block of cells from lo, of about 1024 move costs;
-        # the least move cost of each cell in lo:hi against the current
+        # The end hi of a window of cells from lo, of about _MOVE_WINDOW move
+        # costs; the least move cost of each cell in lo:hi against the current
         # state, and its candidate (the lowest index among equal costs).
         used = (q != 0.0).nonzero()[0] if partial else np.arange(0)
-        hi = min(lo + max(1, 1024 // (used.shape[0] + top.shape[1])), c)
+        hi = min(lo + max(1, _MOVE_WINDOW // (used.shape[0] + top.shape[1])), c)
         n = hi - lo
         a = assign[lo:hi]
         m = mass[lo:hi]
@@ -889,7 +889,7 @@ def _descend(
 
     for _sweep in range(10_000):
         changed = False
-        # The cells before a block's first mover do not move.
+        # The cells before a window's first mover do not move.
         i = 0
         while i < c:
             hi, costs, targets = best_moves(i)
@@ -1031,7 +1031,7 @@ def smml_ip_overlap(
             interior &= (multi[:, d] >= interior_margin) & (multi[:, d] < size - interior_margin)
 
     ip_coords = _to_coords(_ip_sigma2(problem.cell_s2, problem.prior, problem.cfg), problem.cell_m)
-    assigned_coords = problem.cand_coords[assign]
+    assigned_coords = _to_coords(problem.cand_sigma2[assign], problem.cand_mu[assign])
     dist = _coord_distances(problem, assigned_coords - ip_coords)
 
     diameters = np.zeros(problem.n_candidates)
@@ -1083,15 +1083,16 @@ def codebook_transport(problem: DiscreteProblem, codebook: Codebook, lattice_shi
     lat = problem.lattice
     shift = _shift_vector(problem, lattice_shift)
     assign = _check_assign(problem, codebook.assign)
-    if problem.topology == "torus" and shift[0] % lat.stride != 0:
+    stride = lat.shape[0] // lat.cand_shape[0]
+    if problem.topology == "torus" and shift[0] % stride != 0:
         raise InvalidConfigError(
-            f"shift {shift[0]} along the scale axis is incompatible with candidate stride {lat.stride}"
+            f"shift {shift[0]} along the scale axis is incompatible with candidate stride {stride}"
         )
 
     # Cell x takes the candidate of cell x - shift, moved by the same step.
     src_assign = np.roll(assign.reshape(lat.shape), tuple(shift), axis=tuple(range(len(lat.shape)))).ravel()
     if problem.topology == "torus":
-        new_assign = (src_assign + shift[0] // lat.stride) % problem.n_candidates
+        new_assign = (src_assign + shift[0] // stride) % problem.n_candidates
     else:
         new_multi = np.stack(np.unravel_index(src_assign, lat.cand_shape), axis=1) + shift
         if np.any(new_multi < 0) or np.any(new_multi >= lat.cand_shape):
@@ -1146,7 +1147,8 @@ def problem_to_text(problem: DiscreteProblem) -> str:
         raise InvalidConfigError("only a problem built by discretize or torus_problem can be saved")
     if problem.topology == "torus":
         recipe = {"n_cells": lat.shape[0], "log_s_lo": lat.lo[0], "log_s_hi": lat.hi[0],
-                  "mean_coord": problem.cell_coords[0, 1], "candidate_stride": lat.stride}
+                  "mean_coord": problem.cell_coords[0, 1],
+                  "candidate_stride": problem.n_cells // problem.n_candidates}
     elif lat.cand_shape is None:
         recipe = {"box": np.stack([lat.lo, lat.hi], axis=1), "resolution": lat.shape,
                   "cand_sigma2": problem.cand_sigma2, "cand_mu": problem.cand_mu}

@@ -187,14 +187,6 @@ def _method_priors(methods, choices, cfg: ProblemConfig) -> list[tuple[str, Prio
     return [(m, prior) for m in methods for prior in ([None] if m in PRIOR_FREE_METHODS else distinct.values())]
 
 
-def _law_means(spec: SweepSpec, z: np.ndarray):
-    """The true means of ``spec.mu_law``, from the standard normals ``z``
-    drawn for them under the normal law (read under no other law)."""
-    if spec.mu_law == "normal":
-        return math.sqrt(spec.sigma2_true) * z
-    return 0.0 if spec.mu_law == "zero" else float(spec.mu_law.split(":", 1)[1])
-
-
 # numpy's SeedSequence hash constants, kept as Python ints: uint32 arrays
 # multiplied by them wrap silently, modulo 2^32.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -305,7 +297,8 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, float | None
     # round to its ulp u, inflating s2 by a share of order (u / sigma)^2.  So
     # only the normal law's means enter the data, and a fixed mean that would
     # store them to fewer than three bits below the noise is refused.
-    if not n_means and math.ulp(_law_means(spec, None)) > math.sqrt(spec.sigma2_true) / 8:
+    law, _, fixed = spec.mu_law.partition(":")
+    if law == "fixed" and math.ulp(float(fixed)) > math.sqrt(spec.sigma2_true) / 8:
         raise InvalidConfigError(out_of_range.format(spec.sigma2_true, spec.mu_law))
     given_state, pcg64 = _given_state(), np.random.PCG64
     for blk in _row_blocks(spec.trials, width):
@@ -319,7 +312,7 @@ def trial_ratios(spec: SweepSpec, n_groups: int) -> dict[tuple[str, float | None
             noise = z[:, n_means:].reshape(-1, cfg.N, cfg.J)
             data = math.sqrt(spec.sigma2_true) * noise
             if n_means:
-                data += _law_means(spec, z[:, :n_means, None])
+                data += math.sqrt(spec.sigma2_true) * z[:, :n_means, None]
             s2[blk] = sufficient_stats_kernel(data, cfg)[1]
             zero = s2[blk] == 0.0
             if zero.any() and (noise[zero] != noise[zero][..., :1]).any():

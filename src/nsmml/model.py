@@ -316,8 +316,11 @@ def _check_param(theta: Parameter, cfg: ProblemConfig) -> None:
 
 
 # Float64 entries per block of a blocked loop's temporaries (512 KB): the
-# penalty builds, the least-penalty lists, the sweep's trials and the
-# locality grid all walk _row_blocks.
+# lattice penalty build, the least-penalty lists, the count-vector DP's
+# candidate blocks, the arc table, the overlap report's region diameters,
+# the sweep's trials and the locality grid all walk _row_blocks.  The local
+# search's move window (codebook._MOVE_WINDOW) is the one blocked loop that
+# does not.
 _BLOCK = 2**16
 
 

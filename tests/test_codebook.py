@@ -51,6 +51,7 @@ from nsmml.codebook import (
     transport_cost_bound,
 )
 from nsmml.cli import main
+from nsmml.estimators import _from_coords, _to_coords
 from nsmml.model import _BLOCK
 
 from oracles import (
@@ -77,17 +78,13 @@ def synthetic_problem(mass, penalty):
     c, b = penalty.shape
     coords = np.zeros((c, 2))
     coords[:, 0] = np.arange(c) * 0.1
-    s = np.exp(coords[:, 0])
     return DiscreteProblem(
         cfg=CFG,
         prior=SCALE_FREE,
         mass=np.asarray(mass, dtype=float),
-        cell_s2=s**2,
-        cell_m=coords[:, 1:] * s[:, None],
         cell_coords=coords,
         cand_sigma2=np.ones(b),
         cand_mu=np.linspace(-1, 1, b)[:, None],
-        cand_coords=np.concatenate([np.zeros((b, 1)), np.linspace(-1, 1, b)[:, None]], axis=1),
         penalty=penalty,
     )
 
@@ -178,9 +175,10 @@ class TestDiscretize:
         period = tor.lattice.hi[0] - tor.lattice.lo[0]
         u0 = np.full(cfg.N, 0.7)
         theta = Parameter(1.0, u0)
+        cand_coords = _to_coords(tor.cand_sigma2, tor.cand_mu)
         for i in range(tor.n_cells):
             for j in range(tor.n_candidates):
-                delta = tor.cell_coords[i, 0] - tor.cand_coords[j, 0]
+                delta = tor.cell_coords[i, 0] - cand_coords[j, 0]
                 delta = (delta + 0.5 * period) % period - 0.5 * period
                 s = math.exp(delta)
                 scalar = code_penalty_R(theta, SufficientStat(u0 * s, s * s), prior, cfg)
@@ -190,7 +188,7 @@ class TestDiscretize:
         prob = discretize(CFG, SCALE_FREE, BOX, 8, CandidateSpec(extension=1.0))
         assert prob.lattice.cand_shape == (24, 24)
         # cell centers occur among candidate coordinates
-        cand = {tuple(np.round(c, 10)) for c in prob.cand_coords}
+        cand = {tuple(np.round(c, 10)) for c in _to_coords(prob.cand_sigma2, prob.cand_mu)}
         for cc in prob.cell_coords:
             assert tuple(np.round(cc, 10)) in cand
 
@@ -637,7 +635,6 @@ class TestExhaustive:
             penalty=np.concatenate([ring.penalty, ring.penalty[:, :6] + 100.0], axis=1),
             cand_sigma2=np.concatenate([ring.cand_sigma2, ring.cand_sigma2[:6]]),
             cand_mu=np.concatenate([ring.cand_mu, ring.cand_mu[:6]]),
-            cand_coords=np.concatenate([ring.cand_coords, ring.cand_coords[:6]]),
             lattice=None,
         )
         monkeypatch.setattr("nsmml.model._BLOCK", 1024)
@@ -909,7 +906,7 @@ class TestOverlap:
         # IP estimate in these coordinates is the cell center itself.
         shape = prob.lattice.shape
         idx = rep.interior_cells
-        expected = np.linalg.norm(prob.cell_coords[idx] - prob.cand_coords[0], axis=1)
+        expected = np.linalg.norm(prob.cell_coords[idx] - _to_coords(prob.cand_sigma2[0], prob.cand_mu[0]), axis=1)
         np.testing.assert_allclose(rep.distances, expected, atol=1e-10)
 
     def test_benchmark_fraction_high(self):
@@ -1020,13 +1017,13 @@ class TestSerialization:
         tor = torus_problem(CFG, SCALE_FREE, 12, candidate_stride=3)
         back = problem_from_text(problem_to_text(tor))
         np.testing.assert_array_equal(back.penalty, tor.penalty)
-        assert back.lattice.stride == 3
+        assert back.lattice.shape[0] // back.lattice.cand_shape[0] == 3
         # Stored coordinates: re-deriving log s from s2 moved offsets near a
         # half period to the other side of the circle.
         for cells, stride, mean in ((16, 2, 0.0), (100, 2, 0.0), (200, 4, 1.3)):
             tor = torus_problem(CFG, SCALE_FREE, cells, candidate_stride=stride, mean_coord=mean)
             back = problem_from_text(problem_to_text(tor))
-            for name in ("cell_coords", "cand_coords", "penalty"):
+            for name in ("cell_coords", "cand_sigma2", "cand_mu", "penalty"):
                 assert getattr(back, name).tobytes() == getattr(tor, name).tobytes(), name
 
     def test_problem_roundtrip_explicit_candidates(self):
@@ -1109,7 +1106,7 @@ class TestSerialization:
         # has no field to live in.
         tor = torus_problem(CFG, SCALE_FREE, 18, candidate_stride=3)
         text = problem_to_text(tor)
-        moved = tor.cand_coords.copy()
+        moved = tor.cell_coords[::3].copy()
         moved[0, 0] += (tor.lattice.hi[0] - tor.lattice.lo[0]) / 18 / 3
         cand_sigma2, cand_mu = np.exp(2.0 * moved[:, 0]), moved[:, 1:] * np.exp(moved[:, :1])
         for fields in (
@@ -1121,7 +1118,9 @@ class TestSerialization:
             with pytest.raises(InvalidConfigError, match="unknown keys"):
                 problem_from_text(edited(text, **fields))
         back = problem_from_text(text)
-        assert back.cand_coords.tobytes() == back.cell_coords[::3].tobytes()
+        cand_sigma2, cand_mu = _from_coords(back.cell_coords[::3])
+        assert back.cand_sigma2.tobytes() == cand_sigma2.tobytes()
+        assert back.cand_mu.tobytes() == cand_mu.tobytes()
 
     def test_malformed_codebook_text_rejected(self):
         prob = discretize(CFG, SCALE_FREE, BOX, 3)
@@ -1181,7 +1180,6 @@ class TestRefusals:
         # A lattice that does not fit the tables once let plain ValueErrors
         # out of the audits, and a save-and-load returned a smaller problem.
         prob = discretize(CFG, SCALE_FREE, BOX, 4)
-        ring = torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2)
         axes = "lattice lo, hi and shape must have 2 entries"
         cands = "lattice cand_shape {} does not hold the 144 candidates"
         for problem, change, message in (
@@ -1191,10 +1189,31 @@ class TestRefusals:
             (prob, {"shape": (3, 3)}, "lattice shape (3, 3) does not hold the 16 cells"),
             (prob, {"cand_shape": (144,)}, cands.format((144,))),
             (prob, {"cand_shape": (12, 11)}, cands.format((12, 11))),
-            (ring, {"stride": 4}, "lattice shape[0] 16 is not stride 4 times cand_shape[0] 8"),
         ):
             with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
                 dataclasses.replace(problem, lattice=dataclasses.replace(problem.lattice, **change))
+        # A torus stride is shape[0] // cand_shape[0], so 6 candidates cannot
+        # share a ring of 16 cells.
+        ring = torus_problem(CFG, SCALE_FREE, 16, candidate_stride=2)
+        with pytest.raises(InvalidConfigError, match=r"^lattice cand_shape\[0\] 6 does not divide shape\[0\] 16$"):
+            dataclasses.replace(
+                ring, cand_sigma2=ring.cand_sigma2[:6], cand_mu=ring.cand_mu[:6], penalty=ring.penalty[:, :6],
+                lattice=dataclasses.replace(ring.lattice, cand_shape=(6, 1)),
+            )
+
+    def test_cell_coords_past_the_float_range_refused_by_name(self):
+        # Cells are stored as coordinates only: a log s whose s^2 underflows
+        # to 0 or overflows is refused as the caller's cell_coords, not as a
+        # derived table the caller never passed.
+        prob = discretize(CFG, SCALE_FREE, BOX, 4)
+        message = "^cell_coords take the cell statistics out of the float range$"
+        for log_s in (-1000.0, 1000.0):
+            coords = prob.cell_coords.copy()
+            coords[3, 0] = log_s
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidConfigError, match=message):
+                    dataclasses.replace(prob, cell_coords=coords)
 
     def test_torus_guard_covers_its_checks(self):
         # An N past the float range is compared with the prior's exponent

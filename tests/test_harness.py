@@ -30,7 +30,7 @@ from nsmml import (
 )
 from nsmml import codebook as cbk
 from nsmml import harness
-from nsmml.estimators import SIGMA2_HAT
+from nsmml.estimators import SIGMA2_HAT, _to_coords
 from nsmml.harness import SweepSpec, parse_sweep_config, rows_to_csv, run_sweep, standard_normal, trial_ratios
 from nsmml.cli import main
 from nsmml.model import _BLOCK
@@ -723,12 +723,13 @@ class TestCli:
         # A report that stores the cell and candidate tables instead of the
         # builder's inputs describes no problem a builder makes.
         prob = cbk.torus_problem(ProblemConfig(N=1, J=2), PriorSpec(2.0), 4, candidate_stride=2)
-        tables = ("mass", "cell_s2", "cell_m", "cell_coords", "cand_sigma2", "cand_mu", "cand_coords")
+        tables = ("mass", "cell_s2", "cell_m", "cell_coords", "cand_sigma2", "cand_mu")
         problem_file = tmp_path / "prob.json"
         problem_file.write_text(render_json("discrete-problem", {
             "N": 1, "J": 2, "prior_p": 2.0, "topology": "torus",
             "lattice": dataclasses.asdict(prob.lattice),
             **{name: getattr(prob, name) for name in tables},
+            "cand_coords": _to_coords(prob.cand_sigma2, prob.cand_mu),
         }))
         assert main(["smml", "--load-problem", str(problem_file)]) == 2
         assert capsys.readouterr().err.startswith("error: discrete-problem report has unknown keys")

@@ -182,8 +182,8 @@ class TestCountArguments:
 
     def test_numpy_integer_stored_as_int(self):
         tor = cbk.torus_problem(_CFG1, _SF1, np.int64(8), candidate_stride=np.int64(2))
-        assert tor.lattice.shape == (8, 1) and tor.lattice.stride == 2
-        assert all(type(v) is int for v in (*tor.lattice.shape, *tor.lattice.cand_shape, tor.lattice.stride))
+        assert tor.lattice.shape == (8, 1) and tor.lattice.cand_shape == (4, 1)
+        assert all(type(v) is int for v in (*tor.lattice.shape, *tor.lattice.cand_shape))
         lattice = cbk.discretize(_CFG1, _SF1, [[-1.5, 1.5]] * 2, np.uint8(4)).lattice
         assert lattice.shape == (4, 4) and all(type(v) is int for v in lattice.shape + lattice.cand_shape)
         spec = SweepSpec(J=np.int64(2), N_list=(np.int32(10),), trials=np.uint8(3), seed=np.int64(4))

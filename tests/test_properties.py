@@ -263,7 +263,7 @@ def test_sweep_pairs_are_keyed_by_exponent(case, methods):
     assert keys == [(m, p) for m in dict.fromkeys(methods) for p in ([None] if m in PRIOR_FREE_METHODS else exponents)]
 
 
-PROBLEM_ARRAYS = ("mass", "cell_s2", "cell_m", "cell_coords", "cand_sigma2", "cand_mu", "cand_coords", "penalty")
+PROBLEM_ARRAYS = ("mass", "cell_s2", "cell_m", "cell_coords", "cand_sigma2", "cand_mu", "penalty")
 
 
 @st.composite
@@ -483,14 +483,14 @@ TORUS_56 = torus_problem(_CFG_3, PriorSpec.scale_free(_CFG_3), 56, 0.0, 6.0, 3.0
 def test_torus_transport_preserves_cost(problem, seed):
     assign = np.random.default_rng(seed).integers(0, problem.n_candidates, problem.n_cells)
     book = make_codebook(problem, assign)
-    for shift in range(0, problem.n_cells, problem.lattice.stride):
+    for shift in range(0, problem.n_cells, problem.n_cells // problem.n_candidates):
         assert abs(codebook_transport(problem, book, shift).cost.L - book.cost.L) <= 1e-12
 
 
 @given(torus_problems())
 @example(TORUS_56)
 def test_torus_shifts_permute_the_penalty_exactly(problem):
-    pen, stride = problem.penalty, problem.lattice.stride
+    pen, stride = problem.penalty, problem.n_cells // problem.n_candidates
     for shift in range(0, problem.n_cells, stride):
         assert np.array_equal(np.roll(np.roll(pen, shift, 0), shift // stride, 1), pen)
 
@@ -575,6 +575,6 @@ def test_ring_routes_return_the_same_optima(problem):
     # Rings that pass the precondition take the arc route, the rest fall
     # back; either way the optima and their L bits are the count-vector DP's.
     routed, reference = smml_exhaustive(problem), _count_vector_optima(problem)
-    assert _arc_stride(problem) in (None, problem.lattice.stride)
+    assert _arc_stride(problem) in (None, problem.n_cells // problem.n_candidates)
     assert [o.assign.tolist() for o in routed] == [o.assign.tolist() for o in reference]
     assert np.array([o.cost.L for o in routed]).tobytes() == np.array([o.cost.L for o in reference]).tobytes()
