@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import mmap
 from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -144,6 +145,9 @@ class DiscreteProblem:
     lattice: LatticeInfo | None = None
     cell_s2: np.ndarray = field(init=False, repr=False)
     cell_m: np.ndarray = field(init=False, repr=False)
+    # Set by the builders alone; not an init field, so dataclasses.replace
+    # leaves it unset and problem_to_text refuses the edited copy.
+    _built: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """Reject a table, by name, when its shape is wrong or an entry is not
@@ -191,6 +195,12 @@ class DiscreteProblem:
 
     def cell_stat(self, i: int) -> SufficientStat:
         return SufficientStat(self.cell_m[i], self.cell_s2[i])
+
+
+def _mark_built(problem: DiscreteProblem) -> DiscreteProblem:
+    """``problem``, marked as a builder's own: :func:`problem_to_text` saves it as its recipe."""
+    object.__setattr__(problem, "_built", True)
+    return problem
 
 
 def _check_table(name: str, table, shape: tuple) -> np.ndarray:
@@ -336,11 +346,11 @@ def _discretize(cfg: ProblemConfig, prior: PriorSpec, box, resolution, candidate
             cmesh = np.meshgrid(*cand_axes, indexing="ij")
             cand_sigma2, cand_mu = _from_coords(np.stack([g.ravel() for g in cmesh], axis=1))
 
-        return DiscreteProblem(
+        return _mark_built(DiscreteProblem(
             cfg=cfg, prior=prior, mass=mass, cell_coords=cell_coords, cand_sigma2=cand_sigma2, cand_mu=cand_mu,
             penalty=_penalty_matrix(cell_s2, cell_m, cand_sigma2, cand_mu, prior, cfg),
             lattice=LatticeInfo(box[:, 0].copy(), box[:, 1].copy(), shape, cand_shape),
-        )
+        ))
 
 
 def _circulant(column: np.ndarray, stride: int) -> np.ndarray:
@@ -407,7 +417,7 @@ def torus_problem(
         cell_coords = np.concatenate([ls[:, None], np.tile(u0, (n_cells, 1))], axis=1)
         cand_sigma2, cand_mu = _from_coords(cell_coords[::candidate_stride])
 
-        return DiscreteProblem(
+        return _mark_built(DiscreteProblem(
             cfg=cfg, prior=prior, mass=np.full(n_cells, 1.0 / n_cells), cell_coords=cell_coords,
             cand_sigma2=cand_sigma2, cand_mu=cand_mu,
             penalty=_torus_penalty(n_cells, candidate_stride, spacing, u0, prior, cfg),
@@ -418,7 +428,7 @@ def torus_problem(
                 shape=(n_cells,) + (1,) * cfg.N,
                 cand_shape=(n_cells // candidate_stride,) + (1,) * cfg.N,
             ),
-        )
+        ))
 
 
 def _neg_xlogx(x: np.ndarray) -> np.ndarray:
@@ -787,6 +797,7 @@ _TOP_K = 32  # length of each cell's list of least-penalty candidates
 # loop not cut by model._row_blocks: after a window's first mover the rest
 # of the window is scored again, so a window stays far below _BLOCK.
 _MOVE_WINDOW = 1024
+_SWEEPS = 10_000  # most sweeps of one descent
 
 
 def _least_penalties(pen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -805,6 +816,47 @@ def _least_penalties(pen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
             top[blk] = part[:, :_TOP_K]
             edge[blk] = np.take_along_axis(pen[blk], part[:, _TOP_K, None], axis=1)[:, 0]
     return top, np.take_along_axis(pen, top, axis=1), edge
+
+
+def _pointwise_start(pen: np.ndarray, least: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """:func:`pointwise_assignment` read from the least-penalty lists: each
+    row's lowest-index least entry of its list, or of the whole row where
+    the list's floor ties that least entry."""
+    top, top_pen, edge = least
+    low = top_pen.min(axis=1)
+    start = np.where(top_pen == low[:, None], top, pen.shape[1]).min(axis=1)
+    for i in (low >= edge).nonzero()[0]:
+        start[i] = np.argmin(pen[i])
+    return start
+
+
+class _RowBuffer:
+    """Penalty rows of one region at a time, in an anonymous private mapping
+    of the buffer's own, grown in place (``mremap``) when a region needs
+    more rows than it holds, and unmapped when the buffer goes.  Freed heap
+    blocks of its size stayed resident once glibc's mmap threshold, raised
+    by earlier frees, exceeded them; a fresh mapping per growth would fault
+    in every page again."""
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.rows = 0
+        self.map: mmap.mmap | None = None
+
+    def gather(self, pen: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """``pen[cells]`` in the buffer's leading rows; the mapping cannot
+        grow while the returned view lives.  The cells are valid indices,
+        so ``mode="clip"`` clips none; with ``"raise"``, ``np.take`` gathers
+        into a buffer of its own first."""
+        k = cells.shape[0]
+        if k > self.rows:
+            if self.map is None:
+                self.map = mmap.mmap(-1, k * self.width * 8, flags=mmap.MAP_PRIVATE)
+            else:
+                self.map.resize(k * self.width * 8)
+            self.rows = k
+        out = np.frombuffer(self.map, count=k * self.width).reshape(k, self.width)
+        return np.take(pen, cells, axis=0, out=out, mode="clip")
 
 
 def _descend(
@@ -830,10 +882,20 @@ def _descend(
     of no mass gains ``f(m_i)`` whichever it is, so its move cost rises
     with its penalty: the best left out of the list costs at least the
     list's floor, and comes from an exact scan of the row when the floor
-    cannot settle it.  Cells that would not move are skipped a window at a
-    time.  The moves,
-    their order and the yielded levels are those of a scan of every
-    candidate on every visit, bit for bit.  ``least`` is
+    cannot settle it.  The candidates with nonzero mass are listed again
+    only when a move turns ``q_a`` or ``q_t`` zero or nonzero.  Cells that
+    would not move are skipped a window at a time.
+
+    A region's best candidate and the penalty it saves come from one GEMV
+    over the region's penalty rows, gathered into the descent's one
+    :class:`_RowBuffer`, which never holds more rows than the largest
+    region.
+    Both are kept until a cell joins or leaves the region: a region that
+    moves onto a candidate of no cells keeps that candidate as its best,
+    and the same rows would give the same bits, so a sweep that moves
+    nothing reads no rows.  The moves, their order and the yielded levels
+    are those of a scan of every candidate on every visit and a GEMV over
+    every region on every sweep, bit for bit.  ``least`` is
     ``_least_penalties(problem.penalty)``, built once per search and
     shared by its restarts.
     """
@@ -846,13 +908,30 @@ def _descend(
     level = _codebook_cost(problem, assign).L
     top, top_pen, edge = least
     partial = top.shape[1] < b  # the lists leave candidates out
+    used = np.flatnonzero(q) if partial else np.arange(0)
+    # Per region: its best candidate and that candidate's region penalty
+    # less its own, kept until a cell joins or leaves the region.
+    region_best: dict[int, tuple[int, float]] = {}
+    rows = _RowBuffer(b)
     yield level, assign
+
+    def move(a: int, j: int, mi: float) -> None:
+        # Mass mi leaves candidate a for j: both regions change, and the
+        # used candidates with them when q[a] or q[j] turns zero or nonzero
+        # (a float residue can leave an emptied candidate nonzero).
+        nonlocal used
+        region_best.pop(a, None)
+        region_best.pop(j, None)
+        zeros = q[a] == 0.0, q[j] == 0.0
+        q[a] -= mi
+        q[j] += mi
+        if partial and zeros != (q[a] == 0.0, q[j] == 0.0):
+            used = np.flatnonzero(q)
 
     def best_moves(lo: int) -> tuple[int, np.ndarray, np.ndarray]:
         # The end hi of a window of cells from lo, of about _MOVE_WINDOW move
         # costs; the least move cost of each cell in lo:hi against the current
         # state, and its candidate (the lowest index among equal costs).
-        used = (q != 0.0).nonzero()[0] if partial else np.arange(0)
         hi = min(lo + max(1, _MOVE_WINDOW // (used.shape[0] + top.shape[1])), c)
         n = hi - lo
         a = assign[lo:hi]
@@ -887,7 +966,7 @@ def _descend(
                 best[r] = row[j[r]]
         return hi, best, j
 
-    for _sweep in range(10_000):
+    for _sweep in range(_SWEEPS):
         changed = False
         # The cells before a window's first mover do not move.
         i = 0
@@ -899,26 +978,30 @@ def _descend(
                 continue
             first = int(movers[0])
             i += first
-            a, j, mi = assign[i], int(targets[first]), mass[i]
+            a, j = assign[i], int(targets[first])
             assign[i] = j
-            q[a] -= mi
-            q[j] += mi
+            move(a, j, mass[i])
             level += float(costs[first])
             changed = True
             yield level, assign
             i += 1
         for r in np.unique(assign):
-            cells = np.flatnonzero(assign == r)
-            region_cost = np.take(mass, cells) @ np.take(pen, cells, axis=0)
-            j = int(np.argmin(region_cost))
+            if r not in region_best:
+                cells = np.flatnonzero(assign == r)
+                region_cost = np.take(mass, cells) @ rows.gather(pen, cells)
+                j = int(np.argmin(region_cost))
+                region_best[r] = j, float(region_cost[j] - region_cost[r])
+            j, pen_delta = region_best[r]
             if j == r:
                 continue
             h = _neg_xlogx(np.array((q[j] + q[r], q[j], q[r])))
-            delta = float(region_cost[j] - region_cost[r]) + float(h[0] - h[1] - h[2])
+            delta = pen_delta + float(h[0] - h[1] - h[2])
             if delta < 0.0:
-                assign[cells] = j
-                q[j] += q[r]
-                q[r] = 0.0
+                alone = not (assign == j).any()
+                assign[assign == r] = j
+                move(r, j, q[r])
+                if alone:  # j now holds r's rows alone, whose best is j
+                    region_best[j] = j, 0.0
                 level += delta
                 changed = True
                 yield level, assign
@@ -930,15 +1013,16 @@ def smml_local_search(problem: DiscreteProblem, restarts: int = 4, seed: int = 0
     """Best local optimum over ``restarts`` descents.
 
     Restart 0 starts from the pointwise penalty-minimizing assignment (so
-    the result never costs more than it); each later restart draws a
+    the result never costs more than it), read from the descent's
+    least-penalty lists; each later restart draws a
     seeded uniform-random start as it begins, and only the best local
     optimum so far is kept.  Deterministic given ``seed``.
     """
     restarts = _check_int(restarts, "restarts", 1)
     rng = np.random.default_rng(_check_int(seed, "seed", 0))
     least = _least_penalties(problem.penalty)
-    starts = (rng.integers(0, problem.n_candidates, problem.n_cells) if r else pointwise_assignment(problem)
-              for r in range(restarts))
+    starts = (rng.integers(0, problem.n_candidates, problem.n_cells) if r
+              else _pointwise_start(problem.penalty, least) for r in range(restarts))
     finals = (deque(_descend(problem, init, least), maxlen=1).pop() for init in starts)
     _, assign = min(finals, key=lambda final: final[0])  # the earliest restart wins ties
     return make_codebook(problem, assign)
@@ -1142,9 +1226,9 @@ _RECIPE_KEYS = {  # beside report, N, J, prior_p and topology
 
 
 def problem_to_text(problem: DiscreteProblem) -> str:
-    lat = problem.lattice
-    if lat is None:
+    if not problem._built:
         raise InvalidConfigError("only a problem built by discretize or torus_problem can be saved")
+    lat = problem.lattice
     if problem.topology == "torus":
         recipe = {"n_cells": lat.shape[0], "log_s_lo": lat.lo[0], "log_s_hi": lat.hi[0],
                   "mean_coord": problem.cell_coords[0, 1],

@@ -29,6 +29,7 @@ from nsmml.codebook import (
     DiscreteProblem,
     SizeLimitError,
     _TOP_K,
+    _RowBuffer,
     _arc_stride,
     _count_vector_optima,
     _descend,
@@ -846,6 +847,59 @@ class TestLocalSearch:
         assert book.assign.tobytes() == assign.tobytes()
         assert book.cost == make_codebook(prob, assign).cost
 
+    def test_region_step_reads_changed_regions_only(self, monkeypatch):
+        # A region's penalty rows are read again only after a cell joined or
+        # left it, so the last sweep, which moves nothing, reads none, and
+        # the descent reads fewer rows than one per cell and sweep.  A
+        # descent of at most k sweeps runs the first k sweeps of the whole one.
+        prob = discretize(CFG, SCALE_FREE, BOX, 16)
+        init, least = pointwise_assignment(prob), _least_penalties(prob.penalty)
+        rows = []
+        gather = _RowBuffer.gather
+
+        def recorded(buf, pen, cells):
+            rows.append(cells.shape[0])
+            return gather(buf, pen, cells)
+
+        monkeypatch.setattr(_RowBuffer, "gather", recorded)
+
+        def descent(sweeps: int) -> tuple[list, int]:
+            rows.clear()
+            monkeypatch.setattr("nsmml.codebook._SWEEPS", sweeps)
+            steps = [(level.hex(), assign.tobytes()) for level, assign in _descend(prob, init, least)]
+            return steps, sum(rows)
+
+        whole, read = descent(10_000)
+        sweeps = 1
+        while descent(sweeps)[0] != whole:
+            sweeps += 1
+        # Sweep sweeps + 1 accepts no move and ends the descent.
+        assert descent(sweeps)[1] == read
+        assert read < prob.n_cells * (sweeps + 1)
+
+    def test_gather_buffer_grows_to_the_largest_region(self, monkeypatch):
+        # From a random start the regions grow, and the one buffer grows
+        # with them: only when a region needs more rows than it holds, and
+        # to exactly that many.  The moves keep the full scan's bits.
+        prob = discretize(CFG, SCALE_FREE, BOX, 8)
+        init = np.random.default_rng(5).integers(0, prob.n_candidates, prob.n_cells)
+        sizes = []
+        gather = _RowBuffer.gather
+
+        def recorded(buf, pen, cells):
+            out = gather(buf, pen, cells)
+            sizes.append((cells.shape[0], buf.rows, len(buf.map) // (8 * prob.n_candidates)))
+            return out
+
+        monkeypatch.setattr(_RowBuffer, "gather", recorded)
+        steps = descent_steps(prob, _descend(prob, init, _least_penalties(prob.penalty)))
+        want = descent_steps(prob, oracle_descend(prob, init))
+        needed, held, mapped = np.array(sizes).T
+        assert held.tolist() == mapped.tolist() == np.maximum.accumulate(needed).tolist()
+        assert np.unique(held).shape[0] > 2
+        assert [level.hex() for level, _, _ in steps] == [level.hex() for level, _, _ in want]
+        assert [a.tobytes() for _, _, a in steps] == [a.tobytes() for _, _, a in want]
+
     def test_least_penalty_lists_built_once_per_search(self, monkeypatch):
         calls = []
 
@@ -1167,6 +1221,11 @@ class TestRefusals:
             (lambda: smml_ip_overlap(bare, book), "overlap report requires a lattice-discretized problem"),
             (lambda: transport_cost_bound(bare, 1), "transport bound requires a lattice problem"),
             (lambda: problem_to_text(bare), "only a problem built by discretize or torus_problem can be saved"),
+            (
+                # Saved as its builder's recipe, it would reload with the old penalty.
+                lambda: problem_to_text(dataclasses.replace(prob, penalty=prob.penalty + 1.0)),
+                "only a problem built by discretize or torus_problem can be saved",
+            ),
             (lambda: codebook_transport(prob, book, [1, 0, 0]), "lattice shift must have 2 components"),
             (
                 lambda: codebook_transport(explicit, make_codebook(explicit, pointwise_assignment(explicit)), 1),
