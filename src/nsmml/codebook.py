@@ -220,6 +220,27 @@ def _check_size(cells: int, candidates: int, dim: int) -> None:
         raise InvalidConfigError(f"{cells} cells x {candidates} candidates exceed {_TABLE_LIMIT} table entries")
 
 
+_MAP_MIN = 1 << 20  # bytes: a smaller _mapped_empty array stays on the heap
+
+
+def _mapped_empty(rows: int, cols: int) -> np.ndarray:
+    """An unset ``rows x cols`` float array on an anonymous private mapping
+    of its own, for the penalty matrices and local search's row buffer.
+    Only the pages written become resident, a huge page at a time where the
+    system allows, and all go back to the system with the array.  A heap
+    block can stay resident after its array is freed: glibc puts blocks
+    below its mmap threshold on the heap, and each free of a mapped block
+    raises the threshold to that block's size.  An array under ``_MAP_MIN``
+    bytes is left to numpy: making and unmapping a mapping takes about
+    30 us, ten times a small heap array."""
+    if rows * cols * 8 < _MAP_MIN:
+        return np.empty((rows, cols))
+    buf = mmap.mmap(-1, rows * cols * 8, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, count=rows * cols).reshape(rows, cols)
+
+
 def _penalty_matrix(
     cell_s2: np.ndarray,
     cell_m: np.ndarray,
@@ -248,7 +269,7 @@ def _penalty_matrix(
     """
     m_sq = (cell_m**2).sum(axis=1)
     mu_sq = (cand_mu**2).sum(axis=1)
-    out = 2.0 * cell_m @ cand_mu.T
+    out = np.matmul(2.0 * cell_m, cand_mu.T, out=_mapped_empty(cell_m.shape[0], cand_mu.shape[0]))
     for blk in _row_blocks(*out.shape):
         sq = m_sq[blk, None] + mu_sq[None, :] - out[blk]
         np.maximum(sq, 0.0, out=sq)
@@ -371,7 +392,9 @@ def _torus_penalty(n: int, stride: int, spacing: float, u0: np.ndarray, prior: P
     delta = spacing * ((np.arange(n) + half) % n - half)
     sq_dev = float((u0**2).sum()) * (np.exp(delta) - 1.0) ** 2
     column = code_penalty_kernel(np.exp(2.0 * delta), sq_dev, 1.0, prior, cfg)
-    return np.ascontiguousarray(_circulant(column, stride))
+    out = _mapped_empty(n, n // stride)
+    np.copyto(out, _circulant(column, stride))
+    return out
 
 
 def torus_problem(
@@ -830,33 +853,11 @@ def _pointwise_start(pen: np.ndarray, least: tuple[np.ndarray, np.ndarray, np.nd
     return start
 
 
-class _RowBuffer:
-    """Penalty rows of one region at a time, in an anonymous private mapping
-    of the buffer's own, grown in place (``mremap``) when a region needs
-    more rows than it holds, and unmapped when the buffer goes.  Freed heap
-    blocks of its size stayed resident once glibc's mmap threshold, raised
-    by earlier frees, exceeded them; a fresh mapping per growth would fault
-    in every page again."""
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.rows = 0
-        self.map: mmap.mmap | None = None
-
-    def gather(self, pen: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """``pen[cells]`` in the buffer's leading rows; the mapping cannot
-        grow while the returned view lives.  The cells are valid indices,
-        so ``mode="clip"`` clips none; with ``"raise"``, ``np.take`` gathers
-        into a buffer of its own first."""
-        k = cells.shape[0]
-        if k > self.rows:
-            if self.map is None:
-                self.map = mmap.mmap(-1, k * self.width * 8, flags=mmap.MAP_PRIVATE)
-            else:
-                self.map.resize(k * self.width * 8)
-            self.rows = k
-        out = np.frombuffer(self.map, count=k * self.width).reshape(k, self.width)
-        return np.take(pen, cells, axis=0, out=out, mode="clip")
+def _gather_rows(pen: np.ndarray, cells: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``pen[cells]`` in the leading rows of ``buf``.  The cells are valid
+    indices, so ``mode="clip"`` clips none; with ``"raise"``, ``np.take``
+    gathers into a buffer of its own first."""
+    return np.take(pen, cells, axis=0, out=buf[: cells.shape[0]], mode="clip")
 
 
 def _descend(
@@ -887,13 +888,13 @@ def _descend(
     would not move are skipped a window at a time.
 
     A region's best candidate and the penalty it saves come from one GEMV
-    over the region's penalty rows, gathered into the descent's one
-    :class:`_RowBuffer`, which never holds more rows than the largest
-    region.
-    Both are kept until a cell joins or leaves the region: a region that
-    moves onto a candidate of no cells keeps that candidate as its best,
-    and the same rows would give the same bits, so a sweep that moves
-    nothing reads no rows.  The moves, their order and the yielded levels
+    over the region's penalty rows, gathered into the leading rows of the
+    descent's one :func:`_mapped_empty` buffer, of which only the rows of the
+    largest region so far are ever written.  Both are kept until a cell
+    joins or leaves the region: a region that moves onto a candidate of no
+    cells keeps that candidate as its best, as the same rows would give the
+    same bits.  So the sweep that moves no cell reads only the regions
+    merged by the sweep before it.  The moves, their order and the yielded levels
     are those of a scan of every candidate on every visit and a GEMV over
     every region on every sweep, bit for bit.  ``least`` is
     ``_least_penalties(problem.penalty)``, built once per search and
@@ -908,11 +909,11 @@ def _descend(
     level = _codebook_cost(problem, assign).L
     top, top_pen, edge = least
     partial = top.shape[1] < b  # the lists leave candidates out
-    used = np.flatnonzero(q) if partial else np.arange(0)
+    used = (q != 0.0).nonzero()[0] if partial else np.arange(0)
     # Per region: its best candidate and that candidate's region penalty
     # less its own, kept until a cell joins or leaves the region.
     region_best: dict[int, tuple[int, float]] = {}
-    rows = _RowBuffer(b)
+    rows = _mapped_empty(c, b)
     yield level, assign
 
     def move(a: int, j: int, mi: float) -> None:
@@ -926,7 +927,7 @@ def _descend(
         q[a] -= mi
         q[j] += mi
         if partial and zeros != (q[a] == 0.0, q[j] == 0.0):
-            used = np.flatnonzero(q)
+            used = (q != 0.0).nonzero()[0]
 
     def best_moves(lo: int) -> tuple[int, np.ndarray, np.ndarray]:
         # The end hi of a window of cells from lo, of about _MOVE_WINDOW move
@@ -988,7 +989,7 @@ def _descend(
         for r in np.unique(assign):
             if r not in region_best:
                 cells = np.flatnonzero(assign == r)
-                region_cost = np.take(mass, cells) @ rows.gather(pen, cells)
+                region_cost = np.take(mass, cells) @ _gather_rows(pen, cells, rows)
                 j = int(np.argmin(region_cost))
                 region_best[r] = j, float(region_cost[j] - region_cost[r])
             j, pen_delta = region_best[r]

@@ -1,11 +1,14 @@
 """Discrete codebook construction, search, audits and serialization."""
 
+import ctypes
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import mmap
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -29,11 +32,12 @@ from nsmml.codebook import (
     DiscreteProblem,
     SizeLimitError,
     _TOP_K,
-    _RowBuffer,
     _arc_stride,
     _count_vector_optima,
     _descend,
+    _gather_rows,
     _least_penalties,
+    _mapped_empty,
     _penalty_matrix,
     codebook_cost,
     codebook_from_text,
@@ -88,6 +92,16 @@ def synthetic_problem(mass, penalty):
         cand_mu=np.linspace(-1, 1, b)[:, None],
         penalty=penalty,
     )
+
+
+def _resident_pages(buf: np.ndarray) -> int:
+    """How many pages of ``buf``, a page-aligned array, are resident (Linux ``mincore``)."""
+    pages = -(-buf.nbytes // mmap.PAGESIZE)
+    vec = (ctypes.c_ubyte * pages)()
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mincore.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p)
+    assert libc.mincore(buf.ctypes.data, buf.nbytes, vec) == 0, ctypes.get_errno()
+    return sum(v & 1 for v in vec)
 
 
 def malformed_variants(text):
@@ -276,7 +290,8 @@ class TestPenaltyBuild:
         tracemalloc.start()
         try:
             problem = build()
-            return problem, tracemalloc.get_traced_memory()[1]
+            # The penalty lies on a mapping of its own, which tracemalloc does not see.
+            return problem, tracemalloc.get_traced_memory()[1] + problem.penalty.nbytes
         finally:
             tracemalloc.stop()
 
@@ -849,19 +864,18 @@ class TestLocalSearch:
 
     def test_region_step_reads_changed_regions_only(self, monkeypatch):
         # A region's penalty rows are read again only after a cell joined or
-        # left it, so the last sweep, which moves nothing, reads none, and
+        # left it, so here the last sweep, which moves nothing, reads none, and
         # the descent reads fewer rows than one per cell and sweep.  A
         # descent of at most k sweeps runs the first k sweeps of the whole one.
         prob = discretize(CFG, SCALE_FREE, BOX, 16)
         init, least = pointwise_assignment(prob), _least_penalties(prob.penalty)
         rows = []
-        gather = _RowBuffer.gather
 
-        def recorded(buf, pen, cells):
+        def recorded(pen, cells, buf):
             rows.append(cells.shape[0])
-            return gather(buf, pen, cells)
+            return _gather_rows(pen, cells, buf)
 
-        monkeypatch.setattr(_RowBuffer, "gather", recorded)
+        monkeypatch.setattr("nsmml.codebook._gather_rows", recorded)
 
         def descent(sweeps: int) -> tuple[list, int]:
             rows.clear()
@@ -877,26 +891,36 @@ class TestLocalSearch:
         assert descent(sweeps)[1] == read
         assert read < prob.n_cells * (sweeps + 1)
 
-    def test_gather_buffer_grows_to_the_largest_region(self, monkeypatch):
-        # From a random start the regions grow, and the one buffer grows
-        # with them: only when a region needs more rows than it holds, and
-        # to exactly that many.  The moves keep the full scan's bits.
+    def test_row_buffer_holds_only_the_largest_region(self, monkeypatch):
+        # From a random start the regions grow, and the rows written to the
+        # descent's one buffer grow with them: only the leading rows of the
+        # largest region so far, so only their pages become resident.  The
+        # moves keep the full scan's bits.
         prob = discretize(CFG, SCALE_FREE, BOX, 8)
         init = np.random.default_rng(5).integers(0, prob.n_candidates, prob.n_cells)
-        sizes = []
-        gather = _RowBuffer.gather
+        buffers, sizes = [], []
 
-        def recorded(buf, pen, cells):
-            out = gather(buf, pen, cells)
-            sizes.append((cells.shape[0], buf.rows, len(buf.map) // (8 * prob.n_candidates)))
-            return out
+        def made(rows, cols):
+            buffers.append(_mapped_empty(rows, cols))
+            return buffers[-1]
 
-        monkeypatch.setattr(_RowBuffer, "gather", recorded)
+        def recorded(pen, cells, buf):
+            assert buf is buffers[-1]
+            sizes.append(cells.shape[0])
+            return _gather_rows(pen, cells, buf)
+
+        monkeypatch.setattr("nsmml.codebook._mapped_empty", made)
+        monkeypatch.setattr("nsmml.codebook._MAP_MIN", 0)  # map this 295 kB buffer too
+        monkeypatch.setattr("nsmml.codebook._gather_rows", recorded)
         steps = descent_steps(prob, _descend(prob, init, _least_penalties(prob.penalty)))
         want = descent_steps(prob, oracle_descend(prob, init))
-        needed, held, mapped = np.array(sizes).T
-        assert held.tolist() == mapped.tolist() == np.maximum.accumulate(needed).tolist()
+        (buf,) = buffers
+        held = np.maximum.accumulate(sizes)
+        assert buf.shape == prob.penalty.shape
         assert np.unique(held).shape[0] > 2
+        if sys.platform.startswith("linux"):
+            assert _resident_pages(buf) == -(-int(held[-1]) * buf.strides[0] // mmap.PAGESIZE)
+        assert not buf[held[-1] :].any()  # never written
         assert [level.hex() for level, _, _ in steps] == [level.hex() for level, _, _ in want]
         assert [a.tobytes() for _, _, a in steps] == [a.tobytes() for _, _, a in want]
 
