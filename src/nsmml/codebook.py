@@ -232,8 +232,9 @@ def _mapped_empty(rows: int, cols: int) -> np.ndarray:
     below its mmap threshold on the heap, and each free of a mapped block
     raises the threshold to that block's size.  An array under ``_MAP_MIN``
     bytes is left to numpy: making and unmapping a mapping takes about
-    30 us, ten times a small heap array."""
-    if rows * cols * 8 < _MAP_MIN:
+    30 us, ten times a small heap array.  So is every array where ``mmap``
+    has no private mappings (Windows)."""
+    if rows * cols * 8 < _MAP_MIN or not hasattr(mmap, "MAP_PRIVATE"):
         return np.empty((rows, cols))
     buf = mmap.mmap(-1, rows * cols * 8, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_HUGEPAGE"):
@@ -820,7 +821,6 @@ _TOP_K = 32  # length of each cell's list of least-penalty candidates
 # loop not cut by model._row_blocks: after a window's first mover the rest
 # of the window is scored again, so a window stays far below _BLOCK.
 _MOVE_WINDOW = 1024
-_SWEEPS = 10_000  # most sweeps of one descent
 
 
 def _least_penalties(pen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -839,18 +839,6 @@ def _least_penalties(pen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
             top[blk] = part[:, :_TOP_K]
             edge[blk] = np.take_along_axis(pen[blk], part[:, _TOP_K, None], axis=1)[:, 0]
     return top, np.take_along_axis(pen, top, axis=1), edge
-
-
-def _pointwise_start(pen: np.ndarray, least: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """:func:`pointwise_assignment` read from the least-penalty lists: each
-    row's lowest-index least entry of its list, or of the whole row where
-    the list's floor ties that least entry."""
-    top, top_pen, edge = least
-    low = top_pen.min(axis=1)
-    start = np.where(top_pen == low[:, None], top, pen.shape[1]).min(axis=1)
-    for i in (low >= edge).nonzero()[0]:
-        start[i] = np.argmin(pen[i])
-    return start
 
 
 def _gather_rows(pen: np.ndarray, cells: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -883,20 +871,12 @@ def _descend(
     of no mass gains ``f(m_i)`` whichever it is, so its move cost rises
     with its penalty: the best left out of the list costs at least the
     list's floor, and comes from an exact scan of the row when the floor
-    cannot settle it.  The candidates with nonzero mass are listed again
-    only when a move turns ``q_a`` or ``q_t`` zero or nonzero.  Cells that
-    would not move are skipped a window at a time.
-
-    A region's best candidate and the penalty it saves come from one GEMV
-    over the region's penalty rows, gathered into the leading rows of the
-    descent's one :func:`_mapped_empty` buffer, of which only the rows of the
-    largest region so far are ever written.  Both are kept until a cell
-    joins or leaves the region: a region that moves onto a candidate of no
-    cells keeps that candidate as its best, as the same rows would give the
-    same bits.  So the sweep that moves no cell reads only the regions
-    merged by the sweep before it.  The moves, their order and the yielded levels
-    are those of a scan of every candidate on every visit and a GEMV over
-    every region on every sweep, bit for bit.  ``least`` is
+    cannot settle it.  Cells that would not move are skipped a window at a
+    time.  A region's penalty rows are gathered into the leading rows of
+    the descent's one :func:`_mapped_empty` buffer, of which only the rows
+    of the largest region so far are ever written.  The moves, their order
+    and the yielded levels are those of a scan of every candidate on every
+    visit, bit for bit.  ``least`` is
     ``_least_penalties(problem.penalty)``, built once per search and
     shared by its restarts.
     """
@@ -909,30 +889,14 @@ def _descend(
     level = _codebook_cost(problem, assign).L
     top, top_pen, edge = least
     partial = top.shape[1] < b  # the lists leave candidates out
-    used = (q != 0.0).nonzero()[0] if partial else np.arange(0)
-    # Per region: its best candidate and that candidate's region penalty
-    # less its own, kept until a cell joins or leaves the region.
-    region_best: dict[int, tuple[int, float]] = {}
-    rows = _mapped_empty(c, b)
+    gather_buf = _mapped_empty(c, b)
     yield level, assign
-
-    def move(a: int, j: int, mi: float) -> None:
-        # Mass mi leaves candidate a for j: both regions change, and the
-        # used candidates with them when q[a] or q[j] turns zero or nonzero
-        # (a float residue can leave an emptied candidate nonzero).
-        nonlocal used
-        region_best.pop(a, None)
-        region_best.pop(j, None)
-        zeros = q[a] == 0.0, q[j] == 0.0
-        q[a] -= mi
-        q[j] += mi
-        if partial and zeros != (q[a] == 0.0, q[j] == 0.0):
-            used = (q != 0.0).nonzero()[0]
 
     def best_moves(lo: int) -> tuple[int, np.ndarray, np.ndarray]:
         # The end hi of a window of cells from lo, of about _MOVE_WINDOW move
         # costs; the least move cost of each cell in lo:hi against the current
         # state, and its candidate (the lowest index among equal costs).
+        used = (q != 0.0).nonzero()[0] if partial else np.arange(0)
         hi = min(lo + max(1, _MOVE_WINDOW // (used.shape[0] + top.shape[1])), c)
         n = hi - lo
         a = assign[lo:hi]
@@ -967,7 +931,7 @@ def _descend(
                 best[r] = row[j[r]]
         return hi, best, j
 
-    for _sweep in range(_SWEEPS):
+    for _sweep in range(10_000):
         changed = False
         # The cells before a window's first mover do not move.
         i = 0
@@ -979,30 +943,26 @@ def _descend(
                 continue
             first = int(movers[0])
             i += first
-            a, j = assign[i], int(targets[first])
+            a, j, mi = assign[i], int(targets[first]), mass[i]
             assign[i] = j
-            move(a, j, mass[i])
+            q[a] -= mi
+            q[j] += mi
             level += float(costs[first])
             changed = True
             yield level, assign
             i += 1
         for r in np.unique(assign):
-            if r not in region_best:
-                cells = np.flatnonzero(assign == r)
-                region_cost = np.take(mass, cells) @ _gather_rows(pen, cells, rows)
-                j = int(np.argmin(region_cost))
-                region_best[r] = j, float(region_cost[j] - region_cost[r])
-            j, pen_delta = region_best[r]
+            cells = np.flatnonzero(assign == r)
+            region_cost = np.take(mass, cells) @ _gather_rows(pen, cells, gather_buf)
+            j = int(np.argmin(region_cost))
             if j == r:
                 continue
             h = _neg_xlogx(np.array((q[j] + q[r], q[j], q[r])))
-            delta = pen_delta + float(h[0] - h[1] - h[2])
+            delta = float(region_cost[j] - region_cost[r]) + float(h[0] - h[1] - h[2])
             if delta < 0.0:
-                alone = not (assign == j).any()
-                assign[assign == r] = j
-                move(r, j, q[r])
-                if alone:  # j now holds r's rows alone, whose best is j
-                    region_best[j] = j, 0.0
+                assign[cells] = j
+                q[j] += q[r]
+                q[r] = 0.0
                 level += delta
                 changed = True
                 yield level, assign
@@ -1014,16 +974,15 @@ def smml_local_search(problem: DiscreteProblem, restarts: int = 4, seed: int = 0
     """Best local optimum over ``restarts`` descents.
 
     Restart 0 starts from the pointwise penalty-minimizing assignment (so
-    the result never costs more than it), read from the descent's
-    least-penalty lists; each later restart draws a
+    the result never costs more than it); each later restart draws a
     seeded uniform-random start as it begins, and only the best local
     optimum so far is kept.  Deterministic given ``seed``.
     """
     restarts = _check_int(restarts, "restarts", 1)
     rng = np.random.default_rng(_check_int(seed, "seed", 0))
     least = _least_penalties(problem.penalty)
-    starts = (rng.integers(0, problem.n_candidates, problem.n_cells) if r
-              else _pointwise_start(problem.penalty, least) for r in range(restarts))
+    starts = (rng.integers(0, problem.n_candidates, problem.n_cells) if r else pointwise_assignment(problem)
+              for r in range(restarts))
     finals = (deque(_descend(problem, init, least), maxlen=1).pop() for init in starts)
     _, assign = min(finals, key=lambda final: final[0])  # the earliest restart wins ties
     return make_codebook(problem, assign)

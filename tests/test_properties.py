@@ -49,7 +49,6 @@ from nsmml.codebook import (
     _count_vector_optima,
     _descend,
     _least_penalties,
-    _pointwise_start,
     codebook_cost,
     codebook_transport,
     codebook_from_text,
@@ -449,24 +448,6 @@ def test_descent_follows_full_scan_oracle(problem, start, top_k, seed):
     # The same accepted moves in the same order, and the same bits.
     assert [level.hex() for level, _, _ in steps] == [level.hex() for level, _, _ in want]
     assert [a.tobytes() for _, _, a in steps] == [a.tobytes() for _, _, a in want]
-
-
-# Three least entries of 0.0 against two-entry lists: the floor ties the
-# least entry, and numpy's argpartition lists candidates 10 and 15, not 8.
-FLOOR_TIES = synthetic_problem(
-    [1.0], [[1.0, 1.0, 0.6, 0.9, 0.4, 0.3, 0.7, 0.6, 0.0, 0.3, 0.0, 0.3, 0.5, 0.4, 0.5, 0.0, 0.9, 0.2]]
-)
-
-
-@given(st.one_of(synthetic_problems(), discretized_problems(), torus_problems()), st.sampled_from([1, 2, _TOP_K]))
-@example(FLOOR_TIES, 2)
-def test_list_start_is_the_pointwise_assignment(problem, top_k):
-    with mock.patch("nsmml.codebook._TOP_K", top_k):
-        least = _least_penalties(problem.penalty)
-    if problem is FLOOR_TIES:
-        assert least[1].min() == least[2][0]  # the row scan runs
-    start, want = _pointwise_start(problem.penalty, least), pointwise_assignment(problem)
-    assert (start.dtype, start.tobytes()) == (want.dtype, want.tobytes())
 
 
 @st.composite
